@@ -125,15 +125,19 @@ class Cylinder:
     right: AffineExpr
 
 
+def apply_map(sys: IfsSystem, symbol: int, x: AffineExpr) -> AffineExpr:
+    """S_symbol(x) = x/m + d_symbol."""
+    return x.scale(Fraction(1, sys.ratio_denominator)) + sys.offset(symbol)
+
+
 def map_at_zero(sys: IfsSystem, word: Word) -> AffineExpr:
     """S_word(0) = sum over positions i of d_{s_i} / m^(i-1), exactly.
 
-    Computed right to left: S_{s w'}(0) = d_s + S_{w'}(0)/m.
+    Computed right to left: S_{s w'}(0) = S_s(S_{w'}(0)).
     """
     acc = AFFINE_ZERO
-    inv = Fraction(1, sys.ratio_denominator)
     for s in reversed(word.symbols):
-        acc = acc.scale(inv) + sys.offset(s)
+        acc = apply_map(sys, s, acc)
     return acc
 
 

@@ -7,8 +7,9 @@ m*v + m*(d_j - d_i), and any displacement whose magnitude reaches the
 prune bound only ever produces children at or beyond it, so a
 breadth-first search over in-bound displacement values reaches exactly
 the displacement set of every level.  The convex neighbourhood-type
-automaton, the smallest-displacement search, and the endpoint
-separation check are all drivers of that one recursion.
+automaton, the smallest-displacement search, the endpoint separation
+check and the exact overlap scan (closed walks of the recursion back
+to 0) are all built on that one recursion.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from math import lcm
 
 from .exact import AFFINE_ZERO, AffineExpr, Param, RationalParam, Undecided, rational_to_str
 from .ifs import EMPTY_WORD, IfsSystem, Word, map_at_zero
@@ -351,55 +353,129 @@ class OverlapScanResult:
         }
 
 
+#: The zero displacement as a lattice state (see ``_return_walks``).
+_ZERO_STATE = (0, 0)
+
+
+def _return_walks(sys: IfsSystem) -> tuple[dict, dict]:
+    """The finite displacement graph of walks that can come back to 0.
+
+    Each component (p and q) of a displacement follows
+    v -> m*(v + d_j - d_i) on its own lattice (1/L)Z, L the common
+    denominator of that component of the offsets.  With D the largest
+    |d_j - d_i| of the component, |v| > m*D/(m - 1) forces |v'| > |v|,
+    so a walk that leaves that box never returns to 0 and the reachable
+    in-box states are finitely many.  Returns (edges, distance): for
+    every state that can still return, its steps (i, j, next state)
+    into returning states, and the fewest steps it needs to reach 0.
+    No parameter point is involved: the components are exact.
+    """
+    m = sys.ratio_denominator
+    lattice = []
+    for part in ("p", "q"):
+        values = [getattr(d, part) for d in sys.offsets]
+        scale = lcm(*(v.denominator for v in values))
+        ints = [int(v * scale) for v in values]
+        lattice.append((ints, m * (max(ints) - min(ints))))
+    (ps, p_limit), (qs, q_limit) = lattice
+    steps = [
+        (i, j, m * (ps[j - 1] - ps[i - 1]), m * (qs[j - 1] - qs[i - 1]))
+        for i in sys.symbols
+        for j in sys.symbols
+    ]
+    graph: dict = {_ZERO_STATE: []}
+    pending = [_ZERO_STATE]
+    while pending:
+        vp, vq = state = pending.pop()
+        for i, j, dp, dq in steps:
+            nxt = (m * vp + dp, m * vq + dq)
+            if (m - 1) * abs(nxt[0]) > p_limit or (m - 1) * abs(nxt[1]) > q_limit:
+                continue
+            graph[state].append((i, j, nxt))
+            if nxt not in graph:
+                graph[nxt] = []
+                pending.append(nxt)
+    # backward search from 0: states that return within r steps
+    incoming: dict = {}
+    for state, out in graph.items():
+        for _, _, nxt in out:
+            incoming.setdefault(nxt, []).append(state)
+    distance = {_ZERO_STATE: 0}
+    frontier = [_ZERO_STATE]
+    while frontier:
+        layer = []
+        for state in frontier:
+            for prev in incoming.get(state, ()):
+                if prev not in distance:
+                    distance[prev] = distance[state] + 1
+                    layer.append(prev)
+        frontier = layer
+    edges = {
+        state: [e for e in graph[state] if e[2] in distance] for state in distance
+    }
+    return edges, distance
+
+
 def exact_overlap_scan(sys: IfsSystem, max_level: int) -> OverlapScanResult:
     """Word pairs with identically zero displacement, levels 1..max_level.
 
-    Purely symbolic: S_sigma = S_tau exactly when their origin forms
-    agree componentwise.  Pairs that factor through a shorter overlap
-    (same map on a prefix pair and on the suffix pair) are reported
-    separately as derived.
+    Purely symbolic: S_sigma = S_tau exactly when the displacement walk
+    of (sigma, tau) ends at 0 componentwise, so the pairs are the closed
+    walks 0 -> ... -> 0 on the finite graph of ``_return_walks``, read
+    with sigma < tau (i < j at the first difference).  A prefix is only
+    extended while its walk can still return within the level budget.
+    Since v_k = m^(k-s) * v_s + v(tail), a pair factors through a
+    shorter overlap (same map on a prefix pair and on the suffix pair)
+    exactly when its walk is at 0 at an interior position; such pairs,
+    shared prefixes included, are reported separately as derived.
+    Within a level, pairs are grouped by their common map, groups in
+    order of their smallest word, pairs in (sigma, tau) order.
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
-    origin_of: dict[Word, AffineExpr] = {EMPTY_WORD: AFFINE_ZERO}
-    equal_pairs: set[tuple[Word, Word]] = set()
+    edges, distance = _return_walks(sys)
+    found: list[list] = [[] for _ in range(max_level + 1)]
+
+    def reach(sigma, tau, state, zero_seen):
+        level = len(sigma)
+        if state == _ZERO_STATE:
+            found[level].append((sigma, tau, zero_seen))
+            zero_seen = True
+        budget = max_level - level - 1
+        for i, j, nxt in edges[state]:
+            if distance[nxt] <= budget:
+                reach(sigma + (i,), tau + (j,), nxt, zero_seen)
+
+    # the first differing symbols decide sigma < tau
+    diverge = [e for e in edges[_ZERO_STATE] if e[0] < e[1]]
+    shortest = min((1 + distance[nxt] for _, _, nxt in diverge), default=None)
+
+    def shared(prefix):
+        level = len(prefix) + 1
+        budget = max_level - level
+        for i, j, nxt in diverge:
+            if distance[nxt] <= budget:
+                reach(prefix + (i,), prefix + (j,), nxt, bool(prefix))
+        if level + shortest <= max_level:
+            for s in sys.symbols:
+                shared(prefix + (s,))
+
+    if shortest is not None:
+        shared(())
     primitive: list[OverlapPair] = []
     derived: list[OverlapPair] = []
     for level in range(1, max_level + 1):
-        groups: dict[tuple, list[Word]] = {}
-        for word in sys.words(level):
-            origin = map_at_zero(sys, word)
-            origin_of[word] = origin
-            groups.setdefault((origin.p, origin.q), []).append(word)
-        for words in groups.values():
-            if len(words) < 2:
-                continue
-            words.sort()
-            for a in range(len(words)):
-                for b in range(a + 1, len(words)):
-                    sigma, tau = words[a], words[b]
-                    equal_pairs.add((sigma, tau))
-                    pair = OverlapPair(sigma, tau, level)
-                    if _factors_through_overlap(sigma, tau, origin_of):
-                        derived.append(pair)
-                    else:
-                        primitive.append(pair)
+        pairs = found[level]
+        # equal maps form cliques: a word's group starts at its smallest partner
+        smallest: dict = {}
+        for sigma, tau, _ in pairs:
+            if sigma < smallest.get(tau, tau):
+                smallest[tau] = sigma
+        pairs.sort(key=lambda e: (smallest.get(e[0], e[0]), e[0], e[1]))
+        for sigma, tau, is_derived in pairs:
+            pair = OverlapPair(Word(sigma), Word(tau), level)
+            (derived if is_derived else primitive).append(pair)
     return OverlapScanResult(max_level, tuple(primitive), tuple(derived))
-
-
-def _factors_through_overlap(sigma: Word, tau: Word, origin_of: dict) -> bool:
-    k = len(sigma)
-    for split in range(1, k):
-        head_equal = (
-            origin_of[Word(sigma.symbols[:split])] == origin_of[Word(tau.symbols[:split])]
-        )
-        if not head_equal:
-            continue
-        tail_s = Word(sigma.symbols[split:])
-        tail_t = Word(tau.symbols[split:])
-        if origin_of[tail_s] == origin_of[tail_t]:
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -535,9 +611,10 @@ def endpoint_separation(
     (tau, sigma).  Every such quantity must be exactly zero or exceed
     the threshold in magnitude.  Corresponding picks (z = w) reduce to
     the displacements themselves; mixed picks measure how far cylinder
-    interiors overlap and are tracked as their own bucket.  The search
-    runs on the displacement frontier pruned at 1 + threshold, which is
-    closed under extension, instead of enumerating all word pairs.
+    interiors overlap and are tracked as their own bucket.  No word pair
+    is enumerated: the gaps come from the displacement frontier pruned
+    at 1 + threshold, which is closed under extension, and the pairs
+    with identical maps from the closed walks of ``exact_overlap_scan``.
     """
     threshold = Fraction(threshold)
     if threshold <= 0:

@@ -13,6 +13,9 @@ from sepkit import (
     example_template,
     verify_osc_open_set,
 )
+from sepkit import ifs as ifs_module
+from sepkit import openset as openset_module
+from sepkit.openset import MATERIALIZE_LIMIT, containment_identity_holds
 from sepkit.separation import displacement_levels
 
 SEED1 = RationalInterval.make(F(3, 7), F(4, 7))
@@ -105,6 +108,51 @@ def test_osc_example1_passes(ex1_sys, ex1_pt):
     assert report.passed
     assert report.containment_ok and report.disjointness_ok
     assert report.containment_checked == 3 * (1 + 3 + 9 + 27 + 81)
+
+
+def _explicit_containment_ok(oset):
+    """Map every component by every S_i and compare with the deeper family."""
+    sys = oset.system
+    deeper = OpenSetApprox(sys, oset.seed, oset.depth + 1)
+    inv = F(1, sys.ratio_denominator)
+    return all(
+        (lo.scale(inv) + sys.offset(i), hi.scale(inv) + sys.offset(i))
+        == deeper.component(Word.of(i) + word)
+        for word, lo, hi in oset.components()
+        for i in sys.symbols
+    )
+
+
+@pytest.mark.parametrize("which,seed", [(1, SEED1), (2, SEED2)])
+@pytest.mark.parametrize("depth", [0, 2, 4])
+def test_symbolic_containment_matches_explicit(which, seed, depth, ex1_pt, ex2_pt):
+    tmpl = example_template(which)
+    pt = ex1_pt if which == 1 else ex2_pt
+    oset = OpenSetApprox(tmpl.system, seed, depth)
+    report = verify_osc_open_set(tmpl.system, pt, seed, depth)
+    assert report.containment_ok == _explicit_containment_ok(oset)
+    assert report.containment_checked == tmpl.system.alphabet_size * len(list(oset.components()))
+
+
+def test_symbolic_containment_catches_a_broken_fold(ex1_sys, monkeypatch):
+    # a fold step that drifts on map 2 breaks S_i(S_w(seed)) = S_iw(seed);
+    # the symbolic identity and the explicit enumeration both see it
+    def drifting(sys, symbol, x):
+        exact = x.scale(F(1, sys.ratio_denominator)) + sys.offset(symbol)
+        return exact.shift(F(1, 1000)) if symbol == 2 else exact
+
+    monkeypatch.setattr(ifs_module, "apply_map", drifting)
+    monkeypatch.setattr(openset_module, "apply_map", drifting)
+    assert not containment_identity_holds(ex1_sys, SEED1)
+    assert not _explicit_containment_ok(OpenSetApprox(ex1_sys, SEED1, 2))
+
+
+def test_osc_example1_depth_beyond_materialize_limit(ex1_sys, ex1_pt):
+    oset = OpenSetApprox(ex1_sys, SEED1, 20)
+    assert oset.component_count > MATERIALIZE_LIMIT
+    report = verify_osc_open_set(ex1_sys, ex1_pt, SEED1, 20)
+    assert report.passed
+    assert report.containment_checked == 3 * sum(3**k for k in range(21))
 
 
 def test_osc_convex_seed_fails_immediately(ex1_sys, ex1_pt):

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepkit import (
     AffineExpr,
@@ -13,6 +14,7 @@ from sepkit import (
     endpoint_separation,
     exact_overlap_scan,
     example_template,
+    map_at_zero,
     osc_dimension,
     run_construction,
     translation_amount,
@@ -20,6 +22,8 @@ from sepkit import (
 )
 from sepkit.construction import PERIODIC_WARNING
 from sepkit.separation import (
+    OverlapPair,
+    OverlapScanResult,
     TypeAutomaton,
     brute_force_displacements,
     endpoint_separation_bruteforce,
@@ -163,6 +167,68 @@ def test_displacements_closed_under_negation(ex1_sys, ex1_pt):
 # --- exact overlap scan --------------------------------------------------------
 
 
+def _brute_force_overlap_scan(sys, max_level):
+    """Word-enumerating oracle: group every word of each level by its map.
+
+    A pair is derived when some split gives equal maps on both the
+    prefix pair and the suffix pair; groups come in order of their
+    smallest word, pairs in (sigma, tau) order.
+    """
+    origin_of = {Word(): AffineExpr.constant(0)}
+    primitive, derived = [], []
+    for level in range(1, max_level + 1):
+        groups = {}
+        for word in sys.words(level):
+            origin = map_at_zero(sys, word)
+            origin_of[word] = origin
+            groups.setdefault((origin.p, origin.q), []).append(word)
+        for words in groups.values():
+            words.sort()
+            for a, sigma in enumerate(words):
+                for tau in words[a + 1:]:
+                    factors = any(
+                        origin_of[Word(sigma.symbols[:s])] == origin_of[Word(tau.symbols[:s])]
+                        and origin_of[Word(sigma.symbols[s:])] == origin_of[Word(tau.symbols[s:])]
+                        for s in range(1, level)
+                    )
+                    (derived if factors else primitive).append(OverlapPair(sigma, tau, level))
+    return OverlapScanResult(max_level, tuple(primitive), tuple(derived))
+
+
+@pytest.mark.parametrize("which,max_level", [(1, 6), (2, 5)])
+def test_overlap_scan_matches_bruteforce(which, max_level):
+    sys = example_template(which).system
+    for level in range(1, max_level + 1):
+        assert exact_overlap_scan(sys, level) == _brute_force_overlap_scan(sys, level)
+
+
+@st.composite
+def small_systems(draw):
+    """Rational or affine systems (n <= 4, m <= 5) whose offsets often coincide.
+
+    Offsets are drawn from a pool of up to three values, each possibly
+    nudged by 1/m^2, so identical maps and exact overlaps are common.
+    """
+    m = draw(st.integers(2, 5))
+    affine = draw(st.booleans())
+    base = st.builds(
+        AffineExpr,
+        st.integers(0, m - 1).map(lambda k: F(k, m)),
+        st.integers(-1, 1).map(F) if affine else st.just(F(0)),
+    )
+    pool = draw(st.lists(base, min_size=1, max_size=3))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 1)),
+                          min_size=1, max_size=4))
+    return IfsSystem(m, tuple(d.shift(F(k, m * m)) for d, k in picks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems(), st.integers(1, 4))
+def test_overlap_scan_matches_bruteforce_random_systems(sys, max_level):
+    assert exact_overlap_scan(sys, max_level) == _brute_force_overlap_scan(sys, max_level)
+
+
+
 def test_overlap_scan_example2(ex2_sys):
     scan1 = exact_overlap_scan(ex2_sys, 1)
     assert scan1.overlaps == ()
@@ -184,6 +250,8 @@ def test_overlap_scan_duplicate_map():
     )
     scan = exact_overlap_scan(dup, 1)
     assert [(str(o.left), str(o.right)) for o in scan.overlaps] == [("1", "2")]
+    for level in range(1, 4):
+        assert exact_overlap_scan(dup, level) == _brute_force_overlap_scan(dup, level)
 
 
 def test_overlap_extensions_are_derived(ex2_sys):
@@ -248,7 +316,7 @@ def test_endpoint_separation_example2(ex2_sys, ex2_pt):
     report = endpoint_separation(ex2_sys, ex2_pt, 6, F(1, 10))
     assert report.passed
     equal = {(str(a), str(b)) for a, b, d in report.equal_pairs if d == 0}
-    scan = exact_overlap_scan(ex2_sys, 6)
+    scan = _brute_force_overlap_scan(ex2_sys, 6)
     expected = {(str(o.left), str(o.right)) for o in scan.overlaps + scan.derived}
     assert equal == expected
 

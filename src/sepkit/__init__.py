@@ -9,11 +9,9 @@ from .exact import (
     RationalInterval,
     RationalParam,
     Undecided,
-    eval_decimal,
     rational_from_str,
     rational_to_str,
     round_decimal,
-    sign_at_param,
     solve_affine_band,
 )
 from .ifs import (

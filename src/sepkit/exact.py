@@ -285,6 +285,7 @@ class ParamPoint(_ParamBase):
         self.label = label
         self.default_budget = default_budget
         self._sign_cache: dict[tuple[Fraction, Fraction], int] = {}
+        self._decimal_cache: dict[tuple[Fraction, Fraction, int], str] = {}
 
     def window(self, level: int) -> RationalInterval:
         return self.refiner.window(level)
@@ -329,12 +330,18 @@ class ParamPoint(_ParamBase):
 
         Refines until both endpoints of the exact image interval round
         to the same string, which that of the enclosed true value then
-        must equal.
+        must equal.  The windows nest, so every deeper window rounds to
+        that string as well; a remembered answer is what a fresh call
+        would return, and only answers are remembered.
         """
         if digits < 1:
             raise ValueError("digits must be >= 1")
         if e.q == 0:
             return round_decimal(e.p, digits)
+        key = (e.p, e.q, digits)
+        cached = self._decimal_cache.get(key)
+        if cached is not None:
+            return cached
         budget = self.default_budget if budget is None else budget
         level = max(1, self.refiner.depth)
         while True:
@@ -346,6 +353,7 @@ class ParamPoint(_ParamBase):
             s_lo = round_decimal(lo, digits)
             s_hi = round_decimal(hi, digits)
             if s_lo == s_hi:
+                self._decimal_cache[key] = s_lo
                 return s_lo
             if level >= budget:
                 raise Undecided(f"decimal value of {e} undecided within budget", budget)
@@ -382,17 +390,6 @@ class RationalParam(_ParamBase):
 
     def canonical_key(self, e: AffineExpr):
         return e.evaluate(self.value)
-
-
-def sign_at_param(e: AffineExpr, pt: Param, depth_budget: int | None = None) -> int:
-    """Sign of an affine form at a parameter point (method wrapper)."""
-    return pt.sign(e, depth_budget)
-
-
-def eval_decimal(e: AffineExpr, pt: Param, digits: int,
-                 depth_budget: int | None = None) -> str:
-    """Correctly rounded decimal of an affine form at a point (method wrapper)."""
-    return pt.eval_decimal(e, digits, depth_budget)
 
 
 class StaticRefiner:

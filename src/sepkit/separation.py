@@ -6,10 +6,18 @@ symbols i (to sigma) and j (to tau) turns a displacement v into
 m*v + m*(d_j - d_i), and any displacement whose magnitude reaches the
 prune bound only ever produces children at or beyond it, so a
 breadth-first search over in-bound displacement values reaches exactly
-the displacement set of every level.  The convex neighbourhood-type
-automaton, the smallest-displacement search, the endpoint separation
-check and the exact overlap scan (closed walks of the recursion back
-to 0) are all built on that one recursion.
+the displacement set of every level.
+
+The recursion runs on an integer lattice (``DisplacementLattice``):
+with Lp and Lq the common denominators of the offsets' constant and
+parameter parts, every displacement is P/Lp + (Q/Lq)*a for integers P
+and Q, and a step is integer arithmetic on (P, Q).  The parameter point
+is consulted once per distinct lattice point, for its in-bound verdict
+and canonical key.  The displacement search, the convex
+neighbourhood-type automaton (whose states are small ints), the
+smallest-displacement search, the endpoint separation check and the
+exact overlap scan (closed walks of the recursion back to 0) are all
+built on that one core.
 """
 
 from __future__ import annotations
@@ -25,20 +33,82 @@ from .ifs import EMPTY_WORD, IfsSystem, Word, map_at_zero
 DISPLAY_DIGITS = 12
 
 
-def _within_open_bound(pt: Param, value: AffineExpr, bound: Fraction) -> bool:
-    """|value| < bound at the point (strict)."""
+def _within_bound(pt: Param, value: AffineExpr, bound: Fraction, strict: bool = True) -> bool:
+    """|value| < bound at the point, or |value| <= bound when not strict."""
+    least = 1 if strict else 0
     return (
-        pt.sign(value.shift(bound)) > 0
-        and pt.sign(AffineExpr.constant(bound) - value) > 0
+        pt.sign(value.shift(bound)) >= least
+        and pt.sign(AffineExpr.constant(bound) - value) >= least
     )
 
 
-def _within_closed_bound(pt: Param, value: AffineExpr, bound: Fraction) -> bool:
-    """|value| <= bound at the point."""
-    return (
-        pt.sign(value.shift(bound)) >= 0
-        and pt.sign(AffineExpr.constant(bound) - value) >= 0
-    )
+class DisplacementLattice:
+    """The integer lattice the displacements of one system live on.
+
+    With Lp and Lq the common denominators of the constant and the
+    parameter parts of the offsets, the lattice point (P, Q) stands for
+    the displacement P/Lp + (Q/Lq)*a.  Appending symbols (i, j) sends
+    (P, Q) to (m*P + dP, m*Q + dQ), with (dP, dQ) the integer step of
+    m*(d_j - d_i); no parameter point is involved.
+    """
+
+    def __init__(self, sys: IfsSystem):
+        m = sys.ratio_denominator
+        self.m = m
+        self.lp = lcm(*(d.p.denominator for d in sys.offsets))
+        self.lq = lcm(*(d.q.denominator for d in sys.offsets))
+        self.ps = [int(d.p * self.lp) for d in sys.offsets]
+        self.qs = [int(d.q * self.lq) for d in sys.offsets]
+        #: (i, j, dP, dQ) for every symbol pair, in (i, j) order
+        self.steps = [
+            (i, j, m * (self.ps[j - 1] - self.ps[i - 1]), m * (self.qs[j - 1] - self.qs[i - 1]))
+            for i in sys.symbols
+            for j in sys.symbols
+        ]
+
+    def form(self, point: tuple[int, int]) -> AffineExpr:
+        """The exact displacement a lattice point stands for."""
+        return AffineExpr(Fraction(point[0], self.lp), Fraction(point[1], self.lq))
+
+
+#: The zero displacement as a lattice point.
+_ZERO_STATE = (0, 0)
+
+
+class _PointMemo(dict):
+    """In-bound verdicts of lattice points, each decided once at the point.
+
+    Maps (P, Q) to None when its displacement lies outside the bound,
+    else to (value id, exact form).  Value ids are small ints, equal
+    exactly when the canonical keys are equal; ``keys[id]`` gives the
+    key back.  Only decided verdicts are stored, so a point whose sign
+    test raised ``Undecided`` is tested again when it comes up again.
+    """
+
+    def __init__(self, lattice: DisplacementLattice, pt: Param, bound: Fraction, strict: bool):
+        super().__init__()
+        self.lattice = lattice
+        self.pt = pt
+        self.bound = bound
+        self.strict = strict
+        self.keys: list = []
+        self._ids: dict = {}
+
+    def value_id(self, form: AffineExpr) -> int:
+        key = self.pt.canonical_key(form)
+        ident = self._ids.get(key)
+        if ident is None:
+            ident = self._ids[key] = len(self.keys)
+            self.keys.append(key)
+        return ident
+
+    def __missing__(self, point: tuple[int, int]):
+        form = self.lattice.form(point)
+        entry = None
+        if _within_bound(self.pt, form, self.bound, self.strict):
+            entry = (self.value_id(form), form)
+        self[point] = entry
+        return entry
 
 
 #: A neighbourhood type: canonically ordered displacements, always holding
@@ -77,27 +147,26 @@ def displacement_levels(
     """
     if bound < 1:
         raise ValueError("prune bound must be >= 1 for a complete search")
-    m = sys.ratio_denominator
-    inside = _within_open_bound if strict else _within_closed_bound
-    current = {pt.canonical_key(AFFINE_ZERO): Displacement(AFFINE_ZERO, (EMPTY_WORD, EMPTY_WORD))}
+    lattice = DisplacementLattice(sys)
+    m, steps = lattice.m, lattice.steps
+    memo = _PointMemo(lattice, pt, bound, strict)
+    # nodes (sigma, tau, lattice point), parents in witness order
+    current = [((), (), _ZERO_STATE)]
     levels = []
-    for _ in range(1, max_level + 1):
+    for _ in range(max_level):
         nxt: dict = {}
-        ordered = sorted(current.values(), key=lambda d: (d.witness[0], d.witness[1]))
-        for parent in ordered:
-            for i in sys.symbols:
-                for j in sys.symbols:
-                    child = (parent.value + sys.offset(j) - sys.offset(i)).scale(m)
-                    if not inside(pt, child, bound):
-                        continue
-                    key = pt.canonical_key(child)
-                    if key not in nxt:
-                        nxt[key] = Displacement(
-                            child,
-                            (parent.witness[0].append(i), parent.witness[1].append(j)),
-                        )
-        levels.append(nxt)
-        current = nxt
+        for sigma, tau, (vp, vq) in current:
+            vp, vq = m * vp, m * vq
+            for i, j, dp, dq in steps:
+                point = (vp + dp, vq + dq)
+                entry = memo[point]
+                if entry is not None and entry[0] not in nxt:
+                    nxt[entry[0]] = (sigma + (i,), tau + (j,), point, entry[1])
+        levels.append({
+            memo.keys[ident]: Displacement(form, (Word(sigma), Word(tau)))
+            for ident, (sigma, tau, _, form) in nxt.items()
+        })
+        current = sorted(node[:3] for node in nxt.values())
     return levels
 
 
@@ -112,7 +181,7 @@ def brute_force_displacements(
     for sigma, s_val in origins:
         for tau, t_val in origins:
             value = (t_val - s_val).scale(m**level)
-            if not _within_open_bound(pt, value, bound):
+            if not _within_bound(pt, value, bound):
                 continue
             key = pt.canonical_key(value)
             if key not in found:
@@ -178,55 +247,66 @@ def wsp_min_displacement(sys: IfsSystem, pt: Param, max_level: int) -> WspResult
     return WspResult(max_level, best, tuple(per_level))
 
 
-def _order_displacements(values: list[AffineExpr], pt: Param) -> tuple[AffineExpr, ...]:
-    """Canonical ascending order by value at the point."""
-    return tuple(sorted(values, key=cmp_to_key(lambda x, y: pt.compare(x, y))))
-
-
 class TypeAutomaton:
     """Neighbourhood-type automaton over displacement sets.
 
     A state is the canonically ordered set of in-(-1,1) displacements a
     word can reach; the successor under symbol i rescales every member
-    by m and shifts by m*(d_j - d_i) over all j.  State identity uses
-    the parameter point's canonical value keys, so rational control
-    points collapse displacement expressions by value while irrational
-    points compare componentwise.
+    by m and shifts by m*(d_j - d_i) over all j, on the integer lattice.
+    State identity uses the parameter point's canonical value keys, so
+    rational control points collapse displacement expressions by value
+    while irrational points compare componentwise.  States are interned
+    as small ints; each keeps the lattice points and exact forms of the
+    members it was first built from.
     """
 
     def __init__(self, sys: IfsSystem, pt: Param):
         self.sys = sys
         self.pt = pt
-        self._types: dict[tuple, tuple[AffineExpr, ...]] = {}
-        self._transitions: dict[tuple[tuple, int], tuple] = {}
-        self.root_key = self._intern([AFFINE_ZERO])
+        lattice = DisplacementLattice(sys)
+        self._m = lattice.m
+        self._steps = {
+            i: [(dp, dq) for s, _, dp, dq in lattice.steps if s == i] for i in sys.symbols
+        }
+        self._memo = _PointMemo(lattice, pt, Fraction(1), strict=True)
+        self._states: dict[tuple[int, ...], int] = {}
+        self._members: list[tuple[tuple[int, int], ...]] = []
+        self._types: list[tuple[AffineExpr, ...]] = []
+        self._transitions: dict[tuple[int, int], int] = {}
+        zero = self._memo.value_id(AFFINE_ZERO)
+        self.root_key = self._intern({zero: (_ZERO_STATE, AFFINE_ZERO)})
 
-    def _intern(self, values: list[AffineExpr]) -> tuple:
-        dedup: dict = {}
-        for v in values:
-            dedup.setdefault(self.pt.canonical_key(v), v)
-        ordered = _order_displacements(list(dedup.values()), self.pt)
-        key = tuple(self.pt.canonical_key(v) for v in ordered)
-        self._types.setdefault(key, ordered)
-        return key
+    def _intern(self, found: dict) -> int:
+        """The state of {value id: (lattice point, form)}, in canonical order."""
+        ordered = sorted(
+            found.items(), key=cmp_to_key(lambda x, y: self.pt.compare(x[1][1], y[1][1]))
+        )
+        key = tuple(ident for ident, _ in ordered)
+        state = self._states.get(key)
+        if state is None:
+            state = self._states[key] = len(self._types)
+            self._members.append(tuple(point for _, (point, _) in ordered))
+            self._types.append(tuple(form for _, (_, form) in ordered))
+        return state
 
-    def type_of(self, key: tuple) -> tuple[AffineExpr, ...]:
+    def type_of(self, key: int) -> tuple[AffineExpr, ...]:
         return self._types[key]
 
-    def successor(self, key: tuple, symbol: int) -> tuple:
+    def successor(self, key: int, symbol: int) -> int:
         memo_key = (key, symbol)
         cached = self._transitions.get(memo_key)
         if cached is not None:
             return cached
-        m = self.sys.ratio_denominator
-        d_i = self.sys.offset(symbol)
-        children = []
-        for v in self.type_of(key):
-            for j in self.sys.symbols:
-                child = (v + self.sys.offset(j) - d_i).scale(m)
-                if _within_open_bound(self.pt, child, Fraction(1)):
-                    children.append(child)
-        result = self._intern(children)
+        m, memo = self._m, self._memo
+        found: dict = {}
+        for vp, vq in self._members[key]:
+            vp, vq = m * vp, m * vq
+            for dp, dq in self._steps[symbol]:
+                point = (vp + dp, vq + dq)
+                entry = memo[point]
+                if entry is not None and entry[0] not in found:
+                    found[entry[0]] = (point, entry[1])
+        result = self._intern(found)
         self._transitions[memo_key] = result
         return result
 
@@ -296,9 +376,9 @@ def census_states(sys: IfsSystem, pt: Param, max_level: int):
     Yields (level, automaton, {state key: (count, witness)}).
     """
     automaton = TypeAutomaton(sys, pt)
-    current: dict[tuple, tuple[int, Word]] = {automaton.root_key: (1, EMPTY_WORD)}
+    current: dict[int, tuple[int, Word]] = {automaton.root_key: (1, EMPTY_WORD)}
     for level in range(1, max_level + 1):
-        nxt: dict[tuple, tuple[int, Word]] = {}
+        nxt: dict[int, tuple[int, Word]] = {}
         for key, (count, witness) in sorted(current.items(), key=lambda kv: kv[1][1]):
             for i in sys.symbols:
                 child = automaton.successor(key, i)
@@ -353,36 +433,23 @@ class OverlapScanResult:
         }
 
 
-#: The zero displacement as a lattice state (see ``_return_walks``).
-_ZERO_STATE = (0, 0)
-
-
 def _return_walks(sys: IfsSystem) -> tuple[dict, dict]:
     """The finite displacement graph of walks that can come back to 0.
 
-    Each component (p and q) of a displacement follows
-    v -> m*(v + d_j - d_i) on its own lattice (1/L)Z, L the common
-    denominator of that component of the offsets.  With D the largest
-    |d_j - d_i| of the component, |v| > m*D/(m - 1) forces |v'| > |v|,
-    so a walk that leaves that box never returns to 0 and the reachable
-    in-box states are finitely many.  Returns (edges, distance): for
-    every state that can still return, its steps (i, j, next state)
-    into returning states, and the fewest steps it needs to reach 0.
-    No parameter point is involved: the components are exact.
+    Each component (P and Q) of a lattice point follows
+    v -> m*v + (the integer step of (i, j)) on its own, see
+    ``DisplacementLattice``.  With D the largest step of a component,
+    (m - 1)*|v| > D forces |v'| > |v|, so a walk that leaves that box
+    never returns to 0 and the reachable in-box states are finitely
+    many.  Returns (edges, distance): for every state that can still
+    return, its steps (i, j, next state) into returning states, and the
+    fewest steps it needs to reach 0.  No parameter point is involved:
+    the components are exact.
     """
-    m = sys.ratio_denominator
-    lattice = []
-    for part in ("p", "q"):
-        values = [getattr(d, part) for d in sys.offsets]
-        scale = lcm(*(v.denominator for v in values))
-        ints = [int(v * scale) for v in values]
-        lattice.append((ints, m * (max(ints) - min(ints))))
-    (ps, p_limit), (qs, q_limit) = lattice
-    steps = [
-        (i, j, m * (ps[j - 1] - ps[i - 1]), m * (qs[j - 1] - qs[i - 1]))
-        for i in sys.symbols
-        for j in sys.symbols
-    ]
+    lattice = DisplacementLattice(sys)
+    m, steps = lattice.m, lattice.steps
+    p_limit = m * (max(lattice.ps) - min(lattice.ps))
+    q_limit = m * (max(lattice.qs) - min(lattice.qs))
     graph: dict = {_ZERO_STATE: []}
     pending = [_ZERO_STATE]
     while pending:

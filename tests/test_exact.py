@@ -149,6 +149,34 @@ def test_eval_decimal_prefix_consistency(ex1_pt):
         )
 
 
+def test_eval_decimal_memo_matches_fresh_points(ex1_template, tm):
+    # a remembered answer is what a fresh point gives, however deep the
+    # chain has been refined since; the digit count is part of the key
+    from sepkit import param_point
+
+    forms = [AffineExpr(F(-n, 7 * n + 1), F(n)) for n in range(1, 20)]
+    pt = param_point(ex1_template, tm)
+    first = [pt.eval_decimal(e, 12) for e in forms]
+    pt.window(60)
+    again = [pt.eval_decimal(e, 12) for e in forms]
+    fresh = param_point(ex1_template, tm)
+    assert first == again == [fresh.eval_decimal(e, 12) for e in forms]
+    assert pt.eval_decimal(forms[0], 5) == fresh.eval_decimal(forms[0], 5)
+    assert pt.eval_decimal(forms[0], 5) != pt.eval_decimal(forms[0], 12)
+
+
+def test_eval_decimal_undecided_is_not_remembered(ex1_template, tm):
+    from sepkit import param_point
+
+    pt = param_point(ex1_template, tm)
+    seven_a = AffineExpr.parameter(7)
+    with pytest.raises(Undecided):
+        pt.eval_decimal(seven_a, 40, budget=2)
+    assert pt.eval_decimal(seven_a, 40) == param_point(ex1_template, tm).eval_decimal(
+        seven_a, 40
+    )
+
+
 def test_rational_param_is_exact():
     pt = RationalParam(F(1, 8))
     assert pt.sign(AffineExpr(F(-1, 8), F(1))) == 0

@@ -1,4 +1,7 @@
+from collections import Counter
 from fractions import Fraction as F
+from functools import cmp_to_key
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,12 +10,20 @@ from sepkit import (
     AffineExpr,
     DrivingSequence,
     IfsSystem,
+    OpenSetApprox,
+    Param,
+    ParamPoint,
+    RationalInterval,
+    RationalParam,
+    Undecided,
     Word,
+    constructed_v_type_census,
     convex_type_census,
     displacement_levels,
     distinctness_check,
     endpoint_separation,
     exact_overlap_scan,
+    example_point,
     example_template,
     map_at_zero,
     osc_dimension,
@@ -20,8 +31,11 @@ from sepkit import (
     translation_amount,
     wsp_min_displacement,
 )
+from sepkit import separation
 from sepkit.construction import PERIODIC_WARNING
+from sepkit.exact import StaticRefiner
 from sepkit.separation import (
+    Displacement,
     OverlapPair,
     OverlapScanResult,
     TypeAutomaton,
@@ -268,6 +282,316 @@ def test_zero_displacement_propagates_to_extensions(ex2_sys):
     assert translation_amount(ex2_sys, sigma, tau) == AffineExpr.constant(0)
     for rho in list(ex2_sys.words(1)) + list(ex2_sys.words(2)):
         assert translation_amount(ex2_sys, sigma + rho, tau + rho) == AffineExpr.constant(0)
+
+
+# --- the integer-lattice core against the Fraction-valued search ----------------
+
+
+def _oracle_inside(pt, value, bound, strict):
+    least = 1 if strict else 0
+    return (
+        pt.sign(value.shift(bound)) >= least
+        and pt.sign(AffineExpr.constant(bound) - value) >= least
+    )
+
+
+def _oracle_displacement_levels(sys, pt, max_level, bound=F(1), strict=True):
+    """The Fraction-valued BFS: one AffineExpr and one bound test per child."""
+    m = sys.ratio_denominator
+    zero = AffineExpr.constant(0)
+    current = {pt.canonical_key(zero): Displacement(zero, (Word(), Word()))}
+    levels = []
+    for _ in range(max_level):
+        nxt = {}
+        for parent in sorted(current.values(), key=lambda d: d.witness):
+            for i in sys.symbols:
+                for j in sys.symbols:
+                    child = (parent.value + sys.offset(j) - sys.offset(i)).scale(m)
+                    if not _oracle_inside(pt, child, bound, strict):
+                        continue
+                    key = pt.canonical_key(child)
+                    if key not in nxt:
+                        sigma, tau = parent.witness
+                        nxt[key] = Displacement(child, (sigma.append(i), tau.append(j)))
+        levels.append(nxt)
+        current = nxt
+    return levels
+
+
+class _OracleTypeAutomaton:
+    """The Fraction-valued automaton, keyed by tuples of canonical keys."""
+
+    def __init__(self, sys, pt):
+        self.sys = sys
+        self.pt = pt
+        self._types = {}
+        self._transitions = {}
+        self.root_key = self._intern([AffineExpr.constant(0)])
+
+    def _intern(self, values):
+        dedup = {}
+        for v in values:
+            dedup.setdefault(self.pt.canonical_key(v), v)
+        ordered = tuple(sorted(dedup.values(), key=cmp_to_key(lambda x, y: self.pt.compare(x, y))))
+        key = tuple(self.pt.canonical_key(v) for v in ordered)
+        self._types.setdefault(key, ordered)
+        return key
+
+    def type_of(self, key):
+        return self._types[key]
+
+    def successor(self, key, symbol):
+        if (key, symbol) not in self._transitions:
+            m = self.sys.ratio_denominator
+            d_i = self.sys.offset(symbol)
+            children = [
+                child
+                for v in self.type_of(key)
+                for j in self.sys.symbols
+                for child in [(v + self.sys.offset(j) - d_i).scale(m)]
+                if _oracle_inside(self.pt, child, F(1), True)
+            ]
+            self._transitions[(key, symbol)] = self._intern(children)
+        return self._transitions[(key, symbol)]
+
+
+def _oracle_census(sys, pt, max_level):
+    with mock.patch.object(separation, "TypeAutomaton", _OracleTypeAutomaton):
+        return convex_type_census(sys, pt, max_level)
+
+
+def _states_in_order(sys, pt, max_level):
+    """Every level's (type, count, witness) in ``census_states`` order."""
+    return [
+        [(automaton.type_of(key), count, witness) for key, (count, witness) in states.items()]
+        for _, automaton, states in separation.census_states(sys, pt, max_level)
+    ]
+
+
+def _in_order(levels):
+    return [list(level.items()) for level in levels]
+
+
+def _outcome(fn, *args, **kwargs):
+    """A call's result, or the message of the ``Undecided`` it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Undecided as exc:
+        return ("undecided", str(exc))
+
+
+#: (example, point, levels): both examples at their points, and rational
+#: points where distinct lattice points collapse onto one value
+ORACLE_CASES = [
+    (1, "ex1", 6),
+    (2, "ex2", 3),
+    (1, F(1, 8), 12),
+    (1, F(41, 56), 12),
+    (2, F(1, 32), 6),
+    (2, F(3, 64), 6),
+]
+
+
+def _case_point(label, ex1_pt, ex2_pt):
+    return {"ex1": ex1_pt, "ex2": ex2_pt}.get(label) or RationalParam(label)
+
+
+@pytest.mark.parametrize("which,label,levels", ORACLE_CASES)
+def test_bfs_matches_fraction_oracle(which, label, levels, ex1_pt, ex2_pt):
+    sys = example_template(which).system
+    pt = _case_point(label, ex1_pt, ex2_pt)
+    # keys, insertion order, representative values and witnesses
+    assert _in_order(displacement_levels(sys, pt, levels)) == _in_order(
+        _oracle_displacement_levels(sys, pt, levels)
+    )
+
+
+@pytest.mark.parametrize("which,levels", [(1, 5), (2, 3)])
+def test_bfs_closed_endpoint_bound_matches_fraction_oracle(which, levels, ex1_pt, ex2_pt):
+    # the closed bound endpoint_separation prunes at
+    sys = example_template(which).system
+    pt = ex1_pt if which == 1 else ex2_pt
+    bound = 1 + F(4, 7)
+    got = displacement_levels(sys, pt, levels, bound=bound, strict=False)
+    expected = _oracle_displacement_levels(sys, pt, levels, bound=bound, strict=False)
+    assert _in_order(got) == _in_order(expected)
+    rational = RationalParam(F(1, 8))
+    got = displacement_levels(sys, rational, levels, bound=bound, strict=False)
+    expected = _oracle_displacement_levels(sys, rational, levels, bound=bound, strict=False)
+    assert _in_order(got) == _in_order(expected)
+
+
+@pytest.mark.parametrize("which,label,levels", ORACLE_CASES)
+def test_census_matches_fraction_oracle(which, label, levels, ex1_pt, ex2_pt):
+    sys = example_template(which).system
+    pt = _case_point(label, ex1_pt, ex2_pt)
+    census = convex_type_census(sys, pt, levels)
+    oracle = _oracle_census(sys, pt, levels)
+    assert census.counts == oracle.counts
+    # types (representative values in canonical order), counts, witnesses
+    assert census == oracle
+    with mock.patch.object(separation, "TypeAutomaton", _OracleTypeAutomaton):
+        expected = _states_in_order(sys, pt, levels)
+    assert _states_in_order(sys, pt, levels) == expected
+
+
+def test_constructed_census_matches_fraction_oracle(ex1_sys, ex1_pt):
+    oset = OpenSetApprox(ex1_sys, RationalInterval.make(F(3, 7), F(4, 7)), 6)
+    census = constructed_v_type_census(ex1_sys, ex1_pt, oset, 5)
+    with mock.patch.object(separation, "TypeAutomaton", _OracleTypeAutomaton):
+        assert census == constructed_v_type_census(ex1_sys, ex1_pt, oset, 5)
+
+
+#: systems where children of later parents sort before those of earlier
+#: ones, so the search must expand each level in witness order
+REORDERING_SYSTEMS = [
+    (IfsSystem(3, (AffineExpr(F(2, 3), F(-1)), AffineExpr(F(1, 3), F(1)),
+                   AffineExpr(F(1, 3), F(-1)))), "ex1"),
+    (IfsSystem(3, (AffineExpr(F(1, 3), F(-1)), AffineExpr(F(1, 3), F(0)),
+                   AffineExpr(F(0), F(-1)))), F(1, 8)),
+]
+
+
+@pytest.mark.parametrize("sys,label", REORDERING_SYSTEMS)
+def test_parent_order_matches_fraction_oracle(sys, label, ex1_pt, ex2_pt):
+    pt = _case_point(label, ex1_pt, ex2_pt)
+    got = _in_order(displacement_levels(sys, pt, 4))
+    assert got == _in_order(_oracle_displacement_levels(sys, pt, 4))
+    assert any(
+        [w for _, w in pairs] != sorted(w for _, w in pairs)
+        for pairs in ([(k, d.witness) for k, d in level] for level in got)
+    )
+    assert convex_type_census(sys, pt, 4) == _oracle_census(sys, pt, 4)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    small_systems(),
+    st.integers(1, 4),
+    st.sampled_from([F(1, 8), F(41, 56), F(1, 3), F(2, 5), None]),
+)
+def test_lattice_core_matches_fraction_oracle_random_systems(ex1_pt, sys, levels, value):
+    pt = ex1_pt if value is None else RationalParam(value)
+    assert _outcome(lambda: _in_order(displacement_levels(sys, pt, levels))) == _outcome(
+        lambda: _in_order(_oracle_displacement_levels(sys, pt, levels))
+    )
+    bound = 1 + F(4, 7)
+    assert _outcome(
+        lambda: _in_order(displacement_levels(sys, pt, levels, bound=bound, strict=False))
+    ) == _outcome(
+        lambda: _in_order(_oracle_displacement_levels(sys, pt, levels, bound=bound, strict=False))
+    )
+    assert _outcome(convex_type_census, sys, pt, levels) == _outcome(
+        _oracle_census, sys, pt, levels
+    )
+
+
+# --- the lattice memo -------------------------------------------------------------
+
+
+class _CountingParam(Param):
+    """A point that counts its sign queries per form and delegates the rest."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.label = inner.label
+        self.irrationality_assumed = inner.irrationality_assumed
+        self.queries = Counter()
+
+    def sign(self, e, budget=None):
+        self.queries[(e.p, e.q)] += 1
+        return self.inner.sign(e, budget)
+
+    def eval_decimal(self, e, digits, budget=None):
+        return self.inner.eval_decimal(e, digits, budget)
+
+    def canonical_key(self, e):
+        return self.inner.canonical_key(e)
+
+
+@pytest.mark.parametrize("which,label,levels", ORACLE_CASES)
+def test_bfs_decides_each_lattice_point_once(which, label, levels, ex1_pt, ex2_pt):
+    sys = example_template(which).system
+    pt = _case_point(label, ex1_pt, ex2_pt)
+    counting = _CountingParam(pt)
+    displacement_levels(sys, counting, levels)
+    # every child the search generates: each parent of each level, all (i, j)
+    m = sys.ratio_denominator
+    zero = AffineExpr.constant(0)
+    parents = [[zero]] + [
+        [d.value for d in level.values()]
+        for level in _oracle_displacement_levels(sys, pt, levels - 1)
+    ]
+    children = {
+        (v + sys.offset(j) - sys.offset(i)).scale(m)
+        for layer in parents
+        for v in layer
+        for i in sys.symbols
+        for j in sys.symbols
+    }
+    # one bound test per distinct child: v + 1 > 0, then 1 - v > 0
+    expected = Counter()
+    for v in children:
+        expected[(v.p + 1, v.q)] += 1
+        if pt.sign(v.shift(1)) > 0:
+            expected[(1 - v.p, -v.q)] += 1
+    assert counting.queries == expected
+    again = _CountingParam(pt)
+    displacement_levels(sys, again, levels)
+    assert again.queries == counting.queries
+
+
+@pytest.mark.parametrize("which,label,levels", ORACLE_CASES)
+def test_automaton_decides_each_lattice_point_once(which, label, levels, ex1_pt, ex2_pt):
+    sys = example_template(which).system
+    pt = _case_point(label, ex1_pt, ex2_pt)
+
+    def decisions(automaton_cls, bound_test, original):
+        """Bound tests per displacement value during one census."""
+        seen = Counter()
+
+        def counted(point, value, *args):
+            seen[(value.p, value.q)] += 1
+            return original(point, value, *args)
+
+        with mock.patch(bound_test, counted), \
+                mock.patch.object(separation, "TypeAutomaton", automaton_cls):
+            census = convex_type_census(sys, pt, levels)
+        return seen, census
+
+    lattice = (TypeAutomaton, "sepkit.separation._within_bound", separation._within_bound)
+    seen, census = decisions(*lattice)
+    assert seen and max(seen.values()) == 1
+    assert decisions(*lattice) == (seen, census)
+    oracle_seen, oracle = decisions(
+        _OracleTypeAutomaton, f"{__name__}._oracle_inside", _oracle_inside
+    )
+    assert census == oracle
+    # the same lattice points are tested, the oracle once per child
+    assert set(seen) == set(oracle_seen)
+    assert sum(oracle_seen.values()) >= sum(seen.values())
+
+
+def _short_point(which, depth):
+    """A point whose window chain stops after ``depth`` windows."""
+    full = example_point(which)
+    windows = [full.window(k) for k in range(1, depth + 1)]
+    return ParamPoint(StaticRefiner(windows), irrationality_assumed=True)
+
+
+@pytest.mark.parametrize("which,depth,levels", [(1, 3, 8), (1, 6, 8), (2, 3, 4)])
+def test_short_refiner_undecided_like_the_oracle(which, depth, levels):
+    sys = example_template(which).system
+    with pytest.raises(Undecided) as got:
+        displacement_levels(sys, _short_point(which, depth), levels)
+    with pytest.raises(Undecided) as expected:
+        _oracle_displacement_levels(sys, _short_point(which, depth), levels)
+    assert str(got.value) == str(expected.value)
+    with pytest.raises(Undecided) as got:
+        convex_type_census(sys, _short_point(which, depth), levels)
+    with pytest.raises(Undecided) as expected:
+        _oracle_census(sys, _short_point(which, depth), levels)
+    assert str(got.value) == str(expected.value)
 
 
 # --- distinctness ---------------------------------------------------------------

@@ -93,10 +93,6 @@ class AffineExpr:
     def parameter(coefficient=1) -> "AffineExpr":
         return AffineExpr(Fraction(0), Fraction(coefficient))
 
-    @property
-    def is_constant(self) -> bool:
-        return self.q == 0
-
     def __add__(self, other: "AffineExpr") -> "AffineExpr":
         return AffineExpr(self.p + other.p, self.q + other.q)
 

@@ -6,20 +6,22 @@ most D of S_word(seed), for an open rational seed interval inside
 many) components: a translated intersection V^D ∩ (V^D + v) is decided
 by the same reduction that drives the displacement search: peeling one
 map off each side turns the question about v into the question about
-m*v + m*(d_j - d_i) one level down, with seed-versus-family base cases
-handled by an interval walk down the cylinder tree.  Everything is
-exact and memoized; truncation can only under-report intersections, so
-every report carries the truncation depth as a caveat.
+m*v + m*(d_j - d_i) one level down.  The base cases, the seed against
+the deeper family translated by v, are one interval walk down the
+cylinder tree started at seed - v.  Everything is exact and memoized;
+truncation can only under-report intersections, so every report
+carries the truncation depth as a caveat.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 
 from .exact import AFFINE_ZERO, AffineExpr, Param, RationalInterval
 from .ifs import EMPTY_WORD, IfsSystem, Word, apply_map, map_at_zero
-from .separation import CensusLevel, CensusResult, TypeEntry, census_states
+from .separation import CensusLevel, CensusResult, TypeEntry, _within_bound, census_states
 
 #: Explicit component enumeration is refused beyond this many components.
 MATERIALIZE_LIMIT = 1_000_000
@@ -68,70 +70,71 @@ class OpenSetApprox:
                 yield word, lo, hi
 
 
+def _memoized(method):
+    """Remember a method's results per instance, keyed by its arguments.
+
+    The memo is a plain dict on the instance, so it is freed with the
+    instance, by reference counting; a call that raises stores nothing.
+    """
+    name = "_memo_" + method.__name__
+
+    @wraps(method)
+    def memoized(self, *args):
+        memo = self.__dict__.setdefault(name, {})
+        try:
+            return memo[args]
+        except KeyError:
+            result = memo[args] = method(self, *args)
+            return result
+
+    return memoized
+
+
 class OverlapOracle:
     """Exact decision procedure for V^D ∩ (V^D + v) at a parameter point.
 
     ``overlaps`` returns a witnessing pair of component words when the
     translated families meet, or None when they are disjoint at this
-    truncation depth.  All interval comparisons go through the sign
-    oracle, so answers are exact for the computable parameter.
+    truncation depth.  Two memoized recursions do the work: the family
+    recursion peels one map off each side, and the interval walk follows
+    an interval down the cylinder tree of the family.  The seed against
+    the deeper family translated by v is the interval walk started at
+    seed - v.  All interval comparisons go through the sign oracle, so
+    answers are exact for the computable parameter; a query that raises
+    ``Undecided`` is not remembered.
     """
 
     def __init__(self, open_set: OpenSetApprox, pt: Param):
         self.open_set = open_set
         self.sys = open_set.system
         self.pt = pt
-        self._family_memo: dict = {}
-        self._seed_memo: dict = {}
-        self._walk_memo: dict = {}
-
-    # -- public -----------------------------------------------------------
 
     def overlaps(self, v: AffineExpr) -> tuple[Word, Word] | None:
         """Witness words (w1, w2) with S_w1(seed) ∩ (S_w2(seed) + v) != 0."""
         return self._family_vs_family(v, self.open_set.depth)
 
-    # -- helpers ----------------------------------------------------------
-
-    def _key(self, e: AffineExpr):
-        return (e.p, e.q)
-
-    def _open_intervals_meet(self, lo1, hi1, lo2, hi2) -> bool:
-        return self.pt.sign(hi2 - lo1) > 0 and self.pt.sign(hi1 - lo2) > 0
-
-    def _seed_pair_meets(self, v: AffineExpr) -> bool:
-        """seed ∩ (seed + v): |v| below the seed width."""
-        width = self.open_set.seed.width
-        return (
-            self.pt.sign(v.shift(width)) > 0
-            and self.pt.sign(AffineExpr.constant(width) - v) > 0
-        )
-
+    @_memoized
     def _family_vs_family(self, v: AffineExpr, budget: int) -> tuple[Word, Word] | None:
         """Does any V_n1 meet any V_n2 + v, for n1, n2 <= budget?"""
-        memo_key = (self._key(v), budget)
-        if memo_key in self._family_memo:
-            return self._family_memo[memo_key]
-        result = self._family_vs_family_raw(v, budget)
-        self._family_memo[memo_key] = result
-        return result
-
-    def _family_vs_family_raw(self, v, budget):
-        pt = self.pt
+        seed = self.open_set.seed
         # families live in (0,1); a translation of 1 or more separates them
-        if pt.sign(v.shift(1)) <= 0 or pt.sign(AffineExpr.constant(1) - v) <= 0:
+        if not _within_bound(self.pt, v, 1):
             return None
-        if self._seed_pair_meets(v):
+        # seed ∩ (seed + v): |v| below the seed width
+        if _within_bound(self.pt, v, seed.width):
             return (EMPTY_WORD, EMPTY_WORD)
         if budget == 0:
             return None
-        # seed against the deeper translated family, both ways round
+        # seed against the deeper translated family, both ways round:
+        # seed meets S_w(seed) + v exactly when seed - v meets S_w(seed)
+        lo, hi = (-v).shift(seed.lo), (-v).shift(seed.hi)
         for n in range(1, budget + 1):
-            hit = self._seed_vs_family(v, n)
+            hit = self._interval_vs_family(lo, hi, n)
             if hit is not None:
                 return (EMPTY_WORD, hit)
+        lo, hi = v.shift(seed.lo), v.shift(seed.hi)
         for n in range(1, budget + 1):
-            hit = self._seed_vs_family(-v, n)
+            hit = self._interval_vs_family(lo, hi, n)
             if hit is not None:
                 return (hit, EMPTY_WORD)
         # peel one map off each side
@@ -144,45 +147,16 @@ class OverlapOracle:
                     return (Word.of(i) + sub[0], Word.of(j) + sub[1])
         return None
 
-    def _seed_vs_family(self, v: AffineExpr, n: int) -> Word | None:
-        """Word w of length n with seed ∩ (S_w(seed) + v) != 0, if any."""
-        memo_key = (self._key(v), n)
-        if memo_key in self._seed_memo:
-            return self._seed_memo[memo_key]
-        m = self.sys.ratio_denominator
-        seed = self.open_set.seed
-        result = None
-        for j in self.sys.symbols:
-            # normalize S_j away: compare m*(seed - d_j - v) with V_{n-1}
-            shift = self.sys.offset(j) + v
-            lo = (AffineExpr.constant(seed.lo) - shift).scale(m)
-            hi = (AffineExpr.constant(seed.hi) - shift).scale(m)
-            sub = self._interval_vs_family(lo, hi, n - 1)
-            if sub is not None:
-                result = Word.of(j) + sub
-                break
-        self._seed_memo[memo_key] = result
-        return result
-
+    @_memoized
     def _interval_vs_family(self, lo: AffineExpr, hi: AffineExpr, n: int) -> Word | None:
         """Word w of length n with (lo, hi) ∩ S_w(seed) != 0, if any."""
-        memo_key = (self._key(lo), self._key(hi), n)
-        if memo_key in self._walk_memo:
-            return self._walk_memo[memo_key]
-        result = self._interval_vs_family_raw(lo, hi, n)
-        self._walk_memo[memo_key] = result
-        return result
-
-    def _interval_vs_family_raw(self, lo, hi, n):
         pt = self.pt
         # level-n components sit inside (0,1)
         if pt.sign(AffineExpr.constant(1) - lo) <= 0 or pt.sign(hi) <= 0:
             return None
         if n == 0:
             seed = self.open_set.seed
-            if self._open_intervals_meet(
-                lo, hi, AffineExpr.constant(seed.lo), AffineExpr.constant(seed.hi)
-            ):
+            if pt.sign(AffineExpr.constant(seed.hi) - lo) > 0 and pt.sign(hi.shift(-seed.lo)) > 0:
                 return EMPTY_WORD
             return None
         # an interval swallowing (0,1) certainly meets the non-empty family
@@ -333,20 +307,12 @@ def constructed_v_type_census(
     candidate sets differ may collapse to one type here.
     """
     oracle = OverlapOracle(open_set, pt)
-    keep_cache: dict = {}
-
-    def keep(v: AffineExpr) -> bool:
-        key = (v.p, v.q)
-        if key not in keep_cache:
-            keep_cache[key] = oracle.overlaps(v) is not None
-        return keep_cache[key]
-
     levels = []
     for level, automaton, states in census_states(sys, pt, max_level):
         merged: dict[tuple, TypeEntry] = {}
         for key, (count, witness) in sorted(states.items(), key=lambda kv: kv[1][1]):
             candidate = automaton.type_of(key)
-            filtered = tuple(v for v in candidate if keep(v))
+            filtered = tuple(v for v in candidate if oracle.overlaps(v) is not None)
             fkey = tuple(pt.canonical_key(v) for v in filtered)
             if fkey in merged:
                 old = merged[fkey]

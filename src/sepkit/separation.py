@@ -694,41 +694,34 @@ def endpoint_separation(
     equal_pairs: list[tuple[Word, Word, int]] = [
         (o.left, o.right, 0) for o in scan.overlaps + scan.derived
     ]
-    buckets = {
-        "same": {"passed": True, "min": None, "witness": None, "violations": 0},
-        "mixed": {"passed": True, "min": None, "witness": None, "violations": 0},
-    }
+    # (|value|, witness) lists for corresponding and for mixed picks
+    same: list[tuple[AffineExpr, tuple[Word, Word, int]]] = []
+    mixed: list[tuple[AffineExpr, tuple[Word, Word, int]]] = []
     for level_map in levels:
         for disp in level_map.values():
             for delta in (-1, 0, 1):
                 value = disp.value.shift(delta)
+                witness = (disp.witness[1], disp.witness[0], delta)
                 if value.p == 0 and value.q == 0:
                     if delta != 0:
-                        equal_pairs.append((disp.witness[1], disp.witness[0], delta))
+                        equal_pairs.append(witness)
                     continue
-                bucket = buckets["same"] if delta == 0 else buckets["mixed"]
-                abs_value = pt.abs_expr(value)
-                if bucket["min"] is None or pt.compare(abs_value, bucket["min"]) < 0:
-                    bucket["min"] = abs_value
-                    bucket["witness"] = (disp.witness[1], disp.witness[0], delta)
-                if pt.sign(abs_value - AffineExpr.constant(threshold)) <= 0:
-                    bucket["passed"] = False
-                    bucket["violations"] += 1
+                (mixed if delta else same).append((pt.abs_expr(value), witness))
+
+    def bucket(entries) -> EndpointBucket:
+        least, witness, violations = None, None, 0
+        for abs_value, pick in entries:
+            if least is None or pt.compare(abs_value, least) < 0:
+                least, witness = abs_value, pick
+            if pt.sign(abs_value - AffineExpr.constant(threshold)) <= 0:
+                violations += 1
+        return EndpointBucket(violations == 0, least, witness, violations)
+
     return EndpointReport(
         max_level,
         threshold,
-        EndpointBucket(
-            buckets["same"]["passed"],
-            buckets["same"]["min"],
-            buckets["same"]["witness"],
-            buckets["same"]["violations"],
-        ),
-        EndpointBucket(
-            buckets["mixed"]["passed"],
-            buckets["mixed"]["min"],
-            buckets["mixed"]["witness"],
-            buckets["mixed"]["violations"],
-        ),
+        bucket(same),
+        bucket(mixed),
         tuple(equal_pairs),
         include_mixed_in_verdict,
     )

@@ -1,20 +1,29 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepkit import (
     AffineExpr,
+    IfsSystem,
     OpenSetApprox,
     OverlapOracle,
+    ParamPoint,
     RationalInterval,
+    RationalParam,
+    Undecided,
     Word,
     constructed_v_type_census,
     convex_type_census,
+    example_point,
     example_template,
+    validate_system,
     verify_osc_open_set,
 )
 from sepkit import ifs as ifs_module
 from sepkit import openset as openset_module
+from sepkit.exact import AFFINE_ZERO, StaticRefiner
+from sepkit.ifs import EMPTY_WORD
 from sepkit.openset import MATERIALIZE_LIMIT, containment_identity_holds
 from sepkit.separation import displacement_levels
 
@@ -209,3 +218,216 @@ def test_seed_validation():
         OpenSetApprox(tmpl.system, RationalInterval.make(F(-1, 2), F(1, 2)), 2)
     with pytest.raises(ValueError):
         OpenSetApprox(tmpl.system, SEED1, -1)
+
+
+# --- the overlap oracle against its earlier form -----------------------------------
+
+
+class _OracleOverlapOracle:
+    """The overlap oracle before its two recursions were merged (test oracle).
+
+    It keeps a separate seed-versus-family recursion and three
+    hand-written memos; ``overlaps`` must return the same witness tuple.
+    """
+
+    def __init__(self, open_set, pt):
+        self.open_set = open_set
+        self.sys = open_set.system
+        self.pt = pt
+        self._family_memo = {}
+        self._seed_memo = {}
+        self._walk_memo = {}
+
+    def overlaps(self, v):
+        return self._family_vs_family(v, self.open_set.depth)
+
+    def _key(self, e):
+        return (e.p, e.q)
+
+    def _open_intervals_meet(self, lo1, hi1, lo2, hi2):
+        return self.pt.sign(hi2 - lo1) > 0 and self.pt.sign(hi1 - lo2) > 0
+
+    def _seed_pair_meets(self, v):
+        width = self.open_set.seed.width
+        return (
+            self.pt.sign(v.shift(width)) > 0
+            and self.pt.sign(AffineExpr.constant(width) - v) > 0
+        )
+
+    def _family_vs_family(self, v, budget):
+        memo_key = (self._key(v), budget)
+        if memo_key in self._family_memo:
+            return self._family_memo[memo_key]
+        result = self._family_vs_family_raw(v, budget)
+        self._family_memo[memo_key] = result
+        return result
+
+    def _family_vs_family_raw(self, v, budget):
+        pt = self.pt
+        if pt.sign(v.shift(1)) <= 0 or pt.sign(AffineExpr.constant(1) - v) <= 0:
+            return None
+        if self._seed_pair_meets(v):
+            return (EMPTY_WORD, EMPTY_WORD)
+        if budget == 0:
+            return None
+        for n in range(1, budget + 1):
+            hit = self._seed_vs_family(v, n)
+            if hit is not None:
+                return (EMPTY_WORD, hit)
+        for n in range(1, budget + 1):
+            hit = self._seed_vs_family(-v, n)
+            if hit is not None:
+                return (hit, EMPTY_WORD)
+        m = self.sys.ratio_denominator
+        for i in self.sys.symbols:
+            for j in self.sys.symbols:
+                child = (v + self.sys.offset(j) - self.sys.offset(i)).scale(m)
+                sub = self._family_vs_family(child, budget - 1)
+                if sub is not None:
+                    return (Word.of(i) + sub[0], Word.of(j) + sub[1])
+        return None
+
+    def _seed_vs_family(self, v, n):
+        memo_key = (self._key(v), n)
+        if memo_key in self._seed_memo:
+            return self._seed_memo[memo_key]
+        m = self.sys.ratio_denominator
+        seed = self.open_set.seed
+        result = None
+        for j in self.sys.symbols:
+            shift = self.sys.offset(j) + v
+            lo = (AffineExpr.constant(seed.lo) - shift).scale(m)
+            hi = (AffineExpr.constant(seed.hi) - shift).scale(m)
+            sub = self._interval_vs_family(lo, hi, n - 1)
+            if sub is not None:
+                result = Word.of(j) + sub
+                break
+        self._seed_memo[memo_key] = result
+        return result
+
+    def _interval_vs_family(self, lo, hi, n):
+        memo_key = (self._key(lo), self._key(hi), n)
+        if memo_key in self._walk_memo:
+            return self._walk_memo[memo_key]
+        result = self._interval_vs_family_raw(lo, hi, n)
+        self._walk_memo[memo_key] = result
+        return result
+
+    def _interval_vs_family_raw(self, lo, hi, n):
+        pt = self.pt
+        if pt.sign(AffineExpr.constant(1) - lo) <= 0 or pt.sign(hi) <= 0:
+            return None
+        if n == 0:
+            seed = self.open_set.seed
+            if self._open_intervals_meet(
+                lo, hi, AffineExpr.constant(seed.lo), AffineExpr.constant(seed.hi)
+            ):
+                return EMPTY_WORD
+            return None
+        if pt.sign(lo) <= 0 and pt.sign(hi - AffineExpr.constant(1)) >= 0:
+            return Word((1,) * n)
+        m = self.sys.ratio_denominator
+        for j in self.sys.symbols:
+            d_j = self.sys.offset(j)
+            sub = self._interval_vs_family((lo - d_j).scale(m), (hi - d_j).scale(m), n - 1)
+            if sub is not None:
+                return Word.of(j) + sub
+        return None
+
+
+#: Shifts off the displacement lattice, on both sides of the bounds.
+OFF_LATTICE = tuple(
+    AffineExpr.constant(c) for c in (F(1, 2), F(-1, 2), F(9, 10), F(1, 100), F(1), F(-1))
+)
+
+
+def _queries(sys, pt, levels):
+    """Zero, every displacement of levels 1..``levels`` and the off-lattice shifts."""
+    found = [AFFINE_ZERO]
+    for level_map in displacement_levels(sys, pt, levels):
+        found.extend(d.value for d in level_map.values())
+    return found + list(OFF_LATTICE)
+
+
+def _assert_same_witnesses(open_set, pt, queries):
+    oracle = OverlapOracle(open_set, pt)
+    reference = _OracleOverlapOracle(open_set, pt)
+    for v in queries:
+        assert oracle.overlaps(v) == reference.overlaps(v), str(v)
+
+
+def _assert_same_osc_report(sys, pt, seed, depth):
+    report = verify_osc_open_set(sys, pt, seed, depth)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(openset_module, "OverlapOracle", _OracleOverlapOracle)
+        expected = verify_osc_open_set(sys, pt, seed, depth)
+    assert report.violations == expected.violations
+    assert report == expected
+
+
+@pytest.mark.parametrize("which,seed", [(1, SEED1), (2, SEED2)])
+@pytest.mark.parametrize("depth", range(7))
+def test_oracle_witnesses_match_the_earlier_oracle(which, seed, depth, ex1_pt, ex2_pt):
+    sys = example_template(which).system
+    pt = ex1_pt if which == 1 else ex2_pt
+    _assert_same_witnesses(OpenSetApprox(sys, seed, depth), pt, _queries(sys, pt, 4))
+    _assert_same_osc_report(sys, pt, seed, depth)
+
+
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize("depth", [0, 3])
+def test_oracle_full_seed_matches_the_earlier_oracle(which, depth, ex1_pt, ex2_pt):
+    sys = example_template(which).system
+    pt = ex1_pt if which == 1 else ex2_pt
+    full = RationalInterval.make(0, 1)
+    _assert_same_witnesses(OpenSetApprox(sys, full, depth), pt, _queries(sys, pt, 4))
+    _assert_same_osc_report(sys, pt, full, depth)
+
+
+@st.composite
+def valid_open_sets(draw):
+    """A system valid at a RationalParam point (d_1 = 0, d_n = 1 - 1/m,
+    every offset in [0, 1 - 1/m]) with a seed and a truncation depth."""
+    m = draw(st.integers(2, 5))
+    top = 1 - F(1, m)
+    pt = RationalParam(draw(st.sampled_from([F(1, 8), F(1, 3), F(2, 5), F(41, 56)])))
+    inner = st.builds(
+        AffineExpr,
+        st.integers(0, m * m - m).map(lambda k: F(k, m * m)),
+        st.sampled_from([F(0), F(1, 2 * m), F(-1, 2 * m)]),
+    ).filter(lambda d: 0 <= d.evaluate(pt.value) <= top)
+    middle = draw(st.lists(inner, max_size=2))
+    sys = IfsSystem(m, (AFFINE_ZERO, *middle, AffineExpr.constant(top)))
+    seed = draw(st.sampled_from(
+        [RationalInterval.make(0, 1), SEED1, SEED2, RationalInterval.make(F(1, 4), F(1, 2))]
+    ))
+    return sys, pt, OpenSetApprox(sys, seed, draw(st.integers(0, 3)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(valid_open_sets())
+def test_oracle_matches_the_earlier_oracle_random_systems(case):
+    sys, pt, open_set = case
+    assert validate_system(sys, pt).valid
+    _assert_same_witnesses(open_set, pt, _queries(sys, pt, 3))
+    _assert_same_osc_report(sys, pt, open_set.seed, open_set.depth)
+
+
+def test_undecided_query_is_not_remembered():
+    full = example_point(1)
+    # three windows decide 7*a against 1 but not the deeper interval tests
+    short = ParamPoint(
+        StaticRefiner([full.window(k) for k in range(1, 4)]), irrationality_assumed=True
+    )
+    open_set = OpenSetApprox(example_template(1).system, SEED1, 2)
+    v = AffineExpr.parameter(7)
+    oracle = OverlapOracle(open_set, short)
+    with pytest.raises(Undecided) as first:
+        oracle.overlaps(v)
+    with pytest.raises(Undecided) as again:
+        oracle.overlaps(v)
+    assert str(again.value) == str(first.value)
+    with pytest.raises(Undecided) as expected:
+        _OracleOverlapOracle(open_set, short).overlaps(v)
+    assert str(first.value) == str(expected.value)
+    assert oracle.overlaps(AFFINE_ZERO) == (EMPTY_WORD, EMPTY_WORD)

@@ -69,7 +69,8 @@ def parse_sequence(spec: str) -> DrivingSequence:
     if spec.startswith("file:"):
         path = spec[len("file:"):]
         try:
-            text = "".join(open(path).read().split())
+            with open(path) as handle:
+                text = "".join(handle.read().split())
         except OSError as exc:
             raise UsageError(f"cannot read sequence file: {exc}") from exc
         return DrivingSequence.from_bits(text)
@@ -86,7 +87,8 @@ def parse_seed(spec: str) -> RationalInterval:
 
 def load_template(path: str) -> ConstructionTemplate:
     try:
-        data = json.loads(open(path).read())
+        with open(path) as handle:
+            data = json.loads(handle.read())
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot load template: {exc}") from exc
 

@@ -11,10 +11,14 @@ Everything downstream is built on three value types and one oracle:
 
 The parameter ``a`` itself is a computable real: a ``ParamPoint`` wraps a
 refiner that produces a strictly nested chain of open rational windows
-containing ``a``.  Signs of affine expressions at ``a`` are decided by
-refining until the expression's unique root falls outside the current
-window; decimal output is produced by refining until the image interval
-rounds unambiguously.  No floating point is used anywhere.
+containing ``a``.  Every sign query comes down to one integer routine,
+``sign_lattice``: the form P/Lp + (Q/Lq)*a is given by four integers, and
+its sign is read off the window ends by integer cross-multiplication,
+refining until the form's root falls outside the current window.
+``sign`` splits an ``AffineExpr`` into those integers; the lattice-based
+searches call ``sign_lattice`` on their integer points directly, without
+building forms.  Decimal output is produced by refining until the image
+interval rounds unambiguously.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -74,10 +78,6 @@ def round_decimal(x: Fraction, digits: int) -> str:
     return out
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
 @dataclass(frozen=True)
 class AffineExpr:
     """Exact linear form ``p + q*a`` in the parameter ``a``."""
@@ -112,12 +112,6 @@ class AffineExpr:
     def evaluate(self, a: Fraction) -> Fraction:
         return self.p + self.q * a
 
-    def root(self) -> Fraction:
-        """The unique zero of a non-constant form."""
-        if self.q == 0:
-            raise ValueError("constant form has no unique root")
-        return -self.p / self.q
-
     def __str__(self) -> str:
         if self.q == 0:
             return str(self.p)
@@ -135,6 +129,11 @@ class AffineExpr:
 
 
 AFFINE_ZERO = AffineExpr.constant(0)
+
+
+def _form(P: int, Lp: int, Q: int, Lq: int) -> AffineExpr:
+    """The form ``P/Lp + (Q/Lq)*a`` a ``sign_lattice`` query stands for."""
+    return AffineExpr(Fraction(P, Lp), Fraction(Q, Lq))
 
 
 @dataclass(frozen=True)
@@ -236,6 +235,10 @@ class _ParamBase:
     def sign(self, e: AffineExpr, budget: int | None = None) -> int:
         raise NotImplementedError
 
+    def sign_lattice(self, P: int, Lp: int, Q: int, Lq: int, budget: int | None = None) -> int:
+        """Sign of the form ``P/Lp + (Q/Lq)*a`` given by integers, ``Lp``, ``Lq`` > 0."""
+        raise NotImplementedError
+
     def eval_decimal(self, e: AffineExpr, digits: int, budget: int | None = None) -> str:
         raise NotImplementedError
 
@@ -280,45 +283,55 @@ class ParamPoint(_ParamBase):
         self.irrationality_assumed = irrationality_assumed
         self.label = label
         self.default_budget = default_budget
-        self._sign_cache: dict[tuple[Fraction, Fraction], int] = {}
+        self._sign_cache: dict[tuple[int, int, int, int], int] = {}
         self._decimal_cache: dict[tuple[Fraction, Fraction, int], str] = {}
 
     def window(self, level: int) -> RationalInterval:
         return self.refiner.window(level)
 
     def sign(self, e: AffineExpr, budget: int | None = None) -> int:
-        """Sign of ``e`` at the point, in {-1, 0, +1}.
+        """Sign of ``e`` at the point, in {-1, 0, +1}; see ``sign_lattice``."""
+        return self.sign_lattice(
+            e.p.numerator, e.p.denominator, e.q.numerator, e.q.denominator, budget
+        )
+
+    def sign_lattice(self, P: int, Lp: int, Q: int, Lq: int, budget: int | None = None) -> int:
+        """Sign of ``P/Lp + (Q/Lq)*a`` at the point, for ``Lp``, ``Lq`` > 0.
 
         Constant forms are decided immediately.  Otherwise the window
-        chain is refined until the root of ``e`` falls on one side of
-        the whole open window; since the point lies inside every open
-        window, the sign on the window is the sign at the point.
+        chain is refined until the root of the form falls on one side of
+        the whole open window.  At a window end n/d the form has the
+        sign f of P*Lq*d + Q*Lp*n; the window decides unless f(lo) and
+        f(hi) are strictly opposite, and since the point lies inside
+        every open window, its sign is then f(lo), or f(hi) when f(lo)
+        is 0.  Only decided signs are cached.
         """
-        if e.q == 0:
-            return _sign(e.p)
-        key = (e.p, e.q)
+        if Q == 0:
+            return (P > 0) - (P < 0)
+        key = (P, Lp, Q, Lq)
         cached = self._sign_cache.get(key)
         if cached is not None:
             return cached
         budget = self.default_budget if budget is None else budget
-        rho = e.root()
-        qsign = _sign(e.q)
+        A, B = P * Lq, Q * Lp
         level = max(1, self.refiner.depth)
         while True:
             try:
                 win = self.window(level)
             except RefinementExhausted as exc:
-                raise Undecided(f"sign of {e} undecided", exc.depth) from exc
-            result = None
-            if win.hi <= rho:
-                result = -qsign
-            elif win.lo >= rho:
-                result = qsign
-            if result is not None:
-                self._sign_cache[key] = result
+                raise Undecided(f"sign of {_form(P, Lp, Q, Lq)} undecided", exc.depth) from exc
+            lo, hi = win.lo, win.hi
+            f_lo = A * lo.denominator + B * lo.numerator
+            f_hi = A * hi.denominator + B * hi.numerator
+            s_lo = (f_lo > 0) - (f_lo < 0)
+            s_hi = (f_hi > 0) - (f_hi < 0)
+            if s_lo != -s_hi:
+                result = self._sign_cache[key] = s_lo or s_hi
                 return result
             if level >= budget:
-                raise Undecided(f"sign of {e} undecided within budget", budget)
+                raise Undecided(
+                    f"sign of {_form(P, Lp, Q, Lq)} undecided within budget", budget
+                )
             level += 1
 
     def eval_decimal(self, e: AffineExpr, digits: int, budget: int | None = None) -> str:
@@ -379,7 +392,12 @@ class RationalParam(_ParamBase):
         self.default_budget = DEFAULT_SIGN_BUDGET
 
     def sign(self, e: AffineExpr, budget: int | None = None) -> int:
-        return _sign(e.evaluate(self.value))
+        return self.sign_lattice(e.p.numerator, e.p.denominator, e.q.numerator, e.q.denominator)
+
+    def sign_lattice(self, P: int, Lp: int, Q: int, Lq: int, budget: int | None = None) -> int:
+        n, d = self.value.numerator, self.value.denominator
+        f = P * Lq * d + Q * Lp * n
+        return (f > 0) - (f < 0)
 
     def eval_decimal(self, e: AffineExpr, digits: int, budget: int | None = None) -> str:
         return round_decimal(e.evaluate(self.value), digits)

@@ -8,9 +8,12 @@ by the same reduction that drives the displacement search: peeling one
 map off each side turns the question about v into the question about
 m*v + m*(d_j - d_i) one level down.  The base cases, the seed against
 the deeper family translated by v, are one interval walk down the
-cylinder tree started at seed - v.  Everything is exact and memoized;
-truncation can only under-report intersections, so every report
-carries the truncation depth as a caveat.
+cylinder tree started at seed - v.  Both recursions run on the integer
+displacement lattice, with the seed ends' denominators joined in, and
+decide every comparison with one integer sign query at the parameter
+point.  Everything is exact and memoized; truncation can only
+under-report intersections, so every report carries the truncation
+depth as a caveat.
 """
 
 from __future__ import annotations
@@ -21,7 +24,13 @@ from functools import wraps
 
 from .exact import AFFINE_ZERO, AffineExpr, Param, RationalInterval
 from .ifs import EMPTY_WORD, IfsSystem, Word, apply_map, map_at_zero
-from .separation import CensusLevel, CensusResult, TypeEntry, _within_bound, census_states
+from .separation import (
+    CensusLevel,
+    CensusResult,
+    DisplacementLattice,
+    TypeEntry,
+    census_states,
+)
 
 #: Explicit component enumeration is refused beyond this many components.
 MATERIALIZE_LIMIT = 1_000_000
@@ -99,73 +108,99 @@ class OverlapOracle:
     recursion peels one map off each side, and the interval walk follows
     an interval down the cylinder tree of the family.  The seed against
     the deeper family translated by v is the interval walk started at
-    seed - v.  All interval comparisons go through the sign oracle, so
-    answers are exact for the computable parameter; a query that raises
-    ``Undecided`` is not remembered.
+    seed - v.
+
+    Both run on the integer lattice of ``DisplacementLattice`` with the
+    seed ends' denominators joined in: a shift is a lattice point
+    (P, Q), and an interval is (Plo, Phi, Q), since its two ends share
+    their parameter part.  Memo keys are int tuples and every interval
+    comparison is one integer sign query at the point
+    (``sign_lattice``), so answers are exact for the computable
+    parameter.  A shift off that lattice is answered by an oracle on a
+    lattice whose denominators cover its own too (the ``lattice``
+    argument), with memos of its own; a query that raises ``Undecided``
+    is not remembered.
     """
 
-    def __init__(self, open_set: OpenSetApprox, pt: Param):
+    def __init__(
+        self, open_set: OpenSetApprox, pt: Param, lattice: DisplacementLattice | None = None
+    ):
         self.open_set = open_set
         self.sys = open_set.system
         self.pt = pt
+        seed = open_set.seed
+        self._ends = (AffineExpr.constant(seed.lo), AffineExpr.constant(seed.hi))
+        self.lattice = lattice or DisplacementLattice(self.sys, self._ends)
+        self._seed = tuple(self.lattice.point(end)[0] for end in self._ends)
+        self._width = seed.width
+        #: oracles for shifts off this lattice, by their lattice's (Lp, Lq)
+        self._wider: dict[tuple[int, int], OverlapOracle] = {}
 
     def overlaps(self, v: AffineExpr) -> tuple[Word, Word] | None:
         """Witness words (w1, w2) with S_w1(seed) ∩ (S_w2(seed) + v) != 0."""
-        return self._family_vs_family(v, self.open_set.depth)
+        oracle, point = self, self.lattice.point(v)
+        if point is None:
+            lattice = DisplacementLattice(self.sys, (*self._ends, v))
+            key = (lattice.lp, lattice.lq)
+            if key not in self._wider:
+                self._wider[key] = OverlapOracle(self.open_set, self.pt, lattice)
+            oracle = self._wider[key]
+            point = lattice.point(v)
+        return oracle._family_vs_family(*point, self.open_set.depth)
 
     @_memoized
-    def _family_vs_family(self, v: AffineExpr, budget: int) -> tuple[Word, Word] | None:
+    def _family_vs_family(self, P: int, Q: int, budget: int) -> tuple[Word, Word] | None:
         """Does any V_n1 meet any V_n2 + v, for n1, n2 <= budget?"""
-        seed = self.open_set.seed
+        lattice, pt = self.lattice, self.pt
         # families live in (0,1); a translation of 1 or more separates them
-        if not _within_bound(self.pt, v, 1):
+        if not lattice.within(pt, (P, Q), 1):
             return None
         # seed ∩ (seed + v): |v| below the seed width
-        if _within_bound(self.pt, v, seed.width):
+        if lattice.within(pt, (P, Q), self._width):
             return (EMPTY_WORD, EMPTY_WORD)
         if budget == 0:
             return None
         # seed against the deeper translated family, both ways round:
         # seed meets S_w(seed) + v exactly when seed - v meets S_w(seed)
-        lo, hi = (-v).shift(seed.lo), (-v).shift(seed.hi)
+        lo, hi = self._seed
         for n in range(1, budget + 1):
-            hit = self._interval_vs_family(lo, hi, n)
+            hit = self._interval_vs_family(lo - P, hi - P, -Q, n)
             if hit is not None:
                 return (EMPTY_WORD, hit)
-        lo, hi = v.shift(seed.lo), v.shift(seed.hi)
         for n in range(1, budget + 1):
-            hit = self._interval_vs_family(lo, hi, n)
+            hit = self._interval_vs_family(P + lo, P + hi, Q, n)
             if hit is not None:
                 return (hit, EMPTY_WORD)
         # peel one map off each side
-        m = self.sys.ratio_denominator
-        for i in self.sys.symbols:
-            for j in self.sys.symbols:
-                child = (v + self.sys.offset(j) - self.sys.offset(i)).scale(m)
-                sub = self._family_vs_family(child, budget - 1)
-                if sub is not None:
-                    return (Word.of(i) + sub[0], Word.of(j) + sub[1])
+        m = lattice.m
+        for i, j, dp, dq in lattice.steps:
+            sub = self._family_vs_family(m * P + dp, m * Q + dq, budget - 1)
+            if sub is not None:
+                return (Word.of(i) + sub[0], Word.of(j) + sub[1])
         return None
 
     @_memoized
-    def _interval_vs_family(self, lo: AffineExpr, hi: AffineExpr, n: int) -> Word | None:
-        """Word w of length n with (lo, hi) ∩ S_w(seed) != 0, if any."""
-        pt = self.pt
+    def _interval_vs_family(self, lo: int, hi: int, Q: int, n: int) -> Word | None:
+        """Word w of length n with (lo, hi) ∩ S_w(seed) != 0, if any.
+
+        The interval's ends are the lattice points (lo, Q) and (hi, Q).
+        """
+        sign, lp, lq = self.pt.sign_lattice, self.lattice.lp, self.lattice.lq
         # level-n components sit inside (0,1)
-        if pt.sign(AffineExpr.constant(1) - lo) <= 0 or pt.sign(hi) <= 0:
+        if sign(lp - lo, lp, -Q, lq) <= 0 or sign(hi, lp, Q, lq) <= 0:
             return None
         if n == 0:
-            seed = self.open_set.seed
-            if pt.sign(AffineExpr.constant(seed.hi) - lo) > 0 and pt.sign(hi.shift(-seed.lo)) > 0:
+            seed_lo, seed_hi = self._seed
+            if sign(seed_hi - lo, lp, -Q, lq) > 0 and sign(hi - seed_lo, lp, Q, lq) > 0:
                 return EMPTY_WORD
             return None
         # an interval swallowing (0,1) certainly meets the non-empty family
-        if pt.sign(lo) <= 0 and pt.sign(hi - AffineExpr.constant(1)) >= 0:
+        if sign(lo, lp, Q, lq) <= 0 and sign(hi - lp, lp, Q, lq) >= 0:
             return Word((1,) * n)
-        m = self.sys.ratio_denominator
+        m, ps, qs = self.lattice.m, self.lattice.ps, self.lattice.qs
         for j in self.sys.symbols:
-            d_j = self.sys.offset(j)
-            sub = self._interval_vs_family((lo - d_j).scale(m), (hi - d_j).scale(m), n - 1)
+            p_j, q_j = ps[j - 1], qs[j - 1]
+            sub = self._interval_vs_family(m * (lo - p_j), m * (hi - p_j), m * (Q - q_j), n - 1)
             if sub is not None:
                 return Word.of(j) + sub
         return None

@@ -12,8 +12,9 @@ The recursion runs on an integer lattice (``DisplacementLattice``):
 with Lp and Lq the common denominators of the offsets' constant and
 parameter parts, every displacement is P/Lp + (Q/Lq)*a for integers P
 and Q, and a step is integer arithmetic on (P, Q).  The parameter point
-is consulted once per distinct lattice point, for its in-bound verdict
-and canonical key.  The displacement search, the convex
+is consulted once per distinct lattice point: its in-bound verdict is
+two integer sign queries on (P, Q), and only an in-bound point gets an
+exact form and a canonical key.  The displacement search, the convex
 neighbourhood-type automaton (whose states are small ints), the
 smallest-displacement search, the endpoint separation check and the
 exact overlap scan (closed walks of the recursion back to 0) are all
@@ -33,30 +34,23 @@ from .ifs import EMPTY_WORD, IfsSystem, Word, map_at_zero
 DISPLAY_DIGITS = 12
 
 
-def _within_bound(pt: Param, value: AffineExpr, bound: Fraction, strict: bool = True) -> bool:
-    """|value| < bound at the point, or |value| <= bound when not strict."""
-    least = 1 if strict else 0
-    return (
-        pt.sign(value.shift(bound)) >= least
-        and pt.sign(AffineExpr.constant(bound) - value) >= least
-    )
-
-
 class DisplacementLattice:
     """The integer lattice the displacements of one system live on.
 
     With Lp and Lq the common denominators of the constant and the
-    parameter parts of the offsets, the lattice point (P, Q) stands for
+    parameter parts of the offsets (and of any extra ``forms``, such as
+    the ends of a seed interval), the lattice point (P, Q) stands for
     the displacement P/Lp + (Q/Lq)*a.  Appending symbols (i, j) sends
     (P, Q) to (m*P + dP, m*Q + dQ), with (dP, dQ) the integer step of
     m*(d_j - d_i); no parameter point is involved.
     """
 
-    def __init__(self, sys: IfsSystem):
+    def __init__(self, sys: IfsSystem, forms: tuple[AffineExpr, ...] = ()):
         m = sys.ratio_denominator
         self.m = m
-        self.lp = lcm(*(d.p.denominator for d in sys.offsets))
-        self.lq = lcm(*(d.q.denominator for d in sys.offsets))
+        joined = (*sys.offsets, *forms)
+        self.lp = lcm(*(d.p.denominator for d in joined))
+        self.lq = lcm(*(d.q.denominator for d in joined))
         self.ps = [int(d.p * self.lp) for d in sys.offsets]
         self.qs = [int(d.q * self.lq) for d in sys.offsets]
         #: (i, j, dP, dQ) for every symbol pair, in (i, j) order
@@ -69,6 +63,29 @@ class DisplacementLattice:
     def form(self, point: tuple[int, int]) -> AffineExpr:
         """The exact displacement a lattice point stands for."""
         return AffineExpr(Fraction(point[0], self.lp), Fraction(point[1], self.lq))
+
+    def point(self, form: AffineExpr) -> tuple[int, int] | None:
+        """The lattice point standing for ``form``, or None when it is off the lattice."""
+        p, q = form.p, form.q
+        if self.lp % p.denominator or self.lq % q.denominator:
+            return None
+        return (p.numerator * (self.lp // p.denominator), q.numerator * (self.lq // q.denominator))
+
+    def within(
+        self, pt: Param, point: tuple[int, int], bound: Fraction, strict: bool = True
+    ) -> bool:
+        """|v| < bound at the point for the lattice point v, or |v| <= bound when not strict.
+
+        The two tests are v + bound > 0, then bound - v > 0, as integer
+        sign queries over the denominator Lp times that of the bound.
+        """
+        least = 1 if strict else 0
+        (P, Q), n, d = point, bound.numerator, bound.denominator
+        lp, lq = self.lp * d, self.lq
+        return (
+            pt.sign_lattice(P * d + n * self.lp, lp, Q, lq) >= least
+            and pt.sign_lattice(n * self.lp - P * d, lp, -Q, lq) >= least
+        )
 
 
 #: The zero displacement as a lattice point.
@@ -103,9 +120,9 @@ class _PointMemo(dict):
         return ident
 
     def __missing__(self, point: tuple[int, int]):
-        form = self.lattice.form(point)
         entry = None
-        if _within_bound(self.pt, form, self.bound, self.strict):
+        if self.lattice.within(self.pt, point, self.bound, self.strict):
+            form = self.lattice.form(point)
             entry = (self.value_id(form), form)
         self[point] = entry
         return entry
@@ -175,13 +192,14 @@ def brute_force_displacements(
 ) -> dict:
     """Independent oracle: enumerate all word pairs of one level directly."""
     m = sys.ratio_denominator
+    lattice = DisplacementLattice(sys)
     words = list(sys.words(level))
     origins = [(w, map_at_zero(sys, w)) for w in words]
     found: dict = {}
     for sigma, s_val in origins:
         for tau, t_val in origins:
             value = (t_val - s_val).scale(m**level)
-            if not _within_bound(pt, value, bound):
+            if not lattice.within(pt, lattice.point(value), bound):
                 continue
             key = pt.canonical_key(value)
             if key not in found:

@@ -14,7 +14,7 @@ from sepkit import (
     round_decimal,
     solve_affine_band,
 )
-from sepkit.exact import StaticRefiner, affine_bounds
+from sepkit.exact import RefinementExhausted, StaticRefiner, affine_bounds
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 affines = st.builds(AffineExpr, rationals, rationals)
@@ -125,6 +125,140 @@ def test_sign_undecided_on_budget(ex1_template, tm):
     win = param_point(ex1_template, tm).window(30)
     with pytest.raises(Undecided):
         pt.sign(AffineExpr(-win.midpoint, F(1)))
+
+
+# --- the integer sign test against the Fraction-root window walk --------------
+
+
+def _reference_sign(pt, e, budget=None):
+    """The window walk ``ParamPoint.sign`` used before its integer test.
+
+    It builds the root of ``e`` as a Fraction and decides when a whole
+    window lies on one side of it; nothing is cached.
+    """
+    if e.q == 0:
+        return (e.p > 0) - (e.p < 0)
+    budget = pt.default_budget if budget is None else budget
+    rho = -e.p / e.q
+    qsign = 1 if e.q > 0 else -1
+    level = max(1, pt.refiner.depth)
+    while True:
+        try:
+            win = pt.window(level)
+        except RefinementExhausted as exc:
+            raise Undecided(f"sign of {e} undecided", exc.depth) from exc
+        if win.hi <= rho:
+            return -qsign
+        if win.lo >= rho:
+            return qsign
+        if level >= budget:
+            raise Undecided(f"sign of {e} undecided within budget", budget)
+        level += 1
+
+
+class _GrowingRefiner:
+    """A finite window chain that, like the construction, deepens on demand."""
+
+    def __init__(self, windows):
+        self._windows = windows
+        self.depth = 0
+
+    def window(self, level):
+        if level > len(self._windows):
+            raise RefinementExhausted(len(self._windows))
+        self.depth = max(self.depth, level)
+        return self._windows[level - 1]
+
+
+def _outcome(call, *args):
+    try:
+        return ("sign", call(*args))
+    except Undecided as exc:
+        return ("undecided", str(exc), exc.depth)
+
+
+nonzero = rationals.filter(lambda x: x != 0)
+unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=40)
+
+
+@st.composite
+def sign_cases(draw):
+    """A nested window chain and a form, often with its root at a window end."""
+    lo = draw(rationals)
+    windows = [RationalInterval(lo, lo + draw(rationals.filter(lambda x: x > 0)))]
+    for _ in range(draw(st.integers(0, 4))):
+        outer = windows[-1]
+        t0, t1 = sorted(draw(st.lists(unit_fractions, min_size=2, max_size=2, unique=True)))
+        windows.append(
+            RationalInterval(outer.lo + t0 * outer.width, outer.lo + t1 * outer.width)
+        )
+    if draw(st.booleans()):
+        win = draw(st.sampled_from(windows))
+        root = draw(st.sampled_from([win.lo, win.hi, win.midpoint]))
+        c = draw(nonzero)
+        return windows, AffineExpr(-c * root, c)
+    return windows, draw(affines)
+
+
+@given(sign_cases(), st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))
+def test_integer_sign_matches_the_fraction_root_walk(case, budget, kp, kq):
+    windows, e = case
+    expected = _outcome(_reference_sign, ParamPoint(_GrowingRefiner(windows)), e, budget)
+    assert _outcome(ParamPoint(_GrowingRefiner(windows)).sign, e, budget) == expected
+    # the same form given by integers that are not in lowest terms
+    scaled = (e.p.numerator * kp, e.p.denominator * kp, e.q.numerator * kq, e.q.denominator * kq)
+    pt = ParamPoint(_GrowingRefiner(windows))
+    assert _outcome(pt.sign_lattice, *scaled, budget) == expected
+    # a decided sign of a non-constant form is remembered, an undecided
+    # one is asked again
+    assert _outcome(pt.sign_lattice, *scaled, budget) == expected
+    assert (scaled in pt._sign_cache) == (e.q != 0 and expected[0] == "sign")
+
+
+@given(rationals, rationals, st.integers(1, 6), st.booleans())
+def test_rational_param_integer_sign(value, c, k, through_root):
+    e = AffineExpr(-c * value, c) if through_root else AffineExpr(c, value + 1)
+    pt = RationalParam(value)
+    at_value = e.evaluate(value)
+    expected = (at_value > 0) - (at_value < 0)
+    assert pt.sign(e) == expected
+    assert pt.sign_lattice(
+        e.p.numerator * k, e.p.denominator * k, e.q.numerator * k, e.q.denominator * k
+    ) == expected
+    if through_root:
+        assert pt.sign(e) == 0
+
+
+def test_integer_sign_undecided_messages_match_the_reference(ex1_template, tm):
+    from sepkit import param_point
+
+    # a chain cut at two windows, root 1/2 inside both
+    chain = [RationalInterval.make(0, 1), RationalInterval.make(F(1, 4), F(3, 4))]
+    e = AffineExpr(F(-1, 2), F(1))
+    got = _outcome(ParamPoint(StaticRefiner(chain)).sign, e)
+    assert got == _outcome(_reference_sign, ParamPoint(StaticRefiner(chain)), e)
+    assert got[0] == "undecided" and "sign of -1/2 + 1*a undecided" in got[1]
+    # a budget of three windows against a root close to the parameter
+    win = param_point(ex1_template, tm).window(30)
+    e = AffineExpr(3 * win.midpoint, F(-3))
+    got = _outcome(param_point(ex1_template, tm, budget=3).sign, e)
+    assert got == _outcome(_reference_sign, param_point(ex1_template, tm, budget=3), e)
+    assert got[0] == "undecided" and "within budget" in got[1]
+
+
+def test_undecided_sign_is_not_cached(ex1_template, tm):
+    from sepkit import param_point
+
+    e = AffineExpr(-param_point(ex1_template, tm).window(30).midpoint, F(1))
+    pt = param_point(ex1_template, tm)
+    with pytest.raises(Undecided) as first:
+        pt.sign(e, budget=3)
+    assert not pt._sign_cache
+    # nothing was remembered, so the same budget fails the same way again
+    with pytest.raises(Undecided) as again:
+        pt.sign(e, budget=3)
+    assert str(again.value) == str(first.value)
+    assert pt.sign(e) == param_point(ex1_template, tm).sign(e)
 
 
 # --- decimal evaluation -----------------------------------------------------

@@ -29,6 +29,8 @@ from sepkit.separation import displacement_levels
 
 SEED1 = RationalInterval.make(F(3, 7), F(4, 7))
 SEED2 = RationalInterval.make(F(7, 16), F(8, 16))
+#: A seed whose ends are off the offsets' lattice of both examples.
+OFF_SEED = RationalInterval.make(F(2, 9), F(5, 11))
 
 
 def test_component_endpoints_exact(ex1_sys):
@@ -335,10 +337,11 @@ class _OracleOverlapOracle:
         return None
 
 
-#: Shifts off the displacement lattice, on both sides of the bounds.
+#: Shifts off the displacement lattice, on both sides of the bounds, with
+#: and without a parameter part.
 OFF_LATTICE = tuple(
     AffineExpr.constant(c) for c in (F(1, 2), F(-1, 2), F(9, 10), F(1, 100), F(1), F(-1))
-)
+) + (AffineExpr.parameter(F(1, 3)), AffineExpr(F(1, 7), F(-2, 5)))
 
 
 def _queries(sys, pt, levels):
@@ -365,7 +368,7 @@ def _assert_same_osc_report(sys, pt, seed, depth):
     assert report == expected
 
 
-@pytest.mark.parametrize("which,seed", [(1, SEED1), (2, SEED2)])
+@pytest.mark.parametrize("which,seed", [(1, SEED1), (2, SEED2), (1, OFF_SEED), (2, OFF_SEED)])
 @pytest.mark.parametrize("depth", range(7))
 def test_oracle_witnesses_match_the_earlier_oracle(which, seed, depth, ex1_pt, ex2_pt):
     sys = example_template(which).system
@@ -399,7 +402,8 @@ def valid_open_sets(draw):
     middle = draw(st.lists(inner, max_size=2))
     sys = IfsSystem(m, (AFFINE_ZERO, *middle, AffineExpr.constant(top)))
     seed = draw(st.sampled_from(
-        [RationalInterval.make(0, 1), SEED1, SEED2, RationalInterval.make(F(1, 4), F(1, 2))]
+        [RationalInterval.make(0, 1), SEED1, SEED2, RationalInterval.make(F(1, 4), F(1, 2)),
+         OFF_SEED]
     ))
     return sys, pt, OpenSetApprox(sys, seed, draw(st.integers(0, 3)))
 

@@ -502,6 +502,10 @@ class _CountingParam(Param):
         self.queries[(e.p, e.q)] += 1
         return self.inner.sign(e, budget)
 
+    def sign_lattice(self, P, Lp, Q, Lq, budget=None):
+        self.queries[(F(P, Lp), F(Q, Lq))] += 1
+        return self.inner.sign_lattice(P, Lp, Q, Lq, budget)
+
     def eval_decimal(self, e, digits, budget=None):
         return self.inner.eval_decimal(e, digits, budget)
 
@@ -546,25 +550,32 @@ def test_automaton_decides_each_lattice_point_once(which, label, levels, ex1_pt,
     sys = example_template(which).system
     pt = _case_point(label, ex1_pt, ex2_pt)
 
-    def decisions(automaton_cls, bound_test, original):
+    def decisions(automaton_cls, bound_test, original, tested):
         """Bound tests per displacement value during one census."""
         seen = Counter()
 
-        def counted(point, value, *args):
+        def counted(*args):
+            value = tested(*args)
             seen[(value.p, value.q)] += 1
-            return original(point, value, *args)
+            return original(*args)
 
         with mock.patch(bound_test, counted), \
                 mock.patch.object(separation, "TypeAutomaton", automaton_cls):
             census = convex_type_census(sys, pt, levels)
         return seen, census
 
-    lattice = (TypeAutomaton, "sepkit.separation._within_bound", separation._within_bound)
+    lattice = (
+        TypeAutomaton,
+        "sepkit.separation.DisplacementLattice.within",
+        separation.DisplacementLattice.within,
+        lambda lat, point_at, point, *args: lat.form(point),
+    )
     seen, census = decisions(*lattice)
     assert seen and max(seen.values()) == 1
     assert decisions(*lattice) == (seen, census)
     oracle_seen, oracle = decisions(
-        _OracleTypeAutomaton, f"{__name__}._oracle_inside", _oracle_inside
+        _OracleTypeAutomaton, f"{__name__}._oracle_inside", _oracle_inside,
+        lambda point_at, value, *args: value,
     )
     assert census == oracle
     # the same lattice points are tested, the oracle once per child

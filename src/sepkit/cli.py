@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .construction import (
     ConstructionTemplate,
@@ -175,10 +176,80 @@ def run_config(args, command: str, **extra) -> dict:
     return config
 
 
+def encode_report(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2)``, with each shared part encoded once.
+
+    A dict, list or tuple met again at the same depth (the same object:
+    a census report shares one displacement list among all entries of a
+    type) is written as the text already produced for it.
+    """
+    pieces: list[str] = []
+    append = pieces.append
+    # (id, depth) -> the (start, end) of its pieces, joined into one
+    # string the first time the container is met again
+    memo: dict[tuple[int, int], tuple[int, int] | str] = {}
+
+    def write(obj, depth: int) -> None:
+        if isinstance(obj, str):
+            append(encode_basestring_ascii(obj))
+        elif obj is None:
+            append("null")
+        elif obj is True:
+            append("true")
+        elif obj is False:
+            append("false")
+        elif isinstance(obj, int):
+            append(int.__repr__(obj))
+        elif isinstance(obj, (dict, list, tuple)):
+            key = (id(obj), depth)
+            done = memo.get(key)
+            if done is None:
+                start = len(pieces)
+                write_container(obj, depth)
+                memo[key] = (start, len(pieces))
+                return
+            if not isinstance(done, str):
+                done = memo[key] = "".join(pieces[done[0]:done[1]])
+            append(done)
+        else:
+            append(json.dumps(obj))
+
+    def write_container(obj, depth: int) -> None:
+        if not obj:
+            append("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = "\n" + "  " * (depth + 1)
+        between = "," + inner
+        sep = inner
+        if isinstance(obj, dict):
+            append("{")
+            for k, v in obj.items():
+                if not isinstance(k, str):
+                    if not (k is None or isinstance(k, (int, float))):
+                        raise TypeError(
+                            f"keys must be str, int, float, bool or None, not {type(k).__name__}"
+                        )
+                    k = json.dumps(k)
+                append(sep + encode_basestring_ascii(k) + ": ")
+                write(v, depth + 1)
+                sep = between
+            append("\n" + "  " * depth + "}")
+        else:
+            append("[")
+            for v in obj:
+                append(sep)
+                write(v, depth + 1)
+                sep = between
+            append("\n" + "  " * depth + "]")
+
+    write(obj, 0)
+    return "".join(pieces)
+
+
 def emit(args, report: dict) -> None:
     if args.timestamps:
         report["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    sys.stdout.write(encode_report(report) + "\n")
 
 
 def cmd_construct(args) -> int:

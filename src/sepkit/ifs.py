@@ -47,9 +47,8 @@ class Word:
         return Word(self.symbols + (symbol,))
 
     def __str__(self) -> str:
-        if any(s > 9 for s in self.symbols):
-            return ",".join(str(s) for s in self.symbols)
-        return "".join(str(s) for s in self.symbols)
+        sep = "," if max(self.symbols, default=0) > 9 else ""
+        return sep.join(map(str, self.symbols))
 
 
 EMPTY_WORD = Word()

@@ -342,13 +342,19 @@ def constructed_v_type_census(
     candidate sets differ may collapse to one type here.
     """
     oracle = OverlapOracle(open_set, pt)
+    # automaton state -> (kept displacements, their canonical keys), one
+    # tuple per state, so the report formats each distinct type once
+    kept: dict[int, tuple] = {}
     levels = []
     for level, automaton, states in census_states(sys, pt, max_level):
         merged: dict[tuple, TypeEntry] = {}
         for key, (count, witness) in sorted(states.items(), key=lambda kv: kv[1][1]):
-            candidate = automaton.type_of(key)
-            filtered = tuple(v for v in candidate if oracle.overlaps(v) is not None)
-            fkey = tuple(pt.canonical_key(v) for v in filtered)
+            if key not in kept:
+                filtered = tuple(
+                    v for v in automaton.type_of(key) if oracle.overlaps(v) is not None
+                )
+                kept[key] = (filtered, tuple(pt.canonical_key(v) for v in filtered))
+            filtered, fkey = kept[key]
             if fkey in merged:
                 old = merged[fkey]
                 merged[fkey] = TypeEntry(old.displacements, old.count + count, old.witness)

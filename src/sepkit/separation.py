@@ -29,7 +29,7 @@ from functools import cmp_to_key
 from math import lcm
 
 from .exact import AFFINE_ZERO, AffineExpr, Param, RationalParam, Undecided, rational_to_str
-from .ifs import EMPTY_WORD, IfsSystem, Word, map_at_zero
+from .ifs import EMPTY_WORD, IfsSystem, Word
 
 DISPLAY_DIGITS = 12
 
@@ -187,26 +187,6 @@ def displacement_levels(
     return levels
 
 
-def brute_force_displacements(
-    sys: IfsSystem, pt: Param, level: int, bound: Fraction = Fraction(1)
-) -> dict:
-    """Independent oracle: enumerate all word pairs of one level directly."""
-    m = sys.ratio_denominator
-    lattice = DisplacementLattice(sys)
-    words = list(sys.words(level))
-    origins = [(w, map_at_zero(sys, w)) for w in words]
-    found: dict = {}
-    for sigma, s_val in origins:
-        for tau, t_val in origins:
-            value = (t_val - s_val).scale(m**level)
-            if not lattice.within(pt, lattice.point(value), bound):
-                continue
-            key = pt.canonical_key(value)
-            if key not in found:
-                found[key] = Displacement(value, (sigma, tau))
-    return found
-
-
 @dataclass(frozen=True)
 class WspLevelMinimum:
     level: int
@@ -341,16 +321,6 @@ class TypeEntry:
     count: int
     witness: Word
 
-    def to_json(self, pt: Param) -> dict:
-        return {
-            "displacements": [
-                {"value": v.to_json(), "decimal": pt.eval_decimal(v, DISPLAY_DIGITS)}
-                for v in self.displacements
-            ],
-            "count": self.count,
-            "witness": str(self.witness),
-        }
-
 
 @dataclass(frozen=True)
 class CensusLevel:
@@ -360,13 +330,6 @@ class CensusLevel:
     @property
     def distinct_count(self) -> int:
         return len(self.types)
-
-    def to_json(self, pt: Param) -> dict:
-        return {
-            "level": self.level,
-            "distinct_types": len(self.types),
-            "types": [t.to_json(pt) for t in self.types],
-        }
 
 
 @dataclass(frozen=True)
@@ -380,10 +343,40 @@ class CensusResult:
         return tuple(lv.distinct_count for lv in self.levels)
 
     def to_json(self, pt: Param) -> dict:
+        """The report; entries holding the same type object share one displacement list.
+
+        A census builds one type tuple per automaton state, so each
+        distinct type is formatted (and its decimals evaluated) once.
+        """
+        lists: dict[int, list] = {}
+
+        def formatted(displacements: NeighborhoodType) -> list:
+            out = lists.get(id(displacements))
+            if out is None:
+                out = lists[id(displacements)] = [
+                    {"value": v.to_json(), "decimal": pt.eval_decimal(v, DISPLAY_DIGITS)}
+                    for v in displacements
+                ]
+            return out
+
         return {
             "open_set": self.open_set,
             "counts": list(self.counts),
-            "levels": [lv.to_json(pt) for lv in self.levels],
+            "levels": [
+                {
+                    "level": lv.level,
+                    "distinct_types": len(lv.types),
+                    "types": [
+                        {
+                            "displacements": formatted(t.displacements),
+                            "count": t.count,
+                            "witness": str(t.witness),
+                        }
+                        for t in lv.types
+                    ],
+                }
+                for lv in self.levels
+            ],
             "caveats": list(self.caveats),
         }
 
@@ -743,31 +736,6 @@ def endpoint_separation(
         tuple(equal_pairs),
         include_mixed_in_verdict,
     )
-
-
-def endpoint_separation_bruteforce(
-    sys: IfsSystem, pt: Param, level: int, threshold
-) -> tuple[bool, int]:
-    """Full-enumeration self-check of one level (small levels only).
-
-    Returns (corresponding-endpoint verdict, number of equal pairs).
-    """
-    threshold = Fraction(threshold)
-    m = sys.ratio_denominator
-    origins = [(w, map_at_zero(sys, w)) for w in sys.words(level)]
-    passed = True
-    equal = 0
-    for sigma, s_val in origins:
-        for tau, t_val in origins:
-            value = (s_val - t_val).scale(m**level)
-            if value.p == 0 and value.q == 0:
-                if sigma != tau:
-                    equal += 1
-                continue
-            abs_value = pt.abs_expr(value)
-            if pt.sign(abs_value - AffineExpr.constant(threshold)) <= 0:
-                passed = False
-    return passed, equal
 
 
 def _ln_bounds(n: int, terms: int) -> tuple[Fraction, Fraction]:

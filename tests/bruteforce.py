@@ -1,0 +1,55 @@
+"""Full-enumeration oracles for the displacement search and the endpoint check.
+
+Both enumerate every word pair of one level, so they cost n^(2k) and
+serve only as independent cross-checks at small levels.
+"""
+
+from fractions import Fraction
+
+from sepkit import AffineExpr, IfsSystem, Param, map_at_zero
+from sepkit.separation import Displacement, DisplacementLattice
+
+
+def brute_force_displacements(
+    sys: IfsSystem, pt: Param, level: int, bound: Fraction = Fraction(1)
+) -> dict:
+    """Independent oracle: enumerate all word pairs of one level directly."""
+    m = sys.ratio_denominator
+    lattice = DisplacementLattice(sys)
+    words = list(sys.words(level))
+    origins = [(w, map_at_zero(sys, w)) for w in words]
+    found: dict = {}
+    for sigma, s_val in origins:
+        for tau, t_val in origins:
+            value = (t_val - s_val).scale(m**level)
+            if not lattice.within(pt, lattice.point(value), bound):
+                continue
+            key = pt.canonical_key(value)
+            if key not in found:
+                found[key] = Displacement(value, (sigma, tau))
+    return found
+
+
+def endpoint_separation_bruteforce(
+    sys: IfsSystem, pt: Param, level: int, threshold
+) -> tuple[bool, int]:
+    """Full-enumeration self-check of one level (small levels only).
+
+    Returns (corresponding-endpoint verdict, number of equal pairs).
+    """
+    threshold = Fraction(threshold)
+    m = sys.ratio_denominator
+    origins = [(w, map_at_zero(sys, w)) for w in sys.words(level)]
+    passed = True
+    equal = 0
+    for sigma, s_val in origins:
+        for tau, t_val in origins:
+            value = (s_val - t_val).scale(m**level)
+            if value.p == 0 and value.q == 0:
+                if sigma != tau:
+                    equal += 1
+                continue
+            abs_value = pt.abs_expr(value)
+            if pt.sign(abs_value - AffineExpr.constant(threshold)) <= 0:
+                passed = False
+    return passed, equal

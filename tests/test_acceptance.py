@@ -31,7 +31,9 @@ from sepkit import (
     wsp_min_displacement,
 )
 from sepkit.exact import affine_bounds
-from sepkit.separation import brute_force_displacements, displacement_levels
+from sepkit.separation import displacement_levels
+
+from bruteforce import brute_force_displacements
 
 RECORDED_PREFIX = format(0xC96C5795D7870F42, "064b")
 

@@ -22,6 +22,28 @@ def test_word_parse_and_str():
     assert len(Word.parse("132")) == 3
 
 
+@pytest.mark.parametrize("symbols,text", [
+    ((), ""),
+    ((7,), "7"),
+    ((1, 2, 3, 9, 1), "12391"),
+    ((10,), "10"),
+    ((9, 10), "9,10"),
+    ((3, 123, 1), "3,123,1"),
+])
+def test_word_str(symbols, text):
+    assert str(Word(symbols)) == text
+
+
+@given(st.lists(st.integers(1, 40), max_size=8))
+def test_word_str_matches_the_symbol_form(symbols):
+    # digits run together unless some symbol needs two or more of them
+    word = Word(tuple(symbols))
+    if any(s > 9 for s in symbols):
+        assert str(word) == ",".join(str(s) for s in symbols)
+    else:
+        assert str(word) == "".join(str(s) for s in symbols)
+
+
 @given(st.lists(st.integers(1, 3), max_size=5), st.lists(st.integers(1, 3), max_size=5),
        st.lists(st.integers(1, 3), max_size=5))
 def test_word_concat_associative(a, b, c):

@@ -39,9 +39,9 @@ from sepkit.separation import (
     OverlapPair,
     OverlapScanResult,
     TypeAutomaton,
-    brute_force_displacements,
-    endpoint_separation_bruteforce,
 )
+
+from bruteforce import brute_force_displacements, endpoint_separation_bruteforce
 
 SEVEN_A = AffineExpr.parameter(7)
 

@@ -159,19 +159,8 @@ class RationalInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def contains(self, x: Fraction) -> bool:
-        return self.lo < x < self.hi
-
     def contains_interval(self, other: "RationalInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
-
-    def strictly_inside(self, other: "RationalInterval") -> bool:
-        """True when the closure of self sits inside the open ``other``."""
-        return other.lo < self.lo and self.hi < other.hi
 
     def intersect(self, other: "RationalInterval") -> "RationalInterval | None":
         lo = max(self.lo, other.lo)
@@ -189,13 +178,6 @@ class RationalInterval:
 
     def __str__(self) -> str:
         return f"({self.lo}, {self.hi})"
-
-
-def affine_bounds(e: AffineExpr, window: RationalInterval) -> tuple[Fraction, Fraction]:
-    """Exact (lo, hi) of the image of an open window under ``e``."""
-    v0 = e.evaluate(window.lo)
-    v1 = e.evaluate(window.hi)
-    return (v0, v1) if v0 <= v1 else (v1, v0)
 
 
 def solve_affine_band(e: AffineExpr, lo, hi) -> RationalInterval | None:
@@ -358,7 +340,8 @@ class ParamPoint(_ParamBase):
                 win = self.window(level)
             except RefinementExhausted as exc:
                 raise Undecided(f"decimal value of {e} undecided", exc.depth) from exc
-            lo, hi = affine_bounds(e, win)
+            v0, v1 = e.evaluate(win.lo), e.evaluate(win.hi)
+            lo, hi = (v0, v1) if v0 <= v1 else (v1, v0)
             s_lo = round_decimal(lo, digits)
             s_hi = round_decimal(hi, digits)
             if s_lo == s_hi:

@@ -7,20 +7,22 @@ many) components: a translated intersection V^D ∩ (V^D + v) is decided
 by the same reduction that drives the displacement search: peeling one
 map off each side turns the question about v into the question about
 m*v + m*(d_j - d_i) one level down.  The base cases, the seed against
-the deeper family translated by v, are one interval walk down the
-cylinder tree started at seed - v.  Both recursions run on the integer
-displacement lattice, with the seed ends' denominators joined in, and
-decide every comparison with one integer sign query at the parameter
-point.  Everything is exact and memoized; truncation can only
-under-report intersections, so every report carries the truncation
-depth as a caveat.
+the deeper family translated by v, are one walk down the cylinder tree
+started at seed - v for the shortest word meeting it.  Both recursions
+run on the integer displacement lattice, with the seed ends'
+denominators joined in, and decide every comparison with one integer
+sign query at the parameter point.  Everything is exact and memoized;
+truncation can only under-report intersections, so every report
+carries the truncation depth as a caveat.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
+from sys import getrecursionlimit
 
 from .exact import AFFINE_ZERO, AffineExpr, Param, RationalInterval
 from .ifs import EMPTY_WORD, IfsSystem, Word, apply_map, map_at_zero
@@ -34,6 +36,10 @@ from .separation import (
 
 #: Explicit component enumeration is refused beyond this many components.
 MATERIALIZE_LIMIT = 1_000_000
+
+#: Frames kept free below the oracle's deepest recursion level, for the
+#: sign query asked there (about 15 frames) and for wrappers around it.
+_STACK_HEADROOM = 30
 
 
 @dataclass(frozen=True)
@@ -105,10 +111,10 @@ class OverlapOracle:
     ``overlaps`` returns a witnessing pair of component words when the
     translated families meet, or None when they are disjoint at this
     truncation depth.  Two memoized recursions do the work: the family
-    recursion peels one map off each side, and the interval walk follows
-    an interval down the cylinder tree of the family.  The seed against
-    the deeper family translated by v is the interval walk started at
-    seed - v.
+    recursion peels one map off each side, and the interval walk finds,
+    within a depth budget, the shortest word whose component meets an
+    interval (of the shortest, the lexicographically first).  The seed
+    against the deeper family translated by v is one walk from seed - v.
 
     Both run on the integer lattice of ``DisplacementLattice`` with the
     seed ends' denominators joined in: a shift is a lattice point
@@ -119,12 +125,26 @@ class OverlapOracle:
     parameter.  A shift off that lattice is answered by an oracle on a
     lattice whose denominators cover its own too (the ``lattice``
     argument), with memos of its own; a query that raises ``Undecided``
-    is not remembered.
+    is not remembered.  A depth the recursions cannot reach under the
+    recursion limit, from the caller's stack, raises ``ValueError``.
     """
 
     def __init__(
         self, open_set: OpenSetApprox, pt: Param, lattice: DisplacementLattice | None = None
     ):
+        if lattice is None:  # not a wider oracle, made inside a query
+            # a level of either recursion per unit of depth, two frames each
+            # (the memo wrapper and the method), from about this deep
+            frame, used = inspect.currentframe(), 0
+            while frame is not None:
+                frame, used = frame.f_back, used + 1
+            largest = (getrecursionlimit() - used - _STACK_HEADROOM) // 2
+            if open_set.depth > largest:
+                raise ValueError(
+                    f"truncation depth {open_set.depth} is too deep for the overlap "
+                    f"oracle: under the recursion limit {getrecursionlimit()} the "
+                    f"largest depth allowed here is {largest}"
+                )
         self.open_set = open_set
         self.sys = open_set.system
         self.pt = pt
@@ -163,14 +183,12 @@ class OverlapOracle:
         # seed against the deeper translated family, both ways round:
         # seed meets S_w(seed) + v exactly when seed - v meets S_w(seed)
         lo, hi = self._seed
-        for n in range(1, budget + 1):
-            hit = self._interval_vs_family(lo - P, hi - P, -Q, n)
-            if hit is not None:
-                return (EMPTY_WORD, hit)
-        for n in range(1, budget + 1):
-            hit = self._interval_vs_family(P + lo, P + hi, Q, n)
-            if hit is not None:
-                return (hit, EMPTY_WORD)
+        hit = self._interval_vs_family(lo - P, hi - P, -Q, budget)
+        if hit is not None:
+            return (EMPTY_WORD, hit)
+        hit = self._interval_vs_family(P + lo, P + hi, Q, budget)
+        if hit is not None:
+            return (hit, EMPTY_WORD)
         # peel one map off each side
         m = lattice.m
         for i, j, dp, dq in lattice.steps:
@@ -180,30 +198,33 @@ class OverlapOracle:
         return None
 
     @_memoized
-    def _interval_vs_family(self, lo: int, hi: int, Q: int, n: int) -> Word | None:
-        """Word w of length n with (lo, hi) ∩ S_w(seed) != 0, if any.
+    def _interval_vs_family(self, lo: int, hi: int, Q: int, budget: int) -> Word | None:
+        """Shortest word w, |w| <= budget, with (lo, hi) ∩ S_w(seed) != 0, if any.
 
+        Of the shortest such words it is the lexicographically first.
         The interval's ends are the lattice points (lo, Q) and (hi, Q).
         """
         sign, lp, lq = self.pt.sign_lattice, self.lattice.lp, self.lattice.lq
-        # level-n components sit inside (0,1)
+        # every component sits inside (0,1)
         if sign(lp - lo, lp, -Q, lq) <= 0 or sign(hi, lp, Q, lq) <= 0:
             return None
-        if n == 0:
-            seed_lo, seed_hi = self._seed
-            if sign(seed_hi - lo, lp, -Q, lq) > 0 and sign(hi - seed_lo, lp, Q, lq) > 0:
-                return EMPTY_WORD
-            return None
-        # an interval swallowing (0,1) certainly meets the non-empty family
-        if sign(lo, lp, Q, lq) <= 0 and sign(hi - lp, lp, Q, lq) >= 0:
-            return Word((1,) * n)
+        # the seed, inside [0,1]: an interval swallowing (0,1) stops here
+        seed_lo, seed_hi = self._seed
+        if sign(seed_hi - lo, lp, -Q, lq) > 0 and sign(hi - seed_lo, lp, Q, lq) > 0:
+            return EMPTY_WORD
         m, ps, qs = self.lattice.m, self.lattice.ps, self.lattice.qs
-        for j in self.sys.symbols:
-            p_j, q_j = ps[j - 1], qs[j - 1]
-            sub = self._interval_vs_family(m * (lo - p_j), m * (hi - p_j), m * (Q - q_j), n - 1)
+        best = None
+        for j, p_j, q_j in zip(self.sys.symbols, ps, qs):
+            if budget == 0:
+                break
+            sub = self._interval_vs_family(
+                m * (lo - p_j), m * (hi - p_j), m * (Q - q_j), budget - 1
+            )
             if sub is not None:
-                return Word.of(j) + sub
-        return None
+                best = Word.of(j) + sub
+                # a later symbol wins only with a strictly shorter word
+                budget = len(sub)
+        return best
 
 
 @dataclass(frozen=True)
@@ -290,10 +311,10 @@ def verify_osc_open_set(
     outside the truncation and noted as a caveat.
     """
     open_set = OpenSetApprox(sys, seed, depth)
+    oracle = OverlapOracle(open_set, pt)
     m = sys.ratio_denominator
     containment_ok = containment_identity_holds(sys, seed)
     checked = sys.alphabet_size * open_set.component_count
-    oracle = OverlapOracle(open_set, pt)
     violations = []
     for i in sys.symbols:
         for j in sys.symbols:

@@ -308,12 +308,6 @@ class TypeAutomaton:
         self._transitions[memo_key] = result
         return result
 
-    def word_type(self, word: Word) -> tuple[AffineExpr, ...]:
-        key = self.root_key
-        for s in word:
-            key = self.successor(key, s)
-        return self.type_of(key)
-
 
 @dataclass(frozen=True)
 class TypeEntry:

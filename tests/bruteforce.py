@@ -1,13 +1,43 @@
-"""Full-enumeration oracles for the displacement search and the endpoint check.
+"""Test-only helpers: full-enumeration oracles and small exact utilities.
 
-Both enumerate every word pair of one level, so they cost n^(2k) and
-serve only as independent cross-checks at small levels.
+The oracles for the displacement search and the endpoint check
+enumerate every word pair of one level, so they cost n^(2k) and serve
+only as independent cross-checks at small levels.  The interval, image
+and automaton helpers are what only the tests ask of those types.
 """
 
 from fractions import Fraction
 
-from sepkit import AffineExpr, IfsSystem, Param, map_at_zero
-from sepkit.separation import Displacement, DisplacementLattice
+from sepkit import AffineExpr, IfsSystem, Param, RationalInterval, Word, map_at_zero
+from sepkit.separation import Displacement, DisplacementLattice, TypeAutomaton
+
+
+def midpoint(interval: RationalInterval) -> Fraction:
+    return (interval.lo + interval.hi) / 2
+
+
+def contains(interval: RationalInterval, x: Fraction) -> bool:
+    return interval.lo < x < interval.hi
+
+
+def strictly_inside(inner: RationalInterval, outer: RationalInterval) -> bool:
+    """True when the closure of ``inner`` sits inside the open ``outer``."""
+    return outer.lo < inner.lo and inner.hi < outer.hi
+
+
+def affine_bounds(e: AffineExpr, window: RationalInterval) -> tuple[Fraction, Fraction]:
+    """Exact (lo, hi) of the image of an open window under ``e``."""
+    v0 = e.evaluate(window.lo)
+    v1 = e.evaluate(window.hi)
+    return (v0, v1) if v0 <= v1 else (v1, v0)
+
+
+def word_type(automaton: TypeAutomaton, word: Word) -> tuple[AffineExpr, ...]:
+    """The neighbourhood type the automaton reaches by reading ``word``."""
+    key = automaton.root_key
+    for s in word:
+        key = automaton.successor(key, s)
+    return automaton.type_of(key)
 
 
 def brute_force_displacements(

@@ -30,10 +30,9 @@ from sepkit import (
     verify_osc_open_set,
     wsp_min_displacement,
 )
-from sepkit.exact import affine_bounds
 from sepkit.separation import displacement_levels
 
-from bruteforce import brute_force_displacements
+from bruteforce import affine_bounds, brute_force_displacements
 
 RECORDED_PREFIX = format(0xC96C5795D7870F42, "064b")
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 from sepkit.cli import main
 
@@ -68,6 +69,34 @@ def test_verify_osc_pass_and_fail(capsys):
     assert code == 1
     report = json.loads(out)
     assert report["results"]["violations"][0]["components"] == ["15", "23"]
+
+
+def _osc_example1_at_depth(capsys, depth):
+    return run_cli(
+        capsys, "verify", "osc", "--example", "1", "--seed", "3/7:4/7",
+        "--depth", str(depth), "--oracle-budget", "5000",
+    )
+
+
+def test_verify_osc_refuses_a_depth_beyond_the_recursion_limit(capsys):
+    code, out, err = _osc_example1_at_depth(capsys, 2000)
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(
+        r"sepkit: truncation depth 2000 is too deep for the overlap oracle: under the "
+        r"recursion limit \d+ the largest depth allowed here is \d+\n",
+        err,
+    )
+
+
+def test_verify_osc_runs_at_the_largest_allowed_depth(capsys):
+    _, _, err = _osc_example1_at_depth(capsys, 2000)
+    largest = int(re.search(r"largest depth allowed here is (\d+)", err).group(1))
+    assert _osc_example1_at_depth(capsys, largest + 1)[0] == 2
+    code, out, _ = _osc_example1_at_depth(capsys, largest)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert (results["depth"], results["passed"]) == (largest, True)
 
 
 def test_verify_endpoints_exit_codes(capsys):

@@ -20,6 +20,8 @@ from sepkit import (
 )
 from sepkit.construction import PERIODIC_WARNING, RefinementOption
 
+from bruteforce import strictly_inside
+
 # fixed, recorded 64-bit driving prefix for the construction invariants
 RECORDED_PREFIX = format(0xC96C5795D7870F42, "064b")
 
@@ -189,7 +191,7 @@ def test_option2_strictly_shrinks_window_closure(ex1_template, tm):
     for prev, state in zip(run.states, run.states[1:]):
         assert state.window.width < prev.window.width
         if state.choice == "option2":
-            assert state.window.strictly_inside(prev.window)
+            assert strictly_inside(state.window, prev.window)
 
 
 def test_window_width_vanishes_along_thue_morse(ex1_template, tm):

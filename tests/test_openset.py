@@ -368,8 +368,17 @@ def _assert_same_osc_report(sys, pt, seed, depth):
     assert report == expected
 
 
-@pytest.mark.parametrize("which,seed", [(1, SEED1), (2, SEED2), (1, OFF_SEED), (2, OFF_SEED)])
-@pytest.mark.parametrize("depth", range(7))
+WITNESS_SEEDS = [(1, SEED1), (2, SEED2), (1, OFF_SEED), (2, OFF_SEED)]
+#: (depth, index in WITNESS_SEEDS): every seed to depth 6, and the
+#: deeper walks of example 1's seed
+WITNESS_CASES = [(d, k) for d in range(7) for k in range(4)] + [(8, 0), (12, 0)]
+
+
+@pytest.mark.parametrize(
+    "depth,which,seed",
+    [(d, *WITNESS_SEEDS[k]) for d, k in WITNESS_CASES],
+    ids=[f"{d}-{WITNESS_SEEDS[k][0]}-seed{k}" for d, k in WITNESS_CASES],
+)
 def test_oracle_witnesses_match_the_earlier_oracle(which, seed, depth, ex1_pt, ex2_pt):
     sys = example_template(which).system
     pt = ex1_pt if which == 1 else ex2_pt

@@ -41,7 +41,7 @@ from sepkit.separation import (
     TypeAutomaton,
 )
 
-from bruteforce import brute_force_displacements, endpoint_separation_bruteforce
+from bruteforce import brute_force_displacements, endpoint_separation_bruteforce, word_type
 
 SEVEN_A = AffineExpr.parameter(7)
 
@@ -155,7 +155,7 @@ def test_automaton_types_match_bruteforce(which, levels, ex1_pt, ex2_pt):
         words = list(tmpl.system.words(level))
         for word in words:
             expected = _brute_word_type(tmpl.system, pt, word, words)
-            got = {pt.canonical_key(v) for v in automaton.word_type(word)}
+            got = {pt.canonical_key(v) for v in word_type(automaton, word)}
             assert got == expected
 
 
@@ -165,7 +165,7 @@ def test_automaton_types_match_bruteforce_rational(ex1_sys, eighth_pt):
         words = list(ex1_sys.words(level))
         for word in words:
             expected = _brute_word_type(ex1_sys, eighth_pt, word, words)
-            got = {eighth_pt.canonical_key(v) for v in automaton.word_type(word)}
+            got = {eighth_pt.canonical_key(v) for v in word_type(automaton, word)}
             assert got == expected
 
 

@@ -209,7 +209,7 @@ class Refiner(Protocol):
 
 
 class _ParamBase:
-    """Shared comparison/formatting helpers for parameter points."""
+    """The queries every parameter point answers."""
 
     label: str
     irrationality_assumed: bool
@@ -226,14 +226,6 @@ class _ParamBase:
 
     def canonical_key(self, e: AffineExpr):
         raise NotImplementedError
-
-    def compare(self, e1: AffineExpr, e2: AffineExpr, budget: int | None = None) -> int:
-        """Sign of e1 - e2 at the parameter."""
-        return self.sign(e1 - e2, budget)
-
-    def abs_expr(self, e: AffineExpr, budget: int | None = None) -> AffineExpr:
-        """``e`` or ``-e``, whichever is >= 0 at the parameter."""
-        return -e if self.sign(e, budget) < 0 else e
 
 
 #: Annotation alias: anything answering sign/decimal/key queries at a point.

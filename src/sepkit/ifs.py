@@ -14,15 +14,32 @@ from fractions import Fraction
 from .exact import AFFINE_ZERO, AffineExpr, Param, rational_to_str
 
 
+#: Byte-to-digit table for words whose symbols are all at most 9.
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+#: The largest symbol, and so the largest alphabet, a word can hold.
+MAX_SYMBOL = 255
+
+
 @dataclass(frozen=True, order=True)
 class Word:
-    """Finite word over {1..n}; concatenation is associative, () is identity."""
+    """Finite word over {1..n}; concatenation is associative, () is identity.
 
-    symbols: tuple[int, ...] = ()
+    The symbols are stored as ``bytes``, one byte per symbol, so
+    appending and concatenating copy bytes and ordering compares them
+    in C.  Any other iterable of ints in 0..255 is converted on
+    construction.
+    """
+
+    symbols: bytes = b""
+
+    def __post_init__(self):
+        if type(self.symbols) is not bytes:
+            object.__setattr__(self, "symbols", _symbol_bytes(self.symbols))
 
     @staticmethod
     def of(*symbols: int) -> "Word":
-        return Word(tuple(symbols))
+        return Word(symbols)
 
     @staticmethod
     def parse(text: str) -> "Word":
@@ -31,8 +48,8 @@ class Word:
         if not text:
             return Word()
         if "," in text:
-            return Word(tuple(int(part) for part in text.split(",")))
-        return Word(tuple(int(ch) for ch in text))
+            return Word([int(part) for part in text.split(",")])
+        return Word([int(ch) for ch in text])
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -44,11 +61,21 @@ class Word:
         return Word(self.symbols + other.symbols)
 
     def append(self, symbol: int) -> "Word":
-        return Word(self.symbols + (symbol,))
+        return Word(self.symbols + _symbol_bytes((symbol,)))
 
     def __str__(self) -> str:
-        sep = "," if max(self.symbols, default=0) > 9 else ""
-        return sep.join(map(str, self.symbols))
+        if max(self.symbols, default=0) > 9:
+            return ",".join(map(str, self.symbols))
+        return self.symbols.translate(_DIGITS).decode()
+
+
+def _symbol_bytes(symbols) -> bytes:
+    try:
+        return bytes(symbols)
+    except ValueError:
+        raise ValueError(
+            f"word symbols must lie in 0..{MAX_SYMBOL}: a word stores one byte per symbol"
+        ) from None
 
 
 EMPTY_WORD = Word()
@@ -73,6 +100,11 @@ class IfsSystem:
             raise ValueError("ratio denominator must be >= 2")
         if not self.offsets:
             raise ValueError("need at least one map")
+        if len(self.offsets) > MAX_SYMBOL:
+            raise ValueError(
+                f"{len(self.offsets)} maps: at most {MAX_SYMBOL} are supported, "
+                "since a word stores one byte per symbol"
+            )
 
     @property
     def alphabet_size(self) -> int:

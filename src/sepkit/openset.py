@@ -369,7 +369,9 @@ def constructed_v_type_census(
     levels = []
     for level, automaton, states in census_states(sys, pt, max_level):
         merged: dict[tuple, TypeEntry] = {}
-        for key, (count, witness) in sorted(states.items(), key=lambda kv: kv[1][1]):
+        # states come in witness order (see ``census_states``), so each
+        # merged entry keeps its smallest witness and ``merged`` keeps that order
+        for key, (count, witness) in states.items():
             if key not in kept:
                 filtered = tuple(
                     v for v in automaton.type_of(key) if oracle.overlaps(v) is not None
@@ -381,8 +383,7 @@ def constructed_v_type_census(
                 merged[fkey] = TypeEntry(old.displacements, old.count + count, old.witness)
             else:
                 merged[fkey] = TypeEntry(filtered, count, witness)
-        entries = sorted(merged.values(), key=lambda e: e.witness)
-        levels.append(CensusLevel(level, tuple(entries)))
+        levels.append(CensusLevel(level, tuple(merged.values())))
     caveats = (
         f"neighbour test truncated at depth {open_set.depth}; truncation can only "
         "under-report neighbours",

@@ -148,6 +148,31 @@ class Displacement:
         }
 
 
+def _search(memo: _PointMemo, max_level: int):
+    """Yield each level's in-bound displacements, levels 1..max_level.
+
+    A level is {value id: (sigma, tau, (P, Q), form)} in discovery
+    order: parents are expanded in witness order, each with its children
+    in (i, j) order, and a value keeps the first pair that reaches it.
+    The words sigma and tau are bytes, one byte per symbol.
+    """
+    lattice = memo.lattice
+    m = lattice.m
+    steps = [(bytes((i,)), bytes((j,)), dp, dq) for i, j, dp, dq in lattice.steps]
+    current = [(b"", b"", _ZERO_STATE)]
+    for _ in range(max_level):
+        nxt: dict = {}
+        for sigma, tau, (vp, vq) in current:
+            vp, vq = m * vp, m * vq
+            for i, j, dp, dq in steps:
+                point = (vp + dp, vq + dq)
+                entry = memo[point]
+                if entry is not None and entry[0] not in nxt:
+                    nxt[entry[0]] = (sigma + i, tau + j, point, entry[1])
+        yield nxt
+        current = sorted(node[:3] for node in nxt.values())
+
+
 def displacement_levels(
     sys: IfsSystem,
     pt: Param,
@@ -164,27 +189,14 @@ def displacement_levels(
     """
     if bound < 1:
         raise ValueError("prune bound must be >= 1 for a complete search")
-    lattice = DisplacementLattice(sys)
-    m, steps = lattice.m, lattice.steps
-    memo = _PointMemo(lattice, pt, bound, strict)
-    # nodes (sigma, tau, lattice point), parents in witness order
-    current = [((), (), _ZERO_STATE)]
-    levels = []
-    for _ in range(max_level):
-        nxt: dict = {}
-        for sigma, tau, (vp, vq) in current:
-            vp, vq = m * vp, m * vq
-            for i, j, dp, dq in steps:
-                point = (vp + dp, vq + dq)
-                entry = memo[point]
-                if entry is not None and entry[0] not in nxt:
-                    nxt[entry[0]] = (sigma + (i,), tau + (j,), point, entry[1])
-        levels.append({
+    memo = _PointMemo(DisplacementLattice(sys), pt, bound, strict)
+    return [
+        {
             memo.keys[ident]: Displacement(form, (Word(sigma), Word(tau)))
-            for ident, (sigma, tau, _, form) in nxt.items()
-        })
-        current = sorted(node[:3] for node in nxt.values())
-    return levels
+            for ident, (sigma, tau, _, form) in level.items()
+        }
+        for level in _search(memo, max_level)
+    ]
 
 
 @dataclass(frozen=True)
@@ -223,26 +235,41 @@ def wsp_min_displacement(sys: IfsSystem, pt: Param, max_level: int) -> WspResult
 
     Only values inside (-1, 1) can compete (anything at or beyond 1 is
     never smaller than them once any in-bound value exists); if a level
-    has no nonzero in-bound value its per-level entry is None.
+    has no nonzero in-bound value its per-level entry is None.  Within a
+    level the first minimum in witness order wins.  Magnitudes and their
+    comparisons are sign queries on integer lattice points; only the
+    reported minima are built as forms and words.
     """
-    levels = displacement_levels(sys, pt, max_level)
-    zero_key = pt.canonical_key(AFFINE_ZERO)
-    best: WspLevelMinimum | None = None
+    lattice = DisplacementLattice(sys)
+    lp, lq = lattice.lp, lattice.lq
+    memo = _PointMemo(lattice, pt, Fraction(1), strict=True)
+    zero = memo.value_id(AFFINE_ZERO)
+    # all bound tests run before any comparison, so the first sign query
+    # that stays undecided does not depend on how the levels are consumed
+    levels = list(_search(memo, max_level))
+    best = None  # (|v| as a lattice point, its WspLevelMinimum)
     per_level: list[WspLevelMinimum | None] = []
-    for index, level_map in enumerate(levels, start=1):
-        level_best: WspLevelMinimum | None = None
-        for key, disp in sorted(level_map.items(), key=lambda kv: (kv[1].witness[0], kv[1].witness[1])):
-            if key == zero_key:
-                continue
-            abs_value = pt.abs_expr(disp.value)
-            if level_best is None or pt.compare(abs_value, level_best.abs_value) < 0:
-                level_best = WspLevelMinimum(index, disp, abs_value)
+    for index, level in enumerate(levels, start=1):
+        least = None  # (|v| as a lattice point, node)
+        for node in sorted(node for ident, node in level.items() if ident != zero):
+            P, Q = node[2]
+            if pt.sign_lattice(P, lp, Q, lq) < 0:
+                P, Q = -P, -Q
+            if least is None or pt.sign_lattice(P - least[0][0], lp, Q - least[0][1], lq) < 0:
+                least = ((P, Q), node)
+        if least is None:
+            per_level.append(None)
+            continue
+        point, (sigma, tau, _, form) = least
+        level_best = WspLevelMinimum(
+            index, Displacement(form, (Word(sigma), Word(tau))), lattice.form(point)
+        )
         per_level.append(level_best)
-        if level_best is not None and (
-            best is None or pt.compare(level_best.abs_value, best.abs_value) < 0
-        ):
-            best = level_best
-    return WspResult(max_level, best, tuple(per_level))
+        if best is None or pt.sign_lattice(
+            point[0] - best[0][0], lp, point[1] - best[0][1], lq
+        ) < 0:
+            best = (point, level_best)
+    return WspResult(max_level, None if best is None else best[1], tuple(per_level))
 
 
 class TypeAutomaton:
@@ -262,7 +289,7 @@ class TypeAutomaton:
         self.sys = sys
         self.pt = pt
         lattice = DisplacementLattice(sys)
-        self._m = lattice.m
+        self._m, self._lp, self._lq = lattice.m, lattice.lp, lattice.lq
         self._steps = {
             i: [(dp, dq) for s, _, dp, dq in lattice.steps if s == i] for i in sys.symbols
         }
@@ -275,10 +302,18 @@ class TypeAutomaton:
         self.root_key = self._intern({zero: (_ZERO_STATE, AFFINE_ZERO)})
 
     def _intern(self, found: dict) -> int:
-        """The state of {value id: (lattice point, form)}, in canonical order."""
-        ordered = sorted(
-            found.items(), key=cmp_to_key(lambda x, y: self.pt.compare(x[1][1], y[1][1]))
-        )
+        """The state of {value id: (lattice point, form)}, in canonical order.
+
+        Members are ordered by the sign of the difference of their
+        lattice points.
+        """
+        sign, lp, lq = self.pt.sign_lattice, self._lp, self._lq
+
+        def order(x, y):
+            (xp, xq), (yp, yq) = x[1][0], y[1][0]
+            return sign(xp - yp, lp, xq - yq, lq)
+
+        ordered = sorted(found.items(), key=cmp_to_key(order))
         key = tuple(ident for ident, _ in ordered)
         state = self._states.get(key)
         if state is None:
@@ -378,13 +413,17 @@ class CensusResult:
 def census_states(sys: IfsSystem, pt: Param, max_level: int):
     """Per-level automaton census with word counts and lex-first witnesses.
 
-    Yields (level, automaton, {state key: (count, witness)}).
+    Yields (level, automaton, {state key: (count, witness)}).  Each dict
+    is in strictly increasing witness order: the parents are walked in
+    that order and each appends its symbols in ascending order, so a
+    state is first reached through its smallest witness, and a dict
+    keeps insertion order.
     """
     automaton = TypeAutomaton(sys, pt)
     current: dict[int, tuple[int, Word]] = {automaton.root_key: (1, EMPTY_WORD)}
     for level in range(1, max_level + 1):
         nxt: dict[int, tuple[int, Word]] = {}
-        for key, (count, witness) in sorted(current.items(), key=lambda kv: kv[1][1]):
+        for key, (count, witness) in current.items():
             for i in sys.symbols:
                 child = automaton.successor(key, i)
                 if child in nxt:
@@ -405,12 +444,11 @@ def convex_type_census(sys: IfsSystem, pt: Param, max_level: int) -> CensusResul
     """
     levels = []
     for level, automaton, states in census_states(sys, pt, max_level):
-        entries = [
+        entries = tuple(
             TypeEntry(automaton.type_of(key), count, witness)
             for key, (count, witness) in states.items()
-        ]
-        entries.sort(key=lambda e: e.witness)
-        levels.append(CensusLevel(level, tuple(entries)))
+        )
+        levels.append(CensusLevel(level, entries))
     return CensusResult("convex (0,1)", tuple(levels))
 
 
@@ -691,36 +729,49 @@ def endpoint_separation(
     threshold = Fraction(threshold)
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    bound = 1 + threshold
-    levels = displacement_levels(sys, pt, max_level, bound=bound, strict=False)
+    lattice = DisplacementLattice(sys)
+    lp, lq = lattice.lp, lattice.lq
+    memo = _PointMemo(lattice, pt, 1 + threshold, strict=False)
+    levels = list(_search(memo, max_level))  # all bound tests first, as in WSP
     # identical endpoints come from identical maps (zero displacement) or
     # from cylinders touching end to end (displacement exactly -+1)
     scan = exact_overlap_scan(sys, max_level)
     equal_pairs: list[tuple[Word, Word, int]] = [
         (o.left, o.right, 0) for o in scan.overlaps + scan.derived
     ]
-    # (|value|, witness) lists for corresponding and for mixed picks
-    same: list[tuple[AffineExpr, tuple[Word, Word, int]]] = []
-    mixed: list[tuple[AffineExpr, tuple[Word, Word, int]]] = []
-    for level_map in levels:
-        for disp in level_map.values():
+    # (|value| as a lattice point, sigma, tau, delta) for corresponding
+    # and for mixed picks; the value of (sigma, tau) shifted by delta
+    same: list[tuple] = []
+    mixed: list[tuple] = []
+    for level in levels:
+        for sigma, tau, (P, Q), _ in level.values():
             for delta in (-1, 0, 1):
-                value = disp.value.shift(delta)
-                witness = (disp.witness[1], disp.witness[0], delta)
-                if value.p == 0 and value.q == 0:
+                shifted = P + delta * lp
+                if shifted == 0 and Q == 0:
                     if delta != 0:
-                        equal_pairs.append(witness)
+                        equal_pairs.append((Word(tau), Word(sigma), delta))
                     continue
-                (mixed if delta else same).append((pt.abs_expr(value), witness))
+                point = (shifted, Q)
+                if pt.sign_lattice(shifted, lp, Q, lq) < 0:
+                    point = (-shifted, -Q)
+                (mixed if delta else same).append((point, sigma, tau, delta))
+
+    # |value| <= threshold is the sign of |value| - n/d over Lp*d, as in ``within``
+    n, d = threshold.numerator, threshold.denominator
 
     def bucket(entries) -> EndpointBucket:
-        least, witness, violations = None, None, 0
-        for abs_value, pick in entries:
-            if least is None or pt.compare(abs_value, least) < 0:
-                least, witness = abs_value, pick
-            if pt.sign(abs_value - AffineExpr.constant(threshold)) <= 0:
+        least, violations = None, 0
+        for entry in entries:
+            P, Q = entry[0]
+            if least is None or pt.sign_lattice(P - least[0][0], lp, Q - least[0][1], lq) < 0:
+                least = entry
+            if pt.sign_lattice(P * d - n * lp, lp * d, Q, lq) <= 0:
                 violations += 1
-        return EndpointBucket(violations == 0, least, witness, violations)
+        if least is None:
+            return EndpointBucket(True, None, None, 0)
+        point, sigma, tau, delta = least
+        witness = (Word(tau), Word(sigma), delta)
+        return EndpointBucket(violations == 0, lattice.form(point), witness, violations)
 
     return EndpointReport(
         max_level,

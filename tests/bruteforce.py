@@ -6,10 +6,53 @@ only as independent cross-checks at small levels.  The interval, image
 and automaton helpers are what only the tests ask of those types.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from sepkit import AffineExpr, IfsSystem, Param, RationalInterval, Word, map_at_zero
 from sepkit.separation import Displacement, DisplacementLattice, TypeAutomaton
+
+
+def compare(pt: Param, e1: AffineExpr, e2: AffineExpr, budget: int | None = None) -> int:
+    """Sign of e1 - e2 at the parameter."""
+    return pt.sign(e1 - e2, budget)
+
+
+def abs_expr(pt: Param, e: AffineExpr, budget: int | None = None) -> AffineExpr:
+    """``e`` or ``-e``, whichever is >= 0 at the parameter."""
+    return -e if pt.sign(e, budget) < 0 else e
+
+
+@dataclass(frozen=True, order=True)
+class TupleWord:
+    """The tuple-backed word: the reference for ``Word``'s bytes storage."""
+
+    symbols: tuple[int, ...] = ()
+
+    @staticmethod
+    def parse(text: str) -> "TupleWord":
+        text = text.strip()
+        if not text:
+            return TupleWord()
+        if "," in text:
+            return TupleWord(tuple(int(part) for part in text.split(",")))
+        return TupleWord(tuple(int(ch) for ch in text))
+
+    def __len__(self) -> int:
+        return len(self.symbols)
+
+    def __iter__(self):
+        return iter(self.symbols)
+
+    def __add__(self, other: "TupleWord") -> "TupleWord":
+        return TupleWord(self.symbols + other.symbols)
+
+    def append(self, symbol: int) -> "TupleWord":
+        return TupleWord(self.symbols + (symbol,))
+
+    def __str__(self) -> str:
+        sep = "," if max(self.symbols, default=0) > 9 else ""
+        return sep.join(map(str, self.symbols))
 
 
 def midpoint(interval: RationalInterval) -> Fraction:
@@ -79,7 +122,7 @@ def endpoint_separation_bruteforce(
                 if sigma != tau:
                     equal += 1
                 continue
-            abs_value = pt.abs_expr(value)
+            abs_value = abs_expr(pt, value)
             if pt.sign(abs_value - AffineExpr.constant(threshold)) <= 0:
                 passed = False
     return passed, equal

@@ -220,3 +220,24 @@ def test_template_and_example_conflict(tmp_path, capsys):
         capsys, "construct", "--example", "1", "--template", str(path),
     )
     assert code == 2
+
+
+def test_template_with_more_than_255_maps_is_usage_error(tmp_path, capsys):
+    m = 257
+    template = {
+        "system": {
+            "ratio_denominator": m,
+            "offsets": [{"p": f"{i}/{m}", "q": "0/1"} for i in range(256)],
+        },
+        "initial_sigma": "1",
+        "initial_tau": "2",
+        "initial_J": {"lo": "0/1", "hi": "1/7"},
+        "option1": {"swap": False, "append_sigma": 3, "append_tau": 1},
+        "option2": {"swap": True, "append_sigma": 2, "append_tau": 3},
+    }
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps(template))
+    code, out, err = run_cli(capsys, "construct", "--template", str(path), "--depth", "4")
+    assert code == 2
+    assert out == ""
+    assert "at most 255" in err

@@ -16,7 +16,7 @@ from sepkit import (
 )
 from sepkit.exact import RefinementExhausted, StaticRefiner
 
-from bruteforce import affine_bounds, contains, midpoint
+from bruteforce import abs_expr, affine_bounds, compare, contains, midpoint
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 affines = st.builds(AffineExpr, rationals, rationals)
@@ -353,8 +353,8 @@ def test_value_always_inside_image_interval(ex1_pt):
 def test_compare_and_abs(ex1_pt):
     seven_a = AffineExpr.parameter(7)
     one = AffineExpr.constant(1)
-    assert ex1_pt.compare(seven_a, one) == -1
-    assert ex1_pt.abs_expr(seven_a - one) == one - seven_a
+    assert compare(ex1_pt, seven_a, one) == -1
+    assert abs_expr(ex1_pt, seven_a - one) == one - seven_a
 
 
 def test_concurrent_sign_queries_are_consistent(ex1_template, tm):

@@ -5,8 +5,9 @@ from the recorded benchmark baseline (seed 1, with the driving sequence
 drawn there); the ids are its request ids.  ``ORACLE_GOLDEN`` holds the
 requests that run the overlap oracle, ``GOLDEN`` the census, WSP,
 construction, distinctness, dimension, overlap-scan and endpoint
-requests.  The code behind them may change; their reports may not.  A
-declared output change updates the digests here.  The three requests
+requests, and two deep WSP requests beyond the benchmark.  The code
+behind them may change; their reports may not.  A declared output
+change updates the digests here.  The three requests
 the benchmark marks as known defects (the periodic census and WSP, and
 distinctness at 200 levels) are left out: fixing them changes their
 output.
@@ -129,6 +130,19 @@ GOLDEN = [
         0,
         "2ac95c3a218fc61834a4f21ceee786f91b9be897f673275b58b1a1ff6ea12d41",
         id="endpoints-ex2-5",
+    ),
+    # deep requests, where witness words are up to 300 symbols long
+    pytest.param(
+        ["wsp", "--example", "1", "--max-level", "300", "--oracle-budget", "5000"],
+        0,
+        "098881f4426ae22b3f957890a4be9d8b371dca488b71a0630bb11a77ff207c96",
+        id="wsp-ex1-300",
+    ),
+    pytest.param(
+        ["wsp", "--example", "2", "--max-level", "300", "--oracle-budget", "5000"],
+        0,
+        "11e370eefc24d8b3c98860a1b3718aec7512f88b1e7bdf4921d0a1f5d97d1c14",
+        id="wsp-ex2-300",
     ),
 ]
 

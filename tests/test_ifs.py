@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sepkit import (
     AffineExpr,
@@ -12,6 +12,8 @@ from sepkit import (
     translation_amount,
     validate_system,
 )
+
+from bruteforce import TupleWord
 
 
 def test_word_parse_and_str():
@@ -51,6 +53,53 @@ def test_word_concat_associative(a, b, c):
     assert (wa + wb) + wc == wa + (wb + wc)
     assert wa + Word() == wa
     assert Word() + wa == wa
+
+
+#: symbol tuples over 1..255: mostly digits, sometimes a symbol of 10 or more
+symbol_tuples = st.one_of(
+    st.lists(st.integers(1, 9), max_size=700),
+    st.lists(st.integers(1, 255), max_size=700),
+    st.lists(st.sampled_from([1, 2, 9, 10, 255]), max_size=12),
+).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(symbol_tuples, symbol_tuples, st.integers(1, 255))
+def test_word_matches_the_tuple_reference(a, b, symbol):
+    wa, wb = Word(a), Word(b)
+    ra, rb = TupleWord(a), TupleWord(b)
+    assert isinstance(wa.symbols, bytes)
+    assert (wa == wb) == (ra == rb)
+    assert (wa < wb) == (ra < rb)
+    assert (wa <= wb) == (ra <= rb)
+    assert wa == Word(list(a)) and hash(wa) == hash(Word(list(a)))
+    assert (wa + wb).symbols == bytes((ra + rb).symbols)
+    assert wa.append(symbol).symbols == bytes(ra.append(symbol).symbols)
+    assert len(wa) == len(ra)
+    assert list(wa) == list(ra)
+    assert str(wa) == str(ra)
+    assert Word.parse(str(wa)).symbols == bytes(TupleWord.parse(str(ra)).symbols)
+    if len(a) != 1 or a[0] <= 9:
+        # a lone symbol of 10 or more prints without a comma, as its digits
+        assert Word.parse(str(wa)) == wa
+    assert Word.of(*a) == wa
+
+
+@pytest.mark.parametrize("symbols", [(256,), (1, 300, 2), (-1,)])
+def test_word_refuses_a_symbol_a_byte_cannot_hold(symbols):
+    with pytest.raises(ValueError, match="one byte per symbol"):
+        Word(symbols)
+    with pytest.raises(ValueError, match="one byte per symbol"):
+        Word.of(1).append(symbols[-1] if symbols[-1] < 0 else max(symbols))
+    with pytest.raises(ValueError, match="one byte per symbol"):
+        Word.parse(",".join(map(str, symbols)) + ",1")
+
+
+def test_system_refuses_more_than_255_maps():
+    m = 257
+    IfsSystem(m, tuple(AffineExpr.constant(F(i, m)) for i in range(255)))
+    with pytest.raises(ValueError, match="at most 255"):
+        IfsSystem(m, tuple(AffineExpr.constant(F(i, m)) for i in range(256)))
 
 
 def test_map_at_zero_examples(ex1_sys, ex2_sys):

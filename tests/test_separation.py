@@ -36,12 +36,22 @@ from sepkit.construction import PERIODIC_WARNING
 from sepkit.exact import StaticRefiner
 from sepkit.separation import (
     Displacement,
+    EndpointBucket,
+    EndpointReport,
     OverlapPair,
     OverlapScanResult,
     TypeAutomaton,
+    WspLevelMinimum,
+    WspResult,
 )
 
-from bruteforce import brute_force_displacements, endpoint_separation_bruteforce, word_type
+from bruteforce import (
+    abs_expr,
+    brute_force_displacements,
+    compare,
+    endpoint_separation_bruteforce,
+    word_type,
+)
 
 SEVEN_A = AffineExpr.parameter(7)
 
@@ -81,7 +91,7 @@ def test_wsp_monotone_in_level(ex1_sys, ex1_pt):
     for level in range(1, 7):
         current = wsp_min_displacement(ex1_sys, ex1_pt, level).minimum.abs_value
         if previous is not None:
-            assert ex1_pt.compare(current, previous) <= 0
+            assert compare(ex1_pt, current, previous) <= 0
         previous = current
 
 
@@ -91,8 +101,8 @@ def _brute_min_abs(sys, pt, max_level):
         for key, disp in brute_force_displacements(sys, pt, level).items():
             if key == pt.canonical_key(AffineExpr.constant(0)):
                 continue
-            value = pt.abs_expr(disp.value)
-            if best is None or pt.compare(value, best) < 0:
+            value = abs_expr(pt, disp.value)
+            if best is None or compare(pt, value, best) < 0:
                 best = value
     return best
 
@@ -318,6 +328,61 @@ def _oracle_displacement_levels(sys, pt, max_level, bound=F(1), strict=True):
     return levels
 
 
+def _oracle_wsp_min_displacement(sys, pt, max_level):
+    """The Fraction-valued WSP minimum: |v| and every comparison as forms."""
+    levels = _oracle_displacement_levels(sys, pt, max_level)
+    zero_key = pt.canonical_key(AffineExpr.constant(0))
+    best = None
+    per_level = []
+    for index, level_map in enumerate(levels, start=1):
+        level_best = None
+        for key, disp in sorted(level_map.items(), key=lambda kv: kv[1].witness):
+            if key == zero_key:
+                continue
+            abs_value = abs_expr(pt, disp.value)
+            if level_best is None or compare(pt, abs_value, level_best.abs_value) < 0:
+                level_best = WspLevelMinimum(index, disp, abs_value)
+        per_level.append(level_best)
+        if level_best is not None and (
+            best is None or compare(pt, level_best.abs_value, best.abs_value) < 0
+        ):
+            best = level_best
+    return WspResult(max_level, best, tuple(per_level))
+
+
+def _oracle_endpoint_separation(sys, pt, max_level, threshold, include_mixed_in_verdict=False):
+    """The Fraction-valued endpoint check: shifted values, |v| and tests as forms."""
+    threshold = F(threshold)
+    levels = _oracle_displacement_levels(sys, pt, max_level, bound=1 + threshold, strict=False)
+    scan = exact_overlap_scan(sys, max_level)
+    equal_pairs = [(o.left, o.right, 0) for o in scan.overlaps + scan.derived]
+    same, mixed = [], []
+    for level_map in levels:
+        for disp in level_map.values():
+            for delta in (-1, 0, 1):
+                value = disp.value.shift(delta)
+                witness = (disp.witness[1], disp.witness[0], delta)
+                if value.p == 0 and value.q == 0:
+                    if delta != 0:
+                        equal_pairs.append(witness)
+                    continue
+                (mixed if delta else same).append((abs_expr(pt, value), witness))
+
+    def bucket(entries):
+        least, witness, violations = None, None, 0
+        for abs_value, pick in entries:
+            if least is None or compare(pt, abs_value, least) < 0:
+                least, witness = abs_value, pick
+            if pt.sign(abs_value - AffineExpr.constant(threshold)) <= 0:
+                violations += 1
+        return EndpointBucket(violations == 0, least, witness, violations)
+
+    return EndpointReport(
+        max_level, threshold, bucket(same), bucket(mixed), tuple(equal_pairs),
+        include_mixed_in_verdict,
+    )
+
+
 class _OracleTypeAutomaton:
     """The Fraction-valued automaton, keyed by tuples of canonical keys."""
 
@@ -332,7 +397,7 @@ class _OracleTypeAutomaton:
         dedup = {}
         for v in values:
             dedup.setdefault(self.pt.canonical_key(v), v)
-        ordered = tuple(sorted(dedup.values(), key=cmp_to_key(lambda x, y: self.pt.compare(x, y))))
+        ordered = tuple(sorted(dedup.values(), key=cmp_to_key(lambda x, y: compare(self.pt, x, y))))
         key = tuple(self.pt.canonical_key(v) for v in ordered)
         self._types.setdefault(key, ordered)
         return key
@@ -370,6 +435,16 @@ def _states_in_order(sys, pt, max_level):
 
 def _in_order(levels):
     return [list(level.items()) for level in levels]
+
+
+def _assert_witness_order(sys, pt, max_level, census):
+    """``census_states`` dicts and census entries come in strictly increasing witness order."""
+    for _, _, states in separation.census_states(sys, pt, max_level):
+        witnesses = [witness for _, witness in states.values()]
+        assert all(a < b for a, b in zip(witnesses, witnesses[1:]))
+    for level in census.levels:
+        witnesses = [entry.witness for entry in level.types]
+        assert all(a < b for a, b in zip(witnesses, witnesses[1:]))
 
 
 def _outcome(fn, *args, **kwargs):
@@ -433,6 +508,21 @@ def test_census_matches_fraction_oracle(which, label, levels, ex1_pt, ex2_pt):
     with mock.patch.object(separation, "TypeAutomaton", _OracleTypeAutomaton):
         expected = _states_in_order(sys, pt, levels)
     assert _states_in_order(sys, pt, levels) == expected
+    _assert_witness_order(sys, pt, levels, census)
+
+
+@pytest.mark.parametrize("which,label,levels", ORACLE_CASES)
+def test_wsp_and_endpoints_match_fraction_oracle(which, label, levels, ex1_pt, ex2_pt):
+    sys = example_template(which).system
+    pt = _case_point(label, ex1_pt, ex2_pt)
+    # values, witnesses and minima, per level and overall
+    assert wsp_min_displacement(sys, pt, levels) == _oracle_wsp_min_displacement(
+        sys, pt, levels
+    )
+    # 1/8 is the magnitude of a mixed pick of example 1 at a = 1/8: |v| = threshold
+    for threshold in (F(4, 7), F(1, 10), F(1, 8)):
+        got = endpoint_separation(sys, pt, levels, threshold)
+        assert got == _oracle_endpoint_separation(sys, pt, levels, threshold)
 
 
 def test_constructed_census_matches_fraction_oracle(ex1_sys, ex1_pt):
@@ -440,6 +530,7 @@ def test_constructed_census_matches_fraction_oracle(ex1_sys, ex1_pt):
     census = constructed_v_type_census(ex1_sys, ex1_pt, oset, 5)
     with mock.patch.object(separation, "TypeAutomaton", _OracleTypeAutomaton):
         assert census == constructed_v_type_census(ex1_sys, ex1_pt, oset, 5)
+    _assert_witness_order(ex1_sys, ex1_pt, 5, census)
 
 
 #: systems where children of later parents sort before those of earlier
@@ -461,7 +552,22 @@ def test_parent_order_matches_fraction_oracle(sys, label, ex1_pt, ex2_pt):
         [w for _, w in pairs] != sorted(w for _, w in pairs)
         for pairs in ([(k, d.witness) for k, d in level] for level in got)
     )
-    assert convex_type_census(sys, pt, 4) == _oracle_census(sys, pt, 4)
+    census = convex_type_census(sys, pt, 4)
+    assert census == _oracle_census(sys, pt, 4)
+    _assert_witness_order(sys, pt, 4, census)
+    assert wsp_min_displacement(sys, pt, 4) == _oracle_wsp_min_displacement(sys, pt, 4)
+    assert endpoint_separation(sys, pt, 4, F(4, 7)) == _oracle_endpoint_separation(
+        sys, pt, 4, F(4, 7)
+    )
+
+
+def test_wsp_level_minimum_is_first_in_witness_order():
+    # v and -v tie in magnitude; here the pair of the later-discovered one
+    # is the lexicographically smaller witness
+    sys = IfsSystem(2, (AffineExpr(F(1, 2), F(0)), AffineExpr(F(1, 2), F(1)),
+                        AffineExpr(F(0), F(0))))
+    pt = RationalParam(F(2, 5))
+    assert wsp_min_displacement(sys, pt, 4) == _oracle_wsp_min_displacement(sys, pt, 4)
 
 
 @settings(max_examples=50, deadline=None)
@@ -483,6 +589,12 @@ def test_lattice_core_matches_fraction_oracle_random_systems(ex1_pt, sys, levels
     )
     assert _outcome(convex_type_census, sys, pt, levels) == _outcome(
         _oracle_census, sys, pt, levels
+    )
+    assert _outcome(wsp_min_displacement, sys, pt, levels) == _outcome(
+        _oracle_wsp_min_displacement, sys, pt, levels
+    )
+    assert _outcome(endpoint_separation, sys, pt, levels, F(4, 7)) == _outcome(
+        _oracle_endpoint_separation, sys, pt, levels, F(4, 7)
     )
 
 
@@ -603,6 +715,21 @@ def test_short_refiner_undecided_like_the_oracle(which, depth, levels):
     with pytest.raises(Undecided) as expected:
         _oracle_census(sys, _short_point(which, depth), levels)
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("which,depth", [(1, 3), (1, 6), (2, 3), (2, 6)])
+def test_short_refiner_wsp_and_endpoints_undecided_like_the_oracle(which, depth):
+    sys = example_template(which).system
+    outcomes = []
+    for levels in range(1, 8):
+        for fast, oracle, extra in (
+            (wsp_min_displacement, _oracle_wsp_min_displacement, ()),
+            (endpoint_separation, _oracle_endpoint_separation, (F(4, 7),)),
+        ):
+            got = _outcome(fast, sys, _short_point(which, depth), levels, *extra)
+            assert got == _outcome(oracle, sys, _short_point(which, depth), levels, *extra)
+            outcomes.append(got)
+    assert any(isinstance(got, tuple) and got[0] == "undecided" for got in outcomes)
 
 
 # --- distinctness ---------------------------------------------------------------

@@ -252,6 +252,11 @@ def emit(args, report: dict) -> None:
     sys.stdout.write(encode_report(report) + "\n")
 
 
+def emit_results(args, command: str, prop: str, results) -> None:
+    """Write the report envelope of a verifier: its config, property and results."""
+    emit(args, {"config": run_config(args, command), "property": prop, "results": results})
+
+
 def cmd_construct(args) -> int:
     tmpl = resolve_template(args)
     seq, pt = build_point(args, tmpl)
@@ -281,12 +286,7 @@ def cmd_types(args) -> int:
         truncation = args.truncation if args.truncation is not None else args.levels + 2
         open_set = OpenSetApprox(tmpl.system, seed, truncation)
         census = constructed_v_type_census(tmpl.system, pt, open_set, args.levels)
-    report = {
-        "config": run_config(args, "types"),
-        "property": "neighbourhood-types",
-        "results": census.to_json(pt),
-    }
-    emit(args, report)
+    emit_results(args, "types", "neighbourhood-types", census.to_json(pt))
     return EXIT_OK
 
 
@@ -300,12 +300,7 @@ def cmd_wsp(args) -> int:
     tmpl = resolve_template(args)
     seq, pt = build_point(args, tmpl)
     result = wsp_min_displacement(tmpl.system, pt, args.max_level)
-    report = {
-        "config": run_config(args, "wsp"),
-        "property": "weak-separation-minimum",
-        "results": result.to_json(pt),
-    }
-    emit(args, report)
+    emit_results(args, "wsp", "weak-separation-minimum", result.to_json(pt))
     return EXIT_OK
 
 
@@ -314,24 +309,14 @@ def cmd_verify_osc(args) -> int:
     seq, pt = build_point(args, tmpl)
     seed = parse_seed(args.seed) if args.seed else default_seed(tmpl.system)
     result = verify_osc_open_set(tmpl.system, pt, seed, args.depth)
-    report = {
-        "config": run_config(args, "verify-osc"),
-        "property": "open-set-condition",
-        "results": result.to_json(),
-    }
-    emit(args, report)
+    emit_results(args, "verify-osc", "open-set-condition", result.to_json())
     return EXIT_OK if result.passed else EXIT_VIOLATION
 
 
 def cmd_verify_overlaps(args) -> int:
     tmpl = resolve_template(args)
     result = exact_overlap_scan(tmpl.system, args.max_level)
-    report = {
-        "config": run_config(args, "verify-overlaps"),
-        "property": "exact-overlaps",
-        "results": result.to_json(),
-    }
-    emit(args, report)
+    emit_results(args, "verify-overlaps", "exact-overlaps", result.to_json())
     return EXIT_OK
 
 
@@ -340,12 +325,7 @@ def cmd_verify_distinctness(args) -> int:
     seq, pt = build_point(args, tmpl)
     run = run_construction(tmpl, seq, args.levels)
     result = distinctness_check(run, pt)
-    report = {
-        "config": run_config(args, "verify-distinctness"),
-        "property": "scaled-gap-distinctness",
-        "results": result.to_json(pt),
-    }
-    emit(args, report)
+    emit_results(args, "verify-distinctness", "scaled-gap-distinctness", result.to_json(pt))
     return EXIT_OK if result.all_distinct else EXIT_VIOLATION
 
 
@@ -359,12 +339,7 @@ def cmd_verify_endpoints(args) -> int:
         rational_from_str(args.c),
         include_mixed_in_verdict=args.mixed,
     )
-    report = {
-        "config": run_config(args, "verify-endpoints"),
-        "property": "endpoint-separation",
-        "results": result.to_json(pt),
-    }
-    emit(args, report)
+    emit_results(args, "verify-endpoints", "endpoint-separation", result.to_json(pt))
     return EXIT_OK if result.passed else EXIT_VIOLATION
 
 
@@ -385,16 +360,11 @@ def cmd_render(args) -> int:
 def cmd_dimension(args) -> int:
     tmpl = resolve_template(args)
     value = osc_dimension(tmpl.system, args.digits)
-    report = {
-        "config": run_config(args, "dimension"),
-        "property": "similarity-dimension",
-        "results": {
-            "alphabet_size": tmpl.system.alphabet_size,
-            "ratio_denominator": tmpl.system.ratio_denominator,
-            "decimal": value,
-        },
-    }
-    emit(args, report)
+    emit_results(args, "dimension", "similarity-dimension", {
+        "alphabet_size": tmpl.system.alphabet_size,
+        "ratio_denominator": tmpl.system.ratio_denominator,
+        "decimal": value,
+    })
     return EXIT_OK
 
 
@@ -494,10 +464,7 @@ def main(argv=None) -> int:
     except EmptyRefinement as exc:
         sys.stderr.write(f"sepkit: empty refinement: {exc}\n")
         return EXIT_USAGE
-    except Undecided as exc:
-        sys.stderr.write(f"sepkit: undecided: {exc}\n")
-        return EXIT_UNDECIDED
-    except RefinementExhausted as exc:
+    except (Undecided, RefinementExhausted) as exc:
         sys.stderr.write(f"sepkit: undecided: {exc}\n")
         return EXIT_UNDECIDED
     except ValueError as exc:

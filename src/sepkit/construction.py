@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exact import (
+    DEFAULT_SIGN_BUDGET,
     AffineExpr,
     ParamPoint,
     RationalInterval,
@@ -307,7 +308,7 @@ def param_point(
     tmpl: ConstructionTemplate,
     seq: DrivingSequence,
     irrationality_assumed: bool | None = None,
-    budget: int | None = None,
+    budget: int = DEFAULT_SIGN_BUDGET,
 ) -> ParamPoint:
     """The parameter pinned down by a template and a driving sequence.
 
@@ -321,12 +322,8 @@ def param_point(
     """
     engine = RefinementEngine(tmpl, seq)
     assumed = seq.aperiodic if irrationality_assumed is None else irrationality_assumed
-    kwargs = {} if budget is None else {"default_budget": budget}
     return ParamPoint(
-        engine,
-        irrationality_assumed=assumed,
-        label=f"{tmpl.name}+{seq.label}",
-        **kwargs,
+        engine, irrationality_assumed=assumed, label=f"{tmpl.name}+{seq.label}", budget=budget
     )
 
 
@@ -387,6 +384,6 @@ def example_system(which: int) -> IfsSystem:
 
 
 def example_point(which: int, seq: DrivingSequence | None = None,
-                  budget: int | None = None) -> ParamPoint:
+                  budget: int = DEFAULT_SIGN_BUDGET) -> ParamPoint:
     seq = seq or DrivingSequence.thue_morse()
     return param_point(example_template(which), seq, budget=budget)

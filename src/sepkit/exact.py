@@ -17,8 +17,12 @@ its sign is read off the window ends by integer cross-multiplication,
 refining until the form's root falls outside the current window.
 ``sign`` splits an ``AffineExpr`` into those integers; the lattice-based
 searches call ``sign_lattice`` on their integer points directly, without
-building forms.  Decimal output is produced by refining until the image
-interval rounds unambiguously.  No floating point is used anywhere.
+building forms.  Sign and decimal queries walk the chain in one loop,
+``ParamPoint._refine``: it hands the form's integer numerator at each
+window end to the query's test and raises ``Undecided`` when the chain
+or the point's refinement budget runs out.  A decimal is decided once
+the image interval rounds unambiguously.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -66,14 +70,17 @@ def round_decimal(x: Fraction, digits: int) -> str:
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    negative = x < 0
-    y = abs(x) * 10**digits
-    whole, rem = divmod(y.numerator, y.denominator)
-    if 2 * rem > y.denominator or (2 * rem == y.denominator and whole % 2 == 1):
+    return _round_ratio(x.numerator, x.denominator, digits)
+
+
+def _round_ratio(num: int, den: int, digits: int) -> str:
+    """``round_decimal(num/den, digits)`` for ``den > 0``; ``num/den`` need not be reduced."""
+    whole, rem = divmod(abs(num) * 10**digits, den)
+    if 2 * rem > den or (2 * rem == den and whole % 2 == 1):
         whole += 1
     s = str(whole).rjust(digits + 1, "0")
     out = f"{s[:-digits]}.{s[-digits:]}"
-    if negative and out.strip("0.") != "":
+    if num < 0 and out.strip("0.") != "":
         out = "-" + out
     return out
 
@@ -214,14 +221,14 @@ class _ParamBase:
     label: str
     irrationality_assumed: bool
 
-    def sign(self, e: AffineExpr, budget: int | None = None) -> int:
+    def sign(self, e: AffineExpr) -> int:
         raise NotImplementedError
 
-    def sign_lattice(self, P: int, Lp: int, Q: int, Lq: int, budget: int | None = None) -> int:
+    def sign_lattice(self, P: int, Lp: int, Q: int, Lq: int) -> int:
         """Sign of the form ``P/Lp + (Q/Lq)*a`` given by integers, ``Lp``, ``Lq`` > 0."""
         raise NotImplementedError
 
-    def eval_decimal(self, e: AffineExpr, digits: int, budget: int | None = None) -> str:
+    def eval_decimal(self, e: AffineExpr, digits: int) -> str:
         raise NotImplementedError
 
     def canonical_key(self, e: AffineExpr):
@@ -232,14 +239,27 @@ class _ParamBase:
 Param = _ParamBase
 
 
+def _sign_at_ends(f_lo: int, d_lo: int, f_hi: int, d_hi: int) -> int | None:
+    """The sign at a point inside a window whose ends give ``f_lo``, ``f_hi``.
+
+    The window decides unless f(lo) and f(hi) are strictly opposite:
+    the point lies inside every open window, so its sign is then f(lo),
+    or f(hi) when f(lo) is 0.
+    """
+    s_lo = (f_lo > 0) - (f_lo < 0)
+    s_hi = (f_hi > 0) - (f_hi < 0)
+    return (s_lo or s_hi) if s_lo != -s_hi else None
+
+
 class ParamPoint(_ParamBase):
     """A computable real defined by a nested chain of rational windows.
 
     ``refiner`` lazily extends the chain; queries refine only as deep as
-    they need.  When ``irrationality_assumed`` is set, a non-constant
-    affine expression is taken to be nonzero at the point, which makes
-    componentwise identity of (p, q) pairs coincide with equality of
-    values; the flag is recorded, not proven, and can be disabled.
+    they need, and no query refines beyond level ``budget``.  When
+    ``irrationality_assumed`` is set, a non-constant affine expression
+    is taken to be nonzero at the point, which makes componentwise
+    identity of (p, q) pairs coincide with equality of values; the flag
+    is recorded, not proven, and can be disabled.
 
     Refinement is serialized inside the refiner; all cached windows are
     immutable, so concurrent readers always see a consistent prefix of
@@ -251,64 +271,66 @@ class ParamPoint(_ParamBase):
         refiner: Refiner,
         irrationality_assumed: bool = False,
         label: str = "a",
-        default_budget: int = DEFAULT_SIGN_BUDGET,
+        budget: int = DEFAULT_SIGN_BUDGET,
     ):
         self.refiner = refiner
         self.irrationality_assumed = irrationality_assumed
         self.label = label
-        self.default_budget = default_budget
+        self.budget = budget
         self._sign_cache: dict[tuple[int, int, int, int], int] = {}
         self._decimal_cache: dict[tuple[Fraction, Fraction, int], str] = {}
 
     def window(self, level: int) -> RationalInterval:
         return self.refiner.window(level)
 
-    def sign(self, e: AffineExpr, budget: int | None = None) -> int:
-        """Sign of ``e`` at the point, in {-1, 0, +1}; see ``sign_lattice``."""
-        return self.sign_lattice(
-            e.p.numerator, e.p.denominator, e.q.numerator, e.q.denominator, budget
-        )
+    def _refine(self, P: int, Lp: int, Q: int, Lq: int, decide, what: str):
+        """The first answer ``decide(f_lo, d_lo, f_hi, d_hi)`` gives on the window chain.
 
-    def sign_lattice(self, P: int, Lp: int, Q: int, Lq: int, budget: int | None = None) -> int:
-        """Sign of ``P/Lp + (Q/Lq)*a`` at the point, for ``Lp``, ``Lq`` > 0.
-
-        Constant forms are decided immediately.  Otherwise the window
-        chain is refined until the root of the form falls on one side of
-        the whole open window.  At a window end n/d the form has the
-        sign f of P*Lq*d + Q*Lp*n; the window decides unless f(lo) and
-        f(hi) are strictly opposite, and since the point lies inside
-        every open window, its sign is then f(lo), or f(hi) when f(lo)
-        is 0.  Only decided signs are cached.
+        Windows are fetched from the deepest one computed so far.  At a
+        window end n/d the form ``P/Lp + (Q/Lq)*a`` is ``f / (Lp*Lq*d)``
+        with ``f = P*Lq*d + Q*Lp*n``; ``decide`` returns None while the
+        window is too wide to answer.  Raises ``Undecided`` about
+        ``what`` when the chain runs out or the budget is reached.
         """
-        if Q == 0:
-            return (P > 0) - (P < 0)
-        key = (P, Lp, Q, Lq)
-        cached = self._sign_cache.get(key)
-        if cached is not None:
-            return cached
-        budget = self.default_budget if budget is None else budget
         A, B = P * Lq, Q * Lp
         level = max(1, self.refiner.depth)
         while True:
             try:
                 win = self.window(level)
             except RefinementExhausted as exc:
-                raise Undecided(f"sign of {_form(P, Lp, Q, Lq)} undecided", exc.depth) from exc
+                raise Undecided(f"{what} of {_form(P, Lp, Q, Lq)} undecided", exc.depth) from exc
             lo, hi = win.lo, win.hi
-            f_lo = A * lo.denominator + B * lo.numerator
-            f_hi = A * hi.denominator + B * hi.numerator
-            s_lo = (f_lo > 0) - (f_lo < 0)
-            s_hi = (f_hi > 0) - (f_hi < 0)
-            if s_lo != -s_hi:
-                result = self._sign_cache[key] = s_lo or s_hi
-                return result
-            if level >= budget:
+            answer = decide(A * lo.denominator + B * lo.numerator, lo.denominator,
+                            A * hi.denominator + B * hi.numerator, hi.denominator)
+            if answer is not None:
+                return answer
+            if level >= self.budget:
                 raise Undecided(
-                    f"sign of {_form(P, Lp, Q, Lq)} undecided within budget", budget
+                    f"{what} of {_form(P, Lp, Q, Lq)} undecided within budget", self.budget
                 )
             level += 1
 
-    def eval_decimal(self, e: AffineExpr, digits: int, budget: int | None = None) -> str:
+    def sign(self, e: AffineExpr) -> int:
+        """Sign of ``e`` at the point, in {-1, 0, +1}; see ``sign_lattice``."""
+        return self.sign_lattice(e.p.numerator, e.p.denominator, e.q.numerator, e.q.denominator)
+
+    def sign_lattice(self, P: int, Lp: int, Q: int, Lq: int) -> int:
+        """Sign of ``P/Lp + (Q/Lq)*a`` at the point, for ``Lp``, ``Lq`` > 0.
+
+        Constant forms are decided immediately.  Otherwise the window
+        chain is refined until the root of the form falls on one side of
+        the whole open window (see ``_sign_at_ends``).  Only decided
+        signs are cached.
+        """
+        if Q == 0:
+            return (P > 0) - (P < 0)
+        key = (P, Lp, Q, Lq)
+        cached = self._sign_cache.get(key)
+        if cached is None:
+            cached = self._sign_cache[key] = self._refine(P, Lp, Q, Lq, _sign_at_ends, "sign")
+        return cached
+
+    def eval_decimal(self, e: AffineExpr, digits: int) -> str:
         """Correctly rounded decimal value of ``e`` at the point.
 
         Refines until both endpoints of the exact image interval round
@@ -325,23 +347,17 @@ class ParamPoint(_ParamBase):
         cached = self._decimal_cache.get(key)
         if cached is not None:
             return cached
-        budget = self.default_budget if budget is None else budget
-        level = max(1, self.refiner.depth)
-        while True:
-            try:
-                win = self.window(level)
-            except RefinementExhausted as exc:
-                raise Undecided(f"decimal value of {e} undecided", exc.depth) from exc
-            v0, v1 = e.evaluate(win.lo), e.evaluate(win.hi)
-            lo, hi = (v0, v1) if v0 <= v1 else (v1, v0)
-            s_lo = round_decimal(lo, digits)
-            s_hi = round_decimal(hi, digits)
-            if s_lo == s_hi:
-                self._decimal_cache[key] = s_lo
-                return s_lo
-            if level >= budget:
-                raise Undecided(f"decimal value of {e} undecided within budget", budget)
-            level += 1
+        P, Lp, Q, Lq = e.p.numerator, e.p.denominator, e.q.numerator, e.q.denominator
+        L = Lp * Lq
+
+        def rounds_alike(f_lo, d_lo, f_hi, d_hi):
+            s_lo = _round_ratio(f_lo, L * d_lo, digits)
+            return s_lo if s_lo == _round_ratio(f_hi, L * d_hi, digits) else None
+
+        cached = self._decimal_cache[key] = self._refine(
+            P, Lp, Q, Lq, rounds_alike, "decimal value"
+        )
+        return cached
 
     def canonical_key(self, e: AffineExpr):
         """Hashable identity for the value of ``e`` at the point.
@@ -364,38 +380,17 @@ class RationalParam(_ParamBase):
         self.value = Fraction(value)
         self.label = label or f"a={self.value}"
         self.irrationality_assumed = False
-        self.default_budget = DEFAULT_SIGN_BUDGET
 
-    def sign(self, e: AffineExpr, budget: int | None = None) -> int:
+    def sign(self, e: AffineExpr) -> int:
         return self.sign_lattice(e.p.numerator, e.p.denominator, e.q.numerator, e.q.denominator)
 
-    def sign_lattice(self, P: int, Lp: int, Q: int, Lq: int, budget: int | None = None) -> int:
+    def sign_lattice(self, P: int, Lp: int, Q: int, Lq: int) -> int:
         n, d = self.value.numerator, self.value.denominator
         f = P * Lq * d + Q * Lp * n
         return (f > 0) - (f < 0)
 
-    def eval_decimal(self, e: AffineExpr, digits: int, budget: int | None = None) -> str:
+    def eval_decimal(self, e: AffineExpr, digits: int) -> str:
         return round_decimal(e.evaluate(self.value), digits)
 
     def canonical_key(self, e: AffineExpr):
         return e.evaluate(self.value)
-
-
-class StaticRefiner:
-    """Refiner over a precomputed, finite window chain (mostly for tests)."""
-
-    def __init__(self, windows: list[RationalInterval]):
-        if not windows:
-            raise ValueError("need at least one window")
-        self._windows = list(windows)
-
-    @property
-    def depth(self) -> int:
-        return len(self._windows)
-
-    def window(self, level: int) -> RationalInterval:
-        if level < 1:
-            raise ValueError("levels are 1-based")
-        if level > len(self._windows):
-            raise RefinementExhausted(len(self._windows))
-        return self._windows[level - 1]

@@ -43,12 +43,16 @@ class Word:
 
     @staticmethod
     def parse(text: str) -> "Word":
-        """Parse the string form: digit string, or comma-separated symbols."""
+        """Parse the string form: digit string, or comma-separated symbols.
+
+        One trailing comma is allowed; ``str`` writes one after a lone
+        symbol of 10 or more, so that ``"10,"`` is one symbol, not ``1, 0``.
+        """
         text = text.strip()
         if not text:
             return Word()
         if "," in text:
-            return Word([int(part) for part in text.split(",")])
+            return Word([int(part) for part in text.removesuffix(",").split(",")])
         return Word([int(ch) for ch in text])
 
     def __len__(self) -> int:
@@ -65,7 +69,7 @@ class Word:
 
     def __str__(self) -> str:
         if max(self.symbols, default=0) > 9:
-            return ",".join(map(str, self.symbols))
+            return ",".join(map(str, self.symbols)) + ("," if len(self.symbols) == 1 else "")
         return self.symbols.translate(_DIGITS).decode()
 
 

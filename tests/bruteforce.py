@@ -3,24 +3,46 @@
 The oracles for the displacement search and the endpoint check
 enumerate every word pair of one level, so they cost n^(2k) and serve
 only as independent cross-checks at small levels.  The interval, image
-and automaton helpers are what only the tests ask of those types.
+and automaton helpers are what only the tests ask of those types, and
+``StaticRefiner`` gives a point a fixed, finite window chain.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from sepkit import AffineExpr, IfsSystem, Param, RationalInterval, Word, map_at_zero
+from sepkit.exact import RefinementExhausted
 from sepkit.separation import Displacement, DisplacementLattice, TypeAutomaton
 
 
-def compare(pt: Param, e1: AffineExpr, e2: AffineExpr, budget: int | None = None) -> int:
+def compare(pt: Param, e1: AffineExpr, e2: AffineExpr) -> int:
     """Sign of e1 - e2 at the parameter."""
-    return pt.sign(e1 - e2, budget)
+    return pt.sign(e1 - e2)
 
 
-def abs_expr(pt: Param, e: AffineExpr, budget: int | None = None) -> AffineExpr:
+def abs_expr(pt: Param, e: AffineExpr) -> AffineExpr:
     """``e`` or ``-e``, whichever is >= 0 at the parameter."""
-    return -e if pt.sign(e, budget) < 0 else e
+    return -e if pt.sign(e) < 0 else e
+
+
+class StaticRefiner:
+    """Refiner over a precomputed, finite window chain."""
+
+    def __init__(self, windows: list[RationalInterval]):
+        if not windows:
+            raise ValueError("need at least one window")
+        self._windows = list(windows)
+
+    @property
+    def depth(self) -> int:
+        return len(self._windows)
+
+    def window(self, level: int) -> RationalInterval:
+        if level < 1:
+            raise ValueError("levels are 1-based")
+        if level > len(self._windows):
+            raise RefinementExhausted(len(self._windows))
+        return self._windows[level - 1]
 
 
 @dataclass(frozen=True, order=True)
@@ -35,7 +57,7 @@ class TupleWord:
         if not text:
             return TupleWord()
         if "," in text:
-            return TupleWord(tuple(int(part) for part in text.split(",")))
+            return TupleWord(tuple(int(part) for part in text.removesuffix(",").split(",")))
         return TupleWord(tuple(int(ch) for ch in text))
 
     def __len__(self) -> int:
@@ -51,8 +73,9 @@ class TupleWord:
         return TupleWord(self.symbols + (symbol,))
 
     def __str__(self) -> str:
-        sep = "," if max(self.symbols, default=0) > 9 else ""
-        return sep.join(map(str, self.symbols))
+        if max(self.symbols, default=0) > 9:
+            return ",".join(map(str, self.symbols)) + ("," if len(self.symbols) == 1 else "")
+        return "".join(map(str, self.symbols))
 
 
 def midpoint(interval: RationalInterval) -> Fraction:

@@ -1,13 +1,34 @@
 import json
 import re
+import shlex
+from pathlib import Path
 
 from sepkit.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of each ``sepkit`` line in the shell block under README's CLI heading."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("sepkit ")]
+
+
+def test_readme_cli_commands_run(capsys, tmp_path):
+    commands = readme_commands()
+    assert len(commands) == 11
+    for argv in commands:
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(tmp_path)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def test_construct_prints_decimal(capsys):

@@ -14,9 +14,9 @@ from sepkit import (
     round_decimal,
     solve_affine_band,
 )
-from sepkit.exact import RefinementExhausted, StaticRefiner
+from sepkit.exact import DEFAULT_SIGN_BUDGET, RefinementExhausted
 
-from bruteforce import abs_expr, affine_bounds, compare, contains, midpoint
+from bruteforce import StaticRefiner, abs_expr, affine_bounds, compare, contains, midpoint
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 affines = st.builds(AffineExpr, rationals, rationals)
@@ -129,10 +129,10 @@ def test_sign_undecided_on_budget(ex1_template, tm):
         pt.sign(AffineExpr(-midpoint(win), F(1)))
 
 
-# --- the integer sign test against the Fraction-root window walk --------------
+# --- the integer window walk against the Fraction window walks ----------------
 
 
-def _reference_sign(pt, e, budget=None):
+def _reference_sign(pt, e):
     """The window walk ``ParamPoint.sign`` used before its integer test.
 
     It builds the root of ``e`` as a Fraction and decides when a whole
@@ -140,7 +140,7 @@ def _reference_sign(pt, e, budget=None):
     """
     if e.q == 0:
         return (e.p > 0) - (e.p < 0)
-    budget = pt.default_budget if budget is None else budget
+    budget = pt.budget
     rho = -e.p / e.q
     qsign = 1 if e.q > 0 else -1
     level = max(1, pt.refiner.depth)
@@ -155,6 +155,30 @@ def _reference_sign(pt, e, budget=None):
             return qsign
         if level >= budget:
             raise Undecided(f"sign of {e} undecided within budget", budget)
+        level += 1
+
+
+def _reference_decimal(pt, e, digits):
+    """The window walk ``ParamPoint.eval_decimal`` used before the shared loop.
+
+    It evaluates ``e`` as a Fraction at both ends of each window and
+    decides when the two round alike; nothing is cached.
+    """
+    if e.q == 0:
+        return round_decimal(e.p, digits)
+    level = max(1, pt.refiner.depth)
+    while True:
+        try:
+            win = pt.window(level)
+        except RefinementExhausted as exc:
+            raise Undecided(f"decimal value of {e} undecided", exc.depth) from exc
+        v0, v1 = e.evaluate(win.lo), e.evaluate(win.hi)
+        lo, hi = (v0, v1) if v0 <= v1 else (v1, v0)
+        s_lo = round_decimal(lo, digits)
+        if s_lo == round_decimal(hi, digits):
+            return s_lo
+        if level >= pt.budget:
+            raise Undecided(f"decimal value of {e} undecided within budget", pt.budget)
         level += 1
 
 
@@ -174,7 +198,7 @@ class _GrowingRefiner:
 
 def _outcome(call, *args):
     try:
-        return ("sign", call(*args))
+        return ("decided", call(*args))
     except Undecided as exc:
         return ("undecided", str(exc), exc.depth)
 
@@ -205,16 +229,28 @@ def sign_cases(draw):
 @given(sign_cases(), st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))
 def test_integer_sign_matches_the_fraction_root_walk(case, budget, kp, kq):
     windows, e = case
-    expected = _outcome(_reference_sign, ParamPoint(_GrowingRefiner(windows)), e, budget)
-    assert _outcome(ParamPoint(_GrowingRefiner(windows)).sign, e, budget) == expected
+    expected = _outcome(_reference_sign, ParamPoint(_GrowingRefiner(windows), budget=budget), e)
+    assert _outcome(ParamPoint(_GrowingRefiner(windows), budget=budget).sign, e) == expected
     # the same form given by integers that are not in lowest terms
     scaled = (e.p.numerator * kp, e.p.denominator * kp, e.q.numerator * kq, e.q.denominator * kq)
-    pt = ParamPoint(_GrowingRefiner(windows))
-    assert _outcome(pt.sign_lattice, *scaled, budget) == expected
+    pt = ParamPoint(_GrowingRefiner(windows), budget=budget)
+    assert _outcome(pt.sign_lattice, *scaled) == expected
     # a decided sign of a non-constant form is remembered, an undecided
     # one is asked again
-    assert _outcome(pt.sign_lattice, *scaled, budget) == expected
-    assert (scaled in pt._sign_cache) == (e.q != 0 and expected[0] == "sign")
+    assert _outcome(pt.sign_lattice, *scaled) == expected
+    assert (scaled in pt._sign_cache) == (e.q != 0 and expected[0] == "decided")
+
+
+@given(sign_cases(), st.integers(1, 12), st.integers(1, 6))
+def test_integer_decimal_matches_the_fraction_window_walk(case, digits, budget):
+    windows, e = case
+    expected = _outcome(
+        _reference_decimal, ParamPoint(_GrowingRefiner(windows), budget=budget), e, digits
+    )
+    pt = ParamPoint(_GrowingRefiner(windows), budget=budget)
+    assert _outcome(pt.eval_decimal, e, digits) == expected
+    # asked again on the deeper chain: the remembered answer, or the same failure
+    assert _outcome(pt.eval_decimal, e, digits) == expected
 
 
 @given(rationals, rationals, st.integers(1, 6), st.booleans())
@@ -252,15 +288,43 @@ def test_undecided_sign_is_not_cached(ex1_template, tm):
     from sepkit import param_point
 
     e = AffineExpr(-midpoint(param_point(ex1_template, tm).window(30)), F(1))
-    pt = param_point(ex1_template, tm)
+    pt = param_point(ex1_template, tm, budget=3)
     with pytest.raises(Undecided) as first:
-        pt.sign(e, budget=3)
+        pt.sign(e)
     assert not pt._sign_cache
     # nothing was remembered, so the same budget fails the same way again
     with pytest.raises(Undecided) as again:
-        pt.sign(e, budget=3)
+        pt.sign(e)
     assert str(again.value) == str(first.value)
+    pt.budget = DEFAULT_SIGN_BUDGET
     assert pt.sign(e) == param_point(ex1_template, tm).sign(e)
+
+
+def test_sign_and_decimal_misses_fetch_windows_through_window(ex1_template, tm, monkeypatch):
+    # the benchmark tracer counts window fetches by patching ParamPoint.window
+    from sepkit import param_point
+
+    e = AffineExpr(-midpoint(param_point(ex1_template, tm).window(12)), F(1))
+    fetched = []
+    window = ParamPoint.window
+
+    def counted(self, level):
+        fetched.append(level)
+        return window(self, level)
+
+    monkeypatch.setattr(ParamPoint, "window", counted)
+    pt = param_point(ex1_template, tm)
+    pt.sign(e)
+    assert len(fetched) > 1 and fetched == list(range(1, len(fetched) + 1))
+    # a decimal miss starts at the deepest window computed so far
+    deepest = fetched[-1]
+    fetched.clear()
+    pt.eval_decimal(AffineExpr.parameter(7), 20)
+    assert len(fetched) > 1 and fetched == list(range(deepest, deepest + len(fetched)))
+    fetched.clear()
+    fresh = param_point(ex1_template, tm)
+    fresh.eval_decimal(AffineExpr.parameter(7), 20)
+    assert len(fetched) > 1 and fetched == list(range(1, len(fetched) + 1))
 
 
 # --- decimal evaluation -----------------------------------------------------
@@ -304,10 +368,12 @@ def test_eval_decimal_memo_matches_fresh_points(ex1_template, tm):
 def test_eval_decimal_undecided_is_not_remembered(ex1_template, tm):
     from sepkit import param_point
 
-    pt = param_point(ex1_template, tm)
+    pt = param_point(ex1_template, tm, budget=2)
     seven_a = AffineExpr.parameter(7)
     with pytest.raises(Undecided):
-        pt.eval_decimal(seven_a, 40, budget=2)
+        pt.eval_decimal(seven_a, 40)
+    assert not pt._decimal_cache
+    pt.budget = DEFAULT_SIGN_BUDGET
     assert pt.eval_decimal(seven_a, 40) == param_point(ex1_template, tm).eval_decimal(
         seven_a, 40
     )

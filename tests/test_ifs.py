@@ -24,11 +24,18 @@ def test_word_parse_and_str():
     assert len(Word.parse("132")) == 3
 
 
+def test_word_with_one_wide_symbol_round_trips():
+    assert str(Word.of(12)) == "12,"
+    assert Word.parse(str(Word.of(12))) == Word.of(12)
+    assert Word.parse("12") == Word.of(1, 2)
+    assert Word.parse("1,12,") == Word.of(1, 12)
+
+
 @pytest.mark.parametrize("symbols,text", [
     ((), ""),
     ((7,), "7"),
     ((1, 2, 3, 9, 1), "12391"),
-    ((10,), "10"),
+    ((10,), "10,"),
     ((9, 10), "9,10"),
     ((3, 123, 1), "3,123,1"),
 ])
@@ -38,10 +45,12 @@ def test_word_str(symbols, text):
 
 @given(st.lists(st.integers(1, 40), max_size=8))
 def test_word_str_matches_the_symbol_form(symbols):
-    # digits run together unless some symbol needs two or more of them
+    # digits run together unless some symbol needs two or more of them;
+    # a lone such symbol is followed by a comma
     word = Word(tuple(symbols))
     if any(s > 9 for s in symbols):
-        assert str(word) == ",".join(str(s) for s in symbols)
+        tail = "," if len(symbols) == 1 else ""
+        assert str(word) == ",".join(str(s) for s in symbols) + tail
     else:
         assert str(word) == "".join(str(s) for s in symbols)
 
@@ -79,9 +88,7 @@ def test_word_matches_the_tuple_reference(a, b, symbol):
     assert list(wa) == list(ra)
     assert str(wa) == str(ra)
     assert Word.parse(str(wa)).symbols == bytes(TupleWord.parse(str(ra)).symbols)
-    if len(a) != 1 or a[0] <= 9:
-        # a lone symbol of 10 or more prints without a comma, as its digits
-        assert Word.parse(str(wa)) == wa
+    assert Word.parse(str(wa)) == wa
     assert Word.of(*a) == wa
 
 

@@ -22,10 +22,12 @@ from sepkit import (
 )
 from sepkit import ifs as ifs_module
 from sepkit import openset as openset_module
-from sepkit.exact import AFFINE_ZERO, StaticRefiner
+from sepkit.exact import AFFINE_ZERO
 from sepkit.ifs import EMPTY_WORD
 from sepkit.openset import MATERIALIZE_LIMIT, containment_identity_holds
 from sepkit.separation import displacement_levels
+
+from bruteforce import StaticRefiner
 
 SEED1 = RationalInterval.make(F(3, 7), F(4, 7))
 SEED2 = RationalInterval.make(F(7, 16), F(8, 16))

@@ -33,7 +33,6 @@ from sepkit import (
 )
 from sepkit import separation
 from sepkit.construction import PERIODIC_WARNING
-from sepkit.exact import StaticRefiner
 from sepkit.separation import (
     Displacement,
     EndpointBucket,
@@ -50,6 +49,7 @@ from bruteforce import (
     brute_force_displacements,
     compare,
     endpoint_separation_bruteforce,
+    StaticRefiner,
     word_type,
 )
 
@@ -610,16 +610,16 @@ class _CountingParam(Param):
         self.irrationality_assumed = inner.irrationality_assumed
         self.queries = Counter()
 
-    def sign(self, e, budget=None):
+    def sign(self, e):
         self.queries[(e.p, e.q)] += 1
-        return self.inner.sign(e, budget)
+        return self.inner.sign(e)
 
-    def sign_lattice(self, P, Lp, Q, Lq, budget=None):
+    def sign_lattice(self, P, Lp, Q, Lq):
         self.queries[(F(P, Lp), F(Q, Lq))] += 1
-        return self.inner.sign_lattice(P, Lp, Q, Lq, budget)
+        return self.inner.sign_lattice(P, Lp, Q, Lq)
 
-    def eval_decimal(self, e, digits, budget=None):
-        return self.inner.eval_decimal(e, digits, budget)
+    def eval_decimal(self, e, digits):
+        return self.inner.eval_decimal(e, digits)
 
     def canonical_key(self, e):
         return self.inner.canonical_key(e)

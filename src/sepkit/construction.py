@@ -5,15 +5,19 @@ overlapping: writing ``gap = S_right(0) - S_left(0)``, the level-n state
 is valid on the open parameter window where ``0 < gap < m^-n``.  Each
 step appends one symbol to both words (optionally swapping their roles
 first) and shrinks the window to the exact solution set of the next
-overlap inequality.  Driving the binary choice of step with an aperiodic
-sequence pins the window chain down to a single parameter value, which
-is exposed as a :class:`~sepkit.exact.ParamPoint`.
+overlap inequality.  The step runs on the system's integer displacement
+lattice (:class:`~sepkit.separation.DisplacementLattice`): the scaled
+gap ``m^n * gap`` follows the displacement recursion, and the window
+ends are compared by integer cross-multiplication.  Driving the binary
+choice of step with an aperiodic sequence pins the window chain down to
+a single parameter value, which is exposed as a
+:class:`~sepkit.exact.ParamPoint`.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .exact import (
@@ -25,6 +29,7 @@ from .exact import (
     solve_affine_band,
 )
 from .ifs import IfsSystem, Word, map_at_zero
+from .separation import DisplacementLattice
 
 PERIODIC_WARNING = (
     "driving sequence is eventually periodic: the singleton-intersection and "
@@ -136,7 +141,10 @@ class ConstructionState:
     ``gap`` is the affine form S_right(0) - S_left(0); on ``window`` it
     takes values in (0, m^-level), which is exactly the condition that
     the two cylinders overlap with the right one's origin inside the
-    left one.
+    left one.  ``point`` is the scaled gap m^level * gap as a point
+    (P, Q) of the system's displacement ``lattice``, the form that
+    :func:`refine_step` steps on; states built by ``initial_state`` and
+    ``refine_step`` always hold both, and neither takes part in ``==``.
     """
 
     level: int
@@ -145,10 +153,16 @@ class ConstructionState:
     window: RationalInterval
     gap: AffineExpr
     choice: str | None = None
+    point: tuple[int, int] | None = field(default=None, compare=False, repr=False)
+    lattice: DisplacementLattice | None = field(default=None, compare=False, repr=False)
 
     def scaled_gap(self, m: int) -> AffineExpr:
-        """m^level * gap: the normalized displacement of the tracked pair."""
-        return self.gap.scale(m**self.level)
+        """m^level * gap: the normalized displacement of the tracked pair.
+
+        ``m`` is the system's ratio denominator, which the lattice
+        already holds; the form is read off the lattice point.
+        """
+        return self.lattice.form(self.point)
 
     def to_json(self) -> dict:
         return {
@@ -189,11 +203,14 @@ class ConstructionTemplate:
         if gap.q == 0:
             raise ValueError("initial gap must depend on the parameter")
         level = len(self.initial_left)
-        band = solve_affine_band(gap, 0, Fraction(1, self.system.ratio_denominator**level))
+        scale = self.system.ratio_denominator**level
+        band = solve_affine_band(gap, 0, Fraction(1, scale))
         if band is None or not band.contains_interval(self.initial_window):
             raise ValueError("initial window is not contained in the overlap band")
+        lattice = DisplacementLattice(self.system)
         return ConstructionState(level, self.initial_left, self.initial_right,
-                                 self.initial_window, gap, None)
+                                 self.initial_window, gap, None,
+                                 lattice.point(gap.scale(scale)), lattice)
 
 
 def refine_step(
@@ -201,31 +218,51 @@ def refine_step(
 ) -> ConstructionState:
     """One refinement step: extend both words, solve the next inequality.
 
-    The new window is the old one intersected with the exact solution
-    set of ``0 < gap' < m^-(level+1)``; emptiness means the template
-    does not support the step and raises :class:`EmptyRefinement`.
+    The scaled gap u = m^level * gap steps on the state's displacement
+    lattice, u' = m*(+-u) + m*(d_right - d_left) with the sign flipped
+    on a swap, so no rational arithmetic runs between levels.  The new
+    window is the old one intersected with the exact solution set of
+    ``0 < u' < 1``, that is ``0 < gap' < m^-(level+1)``, compared at the
+    window ends by integer cross-multiplication; only an end that moves
+    and the reported gap are built as ``Fraction``s.  Emptiness means
+    the template does not support the step and raises
+    :class:`EmptyRefinement`.  ``tmpl`` is the template the state came
+    from; the state's lattice already holds its system.
     """
-    sys = tmpl.system
-    m = sys.ratio_denominator
+    lattice = state.lattice
     n = state.level
     left, right = (state.right, state.left) if opt.swap else (state.left, state.right)
     new_left = left.append(opt.append_left)
     new_right = right.append(opt.append_right)
     if new_left.symbols[0] == new_right.symbols[0]:
         raise EmptyRefinement("extended words no longer start with distinct symbols")
-    step = (sys.offset(opt.append_right) - sys.offset(opt.append_left)).scale(
-        Fraction(1, m**n)
-    )
-    gap = (-state.gap if opt.swap else state.gap) + step
-    if gap.q == 0:
+    P, Q = state.point
+    if opt.swap:
+        P, Q = -P, -Q
+    dP, dQ = lattice.step(opt.append_left, opt.append_right)
+    m = lattice.m
+    P, Q = m * P + dP, m * Q + dQ
+    if Q == 0:
         raise EmptyRefinement("gap became constant; cannot solve for the parameter")
-    band = solve_affine_band(gap, 0, Fraction(1, m ** (n + 1)))
-    window = None if band is None else state.window.intersect(band)
-    if window is None:
+    # 0 < P/Lp + (Q/Lq)*a < 1 holds exactly for a strictly between b0/den and b1/den
+    lp, lq = lattice.lp, lattice.lq
+    b0, b1, den = -P * lq, (lp - P) * lq, lp * Q
+    if den < 0:
+        b0, b1, den = -b1, -b0, -den
+    lo, hi = state.window.lo, state.window.hi
+    if b0 * lo.denominator > lo.numerator * den:
+        lo = Fraction(b0, den)
+    if b1 * hi.denominator < hi.numerator * den:
+        hi = Fraction(b1, den)
+    if lo >= hi:
         raise EmptyRefinement(
             f"step from level {n} leaves no parameter window (option {opt})"
         )
-    return ConstructionState(n + 1, new_left, new_right, window, gap, None)
+    scale = m ** (n + 1)
+    gap = AffineExpr(Fraction(P, lp * scale), Fraction(Q, lq * scale))
+    return ConstructionState(
+        n + 1, new_left, new_right, RationalInterval(lo, hi), gap, None, (P, Q), lattice
+    )
 
 
 @dataclass(frozen=True)

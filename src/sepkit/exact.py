@@ -70,19 +70,26 @@ def round_decimal(x: Fraction, digits: int) -> str:
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    return _round_ratio(x.numerator, x.denominator, digits)
+    return _format_scaled(_round_scaled(x.numerator, x.denominator, digits), digits)
 
 
-def _round_ratio(num: int, den: int, digits: int) -> str:
-    """``round_decimal(num/den, digits)`` for ``den > 0``; ``num/den`` need not be reduced."""
+def _round_scaled(num: int, den: int, digits: int) -> int:
+    """``num/den * 10^digits`` rounded half-to-even, for ``den > 0``.
+
+    ``num/den`` need not be reduced.  The result determines ``round_decimal(num/den, digits)``: a
+    negative value is printed with a minus sign, and a value that
+    rounds to 0 without one.
+    """
     whole, rem = divmod(abs(num) * 10**digits, den)
     if 2 * rem > den or (2 * rem == den and whole % 2 == 1):
         whole += 1
-    s = str(whole).rjust(digits + 1, "0")
-    out = f"{s[:-digits]}.{s[-digits:]}"
-    if num < 0 and out.strip("0.") != "":
-        out = "-" + out
-    return out
+    return -whole if num < 0 else whole
+
+
+def _format_scaled(scaled: int, digits: int) -> str:
+    """The decimal string of ``scaled / 10^digits`` with ``digits`` fractional digits."""
+    s = str(abs(scaled)).rjust(digits + 1, "0")
+    return f"{'-' if scaled < 0 else ''}{s[:-digits]}.{s[-digits:]}"
 
 
 @dataclass(frozen=True)
@@ -334,9 +341,10 @@ class ParamPoint(_ParamBase):
         """Correctly rounded decimal value of ``e`` at the point.
 
         Refines until both endpoints of the exact image interval round
-        to the same string, which that of the enclosed true value then
-        must equal.  The windows nest, so every deeper window rounds to
-        that string as well; a remembered answer is what a fresh call
+        to the same signed integer multiple of ``10^-digits``, which that
+        of the enclosed true value then must equal; only that answer is
+        formatted as a string.  The windows nest, so every deeper window
+        rounds to it as well; a remembered answer is what a fresh call
         would return, and only answers are remembered.
         """
         if digits < 1:
@@ -351,12 +359,11 @@ class ParamPoint(_ParamBase):
         L = Lp * Lq
 
         def rounds_alike(f_lo, d_lo, f_hi, d_hi):
-            s_lo = _round_ratio(f_lo, L * d_lo, digits)
-            return s_lo if s_lo == _round_ratio(f_hi, L * d_hi, digits) else None
+            r_lo = _round_scaled(f_lo, L * d_lo, digits)
+            return r_lo if r_lo == _round_scaled(f_hi, L * d_hi, digits) else None
 
-        cached = self._decimal_cache[key] = self._refine(
-            P, Lp, Q, Lq, rounds_alike, "decimal value"
-        )
+        scaled = self._refine(P, Lp, Q, Lq, rounds_alike, "decimal value")
+        cached = self._decimal_cache[key] = _format_scaled(scaled, digits)
         return cached
 
     def canonical_key(self, e: AffineExpr):

@@ -60,6 +60,15 @@ class DisplacementLattice:
             for j in sys.symbols
         ]
 
+    def step(self, i: int, j: int) -> tuple[int, int]:
+        """The integer step (dP, dQ) of appending symbols (i, j)."""
+        n = len(self.ps)
+        for symbol in (i, j):
+            if not 1 <= symbol <= n:
+                raise ValueError(f"symbol {symbol} out of range 1..{n}")
+        _, _, dp, dq = self.steps[(i - 1) * n + j - 1]
+        return dp, dq
+
     def form(self, point: tuple[int, int]) -> AffineExpr:
         """The exact displacement a lattice point stands for."""
         return AffineExpr(Fraction(point[0], self.lp), Fraction(point[1], self.lq))
@@ -619,28 +628,36 @@ def distinctness_check(run, pt: Param) -> DistinctnessReport:
 
     A collision between two levels would certify that the option
     choices repeat with a fixed period from those levels on, i.e. the
-    driving sequence is eventually periodic.  Distinct componentwise
-    forms are distinct as numbers whenever the parameter is irrational;
-    without that flag the sign oracle must separate them, and pairs it
-    cannot separate within budget are reported as undecided together
-    with the candidate collision value.
+    driving sequence is eventually periodic.  Where values have exact
+    identities -- a flagged point, whose distinct componentwise forms
+    are distinct numbers, or a rational one, which evaluates them --
+    the gaps are grouped by ``canonical_key`` and every pair within a
+    group collides.  Without that flag the sign oracle must separate
+    each pair, and pairs it cannot separate within budget are reported
+    as undecided together with the candidate collision value.
     """
     m = run.template.system.ratio_denominator
     states = run.states
     levels = tuple(s.level for s in states)
     gaps = tuple(s.scaled_gap(m) for s in states)
+    if pt.irrationality_assumed or isinstance(pt, RationalParam):
+        groups: dict = {}
+        for n, u in zip(levels, gaps):
+            groups.setdefault(pt.canonical_key(u), []).append(n)
+        collisions = sorted(
+            (a, b)
+            for group in groups.values()
+            for k, a in enumerate(group)
+            for b in group[k + 1:]
+        )
+        return DistinctnessReport(levels, gaps, tuple(collisions), (), run.warnings)
     collisions = []
     undecided = []
-    trusted = pt.irrationality_assumed or isinstance(pt, RationalParam)
     for a in range(len(gaps)):
         for b in range(a + 1, len(gaps)):
             diff = gaps[a] - gaps[b]
             if diff.p == 0 and diff.q == 0:
                 collisions.append((levels[a], levels[b]))
-                continue
-            if trusted:
-                if pt.sign(diff) == 0:
-                    collisions.append((levels[a], levels[b]))
                 continue
             try:
                 if pt.sign(diff) == 0:

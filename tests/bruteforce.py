@@ -11,7 +11,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from sepkit import AffineExpr, IfsSystem, Param, RationalInterval, Word, map_at_zero
-from sepkit.exact import RefinementExhausted
+from sepkit.construction import (
+    ConstructionState,
+    ConstructionTemplate,
+    EmptyRefinement,
+    RefinementOption,
+)
+from sepkit.exact import RefinementExhausted, solve_affine_band
 from sepkit.separation import Displacement, DisplacementLattice, TypeAutomaton
 
 
@@ -43,6 +49,38 @@ class StaticRefiner:
         if level > len(self._windows):
             raise RefinementExhausted(len(self._windows))
         return self._windows[level - 1]
+
+
+def refine_step_fractions(
+    state: ConstructionState, opt: RefinementOption, tmpl: ConstructionTemplate
+) -> ConstructionState:
+    """One refinement step on the unscaled gap in ``Fraction`` arithmetic.
+
+    The new window is the old one intersected with the exact solution
+    set of ``0 < gap' < m^-(level+1)``.  The returned state holds no
+    lattice point; only the fields ``==`` compares are set.
+    """
+    sys = tmpl.system
+    m = sys.ratio_denominator
+    n = state.level
+    left, right = (state.right, state.left) if opt.swap else (state.left, state.right)
+    new_left = left.append(opt.append_left)
+    new_right = right.append(opt.append_right)
+    if new_left.symbols[0] == new_right.symbols[0]:
+        raise EmptyRefinement("extended words no longer start with distinct symbols")
+    step = (sys.offset(opt.append_right) - sys.offset(opt.append_left)).scale(
+        Fraction(1, m**n)
+    )
+    gap = (-state.gap if opt.swap else state.gap) + step
+    if gap.q == 0:
+        raise EmptyRefinement("gap became constant; cannot solve for the parameter")
+    band = solve_affine_band(gap, 0, Fraction(1, m ** (n + 1)))
+    window = None if band is None else state.window.intersect(band)
+    if window is None:
+        raise EmptyRefinement(
+            f"step from level {n} leaves no parameter window (option {opt})"
+        )
+    return ConstructionState(n + 1, new_left, new_right, window, gap)
 
 
 @dataclass(frozen=True, order=True)

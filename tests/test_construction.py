@@ -1,12 +1,16 @@
+import json
+from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sepkit import (
     AffineExpr,
     DrivingSequence,
     EmptyRefinement,
+    IfsSystem,
     RationalInterval,
     Undecided,
     Word,
@@ -18,9 +22,17 @@ from sepkit import (
     run_construction,
     thue_morse_bit,
 )
-from sepkit.construction import PERIODIC_WARNING, RefinementOption
+from sepkit.cli import load_template
+from sepkit.construction import (
+    PERIODIC_WARNING,
+    ConstructionTemplate,
+    RefinementEngine,
+    RefinementOption,
+)
 
-from bruteforce import strictly_inside
+from bruteforce import refine_step_fractions, strictly_inside
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # fixed, recorded 64-bit driving prefix for the construction invariants
 RECORDED_PREFIX = format(0xC96C5795D7870F42, "064b")
@@ -221,3 +233,80 @@ def test_initial_state_validation():
     )
     with pytest.raises(ValueError):
         bad.initial_state()
+
+
+def _fractional_template() -> ConstructionTemplate:
+    """Example 1's options on offsets (0, a/2, 6/7 - a/3): the lattice has Lq = 6."""
+    sys = IfsSystem(
+        7,
+        (
+            AffineExpr.constant(0),
+            AffineExpr.parameter(F(1, 2)),
+            AffineExpr(F(6, 7), F(-1, 3)),
+        ),
+        name="fractional",
+    )
+    ex1 = example_template(1)
+    return replace(ex1, system=sys, initial_window=RationalInterval.make(0, F(2, 7)),
+                   name="fractional")
+
+
+@pytest.fixture(scope="module")
+def lattice_step_templates(tmp_path_factory):
+    """Templates whose chains the lattice step must reproduce.
+
+    Both examples, README's "sevenths" template file, and the
+    fractional one, whose parameter parts are not integers; then
+    three that fail: two leave no window at varying levels, and one
+    makes the gap constant after its first step (16a - 16a).
+    """
+    block = README.read_text().split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block)["name"] == "sevenths"
+    path = tmp_path_factory.mktemp("template") / "sevenths.json"
+    path.write_text(block)
+    ex1, ex2, fractional = example_template(1), example_template(2), _fractional_template()
+    assert fractional.initial_state().lattice.lq == 6
+    return [
+        ex1,
+        ex2,
+        load_template(str(path)),
+        fractional,
+        replace(ex1, option2=RefinementOption(swap=True, append_left=1, append_right=2)),
+        replace(fractional, option1=RefinementOption(swap=False, append_left=1, append_right=2)),
+        replace(ex2, fixed_prefix=(),
+                option2=RefinementOption(swap=False, append_left=1, append_right=3)),
+    ]
+
+
+def _fraction_chain(tmpl: ConstructionTemplate, bits: str):
+    """The reference states of a bit prefix and the message of the step that failed, if any."""
+    opts = [*tmpl.fixed_prefix, *(tmpl.option2 if b == "1" else tmpl.option1 for b in bits)]
+    states = [tmpl.initial_state()]
+    try:
+        for opt in opts:
+            states.append(refine_step_fractions(states[-1], opt, tmpl))
+    except EmptyRefinement as exc:
+        return states, str(exc)
+    return states, None
+
+
+@settings(max_examples=120, deadline=None)
+@given(which=st.integers(0, 6), length=st.integers(0, 200), value=st.integers(0, 2**200 - 1))
+def test_lattice_step_matches_fraction_step(lattice_step_templates, which, length, value):
+    tmpl = lattice_step_templates[which]
+    bits = format(value, "0200b")[:length]
+    m = tmpl.system.ratio_denominator
+    expected, expected_error = _fraction_chain(tmpl, bits)
+    engine = RefinementEngine(tmpl, DrivingSequence.from_bits(bits))
+    error = None
+    try:
+        engine.states_up_to(expected[0].level + len(tmpl.fixed_prefix) + len(bits))
+    except EmptyRefinement as exc:
+        error = str(exc)
+    states = engine.states_up_to(engine.depth)
+    assert error == expected_error
+    assert [(s.level, s.left, s.right, s.window, s.gap) for s in states] == [
+        (s.level, s.left, s.right, s.window, s.gap) for s in expected
+    ]
+    for state in states:
+        assert state.scaled_gap(m) == state.gap.scale(m**state.level)

@@ -5,7 +5,9 @@ from the recorded benchmark baseline (seed 1, with the driving sequence
 drawn there); the ids are its request ids.  ``ORACLE_GOLDEN`` holds the
 requests that run the overlap oracle, ``GOLDEN`` the census, WSP,
 construction, distinctness, dimension, overlap-scan and endpoint
-requests, and two deep WSP requests beyond the benchmark.  The code
+requests, and deep requests beyond the benchmark: two WSP runs, two
+long constructions and distinctness at 150 levels, on both the
+grouped (flagged point) and the pairwise (unflagged) path.  The code
 behind them may change; their reports may not.  A declared output
 change updates the digests here.  The three requests
 the benchmark marks as known defects (the periodic census and WSP, and
@@ -143,6 +145,33 @@ GOLDEN = [
         0,
         "11e370eefc24d8b3c98860a1b3718aec7512f88b1e7bdf4921d0a1f5d97d1c14",
         id="wsp-ex2-300",
+    ),
+    pytest.param(
+        ["construct", "--example", "1", "--depth", "600", "--digits", "10",
+         "--oracle-budget", "5000", "--json"],
+        0,
+        "a0bcf06ca182c5ab41bbc661a18be4219d3b0dbbf2c6a8bef738efe72ef59019",
+        id="construct-ex1-600",
+    ),
+    pytest.param(
+        ["construct", "--example", "2", "--depth", "300", "--digits", "200",
+         "--oracle-budget", "5000", "--json"],
+        0,
+        "a3e479457c74b2600d75c6dd260e5a5f34688f55d4dda7805155e224c7168461",
+        id="construct-ex2-300",
+    ),
+    pytest.param(
+        ["verify", "distinctness", "--example", "1", "--levels", "150"],
+        0,
+        "aea68cf6b845fb0f94f17ab9001fa843c87671f6159512834f37eb1ecdcef80d",
+        id="distinct-ex1-150",
+    ),
+    pytest.param(
+        ["verify", "distinctness", "--example", "1", "--levels", "150",
+         "--sequence", "periodic:01"],
+        1,
+        "48f8c8fbf1846238d9641ae95b71324b761137d63acd69064dbad9baf4e3eba0",
+        id="distinct-periodic-150",
     ),
 ]
 

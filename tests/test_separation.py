@@ -27,6 +27,7 @@ from sepkit import (
     example_template,
     map_at_zero,
     osc_dimension,
+    param_point,
     run_construction,
     translation_amount,
     wsp_min_displacement,
@@ -745,12 +746,32 @@ def test_distinctness_thue_morse(ex1_template, ex1_pt, tm):
 
 def test_distinctness_periodic_flagged(ex1_template):
     seq = DrivingSequence.periodic("01")
-    from sepkit import param_point
-
     pt = param_point(ex1_template, seq)
     run = run_construction(ex1_template, seq, 8)
     report = distinctness_check(run, pt)
     assert PERIODIC_WARNING in report.warnings
+
+
+def test_distinctness_groups_like_pairwise_signs(ex1_template):
+    # at the periodic:01 limit the scaled gaps alternate between two values
+    run = run_construction(ex1_template, DrivingSequence.periodic("01"), 12)
+    pt = RationalParam(F(16, 119))
+    expected = tuple(
+        (s.level, t.level)
+        for k, s in enumerate(run.states)
+        for t in run.states[k + 1:]
+        if pt.sign(s.scaled_gap(7) - t.scaled_gap(7)) == 0
+    )
+    assert len(expected) == 30
+    assert distinctness_check(run, pt).collisions == expected
+
+
+def test_distinctness_at_a_flagged_point_asks_no_sign(ex1_template, tm):
+    pt = param_point(ex1_template, tm)
+    run = run_construction(ex1_template, tm, 40)
+    with mock.patch.object(pt, "sign", side_effect=AssertionError("sign query")):
+        report = distinctness_check(run, pt)
+    assert report.all_distinct
 
 
 def test_distinctness_excludes_self_pairs(ex1_template, ex1_pt, tm):

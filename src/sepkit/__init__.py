@@ -12,7 +12,6 @@ from .exact import (
     rational_from_str,
     rational_to_str,
     round_decimal,
-    solve_affine_band,
 )
 from .ifs import (
     Cylinder,

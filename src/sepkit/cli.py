@@ -20,6 +20,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .construction import (
+    PERIODIC_WARNING,
     ConstructionTemplate,
     DrivingSequence,
     EmptyRefinement,
@@ -286,7 +287,10 @@ def cmd_types(args) -> int:
         truncation = args.truncation if args.truncation is not None else args.levels + 2
         open_set = OpenSetApprox(tmpl.system, seed, truncation)
         census = constructed_v_type_census(tmpl.system, pt, open_set, args.levels)
-    emit_results(args, "types", "neighbourhood-types", census.to_json(pt))
+    report = census.to_json(pt)
+    if seq.kind == "periodic":
+        report["caveats"].append(PERIODIC_WARNING)
+    emit_results(args, "types", "neighbourhood-types", report)
     return EXIT_OK
 
 

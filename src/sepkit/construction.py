@@ -5,19 +5,21 @@ overlapping: writing ``gap = S_right(0) - S_left(0)``, the level-n state
 is valid on the open parameter window where ``0 < gap < m^-n``.  Each
 step appends one symbol to both words (optionally swapping their roles
 first) and shrinks the window to the exact solution set of the next
-overlap inequality.  The step runs on the system's integer displacement
-lattice (:class:`~sepkit.separation.DisplacementLattice`): the scaled
-gap ``m^n * gap`` follows the displacement recursion, and the window
-ends are compared by integer cross-multiplication.  Driving the binary
-choice of step with an aperiodic sequence pins the window chain down to
-a single parameter value, which is exposed as a
+overlap inequality.  A state holds the gap only as the scaled gap
+``m^n * gap``, a point of the system's integer displacement lattice
+(:class:`~sepkit.separation.DisplacementLattice`): it follows the
+displacement recursion from level to level, and the window ends are
+compared with the band ``0 < m^n * gap < 1`` by integer
+cross-multiplication, at the first level and at every step alike.
+Driving the binary choice of step with an aperiodic sequence pins the
+window chain down to a single parameter value, which is exposed as a
 :class:`~sepkit.exact.ParamPoint`.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import (
@@ -26,9 +28,8 @@ from .exact import (
     ParamPoint,
     RationalInterval,
     RefinementExhausted,
-    solve_affine_band,
 )
-from .ifs import IfsSystem, Word, map_at_zero
+from .ifs import IfsSystem, Word, translation_amount
 from .separation import DisplacementLattice
 
 PERIODIC_WARNING = (
@@ -138,31 +139,30 @@ class RefinementOption:
 class ConstructionState:
     """Level-n snapshot of the refinement.
 
-    ``gap`` is the affine form S_right(0) - S_left(0); on ``window`` it
-    takes values in (0, m^-level), which is exactly the condition that
-    the two cylinders overlap with the right one's origin inside the
-    left one.  ``point`` is the scaled gap m^level * gap as a point
-    (P, Q) of the system's displacement ``lattice``, the form that
-    :func:`refine_step` steps on; states built by ``initial_state`` and
-    ``refine_step`` always hold both, and neither takes part in ``==``.
+    ``point`` is the scaled gap m^level * (S_right(0) - S_left(0)) as a
+    point (P, Q) of the system's displacement ``lattice``; on ``window``
+    it takes values in (0, 1), which is exactly the condition that the
+    two cylinders overlap with the right one's origin inside the left
+    one.  ``==`` compares the point, not the lattice.
     """
 
     level: int
     left: Word
     right: Word
     window: RationalInterval
-    gap: AffineExpr
+    point: tuple[int, int]
+    lattice: DisplacementLattice = field(compare=False, repr=False)
     choice: str | None = None
-    point: tuple[int, int] | None = field(default=None, compare=False, repr=False)
-    lattice: DisplacementLattice | None = field(default=None, compare=False, repr=False)
 
-    def scaled_gap(self, m: int) -> AffineExpr:
-        """m^level * gap: the normalized displacement of the tracked pair.
-
-        ``m`` is the system's ratio denominator, which the lattice
-        already holds; the form is read off the lattice point.
-        """
+    @property
+    def scaled_gap(self) -> AffineExpr:
+        """m^level * gap: the normalized displacement of the tracked pair."""
         return self.lattice.form(self.point)
+
+    @property
+    def gap(self) -> AffineExpr:
+        """S_right(0) - S_left(0), reduced from the point when read."""
+        return self.scaled_gap.scale(Fraction(1, self.lattice.m**self.level))
 
     def to_json(self) -> dict:
         return {
@@ -173,6 +173,30 @@ class ConstructionState:
             "T": self.gap.to_json(),
             "choice": self.choice,
         }
+
+
+def _clip_to_band(
+    lattice: DisplacementLattice, point: tuple[int, int], window: RationalInterval
+) -> tuple[Fraction, Fraction]:
+    """The ends of ``window`` cut down to where the point lies in (0, 1); maybe empty.
+
+    For Q != 0, ``0 < P/Lp + (Q/Lq)*a < 1`` holds exactly for a strictly
+    between b0/den and b1/den.  Each window end is compared with its
+    bound by integer cross-multiplication; only an end that moves is
+    built as a ``Fraction``, so the window lies in the band exactly
+    when both ends come back unchanged.
+    """
+    P, Q = point
+    lp, lq = lattice.lp, lattice.lq
+    b0, b1, den = -P * lq, (lp - P) * lq, lp * Q
+    if den < 0:
+        b0, b1, den = -b1, -b0, -den
+    lo, hi = window.lo, window.hi
+    if b0 * lo.denominator > lo.numerator * den:
+        lo = Fraction(b0, den)
+    if b1 * hi.denominator < hi.numerator * den:
+        hi = Fraction(b1, den)
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -193,76 +217,52 @@ class ConstructionTemplate:
     name: str = "template"
 
     def initial_state(self) -> ConstructionState:
-        if len(self.initial_left) != len(self.initial_right) or len(self.initial_left) == 0:
+        left, right, window = self.initial_left, self.initial_right, self.initial_window
+        if len(left) != len(right) or len(left) == 0:
             raise ValueError("initial words must be non-empty and of equal length")
-        if self.initial_left.symbols[0] == self.initial_right.symbols[0]:
+        if left.symbols[0] == right.symbols[0]:
             raise ValueError("initial words must start with distinct symbols")
-        gap = map_at_zero(self.system, self.initial_right) - map_at_zero(
-            self.system, self.initial_left
-        )
-        if gap.q == 0:
-            raise ValueError("initial gap must depend on the parameter")
-        level = len(self.initial_left)
-        scale = self.system.ratio_denominator**level
-        band = solve_affine_band(gap, 0, Fraction(1, scale))
-        if band is None or not band.contains_interval(self.initial_window):
-            raise ValueError("initial window is not contained in the overlap band")
         lattice = DisplacementLattice(self.system)
-        return ConstructionState(level, self.initial_left, self.initial_right,
-                                 self.initial_window, gap, None,
-                                 lattice.point(gap.scale(scale)), lattice)
+        point = lattice.point(translation_amount(self.system, left, right))
+        if point[1] == 0:
+            raise ValueError("initial gap must depend on the parameter")
+        if _clip_to_band(lattice, point, window) != (window.lo, window.hi):
+            raise ValueError("initial window is not contained in the overlap band")
+        return ConstructionState(len(left), left, right, window, point, lattice)
 
 
 def refine_step(
-    state: ConstructionState, opt: RefinementOption, tmpl: ConstructionTemplate
+    state: ConstructionState, opt: RefinementOption, *, choice: str | None = None
 ) -> ConstructionState:
     """One refinement step: extend both words, solve the next inequality.
 
     The scaled gap u = m^level * gap steps on the state's displacement
     lattice, u' = m*(+-u) + m*(d_right - d_left) with the sign flipped
     on a swap, so no rational arithmetic runs between levels.  The new
-    window is the old one intersected with the exact solution set of
-    ``0 < u' < 1``, that is ``0 < gap' < m^-(level+1)``, compared at the
-    window ends by integer cross-multiplication; only an end that moves
-    and the reported gap are built as ``Fraction``s.  Emptiness means
-    the template does not support the step and raises
-    :class:`EmptyRefinement`.  ``tmpl`` is the template the state came
-    from; the state's lattice already holds its system.
+    window is the old one cut down to the exact solution set of
+    ``0 < u' < 1``, that is ``0 < gap' < m^-(level+1)``.  Emptiness
+    means the template does not support the step and raises
+    :class:`EmptyRefinement`.  ``choice`` labels the new state.
     """
     lattice = state.lattice
-    n = state.level
     left, right = (state.right, state.left) if opt.swap else (state.left, state.right)
     new_left = left.append(opt.append_left)
     new_right = right.append(opt.append_right)
-    if new_left.symbols[0] == new_right.symbols[0]:
-        raise EmptyRefinement("extended words no longer start with distinct symbols")
     P, Q = state.point
     if opt.swap:
         P, Q = -P, -Q
     dP, dQ = lattice.step(opt.append_left, opt.append_right)
     m = lattice.m
-    P, Q = m * P + dP, m * Q + dQ
-    if Q == 0:
+    point = (m * P + dP, m * Q + dQ)
+    if point[1] == 0:
         raise EmptyRefinement("gap became constant; cannot solve for the parameter")
-    # 0 < P/Lp + (Q/Lq)*a < 1 holds exactly for a strictly between b0/den and b1/den
-    lp, lq = lattice.lp, lattice.lq
-    b0, b1, den = -P * lq, (lp - P) * lq, lp * Q
-    if den < 0:
-        b0, b1, den = -b1, -b0, -den
-    lo, hi = state.window.lo, state.window.hi
-    if b0 * lo.denominator > lo.numerator * den:
-        lo = Fraction(b0, den)
-    if b1 * hi.denominator < hi.numerator * den:
-        hi = Fraction(b1, den)
+    lo, hi = _clip_to_band(lattice, point, state.window)
     if lo >= hi:
         raise EmptyRefinement(
-            f"step from level {n} leaves no parameter window (option {opt})"
+            f"step from level {state.level} leaves no parameter window (option {opt})"
         )
-    scale = m ** (n + 1)
-    gap = AffineExpr(Fraction(P, lp * scale), Fraction(Q, lq * scale))
-    return ConstructionState(
-        n + 1, new_left, new_right, RationalInterval(lo, hi), gap, None, (P, Q), lattice
-    )
+    return ConstructionState(state.level + 1, new_left, new_right,
+                             RationalInterval(lo, hi), point, lattice, choice)
 
 
 @dataclass(frozen=True)
@@ -336,8 +336,7 @@ class RefinementEngine:
                     bit = self.sequence.bit(k)  # may raise RefinementExhausted
                     opt = self.template.option2 if bit else self.template.option1
                     choice = f"option{bit + 1}"
-                nxt = refine_step(self._states[-1], opt, self.template)
-                self._states.append(replace(nxt, choice=choice))
+                self._states.append(refine_step(self._states[-1], opt, choice=choice))
                 self._step_index += 1
 
 

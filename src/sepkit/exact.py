@@ -173,16 +173,6 @@ class RationalInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains_interval(self, other: "RationalInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def intersect(self, other: "RationalInterval") -> "RationalInterval | None":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo >= hi:
-            return None
-        return RationalInterval(lo, hi)
-
     def to_json(self) -> dict:
         return {"lo": rational_to_str(self.lo), "hi": rational_to_str(self.hi)}
 
@@ -192,25 +182,6 @@ class RationalInterval:
 
     def __str__(self) -> str:
         return f"({self.lo}, {self.hi})"
-
-
-def solve_affine_band(e: AffineExpr, lo, hi) -> RationalInterval | None:
-    """Exact solution set of ``lo < e(a) < hi`` for non-constant ``e``.
-
-    The solution of a strict two-sided linear inequality is an open
-    rational interval (possibly empty, returned as None).
-    """
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    if e.q == 0:
-        raise ValueError("band solving needs a non-constant form")
-    r0 = (lo - e.p) / e.q
-    r1 = (hi - e.p) / e.q
-    if r0 > r1:
-        r0, r1 = r1, r0
-    if r0 >= r1:
-        return None
-    return RationalInterval(r0, r1)
 
 
 class Refiner(Protocol):

@@ -636,10 +636,9 @@ def distinctness_check(run, pt: Param) -> DistinctnessReport:
     each pair, and pairs it cannot separate within budget are reported
     as undecided together with the candidate collision value.
     """
-    m = run.template.system.ratio_denominator
     states = run.states
     levels = tuple(s.level for s in states)
-    gaps = tuple(s.scaled_gap(m) for s in states)
+    gaps = tuple(s.scaled_gap for s in states)
     if pt.irrationality_assumed or isinstance(pt, RationalParam):
         groups: dict = {}
         for n, u in zip(levels, gaps):

@@ -2,22 +2,20 @@
 
 The oracles for the displacement search and the endpoint check
 enumerate every word pair of one level, so they cost n^(2k) and serve
-only as independent cross-checks at small levels.  The interval, image
-and automaton helpers are what only the tests ask of those types, and
-``StaticRefiner`` gives a point a fixed, finite window chain.
+only as independent cross-checks at small levels.
+``refine_step_fractions`` is the ``Fraction`` reference for the
+refinement step, built on the band solver and interval helpers here.
+The interval, image and automaton helpers are what only the tests ask
+of those types, and ``StaticRefiner`` gives a point a fixed, finite
+window chain.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from sepkit import AffineExpr, IfsSystem, Param, RationalInterval, Word, map_at_zero
-from sepkit.construction import (
-    ConstructionState,
-    ConstructionTemplate,
-    EmptyRefinement,
-    RefinementOption,
-)
-from sepkit.exact import RefinementExhausted, solve_affine_band
+from sepkit.construction import ConstructionTemplate, EmptyRefinement, RefinementOption
+from sepkit.exact import RefinementExhausted
 from sepkit.separation import Displacement, DisplacementLattice, TypeAutomaton
 
 
@@ -52,35 +50,32 @@ class StaticRefiner:
 
 
 def refine_step_fractions(
-    state: ConstructionState, opt: RefinementOption, tmpl: ConstructionTemplate
-) -> ConstructionState:
+    state: tuple, opt: RefinementOption, tmpl: ConstructionTemplate
+) -> tuple:
     """One refinement step on the unscaled gap in ``Fraction`` arithmetic.
 
-    The new window is the old one intersected with the exact solution
-    set of ``0 < gap' < m^-(level+1)``.  The returned state holds no
-    lattice point; only the fields ``==`` compares are set.
+    ``state`` and the result are ``(level, left, right, window, gap)``
+    tuples.  The new window is the old one intersected with the exact
+    solution set of ``0 < gap' < m^-(level+1)``.
     """
+    n, left, right, window, gap = state
     sys = tmpl.system
     m = sys.ratio_denominator
-    n = state.level
-    left, right = (state.right, state.left) if opt.swap else (state.left, state.right)
-    new_left = left.append(opt.append_left)
-    new_right = right.append(opt.append_right)
-    if new_left.symbols[0] == new_right.symbols[0]:
-        raise EmptyRefinement("extended words no longer start with distinct symbols")
+    if opt.swap:
+        left, right, gap = right, left, -gap
     step = (sys.offset(opt.append_right) - sys.offset(opt.append_left)).scale(
         Fraction(1, m**n)
     )
-    gap = (-state.gap if opt.swap else state.gap) + step
+    gap = gap + step
     if gap.q == 0:
         raise EmptyRefinement("gap became constant; cannot solve for the parameter")
     band = solve_affine_band(gap, 0, Fraction(1, m ** (n + 1)))
-    window = None if band is None else state.window.intersect(band)
+    window = None if band is None else intersect(window, band)
     if window is None:
         raise EmptyRefinement(
             f"step from level {n} leaves no parameter window (option {opt})"
         )
-    return ConstructionState(n + 1, new_left, new_right, window, gap)
+    return (n + 1, left.append(opt.append_left), right.append(opt.append_right), window, gap)
 
 
 @dataclass(frozen=True, order=True)
@@ -122,6 +117,39 @@ def midpoint(interval: RationalInterval) -> Fraction:
 
 def contains(interval: RationalInterval, x: Fraction) -> bool:
     return interval.lo < x < interval.hi
+
+
+def contains_interval(outer: RationalInterval, inner: RationalInterval) -> bool:
+    """True when ``inner`` lies in ``outer``; the ends may coincide."""
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+def intersect(a: RationalInterval, b: RationalInterval) -> RationalInterval | None:
+    """The open interval ``a ∩ b``, or None when it is empty."""
+    lo = max(a.lo, b.lo)
+    hi = min(a.hi, b.hi)
+    if lo >= hi:
+        return None
+    return RationalInterval(lo, hi)
+
+
+def solve_affine_band(e: AffineExpr, lo, hi) -> RationalInterval | None:
+    """Exact solution set of ``lo < e(a) < hi`` for non-constant ``e``.
+
+    The solution of a strict two-sided linear inequality is an open
+    rational interval (possibly empty, returned as None).
+    """
+    lo = Fraction(lo)
+    hi = Fraction(hi)
+    if e.q == 0:
+        raise ValueError("band solving needs a non-constant form")
+    r0 = (lo - e.p) / e.q
+    r1 = (hi - e.p) / e.q
+    if r0 > r1:
+        r0, r1 = r1, r0
+    if r0 >= r1:
+        return None
+    return RationalInterval(r0, r1)
 
 
 def strictly_inside(inner: RationalInterval, outer: RationalInterval) -> bool:

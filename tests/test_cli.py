@@ -3,7 +3,10 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 from sepkit.cli import main
+from sepkit.construction import PERIODIC_WARNING
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -154,6 +157,26 @@ def test_types_constructed(capsys):
     assert json.loads(out)["results"]["counts"] == [3, 3, 3]
 
 
+@pytest.mark.parametrize(
+    "open_set",
+    [
+        ["--levels", "4"],
+        ["--open-set", "constructed", "--seed", "3/7:4/7", "--levels", "4", "--truncation", "6"],
+    ],
+    ids=["convex", "constructed"],
+)
+def test_types_periodic_carries_warning(capsys, open_set):
+    reports = {}
+    for sequence in ("thue-morse", "periodic:01"):
+        code, out, _ = run_cli(capsys, "types", "--example", "1", "--sequence", sequence,
+                               *open_set)
+        assert code == 0
+        reports[sequence] = json.loads(out)["results"]
+    aperiodic, periodic = reports["thue-morse"], reports["periodic:01"]
+    assert PERIODIC_WARNING not in aperiodic["caveats"]
+    assert periodic["caveats"] == [*aperiodic["caveats"], PERIODIC_WARNING]
+
+
 def test_wsp_report(capsys):
     code, out, _ = run_cli(capsys, "wsp", "--example", "1", "--max-level", "2")
     assert code == 0
@@ -208,30 +231,54 @@ def test_sequence_from_file(tmp_path, capsys):
     assert code == 0
 
 
+SEVENTHS = {
+    "name": "sevenths",
+    "system": {
+        "ratio_denominator": 7,
+        "offsets": [
+            {"p": "0/1", "q": "0/1"},
+            {"p": "0/1", "q": "1/1"},
+            {"p": "6/7", "q": "0/1"},
+        ],
+    },
+    "initial_sigma": "1",
+    "initial_tau": "2",
+    "initial_J": {"lo": "0/1", "hi": "1/7"},
+    "option1": {"swap": False, "append_sigma": 3, "append_tau": 1},
+    "option2": {"swap": True, "append_sigma": 2, "append_tau": 3},
+}
+
+
 def test_template_file_roundtrip(tmp_path, capsys):
-    template = {
-        "name": "sevenths",
-        "system": {
-            "ratio_denominator": 7,
-            "offsets": [
-                {"p": "0/1", "q": "0/1"},
-                {"p": "0/1", "q": "1/1"},
-                {"p": "6/7", "q": "0/1"},
-            ],
-        },
-        "initial_sigma": "1",
-        "initial_tau": "2",
-        "initial_J": {"lo": "0/1", "hi": "1/7"},
-        "option1": {"swap": False, "append_sigma": 3, "append_tau": 1},
-        "option2": {"swap": True, "append_sigma": 2, "append_tau": 3},
-    }
     path = tmp_path / "template.json"
-    path.write_text(json.dumps(template))
+    path.write_text(json.dumps(SEVENTHS))
     code, out, _ = run_cli(
         capsys, "construct", "--template", str(path), "--depth", "40", "--digits", "10",
     )
     assert code == 0
     assert out.strip() == "0.1354645854"
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"initial_tau": "21"}, "initial words must be non-empty and of equal length"),
+        ({"initial_sigma": "", "initial_tau": ""},
+         "initial words must be non-empty and of equal length"),
+        ({"initial_tau": "1"}, "initial words must start with distinct symbols"),
+        ({"initial_tau": "3"}, "initial gap must depend on the parameter"),
+        ({"initial_J": {"lo": "0/1", "hi": "1/2"}},
+         "initial window is not contained in the overlap band"),
+    ],
+    ids=["unequal", "empty", "same-first-symbol", "constant-gap", "window-outside-band"],
+)
+def test_template_refused_by_initial_state(tmp_path, capsys, fields, message):
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps({**SEVENTHS, **fields}))
+    code, out, err = run_cli(capsys, "construct", "--template", str(path), "--depth", "3")
+    assert code == 2
+    assert out == ""
+    assert err == f"sepkit: {message}\n"
 
 
 def test_template_and_example_conflict(tmp_path, capsys):

@@ -21,6 +21,7 @@ from sepkit import (
     refine_step,
     run_construction,
     thue_morse_bit,
+    translation_amount,
 )
 from sepkit.cli import load_template
 from sepkit.construction import (
@@ -30,7 +31,12 @@ from sepkit.construction import (
     RefinementOption,
 )
 
-from bruteforce import refine_step_fractions, strictly_inside
+from bruteforce import (
+    contains_interval,
+    refine_step_fractions,
+    solve_affine_band,
+    strictly_inside,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -75,7 +81,7 @@ def test_refine_step_example1_option1(ex1_template):
     assert state.window == RationalInterval.make(0, F(1, 7))
     assert state.gap == AffineExpr.parameter()
 
-    nxt = refine_step(state, ex1_template.option1, ex1_template)
+    nxt = refine_step(state, ex1_template.option1)
     assert (str(nxt.left), str(nxt.right)) == ("13", "21")
     assert nxt.window == RationalInterval.make(F(6, 49), F(1, 7))
     assert nxt.gap == AffineExpr(F(-6, 49), F(1))
@@ -83,16 +89,24 @@ def test_refine_step_example1_option1(ex1_template):
 
 def test_refine_step_example1_option2(ex1_template):
     state = ex1_template.initial_state()
-    level2 = refine_step(state, ex1_template.option1, ex1_template)
-    level3 = refine_step(level2, ex1_template.option2, ex1_template)
+    level2 = refine_step(state, ex1_template.option1)
+    level3 = refine_step(level2, ex1_template.option2)
     assert (str(level3.left), str(level3.right)) == ("212", "133")
     assert level3.gap == AffineExpr(F(48, 343), F(-50, 49))
     assert level3.window == RationalInterval.make(F(47, 350), F(24, 175))
 
 
+def test_refine_step_labels_its_state(ex1_template):
+    state = ex1_template.initial_state()
+    assert refine_step(state, ex1_template.option1, choice="option1").choice == "option1"
+    assert refine_step(state, ex1_template.option1).choice is None
+    with pytest.raises(TypeError):
+        refine_step(state, ex1_template.option1, ex1_template)
+
+
 def test_refine_step_example2_fixed_prefix(ex2_template):
     state = ex2_template.initial_state()
-    nxt = refine_step(state, ex2_template.fixed_prefix[0], ex2_template)
+    nxt = refine_step(state, ex2_template.fixed_prefix[0])
     assert (str(nxt.left), str(nxt.right)) == ("14", "21")
     assert nxt.window == RationalInterval.make(F(11, 256), F(12, 256))
     assert nxt.gap == AffineExpr(F(-11, 256), F(1))
@@ -127,7 +141,7 @@ def test_empty_refinement_detected(ex1_template):
     state = ex1_template.initial_state()
     bad = RefinementOption(swap=True, append_left=3, append_right=1)
     with pytest.raises(EmptyRefinement):
-        refine_step(state, bad, ex1_template)
+        refine_step(state, bad)
 
 
 def test_param_point_decimals(ex1_pt, ex2_pt):
@@ -166,7 +180,7 @@ def test_refinement_invariants_all_sequences(which, depth):
         run = run_construction(tmpl, seq, depth)
         for prev, state in zip(run.states, run.states[1:]):
             # nesting
-            assert prev.window.contains_interval(state.window)
+            assert contains_interval(prev.window, state.window)
             # the gap maps the window endpoints exactly onto 0 and m^-(n+1)
             values = {
                 state.gap.evaluate(state.window.lo),
@@ -235,6 +249,63 @@ def test_initial_state_validation():
         bad.initial_state()
 
 
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({"initial_right": Word.of(2, 1)}, "initial words must be non-empty and of equal length"),
+        ({"initial_left": Word(), "initial_right": Word()},
+         "initial words must be non-empty and of equal length"),
+        ({"initial_right": Word.of(1)}, "initial words must start with distinct symbols"),
+        ({"initial_right": Word.of(3)}, "initial gap must depend on the parameter"),
+        ({"initial_window": RationalInterval.make(F(-1, 7), F(1, 14))},
+         "initial window is not contained in the overlap band"),
+        ({"initial_left": Word.of(2), "initial_right": Word.of(1)},
+         "initial window is not contained in the overlap band"),
+    ],
+    ids=["unequal", "empty", "same-first-symbol", "constant-gap", "window-below-band",
+         "negative-gap"],
+)
+def test_initial_state_refusals(changes, message):
+    with pytest.raises(ValueError) as excinfo:
+        replace(example_template(1), **changes).initial_state()
+    assert str(excinfo.value) == message
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    which=st.integers(0, 4),
+    shift_lo=st.fractions(-1, 1, max_denominator=3),
+    shift_hi=st.fractions(-1, 1, max_denominator=3),
+)
+def test_initial_window_check_matches_fraction_band(which, shift_lo, shift_hi):
+    # a window is accepted exactly when the band 0 < gap < m^-level contains it, ends included
+    ex1, ex2 = example_template(1), example_template(2)
+    tmpl, left, right = [
+        (ex1, "1", "2"),
+        (ex1, "2", "1"),
+        (ex1, "212", "133"),
+        (ex2, "14", "21"),
+        (_fractional_template(), "3", "2"),
+    ][which]
+    tmpl = replace(tmpl, initial_left=Word.parse(left), initial_right=Word.parse(right))
+    sys = tmpl.system
+    gap = map_at_zero(sys, tmpl.initial_right) - map_at_zero(sys, tmpl.initial_left)
+    band = solve_affine_band(gap, 0, F(1, sys.ratio_denominator ** len(left)))
+    lo, hi = band.lo + shift_lo * band.width, band.hi + shift_hi * band.width
+    if lo >= hi:
+        return
+    window = RationalInterval(lo, hi)
+    try:
+        state = replace(tmpl, initial_window=window).initial_state()
+    except ValueError as exc:
+        assert str(exc) == "initial window is not contained in the overlap band"
+        assert not contains_interval(band, window)
+    else:
+        assert contains_interval(band, window)
+        assert state.gap == gap
+        assert state.scaled_gap == gap.scale(sys.ratio_denominator ** len(left))
+
+
 def _fractional_template() -> ConstructionTemplate:
     """Example 1's options on offsets (0, a/2, 6/7 - a/3): the lattice has Lq = 6."""
     sys = IfsSystem(
@@ -279,9 +350,13 @@ def lattice_step_templates(tmp_path_factory):
 
 
 def _fraction_chain(tmpl: ConstructionTemplate, bits: str):
-    """The reference states of a bit prefix and the message of the step that failed, if any."""
+    """The reference chain of a bit prefix and the message of the step that failed, if any.
+
+    Each reference state is a ``(level, left, right, window, gap)`` tuple.
+    """
     opts = [*tmpl.fixed_prefix, *(tmpl.option2 if b == "1" else tmpl.option1 for b in bits)]
-    states = [tmpl.initial_state()]
+    first = tmpl.initial_state()
+    states = [(first.level, first.left, first.right, first.window, first.gap)]
     try:
         for opt in opts:
             states.append(refine_step_fractions(states[-1], opt, tmpl))
@@ -295,18 +370,15 @@ def _fraction_chain(tmpl: ConstructionTemplate, bits: str):
 def test_lattice_step_matches_fraction_step(lattice_step_templates, which, length, value):
     tmpl = lattice_step_templates[which]
     bits = format(value, "0200b")[:length]
-    m = tmpl.system.ratio_denominator
     expected, expected_error = _fraction_chain(tmpl, bits)
     engine = RefinementEngine(tmpl, DrivingSequence.from_bits(bits))
     error = None
     try:
-        engine.states_up_to(expected[0].level + len(tmpl.fixed_prefix) + len(bits))
+        engine.states_up_to(expected[0][0] + len(tmpl.fixed_prefix) + len(bits))
     except EmptyRefinement as exc:
         error = str(exc)
     states = engine.states_up_to(engine.depth)
     assert error == expected_error
-    assert [(s.level, s.left, s.right, s.window, s.gap) for s in states] == [
-        (s.level, s.left, s.right, s.window, s.gap) for s in expected
-    ]
+    assert [(s.level, s.left, s.right, s.window, s.gap) for s in states] == expected
     for state in states:
-        assert state.scaled_gap(m) == state.gap.scale(m**state.level)
+        assert state.scaled_gap == translation_amount(tmpl.system, state.left, state.right)

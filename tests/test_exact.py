@@ -12,11 +12,20 @@ from sepkit import (
     rational_from_str,
     rational_to_str,
     round_decimal,
-    solve_affine_band,
 )
 from sepkit.exact import DEFAULT_SIGN_BUDGET, RefinementExhausted
 
-from bruteforce import StaticRefiner, abs_expr, affine_bounds, compare, contains, midpoint
+from bruteforce import (
+    StaticRefiner,
+    abs_expr,
+    affine_bounds,
+    compare,
+    contains,
+    contains_interval,
+    intersect,
+    midpoint,
+    solve_affine_band,
+)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 affines = st.builds(AffineExpr, rationals, rationals)
@@ -80,10 +89,13 @@ def test_interval_basics():
     assert j.width == F(1, 7)
     assert contains(j, F(1, 10))
     assert not contains(j, F(0))
-    assert j.intersect(RationalInterval.make(F(1, 14), 1)) == RationalInterval.make(
+    assert intersect(j, RationalInterval.make(F(1, 14), 1)) == RationalInterval.make(
         F(1, 14), F(1, 7)
     )
-    assert j.intersect(RationalInterval.make(F(1, 7), 1)) is None
+    assert intersect(j, RationalInterval.make(F(1, 7), 1)) is None
+    assert contains_interval(j, j)
+    assert contains_interval(j, RationalInterval.make(F(1, 14), F(1, 7)))
+    assert not contains_interval(j, RationalInterval.make(F(1, 14), F(1, 6)))
     with pytest.raises(ValueError):
         RationalInterval.make(1, 0)
 

@@ -12,7 +12,8 @@ behind them may change; their reports may not.  A declared output
 change updates the digests here.  The three requests
 the benchmark marks as known defects (the periodic census and WSP, and
 distinctness at 200 levels) are left out: fixing them changes their
-output.
+output.  ``SVG_GOLDEN`` pins the bytes of every figure ``render`` writes
+for both examples at six levels.
 """
 
 import hashlib
@@ -191,3 +192,34 @@ def test_oracle_reports_unchanged(capsys, argv, exit_code, digest):
 @pytest.mark.parametrize("argv,exit_code,digest", GOLDEN)
 def test_reports_unchanged(capsys, argv, exit_code, digest):
     _check_digest(capsys, argv, exit_code, digest)
+
+
+SVG_GOLDEN = {
+    1: [
+        "a26dc4f5d016a1eeeae102243949b9c66ede4082c13095f13278c61cba9196b5",
+        "c426d72e516dc26a9bdcc2fc38334f001fb3601d11f228cfc36cb0abea06ad13",
+        "0386d05ed7ca740545124aa68239d6110052c1d9c6035d0b04ff682e692cf184",
+        "63ba251910187a6a6884340ebcae1260288b095045672feb5064cef06a8fa58e",
+        "1a0d1c74953f9936dac81c016b35fccf74fb1b74bc13367bc7a1b316c8375a8a",
+        "94f30edb53e816375bf557fe5d9903799b818f7e931e975979aec5c7dc0c28c8",
+    ],
+    2: [
+        "8f3e1d192ad47e5361547e35587d8e8f6e0367ee50e51ac7ce8d230458da5600",
+        "90962aebf4db086fc14a88eca7430bfb405f43dc21b4aa85d8f9d1bbbeaab4e7",
+        "30bc783a08fd51c13e1ba75b99232afce17790ab23f645e2b493ec390f8d1f0b",
+        "791eca6ca6847fda622cce432ff2eed1559adbb863a4e0ea8b2f76583b340695",
+        "16ff6e1f386488f43b21d38b4becc63e127b1925bb09bd739be62ec153027fc3",
+        "1be4e3c6cf8ccfb30322c55a0e3f7040ba0e8310b8437595fbd3bfdc64f730d6",
+    ],
+}
+
+
+@pytest.mark.parametrize("example", sorted(SVG_GOLDEN))
+def test_render_files_unchanged(capsys, tmp_path, example):
+    code = main(["render", "--example", str(example), "--levels", "6", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    names = [f"example{example}-level{level}.svg" for level in range(1, 7)]
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names]
+    assert digests == SVG_GOLDEN[example]

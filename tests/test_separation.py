@@ -760,7 +760,7 @@ def test_distinctness_groups_like_pairwise_signs(ex1_template):
         (s.level, t.level)
         for k, s in enumerate(run.states)
         for t in run.states[k + 1:]
-        if pt.sign(s.scaled_gap(7) - t.scaled_gap(7)) == 0
+        if pt.sign(s.scaled_gap - t.scaled_gap) == 0
     )
     assert len(expected) == 30
     assert distinctness_check(run, pt).collisions == expected

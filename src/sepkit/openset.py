@@ -8,21 +8,21 @@ by the same reduction that drives the displacement search: peeling one
 map off each side turns the question about v into the question about
 m*v + m*(d_j - d_i) one level down.  The base cases, the seed against
 the deeper family translated by v, are one walk down the cylinder tree
-started at seed - v for the shortest word meeting it.  Both recursions
+started at seed - v for the shortest word meeting it.  Both searches
 run on the integer displacement lattice, with the seed ends'
 denominators joined in, and decide every comparison with one integer
-sign query at the parameter point.  Everything is exact and memoized;
-truncation can only under-report intersections, so every report
-carries the truncation depth as a caveat.
+sign query at the parameter point.  They run depth first on explicit
+stacks and decide each lattice point and each interval once for every
+budget, so the truncation depth is not bounded by the Python stack.
+Everything is exact; truncation can only under-report intersections,
+so every report carries the truncation depth as a caveat.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
-from sys import getrecursionlimit
+from math import inf
 
 from .exact import AFFINE_ZERO, AffineExpr, Param, RationalInterval
 from .ifs import EMPTY_WORD, IfsSystem, Word, apply_map, map_at_zero
@@ -36,10 +36,6 @@ from .separation import (
 
 #: Explicit component enumeration is refused beyond this many components.
 MATERIALIZE_LIMIT = 1_000_000
-
-#: Frames kept free below the oracle's deepest recursion level, for the
-#: sign query asked there (about 15 frames) and for wrappers around it.
-_STACK_HEADROOM = 30
 
 
 @dataclass(frozen=True)
@@ -85,24 +81,25 @@ class OpenSetApprox:
                 yield word, lo, hi
 
 
-def _memoized(method):
-    """Remember a method's results per instance, keyed by its arguments.
+#: What ``_known_family`` and ``_known_walk`` return when the answer
+#: needs a search one level down.
+_SEARCH = object()
 
-    The memo is a plain dict on the instance, so it is freed with the
-    instance, by reference counting; a call that raises stores nothing.
-    """
-    name = "_memo_" + method.__name__
 
-    @wraps(method)
-    def memoized(self, *args):
-        memo = self.__dict__.setdefault(name, {})
-        try:
-            return memo[args]
-        except KeyError:
-            result = memo[args] = method(self, *args)
-            return result
+class _Point:
+    """What the family search has decided about one in-bound lattice point."""
 
-    return memoized
+    __slots__ = ("near", "empty", "children", "scanned")
+
+    def __init__(self, near: bool):
+        #: |v| below the seed width: seed ∩ (seed + v) != 0 at every budget
+        self.near = near
+        #: the largest budget at which the families are proved disjoint
+        self.empty = 0
+        #: the in-bound children (i, j, point, state) found so far, in (i, j) order
+        self.children: list = []
+        #: how many of the lattice's steps the children were looked for in
+        self.scanned = 0
 
 
 class OverlapOracle:
@@ -110,41 +107,38 @@ class OverlapOracle:
 
     ``overlaps`` returns a witnessing pair of component words when the
     translated families meet, or None when they are disjoint at this
-    truncation depth.  Two memoized recursions do the work: the family
-    recursion peels one map off each side, and the interval walk finds,
-    within a depth budget, the shortest word whose component meets an
-    interval (of the shortest, the lexicographically first).  The seed
-    against the deeper family translated by v is one walk from seed - v.
+    truncation depth.  Two searches do the work: the family search
+    peels one map off each side, and the interval walk finds, within a
+    depth budget, the shortest word whose component meets an interval
+    (of the shortest, the lexicographically first).  The seed against
+    the deeper family translated by v is one walk from seed - v.
 
     Both run on the integer lattice of ``DisplacementLattice`` with the
     seed ends' denominators joined in: a shift is a lattice point
     (P, Q), and an interval is (Plo, Phi, Q), since its two ends share
-    their parameter part.  Memo keys are int tuples and every interval
-    comparison is one integer sign query at the point
-    (``sign_lattice``), so answers are exact for the computable
-    parameter.  A shift off that lattice is answered by an oracle on a
-    lattice whose denominators cover its own too (the ``lattice``
-    argument), with memos of its own; a query that raises ``Undecided``
-    is not remembered.  A depth the recursions cannot reach under the
-    recursion limit, from the caller's stack, raises ``ValueError``.
+    their parameter part.  Every interval comparison is one integer sign
+    query at the point (``sign_lattice``), so answers are exact for the
+    computable parameter.
+
+    Each lattice point and each interval is decided once for every
+    budget.  A point keeps whether it is in bound and near, its in-bound
+    children, found one at a time as the search reaches them, and the
+    largest budget at which its families are proved disjoint (a smaller
+    budget searches a subset); its rare hits are kept per budget, since
+    their witness depends on it.  An interval keeps its shortest word,
+    which no budget changes, or the largest budget proved empty.  Both
+    searches run depth first on explicit stacks, in the order of the
+    recursion they replace, so the witness is the first one on that
+    order and no truncation depth is limited by the Python stack.  Only
+    decided answers are kept: a query that raises ``Undecided`` leaves
+    nothing behind.  A shift off the lattice is answered by an oracle on
+    a lattice whose denominators cover its own too (the ``lattice``
+    argument), with caches of its own.
     """
 
     def __init__(
         self, open_set: OpenSetApprox, pt: Param, lattice: DisplacementLattice | None = None
     ):
-        if lattice is None:  # not a wider oracle, made inside a query
-            # a level of either recursion per unit of depth, two frames each
-            # (the memo wrapper and the method), from about this deep
-            frame, used = inspect.currentframe(), 0
-            while frame is not None:
-                frame, used = frame.f_back, used + 1
-            largest = (getrecursionlimit() - used - _STACK_HEADROOM) // 2
-            if open_set.depth > largest:
-                raise ValueError(
-                    f"truncation depth {open_set.depth} is too deep for the overlap "
-                    f"oracle: under the recursion limit {getrecursionlimit()} the "
-                    f"largest depth allowed here is {largest}"
-                )
         self.open_set = open_set
         self.sys = open_set.system
         self.pt = pt
@@ -153,6 +147,13 @@ class OverlapOracle:
         self.lattice = lattice or DisplacementLattice(self.sys, self._ends)
         self._seed = tuple(self.lattice.point(end)[0] for end in self._ends)
         self._width = seed.width
+        #: lattice point -> its ``_Point``, or None when it is out of bound
+        self._points: dict[tuple[int, int], _Point | None] = {}
+        #: (P, Q, budget) -> witness, for budgets at which a child search hit
+        self._hits: dict[tuple[int, int, int], tuple[Word, Word]] = {}
+        #: interval (lo, hi, Q) -> its shortest word, or the largest budget
+        #: proved empty (infinite for an interval missing (0,1))
+        self._walks: dict[tuple[int, int, int], Word | int | float] = {}
         #: oracles for shifts off this lattice, by their lattice's (Lp, Lq)
         self._wider: dict[tuple[int, int], OverlapOracle] = {}
 
@@ -168,18 +169,69 @@ class OverlapOracle:
             point = lattice.point(v)
         return oracle._family_vs_family(*point, self.open_set.depth)
 
-    @_memoized
     def _family_vs_family(self, P: int, Q: int, budget: int) -> tuple[Word, Word] | None:
-        """Does any V_n1 meet any V_n2 + v, for n1, n2 <= budget?"""
+        """Does any V_n1 meet any V_n2 + v, for n1, n2 <= budget?
+
+        A depth-first search over the children on a stack of
+        [point, state, budget, next child] frames; the first hit is the
+        first on every frame's path, so it winds straight up.
+        """
+        point = (P, Q)
+        state = self._point(point)
+        answer = self._known_family(point, state, budget)
+        if answer is not _SEARCH:
+            return answer
+        stack = [[point, state, budget, 0]]
+        while stack:
+            frame = stack[-1]
+            point, state, budget, k = frame
+            child = self._child(point, state, k)
+            if child is None:
+                # every child's families are disjoint one level down
+                state.empty = budget
+                stack.pop()
+                continue
+            frame[3] = k + 1
+            _, _, point, state = child
+            answer = self._known_family(point, state, budget - 1)
+            if answer is _SEARCH:
+                stack.append([point, state, budget - 1, 0])
+            elif answer is not None:
+                w1, w2 = answer
+                for point, state, budget, k in reversed(stack):
+                    i, j, _, _ = state.children[k - 1]
+                    w1, w2 = Word.of(i) + w1, Word.of(j) + w2
+                    self._hits[(*point, budget)] = (w1, w2)
+                return (w1, w2)
+        return None
+
+    def _point(self, point: tuple[int, int]) -> _Point | None:
+        """The point's state, decided on its first visit; None when out of bound."""
+        try:
+            return self._points[point]
+        except KeyError:
+            pass
         lattice, pt = self.lattice, self.pt
+        state = None
         # families live in (0,1); a translation of 1 or more separates them
-        if not lattice.within(pt, (P, Q), 1):
+        if lattice.within(pt, point, 1):
+            # seed ∩ (seed + v): |v| below the seed width
+            state = _Point(lattice.within(pt, point, self._width))
+        self._points[point] = state
+        return state
+
+    def _known_family(self, point: tuple[int, int], state: _Point | None, budget: int):
+        """The answer at ``budget`` when it needs no search of the children, else ``_SEARCH``."""
+        if state is None:
             return None
-        # seed ∩ (seed + v): |v| below the seed width
-        if lattice.within(pt, (P, Q), self._width):
+        if state.near:
             return (EMPTY_WORD, EMPTY_WORD)
-        if budget == 0:
+        if budget <= state.empty:
             return None
+        P, Q = point
+        hit = self._hits.get((P, Q, budget))
+        if hit is not None:
+            return hit
         # seed against the deeper translated family, both ways round:
         # seed meets S_w(seed) + v exactly when seed - v meets S_w(seed)
         lo, hi = self._seed
@@ -189,42 +241,86 @@ class OverlapOracle:
         hit = self._interval_vs_family(P + lo, P + hi, Q, budget)
         if hit is not None:
             return (hit, EMPTY_WORD)
-        # peel one map off each side
-        m = lattice.m
-        for i, j, dp, dq in lattice.steps:
-            sub = self._family_vs_family(m * P + dp, m * Q + dq, budget - 1)
-            if sub is not None:
-                return (Word.of(i) + sub[0], Word.of(j) + sub[1])
+        return _SEARCH
+
+    def _child(self, point: tuple[int, int], state: _Point, k: int):
+        """The point's k-th in-bound child (i, j, point, state), or None past the last.
+
+        The children are looked for only as the search reaches them, so
+        a search that stops at a hit asks nothing about the rest.
+        """
+        children = state.children
+        if k < len(children):
+            return children[k]
+        steps, m = self.lattice.steps, self.lattice.m
+        P, Q = point
+        while state.scanned < len(steps):
+            i, j, dp, dq = steps[state.scanned]
+            child = (m * P + dp, m * Q + dq)
+            child_state = self._point(child)
+            state.scanned += 1
+            if child_state is not None:
+                children.append((i, j, child, child_state))
+                return children[k]
         return None
 
-    @_memoized
     def _interval_vs_family(self, lo: int, hi: int, Q: int, budget: int) -> Word | None:
         """Shortest word w, |w| <= budget, with (lo, hi) ∩ S_w(seed) != 0, if any.
 
         Of the shortest such words it is the lexicographically first.
         The interval's ends are the lattice points (lo, Q) and (hi, Q).
+        A depth-first walk over the symbols on a stack of
+        [interval, budget asked, budget left, next symbol, best word]
+        frames.
         """
-        sign, lp, lq = self.pt.sign_lattice, self.lattice.lp, self.lattice.lq
-        # every component sits inside (0,1)
-        if sign(lp - lo, lp, -Q, lq) <= 0 or sign(hi, lp, Q, lq) <= 0:
-            return None
-        # the seed, inside [0,1]: an interval swallowing (0,1) stops here
-        seed_lo, seed_hi = self._seed
-        if sign(seed_hi - lo, lp, -Q, lq) > 0 and sign(hi - seed_lo, lp, Q, lq) > 0:
-            return EMPTY_WORD
-        m, ps, qs = self.lattice.m, self.lattice.ps, self.lattice.qs
-        best = None
-        for j, p_j, q_j in zip(self.sys.symbols, ps, qs):
-            if budget == 0:
-                break
-            sub = self._interval_vs_family(
-                m * (lo - p_j), m * (hi - p_j), m * (Q - q_j), budget - 1
-            )
+        interval = (lo, hi, Q)
+        answer = self._known_walk(interval, budget)
+        if answer is not _SEARCH:
+            return answer
+        m, ps, qs, symbols = self.lattice.m, self.lattice.ps, self.lattice.qs, self.sys.symbols
+        stack = [[interval, budget, budget, 0, None]]
+        while True:
+            frame = stack[-1]
+            interval, asked, left, k, best = frame
+            if k == len(ps) or left == 0:
+                # the shortest word, or none within the budget asked
+                self._walks[interval] = asked if best is None else best
+                stack.pop()
+                if not stack:
+                    return best
+                frame, sub = stack[-1], best
+            else:
+                frame[3] = k + 1
+                lo, hi, Q = interval
+                child = (m * (lo - ps[k]), m * (hi - ps[k]), m * (Q - qs[k]))
+                sub = self._known_walk(child, left - 1)
+                if sub is _SEARCH:
+                    stack.append([child, left - 1, left - 1, 0, None])
+                    continue
             if sub is not None:
-                best = Word.of(j) + sub
                 # a later symbol wins only with a strictly shorter word
-                budget = len(sub)
-        return best
+                frame[4] = Word.of(symbols[frame[3] - 1]) + sub
+                frame[2] = len(sub)
+
+    def _known_walk(self, interval: tuple[int, int, int], budget: int):
+        """The walk's answer at ``budget`` when it needs no search deeper, else ``_SEARCH``."""
+        known = self._walks.get(interval)
+        if known is None:
+            sign, lp, lq = self.pt.sign_lattice, self.lattice.lp, self.lattice.lq
+            lo, hi, Q = interval
+            seed_lo, seed_hi = self._seed
+            # every component sits inside (0,1)
+            if sign(lp - lo, lp, -Q, lq) <= 0 or sign(hi, lp, Q, lq) <= 0:
+                known = inf
+            # the interval meets the seed itself
+            elif sign(seed_hi - lo, lp, -Q, lq) > 0 and sign(hi - seed_lo, lp, Q, lq) > 0:
+                known = EMPTY_WORD
+            else:
+                known = 0
+            self._walks[interval] = known
+        if type(known) is Word:
+            return known if len(known) <= budget else None
+        return None if budget <= known else _SEARCH
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ enumerate every word pair of one level, so they cost n^(2k) and serve
 only as independent cross-checks at small levels.
 ``refine_step_fractions`` is the ``Fraction`` reference for the
 refinement step, built on the band solver and interval helpers here.
+``RecursiveOverlapOracle`` is the recursive, per-budget memoized form
+of the overlap oracle, the reference for its explicit stacks.
 The interval, image and automaton helpers are what only the tests ask
 of those types, and ``StaticRefiner`` gives a point a fixed, finite
 window chain.
@@ -12,10 +14,20 @@ window chain.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 
-from sepkit import AffineExpr, IfsSystem, Param, RationalInterval, Word, map_at_zero
+from sepkit import (
+    AffineExpr,
+    IfsSystem,
+    OpenSetApprox,
+    Param,
+    RationalInterval,
+    Word,
+    map_at_zero,
+)
 from sepkit.construction import ConstructionTemplate, EmptyRefinement, RefinementOption
 from sepkit.exact import RefinementExhausted
+from sepkit.ifs import EMPTY_WORD
 from sepkit.separation import Displacement, DisplacementLattice, TypeAutomaton
 
 
@@ -215,3 +227,102 @@ def endpoint_separation_bruteforce(
             if pt.sign(abs_value - AffineExpr.constant(threshold)) <= 0:
                 passed = False
     return passed, equal
+
+
+def _memoized(method):
+    """Remember a method's results per instance, keyed by its arguments.
+
+    A call that raises stores nothing.
+    """
+    name = "_memo_" + method.__name__
+
+    @wraps(method)
+    def memoized(self, *args):
+        memo = self.__dict__.setdefault(name, {})
+        try:
+            return memo[args]
+        except KeyError:
+            result = memo[args] = method(self, *args)
+            return result
+
+    return memoized
+
+
+class RecursiveOverlapOracle:
+    """The overlap oracle as two recursions memoized per (arguments, budget).
+
+    The reference for ``OverlapOracle``'s explicit stacks: the family
+    recursion peels one map off each side, and the interval walk finds,
+    within a depth budget, the lexicographically first of the shortest
+    words whose component meets an interval.  Both recurse in Python,
+    about two frames per unit of truncation depth, so they serve only at
+    shallow depths.
+    """
+
+    def __init__(
+        self, open_set: OpenSetApprox, pt: Param, lattice: DisplacementLattice | None = None
+    ):
+        self.open_set = open_set
+        self.sys = open_set.system
+        self.pt = pt
+        seed = open_set.seed
+        self._ends = (AffineExpr.constant(seed.lo), AffineExpr.constant(seed.hi))
+        self.lattice = lattice or DisplacementLattice(self.sys, self._ends)
+        self._seed = tuple(self.lattice.point(end)[0] for end in self._ends)
+        self._width = seed.width
+        self._wider: dict = {}
+
+    def overlaps(self, v: AffineExpr) -> tuple[Word, Word] | None:
+        oracle, point = self, self.lattice.point(v)
+        if point is None:
+            lattice = DisplacementLattice(self.sys, (*self._ends, v))
+            key = (lattice.lp, lattice.lq)
+            if key not in self._wider:
+                self._wider[key] = RecursiveOverlapOracle(self.open_set, self.pt, lattice)
+            oracle = self._wider[key]
+            point = lattice.point(v)
+        return oracle._family_vs_family(*point, self.open_set.depth)
+
+    @_memoized
+    def _family_vs_family(self, P: int, Q: int, budget: int) -> tuple[Word, Word] | None:
+        lattice, pt = self.lattice, self.pt
+        if not lattice.within(pt, (P, Q), 1):
+            return None
+        if lattice.within(pt, (P, Q), self._width):
+            return (EMPTY_WORD, EMPTY_WORD)
+        if budget == 0:
+            return None
+        lo, hi = self._seed
+        hit = self._interval_vs_family(lo - P, hi - P, -Q, budget)
+        if hit is not None:
+            return (EMPTY_WORD, hit)
+        hit = self._interval_vs_family(P + lo, P + hi, Q, budget)
+        if hit is not None:
+            return (hit, EMPTY_WORD)
+        m = lattice.m
+        for i, j, dp, dq in lattice.steps:
+            sub = self._family_vs_family(m * P + dp, m * Q + dq, budget - 1)
+            if sub is not None:
+                return (Word.of(i) + sub[0], Word.of(j) + sub[1])
+        return None
+
+    @_memoized
+    def _interval_vs_family(self, lo: int, hi: int, Q: int, budget: int) -> Word | None:
+        sign, lp, lq = self.pt.sign_lattice, self.lattice.lp, self.lattice.lq
+        if sign(lp - lo, lp, -Q, lq) <= 0 or sign(hi, lp, Q, lq) <= 0:
+            return None
+        seed_lo, seed_hi = self._seed
+        if sign(seed_hi - lo, lp, -Q, lq) > 0 and sign(hi - seed_lo, lp, Q, lq) > 0:
+            return EMPTY_WORD
+        m, ps, qs = self.lattice.m, self.lattice.ps, self.lattice.qs
+        best = None
+        for j, p_j, q_j in zip(self.sys.symbols, ps, qs):
+            if budget == 0:
+                break
+            sub = self._interval_vs_family(
+                m * (lo - p_j), m * (hi - p_j), m * (Q - q_j), budget - 1
+            )
+            if sub is not None:
+                best = Word.of(j) + sub
+                budget = len(sub)
+        return best

@@ -56,6 +56,19 @@ ORACLE_GOLDEN = [
         "f9a94d8d20573e44273e530caf5dd705a85a8c017fa27927a64b6e3515f9f363",
         id="osc-ex1-7",
     ),
+    pytest.param(
+        ["types", "--example", "1", "--open-set", "constructed", "--seed", "3/7:4/7",
+         "--levels", "100", "--oracle-budget", "5000"],
+        0,
+        "705e3f3f4ed263870c988f5d141d816b825b4ea9e56d15c29b2f870ec8120533",
+        id="constructed-ex1-100",
+    ),
+    pytest.param(
+        ["verify", "osc", "--example", "2", "--depth", "30"],
+        1,
+        "043600e329895c9b0833b5a29c8ecee20eaa4c1472c28ebdcd4b8e51cad36d1a",
+        id="osc-ex2-30",
+    ),
 ]
 
 GOLDEN = [

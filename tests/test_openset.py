@@ -27,7 +27,7 @@ from sepkit.ifs import EMPTY_WORD
 from sepkit.openset import MATERIALIZE_LIMIT, containment_identity_holds
 from sepkit.separation import displacement_levels
 
-from bruteforce import StaticRefiner
+from bruteforce import RecursiveOverlapOracle, StaticRefiner
 
 SEED1 = RationalInterval.make(F(3, 7), F(4, 7))
 SEED2 = RationalInterval.make(F(7, 16), F(8, 16))
@@ -424,8 +424,52 @@ def valid_open_sets(draw):
 def test_oracle_matches_the_earlier_oracle_random_systems(case):
     sys, pt, open_set = case
     assert validate_system(sys, pt).valid
-    _assert_same_witnesses(open_set, pt, _queries(sys, pt, 3))
+    queries = _queries(sys, pt, 3)
+    _assert_same_witnesses(open_set, pt, queries)
+    _assert_witnesses_in_either_order(open_set, pt, queries)
     _assert_same_osc_report(sys, pt, open_set.seed, open_set.depth)
+
+
+# --- the overlap oracle against its recursive form ---------------------------------
+
+#: (example, seed, truncation depth), deeper than the earlier oracle's cases
+RECURSIVE_CASES = [(1, SEED1, 32), (2, SEED2, 16)]
+
+
+def _assert_witnesses_in_either_order(open_set, pt, queries):
+    """One oracle answers the queries in order and a fresh one in reverse;
+    both give the recursive oracle's witnesses, so no hit kept at one
+    budget leaks into another budget's answer."""
+    reference = RecursiveOverlapOracle(open_set, pt)
+    expected = [reference.overlaps(v) for v in queries]
+    forward = OverlapOracle(open_set, pt)
+    assert [forward.overlaps(v) for v in queries] == expected
+    backward = OverlapOracle(open_set, pt)
+    assert [backward.overlaps(v) for v in reversed(queries)] == expected[::-1]
+
+
+@pytest.mark.parametrize("which,seed,depth", RECURSIVE_CASES)
+def test_oracle_witnesses_match_the_recursive_oracle(which, seed, depth, ex1_pt, ex2_pt):
+    sys = example_template(which).system
+    pt = ex1_pt if which == 1 else ex2_pt
+    open_set = OpenSetApprox(sys, seed, depth)
+    _assert_witnesses_in_either_order(open_set, pt, _queries(sys, pt, 6))
+
+
+@pytest.mark.parametrize("which,seed,depth", RECURSIVE_CASES)
+def test_oracle_asks_only_sign_queries_the_recursion_asks(which, seed, depth):
+    # at a computable point any extra query may raise Undecided, so
+    # deciding each point once must not ask what the recursion never asks
+    sys = example_template(which).system
+    queries = _queries(sys, example_point(which), 6)
+    asked = []
+    for oracle_type in (OverlapOracle, RecursiveOverlapOracle):
+        pt = example_point(which)
+        oracle = oracle_type(OpenSetApprox(sys, seed, depth), pt)
+        for v in queries:
+            oracle.overlaps(v)
+        asked.append(set(pt._sign_cache))
+    assert asked[0] <= asked[1]
 
 
 def test_undecided_query_is_not_remembered():

@@ -3,19 +3,18 @@
 The open set is a truncated union V^D = union over words of length at
 most D of S_word(seed), for an open rational seed interval inside
 (0, 1).  Family-level questions never enumerate the (exponentially
-many) components: a translated intersection V^D ∩ (V^D + v) is decided
-by the same reduction that drives the displacement search: peeling one
-map off each side turns the question about v into the question about
-m*v + m*(d_j - d_i) one level down.  The base cases, the seed against
-the deeper family translated by v, are one walk down the cylinder tree
-started at seed - v for the shortest word meeting it.  Both searches
-run on the integer displacement lattice, with the seed ends'
-denominators joined in, and decide every comparison with one integer
-sign query at the parameter point.  They run depth first on explicit
-stacks and decide each lattice point and each interval once for every
-budget, so the truncation depth is not bounded by the Python stack.
-Everything is exact; truncation can only under-report intersections,
-so every report carries the truncation depth as a caveat.
+many) components: peeling one map off each side turns the question
+whether V^D meets V^D + v into the same question about the child
+m*v + m*(d_j - d_i) one level down, so the family search reads its
+lattice points and their children from the displacement search's child
+cache (``_PointMemo``), on a lattice with the seed ends' denominators
+joined in.  The base cases, the seed against the deeper family
+translated by v, are one walk down the cylinder tree started at
+seed - v.  Every comparison is one integer sign query at the parameter
+point; both searches run depth first on explicit stacks, so the
+truncation depth is not bounded by the Python stack.  Everything is
+exact; truncation can only under-report intersections, so every report
+carries the truncation depth as a caveat.
 """
 
 from __future__ import annotations
@@ -31,6 +30,8 @@ from .separation import (
     CensusResult,
     DisplacementLattice,
     TypeEntry,
+    _Node,
+    _PointMemo,
     census_states,
 )
 
@@ -86,20 +87,29 @@ class OpenSetApprox:
 _SEARCH = object()
 
 
-class _Point:
-    """What the family search has decided about one in-bound lattice point."""
+class _Family(_Node):
+    """A node of the family search: what it has decided about one in-bound point."""
 
-    __slots__ = ("near", "empty", "children", "scanned")
+    __slots__ = ("near", "empty")
 
     def __init__(self, near: bool):
+        super().__init__()
         #: |v| below the seed width: seed ∩ (seed + v) != 0 at every budget
         self.near = near
         #: the largest budget at which the families are proved disjoint
         self.empty = 0
-        #: the in-bound children (i, j, point, state) found so far, in (i, j) order
-        self.children: list = []
-        #: how many of the lattice's steps the children were looked for in
-        self.scanned = 0
+
+
+class _FamilyMemo(_PointMemo):
+    """The family search's child cache: families live in (0,1), so the bound is 1."""
+
+    def __init__(self, lattice: DisplacementLattice, pt: Param, width: Fraction):
+        super().__init__(lattice, pt, Fraction(1), strict=True)
+        self.width = width
+
+    def _node(self, point: tuple[int, int]) -> _Family:
+        # seed ∩ (seed + v): |v| below the seed width
+        return _Family(self.lattice.within(self.pt, point, self.width))
 
 
 class OverlapOracle:
@@ -113,27 +123,22 @@ class OverlapOracle:
     (of the shortest, the lexicographically first).  The seed against
     the deeper family translated by v is one walk from seed - v.
 
-    Both run on the integer lattice of ``DisplacementLattice`` with the
-    seed ends' denominators joined in: a shift is a lattice point
-    (P, Q), and an interval is (Plo, Phi, Q), since its two ends share
-    their parameter part.  Every interval comparison is one integer sign
-    query at the point (``sign_lattice``), so answers are exact for the
-    computable parameter.
+    Both run on the lattice of ``DisplacementLattice`` with the seed
+    ends' denominators joined in: a shift is a lattice point (P, Q), an
+    interval is (Plo, Phi, Q), and every comparison is one integer sign
+    query at the point, so answers are exact for the computable parameter.
 
-    Each lattice point and each interval is decided once for every
-    budget.  A point keeps whether it is in bound and near, its in-bound
-    children, found one at a time as the search reaches them, and the
-    largest budget at which its families are proved disjoint (a smaller
-    budget searches a subset); its rare hits are kept per budget, since
-    their witness depends on it.  An interval keeps its shortest word,
-    which no budget changes, or the largest budget proved empty.  Both
-    searches run depth first on explicit stacks, in the order of the
-    recursion they replace, so the witness is the first one on that
-    order and no truncation depth is limited by the Python stack.  Only
-    decided answers are kept: a query that raises ``Undecided`` leaves
-    nothing behind.  A shift off the lattice is answered by an oracle on
-    a lattice whose denominators cover its own too (the ``lattice``
-    argument), with caches of its own.
+    Each lattice point is decided once, in the child cache: in bound,
+    near, its in-bound children as far as the search reached them, and
+    the largest budget at which its families are proved disjoint (a
+    smaller budget searches a subset).  Its rare hits are kept per
+    budget, since their witness depends on it.  An interval keeps its
+    shortest word, which no budget changes, or the largest budget proved
+    empty.  Both searches run depth first on explicit stacks, in the
+    order of the recursion they replace, so the witness is the first on
+    that order.  Only decided answers are kept.  A shift off the lattice
+    is answered by an oracle on a lattice whose denominators cover its
+    own too (the ``lattice`` argument), with caches of its own.
     """
 
     def __init__(
@@ -146,9 +151,7 @@ class OverlapOracle:
         self._ends = (AffineExpr.constant(seed.lo), AffineExpr.constant(seed.hi))
         self.lattice = lattice or DisplacementLattice(self.sys, self._ends)
         self._seed = tuple(self.lattice.point(end)[0] for end in self._ends)
-        self._width = seed.width
-        #: lattice point -> its ``_Point``, or None when it is out of bound
-        self._points: dict[tuple[int, int], _Point | None] = {}
+        self._points = _FamilyMemo(self.lattice, pt, seed.width)
         #: (P, Q, budget) -> witness, for budgets at which a child search hit
         self._hits: dict[tuple[int, int, int], tuple[Word, Word]] = {}
         #: interval (lo, hi, Q) -> its shortest word, or the largest budget
@@ -173,60 +176,45 @@ class OverlapOracle:
         """Does any V_n1 meet any V_n2 + v, for n1, n2 <= budget?
 
         A depth-first search over the children on a stack of
-        [point, state, budget, next child] frames; the first hit is the
+        [point, node, budget, next child] frames; the first hit is the
         first on every frame's path, so it winds straight up.
         """
-        point = (P, Q)
-        state = self._point(point)
-        answer = self._known_family(point, state, budget)
+        point, points = (P, Q), self._points
+        node = points[point]
+        answer = self._known_family(point, node, budget)
         if answer is not _SEARCH:
             return answer
-        stack = [[point, state, budget, 0]]
+        stack = [[point, node, budget, 0]]
         while stack:
             frame = stack[-1]
-            point, state, budget, k = frame
-            child = self._child(point, state, k)
-            if child is None:
+            point, node, budget, k = frame
+            children = points.children(point, need=k + 1)
+            if k == len(children):
                 # every child's families are disjoint one level down
-                state.empty = budget
+                node.empty = budget
                 stack.pop()
                 continue
             frame[3] = k + 1
-            _, _, point, state = child
-            answer = self._known_family(point, state, budget - 1)
+            _, _, point, node = children[k]
+            answer = self._known_family(point, node, budget - 1)
             if answer is _SEARCH:
-                stack.append([point, state, budget - 1, 0])
+                stack.append([point, node, budget - 1, 0])
             elif answer is not None:
                 w1, w2 = answer
-                for point, state, budget, k in reversed(stack):
-                    i, j, _, _ = state.children[k - 1]
+                for point, node, budget, k in reversed(stack):
+                    i, j, _, _ = node.children[k - 1]
                     w1, w2 = Word.of(i) + w1, Word.of(j) + w2
                     self._hits[(*point, budget)] = (w1, w2)
                 return (w1, w2)
         return None
 
-    def _point(self, point: tuple[int, int]) -> _Point | None:
-        """The point's state, decided on its first visit; None when out of bound."""
-        try:
-            return self._points[point]
-        except KeyError:
-            pass
-        lattice, pt = self.lattice, self.pt
-        state = None
-        # families live in (0,1); a translation of 1 or more separates them
-        if lattice.within(pt, point, 1):
-            # seed ∩ (seed + v): |v| below the seed width
-            state = _Point(lattice.within(pt, point, self._width))
-        self._points[point] = state
-        return state
-
-    def _known_family(self, point: tuple[int, int], state: _Point | None, budget: int):
+    def _known_family(self, point: tuple[int, int], node: _Family | None, budget: int):
         """The answer at ``budget`` when it needs no search of the children, else ``_SEARCH``."""
-        if state is None:
+        if node is None:
             return None
-        if state.near:
+        if node.near:
             return (EMPTY_WORD, EMPTY_WORD)
-        if budget <= state.empty:
+        if budget <= node.empty:
             return None
         P, Q = point
         hit = self._hits.get((P, Q, budget))
@@ -242,27 +230,6 @@ class OverlapOracle:
         if hit is not None:
             return (hit, EMPTY_WORD)
         return _SEARCH
-
-    def _child(self, point: tuple[int, int], state: _Point, k: int):
-        """The point's k-th in-bound child (i, j, point, state), or None past the last.
-
-        The children are looked for only as the search reaches them, so
-        a search that stops at a hit asks nothing about the rest.
-        """
-        children = state.children
-        if k < len(children):
-            return children[k]
-        steps, m = self.lattice.steps, self.lattice.m
-        P, Q = point
-        while state.scanned < len(steps):
-            i, j, dp, dq = steps[state.scanned]
-            child = (m * P + dp, m * Q + dq)
-            child_state = self._point(child)
-            state.scanned += 1
-            if child_state is not None:
-                children.append((i, j, child, child_state))
-                return children[k]
-        return None
 
     def _interval_vs_family(self, lo: int, hi: int, Q: int, budget: int) -> Word | None:
         """Shortest word w, |w| <= budget, with (lo, hi) ∩ S_w(seed) != 0, if any.
@@ -459,8 +426,8 @@ def constructed_v_type_census(
     candidate sets differ may collapse to one type here.
     """
     oracle = OverlapOracle(open_set, pt)
-    # automaton state -> (kept displacements, their canonical keys), one
-    # tuple per state, so the report formats each distinct type once
+    # automaton state -> (kept displacements, their value ids), one tuple
+    # per state, so the report formats each distinct type once
     kept: dict[int, tuple] = {}
     levels = []
     for level, automaton, states in census_states(sys, pt, max_level):
@@ -469,10 +436,9 @@ def constructed_v_type_census(
         # merged entry keeps its smallest witness and ``merged`` keeps that order
         for key, (count, witness) in states.items():
             if key not in kept:
-                filtered = tuple(
-                    v for v in automaton.type_of(key) if oracle.overlaps(v) is not None
-                )
-                kept[key] = (filtered, tuple(pt.canonical_key(v) for v in filtered))
+                members = zip(automaton.type_of(key), automaton.value_ids(key))
+                pairs = [(v, ident) for v, ident in members if oracle.overlaps(v) is not None]
+                kept[key] = tuple(zip(*pairs)) or ((), ())
             filtered, fkey = kept[key]
             if fkey in merged:
                 old = merged[fkey]

@@ -11,14 +11,13 @@ the displacement set of every level.
 The recursion runs on an integer lattice (``DisplacementLattice``):
 with Lp and Lq the common denominators of the offsets' constant and
 parameter parts, every displacement is P/Lp + (Q/Lq)*a for integers P
-and Q, and a step is integer arithmetic on (P, Q).  The parameter point
-is consulted once per distinct lattice point: its in-bound verdict is
-two integer sign queries on (P, Q), and only an in-bound point gets an
-exact form and a canonical key.  The displacement search, the convex
-neighbourhood-type automaton (whose states are small ints), the
-smallest-displacement search, the endpoint separation check and the
-exact overlap scan (closed walks of the recursion back to 0) are all
-built on that one core.
+and Q, and a step is integer arithmetic on (P, Q).  One child cache,
+``_PointMemo``, decides each distinct lattice point once at the
+parameter point (two integer sign queries on (P, Q)) and expands each
+in-bound point once.  The displacement search (behind the smallest
+displacement and the endpoint check), the convex neighbourhood-type
+automaton and the open-set overlap oracle all read their children from
+it; the exact overlap scan needs no parameter point at all.
 """
 
 from __future__ import annotations
@@ -101,13 +100,35 @@ class DisplacementLattice:
 _ZERO_STATE = (0, 0)
 
 
-class _PointMemo(dict):
-    """In-bound verdicts of lattice points, each decided once at the point.
+class _Node:
+    """An in-bound point of the child cache: its in-bound children (i, j, point,
+    node) in (i, j) order, found over the first ``scanned`` of the lattice's steps."""
 
-    Maps (P, Q) to None when its displacement lies outside the bound,
-    else to (value id, exact form).  Value ids are small ints, equal
-    exactly when the canonical keys are equal; ``keys[id]`` gives the
-    key back.  Only decided verdicts are stored, so a point whose sign
+    __slots__ = ("children", "scanned")
+
+    def __init__(self):
+        self.children, self.scanned = [], 0
+
+
+class _Value(_Node):
+    """A node with its displacement's value id and exact form."""
+
+    __slots__ = ("ident", "form")
+
+    def __init__(self, ident: int, form: AffineExpr):
+        super().__init__()
+        self.ident, self.form = ident, form
+
+
+class _PointMemo(dict):
+    """The child cache of the displacement recursion at one parameter point.
+
+    Maps each lattice point (P, Q) to None when its displacement lies
+    outside the bound, else to its node (``_node`` builds it), decided
+    once.  ``children`` scans a node's steps on from where the last call
+    stopped, so no point is expanded twice.  Value ids are small ints,
+    equal exactly when the canonical keys are equal; ``keys[id]`` gives
+    the key back.  Only decided verdicts are stored: a point whose sign
     test raised ``Undecided`` is tested again when it comes up again.
     """
 
@@ -128,13 +149,30 @@ class _PointMemo(dict):
             self.keys.append(key)
         return ident
 
+    def _node(self, point: tuple[int, int]) -> _Node:
+        """An in-bound point's node; subclasses keep what their search needs."""
+        form = self.lattice.form(point)
+        return _Value(self.value_id(form), form)
+
     def __missing__(self, point: tuple[int, int]):
-        entry = None
-        if self.lattice.within(self.pt, point, self.bound, self.strict):
-            form = self.lattice.form(point)
-            entry = (self.value_id(form), form)
-        self[point] = entry
-        return entry
+        inside = self.lattice.within(self.pt, point, self.bound, self.strict)
+        node = self[point] = self._node(point) if inside else None
+        return node
+
+    def children(self, point: tuple[int, int], upto: int | None = None, need: int | None = None):
+        """The point's children, scanned through step ``upto`` or until ``need`` are found."""
+        node = self[point]
+        found, steps, m = node.children, self.lattice.steps, self.lattice.m
+        stop = len(steps) if upto is None else upto
+        need = stop if need is None else need
+        while node.scanned < stop and len(found) < need:
+            i, j, dp, dq = steps[node.scanned]
+            child = (m * point[0] + dp, m * point[1] + dq)
+            child_node = self[child]
+            node.scanned += 1
+            if child_node is not None:
+                found.append((i, j, child, child_node))
+        return found
 
 
 #: A neighbourhood type: canonically ordered displacements, always holding
@@ -165,21 +203,16 @@ def _search(memo: _PointMemo, max_level: int):
     in (i, j) order, and a value keeps the first pair that reaches it.
     The words sigma and tau are bytes, one byte per symbol.
     """
-    lattice = memo.lattice
-    m = lattice.m
-    steps = [(bytes((i,)), bytes((j,)), dp, dq) for i, j, dp, dq in lattice.steps]
+    symbol = [bytes((s,)) for s in range(256)]
     current = [(b"", b"", _ZERO_STATE)]
     for _ in range(max_level):
         nxt: dict = {}
-        for sigma, tau, (vp, vq) in current:
-            vp, vq = m * vp, m * vq
-            for i, j, dp, dq in steps:
-                point = (vp + dp, vq + dq)
-                entry = memo[point]
-                if entry is not None and entry[0] not in nxt:
-                    nxt[entry[0]] = (sigma + i, tau + j, point, entry[1])
+        for sigma, tau, point in current:
+            for i, j, child, node in memo.children(point):
+                if node.ident not in nxt:
+                    nxt[node.ident] = (sigma + symbol[i], tau + symbol[j], child, node.form)
         yield nxt
-        current = sorted(node[:3] for node in nxt.values())
+        current = sorted(entry[:3] for entry in nxt.values())
 
 
 def displacement_levels(
@@ -285,25 +318,23 @@ class TypeAutomaton:
     """Neighbourhood-type automaton over displacement sets.
 
     A state is the canonically ordered set of in-(-1,1) displacements a
-    word can reach; the successor under symbol i rescales every member
-    by m and shifts by m*(d_j - d_i) over all j, on the integer lattice.
+    word can reach; the successor under symbol i is every member's
+    in-bound children under (i, j) over all j, from the child cache.
     State identity uses the parameter point's canonical value keys, so
     rational control points collapse displacement expressions by value
     while irrational points compare componentwise.  States are interned
-    as small ints; each keeps the lattice points and exact forms of the
-    members it was first built from.
+    as small ints; each keeps the value ids, lattice points and exact
+    forms of the members it was first built from.
     """
 
     def __init__(self, sys: IfsSystem, pt: Param):
         self.sys = sys
         self.pt = pt
         lattice = DisplacementLattice(sys)
-        self._m, self._lp, self._lq = lattice.m, lattice.lp, lattice.lq
-        self._steps = {
-            i: [(dp, dq) for s, _, dp, dq in lattice.steps if s == i] for i in sys.symbols
-        }
+        self._lp, self._lq = lattice.lp, lattice.lq
         self._memo = _PointMemo(lattice, pt, Fraction(1), strict=True)
         self._states: dict[tuple[int, ...], int] = {}
+        self._value_ids: list[tuple[int, ...]] = []
         self._members: list[tuple[tuple[int, int], ...]] = []
         self._types: list[tuple[AffineExpr, ...]] = []
         self._transitions: dict[tuple[int, int], int] = {}
@@ -327,6 +358,7 @@ class TypeAutomaton:
         state = self._states.get(key)
         if state is None:
             state = self._states[key] = len(self._types)
+            self._value_ids.append(key)
             self._members.append(tuple(point for _, (point, _) in ordered))
             self._types.append(tuple(form for _, (_, form) in ordered))
         return state
@@ -334,20 +366,22 @@ class TypeAutomaton:
     def type_of(self, key: int) -> tuple[AffineExpr, ...]:
         return self._types[key]
 
+    def value_ids(self, key: int) -> tuple[int, ...]:
+        """The members' value ids, in the order of ``type_of``; equal ids, equal values."""
+        return self._value_ids[key]
+
     def successor(self, key: int, symbol: int) -> int:
         memo_key = (key, symbol)
         cached = self._transitions.get(memo_key)
         if cached is not None:
             return cached
-        m, memo = self._m, self._memo
+        # a member is scanned through the steps of symbols <= symbol, resuming where it stopped
+        memo, upto = self._memo, (self.sys.symbols.index(symbol) + 1) * self.sys.alphabet_size
         found: dict = {}
-        for vp, vq in self._members[key]:
-            vp, vq = m * vp, m * vq
-            for dp, dq in self._steps[symbol]:
-                point = (vp + dp, vq + dq)
-                entry = memo[point]
-                if entry is not None and entry[0] not in found:
-                    found[entry[0]] = (point, entry[1])
+        for point in self._members[key]:
+            for i, _, child, node in memo.children(point, upto):
+                if i == symbol and node.ident not in found:
+                    found[node.ident] = (child, node.form)
         result = self._intern(found)
         self._transitions[memo_key] = result
         return result

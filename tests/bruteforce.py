@@ -7,6 +7,9 @@ only as independent cross-checks at small levels.
 refinement step, built on the band solver and interval helpers here.
 ``RecursiveOverlapOracle`` is the recursive, per-budget memoized form
 of the overlap oracle, the reference for its explicit stacks.
+``reference_search`` and ``ReferenceTypeAutomaton`` step every parent
+through its children afresh each time, the reference for the shared
+child cache that expands each lattice point once.
 The interval, image and automaton helpers are what only the tests ask
 of those types, and ``StaticRefiner`` gives a point a fixed, finite
 window chain.
@@ -182,6 +185,54 @@ def word_type(automaton: TypeAutomaton, word: Word) -> tuple[AffineExpr, ...]:
     for s in word:
         key = automaton.successor(key, s)
     return automaton.type_of(key)
+
+
+def reference_search(memo, max_level: int):
+    """The displacement search that re-expands every in-bound parent at every level.
+
+    A drop-in for ``separation._search``: the same levels, in the same
+    order, from the same bound tests, but each parent's children are
+    stepped and looked up in ``memo`` afresh, level after level.
+    """
+    lattice = memo.lattice
+    m = lattice.m
+    steps = [(bytes((i,)), bytes((j,)), dp, dq) for i, j, dp, dq in lattice.steps]
+    current = [(b"", b"", (0, 0))]
+    for _ in range(max_level):
+        nxt: dict = {}
+        for sigma, tau, (vp, vq) in current:
+            vp, vq = m * vp, m * vq
+            for i, j, dp, dq in steps:
+                point = (vp + dp, vq + dq)
+                node = memo[point]
+                if node is not None and node.ident not in nxt:
+                    nxt[node.ident] = (sigma + i, tau + j, point, node.form)
+        yield nxt
+        current = sorted(entry[:3] for entry in nxt.values())
+
+
+class ReferenceTypeAutomaton(TypeAutomaton):
+    """The automaton that steps every member through one symbol's steps itself."""
+
+    def successor(self, key: int, symbol: int) -> int:
+        memo_key = (key, symbol)
+        cached = self._transitions.get(memo_key)
+        if cached is not None:
+            return cached
+        memo = self._memo
+        m = memo.lattice.m
+        steps = [(dp, dq) for i, _, dp, dq in memo.lattice.steps if i == symbol]
+        found: dict = {}
+        for vp, vq in self._members[key]:
+            vp, vq = m * vp, m * vq
+            for dp, dq in steps:
+                point = (vp + dp, vq + dq)
+                node = memo[point]
+                if node is not None and node.ident not in found:
+                    found[node.ident] = (point, node.form)
+        result = self._intern(found)
+        self._transitions[memo_key] = result
+        return result
 
 
 def brute_force_displacements(

@@ -50,6 +50,8 @@ from bruteforce import (
     brute_force_displacements,
     compare,
     endpoint_separation_bruteforce,
+    ReferenceTypeAutomaton,
+    reference_search,
     StaticRefiner,
     word_type,
 )
@@ -406,6 +408,9 @@ class _OracleTypeAutomaton:
     def type_of(self, key):
         return self._types[key]
 
+    def value_ids(self, key):
+        return key
+
     def successor(self, key, symbol):
         if (key, symbol) not in self._transitions:
             m = self.sys.ratio_denominator
@@ -701,6 +706,146 @@ def _short_point(which, depth):
     full = example_point(which)
     windows = [full.window(k) for k in range(1, depth + 1)]
     return ParamPoint(StaticRefiner(windows), irrationality_assumed=True)
+
+
+# --- the shared child cache against the loops that re-expand every parent ---------
+
+
+class _RecordingParam(_CountingParam):
+    """A counting point that also keeps its sign queries in the order asked."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.asked = []
+
+    def sign_lattice(self, P, Lp, Q, Lq):
+        self.asked.append((P, Lp, Q, Lq))
+        return super().sign_lattice(P, Lp, Q, Lq)
+
+
+def _reference_loops():
+    return mock.patch.multiple(
+        separation, _search=reference_search, TypeAutomaton=ReferenceTypeAutomaton
+    )
+
+
+#: every user of the displacement recursion at a parameter point
+CACHE_USERS = {
+    "levels": lambda sys, pt, levels: _in_order(displacement_levels(sys, pt, levels)),
+    "wsp": wsp_min_displacement,
+    "endpoints": lambda sys, pt, levels: endpoint_separation(sys, pt, levels, F(4, 7)),
+    "census": convex_type_census,
+}
+
+
+def _recorded(fn, sys, make_point, levels):
+    """(outcome, sign queries in order) of one call on a fresh point."""
+    pt = _RecordingParam(make_point())
+    return _outcome(fn, sys, pt, levels), pt.asked
+
+
+@pytest.mark.parametrize("user", sorted(CACHE_USERS))
+@pytest.mark.parametrize(
+    # example 2's endpoint check lists its overlap pairs, which grow about 6x per level
+    "which,label,levels", [(1, "ex1", 12), (2, "ex2", 6), (1, F(1, 8), 12), (2, F(3, 64), 6)]
+)
+def test_child_cache_matches_the_reference_loops(user, which, label, levels):
+    sys = example_template(which).system
+    fn = CACHE_USERS[user]
+
+    def make_point():
+        return example_point(which) if label in ("ex1", "ex2") else RationalParam(label)
+
+    got = _recorded(fn, sys, make_point, levels)
+    with _reference_loops():
+        expected = _recorded(fn, sys, make_point, levels)
+    # per-level dicts or reports, and every sign query in the order asked
+    assert got == expected
+    assert got[1]
+
+
+@pytest.mark.parametrize("user", sorted(CACHE_USERS))
+@pytest.mark.parametrize("which,depth,levels", [(1, 3, 8), (1, 6, 10), (2, 3, 6)])
+def test_child_cache_undecided_like_the_reference_loops(user, which, depth, levels):
+    sys = example_template(which).system
+    fn = CACHE_USERS[user]
+    got = _recorded(fn, sys, lambda: _short_point(which, depth), levels)
+    with _reference_loops():
+        expected = _recorded(fn, sys, lambda: _short_point(which, depth), levels)
+    assert got == expected
+    assert got[0][0] == "undecided"
+    # nothing undecided is kept, so the same point fails the same way again
+    pt = _short_point(which, depth)
+    assert _outcome(fn, sys, pt, levels) == got[0]
+    assert _outcome(fn, sys, pt, levels) == got[0]
+
+
+@pytest.mark.parametrize("which,depth", [(1, 3), (1, 6), (2, 3)])
+def test_automaton_retries_an_undecided_successor(which, depth):
+    # a scan stopped by Undecided resumes at the step that raised
+    sys = example_template(which).system
+
+    def walk(automaton):
+        keys = [automaton.root_key]
+        for _ in range(12):
+            keys = list(dict.fromkeys(
+                automaton.successor(key, i) for key in keys for i in sys.symbols
+            ))
+
+    messages = []
+    for automaton_cls in (TypeAutomaton, ReferenceTypeAutomaton):
+        automaton = automaton_cls(sys, _short_point(which, depth))
+        for _ in range(2):
+            with pytest.raises(Undecided) as raised:
+                walk(automaton)
+            messages.append(str(raised.value))
+    assert len(set(messages)) == 1
+
+
+def test_automaton_refuses_a_symbol_outside_the_alphabet(ex1_sys, ex1_pt):
+    # a prefix scan through a symbol that does not exist would read as the empty type
+    automaton = TypeAutomaton(ex1_sys, ex1_pt)
+    for symbol in (0, ex1_sys.alphabet_size + 1):
+        with pytest.raises(ValueError):
+            automaton.successor(automaton.root_key, symbol)
+
+
+def test_wsp_expands_each_lattice_point_once():
+    sys = example_template(2).system
+    added = Counter()
+
+    class Step(int):
+        """A step that counts the child points it is added into."""
+
+        def __radd__(self, other):
+            added["children"] += 1
+            return other + int(self)
+
+        __add__ = __radd__
+
+    class CountingLattice(separation.DisplacementLattice):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.steps = [(i, j, Step(dp), dq) for i, j, dp, dq in self.steps]
+
+    memos = []
+
+    class KeptMemo(separation._PointMemo):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            memos.append(self)
+
+    with mock.patch.multiple(
+        separation, DisplacementLattice=CountingLattice, _PointMemo=KeptMemo
+    ):
+        result = wsp_min_displacement(sys, example_point(2), 60)
+    assert result == wsp_min_displacement(sys, example_point(2), 60)
+    (memo,) = memos
+    inside = sum(node is not None for node in memo.values())
+    assert inside > 60
+    # no in-bound point's steps are scanned twice, and no other point's at all
+    n = sys.alphabet_size
+    assert 0 < added["children"] <= n * n * inside
 
 
 @pytest.mark.parametrize("which,depth,levels", [(1, 3, 8), (1, 6, 8), (2, 3, 4)])

@@ -178,17 +178,14 @@ def run_config(args, command: str, **extra) -> dict:
 
 
 def encode_report(obj) -> str:
-    """Exactly ``json.dumps(obj, indent=2)``, with each shared part encoded once.
+    """Exactly ``json.dumps(obj, indent=2)``, built as one list of pieces.
 
-    A dict, list or tuple met again at the same depth (the same object:
-    a census report shares one displacement list among all entries of a
-    type) is written as the text already produced for it.
+    No report shares a container between two places (a census report
+    writes each displacement and each type once, as a table that the
+    levels index), so each container is encoded where it appears.
     """
     pieces: list[str] = []
     append = pieces.append
-    # (id, depth) -> the (start, end) of its pieces, joined into one
-    # string the first time the container is met again
-    memo: dict[tuple[int, int], tuple[int, int] | str] = {}
 
     def write(obj, depth: int) -> None:
         if isinstance(obj, str):
@@ -201,24 +198,14 @@ def encode_report(obj) -> str:
             append("false")
         elif isinstance(obj, int):
             append(int.__repr__(obj))
-        elif isinstance(obj, (dict, list, tuple)):
-            key = (id(obj), depth)
-            done = memo.get(key)
-            if done is None:
-                start = len(pieces)
-                write_container(obj, depth)
-                memo[key] = (start, len(pieces))
-                return
-            if not isinstance(done, str):
-                done = memo[key] = "".join(pieces[done[0]:done[1]])
-            append(done)
-        else:
+        elif not isinstance(obj, (dict, list, tuple)):
             append(json.dumps(obj))
+        elif not obj:
+            append("{}" if isinstance(obj, dict) else "[]")
+        else:
+            write_container(obj, depth)
 
     def write_container(obj, depth: int) -> None:
-        if not obj:
-            append("{}" if isinstance(obj, dict) else "[]")
-            return
         inner = "\n" + "  " * (depth + 1)
         between = "," + inner
         sep = inner
@@ -250,7 +237,8 @@ def encode_report(obj) -> str:
 def emit(args, report: dict) -> None:
     if args.timestamps:
         report["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    sys.stdout.write(encode_report(report) + "\n")
+    sys.stdout.write(encode_report(report))
+    sys.stdout.write("\n")
 
 
 def emit_results(args, command: str, prop: str, results) -> None:
@@ -469,7 +457,9 @@ def main(argv=None) -> int:
         sys.stderr.write(f"sepkit: empty refinement: {exc}\n")
         return EXIT_USAGE
     except (Undecided, RefinementExhausted) as exc:
-        sys.stderr.write(f"sepkit: undecided: {exc}\n")
+        command = " ".join(filter(None, (args.subcommand, getattr(args, "verifier", None))))
+        budget = oracle_budget(args)
+        sys.stderr.write(f"sepkit: undecided ({command}, oracle budget {budget}): {exc}\n")
         return EXIT_UNDECIDED
     except ValueError as exc:
         sys.stderr.write(f"sepkit: {exc}\n")

@@ -415,40 +415,64 @@ class CensusResult:
         return tuple(lv.distinct_count for lv in self.levels)
 
     def to_json(self, pt: Param) -> dict:
-        """The report; entries holding the same type object share one displacement list.
+        """The report: a value table, a type table, and each level as columns of indices.
 
-        A census builds one type tuple per automaton state, so each
-        distinct type is formatted (and its decimals evaluated) once.
+        ``values`` holds each distinct displacement form once, as
+        ``{"value", "decimal"}``, in order of first appearance, and
+        ``types`` each distinct type once, as the indices of its values
+        in the type's canonical order.  A level's ``types``,
+        ``word_counts`` and ``witnesses`` are parallel columns, one row
+        per entry in witness order: the entry's index into ``types``,
+        how many words have it, and its lex-first witness.
+
+        A census builds one type tuple per automaton state, so a type
+        is looked up by the id of its tuple, and only a type met for
+        the first time has its forms looked up (and a new form its
+        decimal evaluated).
         """
-        lists: dict[int, list] = {}
+        values: list[dict] = []
+        value_index: dict[AffineExpr, int] = {}
+        types: list[list[int]] = []
+        type_index: dict[tuple[int, ...], int] = {}
+        by_id: dict[int, int] = {}
 
-        def formatted(displacements: NeighborhoodType) -> list:
-            out = lists.get(id(displacements))
-            if out is None:
-                out = lists[id(displacements)] = [
-                    {"value": v.to_json(), "decimal": pt.eval_decimal(v, DISPLAY_DIGITS)}
-                    for v in displacements
-                ]
-            return out
+        def type_of(displacements: NeighborhoodType) -> int:
+            index = by_id.get(id(displacements))
+            if index is not None:
+                return index
+            indices = []
+            for v in displacements:
+                i = value_index.get(v)
+                if i is None:
+                    i = value_index[v] = len(values)
+                    values.append(
+                        {"value": v.to_json(), "decimal": pt.eval_decimal(v, DISPLAY_DIGITS)}
+                    )
+                indices.append(i)
+            key = tuple(indices)
+            index = type_index.get(key)
+            if index is None:
+                index = type_index[key] = len(types)
+                types.append(indices)
+            by_id[id(displacements)] = index
+            return index
 
+        levels = [
+            {
+                "level": lv.level,
+                "distinct_types": len(lv.types),
+                "types": [type_of(t.displacements) for t in lv.types],
+                "word_counts": [t.count for t in lv.types],
+                "witnesses": [str(t.witness) for t in lv.types],
+            }
+            for lv in self.levels
+        ]
         return {
             "open_set": self.open_set,
             "counts": list(self.counts),
-            "levels": [
-                {
-                    "level": lv.level,
-                    "distinct_types": len(lv.types),
-                    "types": [
-                        {
-                            "displacements": formatted(t.displacements),
-                            "count": t.count,
-                            "witness": str(t.witness),
-                        }
-                        for t in lv.types
-                    ],
-                }
-                for lv in self.levels
-            ],
+            "values": values,
+            "types": types,
+            "levels": levels,
             "caveats": list(self.caveats),
         }
 

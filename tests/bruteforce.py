@@ -10,6 +10,9 @@ of the overlap oracle, the reference for its explicit stacks.
 ``reference_search`` and ``ReferenceTypeAutomaton`` step every parent
 through its children afresh each time, the reference for the shared
 child cache that expands each lattice point once.
+``census_report_per_entry`` is the census report with every entry's
+displacements written out in full, the reference that
+``expand_census_report`` rebuilds from the compact report.
 The interval, image and automaton helpers are what only the tests ask
 of those types, and ``StaticRefiner`` gives a point a fixed, finite
 window chain.
@@ -31,7 +34,7 @@ from sepkit import (
 from sepkit.construction import ConstructionTemplate, EmptyRefinement, RefinementOption
 from sepkit.exact import RefinementExhausted
 from sepkit.ifs import EMPTY_WORD
-from sepkit.separation import Displacement, DisplacementLattice, TypeAutomaton
+from sepkit.separation import DISPLAY_DIGITS, Displacement, DisplacementLattice, TypeAutomaton
 
 
 def compare(pt: Param, e1: AffineExpr, e2: AffineExpr) -> int:
@@ -377,3 +380,57 @@ class RecursiveOverlapOracle:
                 best = Word.of(j) + sub
                 budget = len(sub)
         return best
+
+
+def census_report_per_entry(census, pt: Param) -> dict:
+    """The census report with every entry formatted on its own."""
+    return {
+        "open_set": census.open_set,
+        "counts": list(census.counts),
+        "levels": [
+            {
+                "level": lv.level,
+                "distinct_types": len(lv.types),
+                "types": [
+                    {
+                        "displacements": [
+                            {"value": v.to_json(), "decimal": pt.eval_decimal(v, DISPLAY_DIGITS)}
+                            for v in t.displacements
+                        ],
+                        "count": t.count,
+                        "witness": str(t.witness),
+                    }
+                    for t in lv.types
+                ],
+            }
+            for lv in census.levels
+        ],
+        "caveats": list(census.caveats),
+    }
+
+
+def expand_census_report(report: dict) -> dict:
+    """The per-entry layout of a compact census report: every index replaced by what it names."""
+    values, types = report["values"], report["types"]
+    return {
+        "open_set": report["open_set"],
+        "counts": report["counts"],
+        "levels": [
+            {
+                "level": lv["level"],
+                "distinct_types": lv["distinct_types"],
+                "types": [
+                    {
+                        "displacements": [values[i] for i in types[t]],
+                        "count": count,
+                        "witness": witness,
+                    }
+                    for t, count, witness in zip(
+                        lv["types"], lv["word_counts"], lv["witnesses"], strict=True
+                    )
+                ],
+            }
+            for lv in report["levels"]
+        ],
+        "caveats": report["caveats"],
+    }

@@ -210,6 +210,18 @@ def test_oracle_budget_env_undecided(capsys, monkeypatch):
     assert "undecided" in err.lower()
 
 
+def test_undecided_names_command_and_budget(capsys, monkeypatch):
+    # a level-k form needs windows about k deep, so the default budget stops near level 190
+    code, out, err = run_cli(capsys, "types", "--example", "1", "--levels", "200")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("sepkit: undecided (types, oracle budget 200): ")
+    monkeypatch.setenv("SEPKIT_ORACLE_BUDGET", "3")
+    code, _, err = run_cli(capsys, "verify", "distinctness", "--example", "1", "--levels", "12")
+    assert code == 3
+    assert err.startswith("sepkit: undecided (verify distinctness, oracle budget 3): ")
+
+
 def test_exhausted_prefix_is_undecided(capsys):
     code, _, err = run_cli(
         capsys, "construct", "--example", "1", "--sequence", "bits:01", "--depth", "40",

@@ -9,7 +9,10 @@ requests, and deep requests beyond the benchmark: two WSP runs, two
 long constructions and distinctness at 150 levels, on both the
 grouped (flagged point) and the pairwise (unflagged) path.  The code
 behind them may change; their reports may not.  A declared output
-change updates the digests here.  The three requests
+change updates the digests here.  The census reports changed format
+once, to a value table, a type table and levels as columns of
+indices; ``PER_ENTRY_GOLDEN`` keeps each one's digest from before
+that change, which its expansion must still match.  The three requests
 the benchmark marks as known defects (the periodic census and WSP, and
 distinctness at 200 levels) are left out: fixing them changes their
 output.  ``SVG_GOLDEN`` pins the bytes of every figure ``render`` writes
@@ -17,31 +20,34 @@ for both examples at six levels.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from sepkit.cli import main
+
+from bruteforce import expand_census_report
 
 ORACLE_GOLDEN = [
     pytest.param(
         ["types", "--example", "1", "--open-set", "constructed", "--seed", "3/7:4/7",
          "--levels", "30", "--truncation", "32"],
         0,
-        "b418c5af6d8a54ab9ebd0f7eda4a7fa083354811286f6b93bc70f3eb3ed334fc",
+        "822e34fec2b281a05d52a258c36ace3141315705fe2eabd2ad146580dc745385",
         id="constructed-ex1-30",
     ),
     pytest.param(
         ["types", "--example", "2", "--open-set", "constructed", "--seed", "7/16:8/16",
          "--levels", "14", "--truncation", "16"],
         0,
-        "c56c13dc65f2e5c9f801fde790fd06d4e1310a6dbed3c835e1c0212070a4f3c9",
+        "3787831bc12135bd4a6bbf5537aca616f9adcd08d0cd616f25f55fb2180251f8",
         id="constructed-ex2-14",
     ),
     pytest.param(
         ["types", "--example", "2", "--open-set", "constructed", "--seed", "7/16:8/16",
          "--levels", "8", "--truncation", "10", "--sequence", "thue-morse"],
         0,
-        "a73627a51bae0b49186a9ed3ec891f1e86a4bb43ce0935b4ebb32146d18c6d91",
+        "b4265d2623070ab973ec4fe1f6bc2767184df4857f98c196a8e9d63f993690a1",
         id="constructed-ex2-8",
     ),
     pytest.param(
@@ -60,7 +66,7 @@ ORACLE_GOLDEN = [
         ["types", "--example", "1", "--open-set", "constructed", "--seed", "3/7:4/7",
          "--levels", "100", "--oracle-budget", "5000"],
         0,
-        "705e3f3f4ed263870c988f5d141d816b825b4ea9e56d15c29b2f870ec8120533",
+        "58d9c04aef219eb3cdbe5c459e206c268359c59fbba152e45dfcf5f19ac3defe",
         id="constructed-ex1-100",
     ),
     pytest.param(
@@ -75,13 +81,13 @@ GOLDEN = [
     pytest.param(
         ["types", "--example", "1", "--levels", "80"],
         0,
-        "74180b4041247d7e6d48e5bcab8c295fc81ebba83095a39e46d51eec44852cd8",
+        "7fca46317d2077c0738dfda8d29c29259dc737192c4a0f8c9c5c077a2f35799d",
         id="types-ex1-80",
     ),
     pytest.param(
         ["types", "--example", "2", "--levels", "30", "--sequence", "thue-morse"],
         0,
-        "af2bd397e3fa80be3052041b3a5d41b851e526c4a7404ebe76ea11bbabaac78b",
+        "7fca427880b03ffcc6de6d33aefe73793a7ea6a6946e949aa2b01790bb65ee34",
         id="types-ex2-30",
     ),
     pytest.param(
@@ -190,21 +196,42 @@ GOLDEN = [
 ]
 
 
-def _check_digest(capsys, argv, exit_code, digest):
+# the census reports in the per-entry layout they had before the value
+# and type tables, as digests of their expansion
+PER_ENTRY_GOLDEN = {
+    "constructed-ex1-30": "b418c5af6d8a54ab9ebd0f7eda4a7fa083354811286f6b93bc70f3eb3ed334fc",
+    "constructed-ex2-14": "c56c13dc65f2e5c9f801fde790fd06d4e1310a6dbed3c835e1c0212070a4f3c9",
+    "constructed-ex2-8": "a73627a51bae0b49186a9ed3ec891f1e86a4bb43ce0935b4ebb32146d18c6d91",
+    "constructed-ex1-100": "705e3f3f4ed263870c988f5d141d816b825b4ea9e56d15c29b2f870ec8120533",
+    "types-ex1-80": "74180b4041247d7e6d48e5bcab8c295fc81ebba83095a39e46d51eec44852cd8",
+    "types-ex2-30": "af2bd397e3fa80be3052041b3a5d41b851e526c4a7404ebe76ea11bbabaac78b",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _check_digest(request, capsys, argv, exit_code, digest):
     code = main(list(argv))
     out = capsys.readouterr().out
     assert code == exit_code
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert _sha256(out) == digest
+    per_entry = PER_ENTRY_GOLDEN.get(request.node.callspec.id)
+    if per_entry is not None:
+        report = json.loads(out)
+        report["results"] = expand_census_report(report["results"])
+        assert _sha256(json.dumps(report, indent=2) + "\n") == per_entry
 
 
 @pytest.mark.parametrize("argv,exit_code,digest", ORACLE_GOLDEN)
-def test_oracle_reports_unchanged(capsys, argv, exit_code, digest):
-    _check_digest(capsys, argv, exit_code, digest)
+def test_oracle_reports_unchanged(request, capsys, argv, exit_code, digest):
+    _check_digest(request, capsys, argv, exit_code, digest)
 
 
 @pytest.mark.parametrize("argv,exit_code,digest", GOLDEN)
-def test_reports_unchanged(capsys, argv, exit_code, digest):
-    _check_digest(capsys, argv, exit_code, digest)
+def test_reports_unchanged(request, capsys, argv, exit_code, digest):
+    _check_digest(request, capsys, argv, exit_code, digest)
 
 
 SVG_GOLDEN = {

@@ -1,4 +1,5 @@
-"""The report writer against its oracle, ``json.dumps(obj, indent=2)``."""
+"""The report writer against its oracle, ``json.dumps(obj, indent=2)``,
+and the compact census report against its per-entry expansion."""
 
 import json
 from fractions import Fraction
@@ -7,13 +8,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sepkit import (
+    DrivingSequence,
     OpenSetApprox,
     RationalInterval,
     constructed_v_type_census,
     convex_type_census,
+    param_point,
 )
 from sepkit.cli import encode_report
-from sepkit.separation import DISPLAY_DIGITS
+
+from bruteforce import census_report_per_entry, expand_census_report
 
 # every code point, surrogates and control characters included
 ANY_TEXT = st.text(st.characters(blacklist_categories=()))
@@ -71,47 +75,41 @@ def test_non_json_values_raise_type_error(value):
         encode_report(value)
 
 
-def _census_report_per_entry(census, pt) -> dict:
-    """The census report with every entry formatted on its own."""
+@pytest.fixture(scope="module")
+def censuses(ex1_template, ex1_sys, ex1_pt, ex2_sys, ex2_pt, eighth_pt):
+    periodic_pt = param_point(ex1_template, DrivingSequence.periodic("01"))
+    seed = RationalInterval(Fraction(3, 7), Fraction(4, 7))
     return {
-        "open_set": census.open_set,
-        "counts": list(census.counts),
-        "levels": [
-            {
-                "level": lv.level,
-                "distinct_types": len(lv.types),
-                "types": [
-                    {
-                        "displacements": [
-                            {"value": v.to_json(), "decimal": pt.eval_decimal(v, DISPLAY_DIGITS)}
-                            for v in t.displacements
-                        ],
-                        "count": t.count,
-                        "witness": str(t.witness),
-                    }
-                    for t in lv.types
-                ],
-            }
-            for lv in census.levels
-        ],
-        "caveats": list(census.caveats),
+        "convex-ex1": (convex_type_census(ex1_sys, ex1_pt, 12), ex1_pt),
+        "convex-ex2": (convex_type_census(ex2_sys, ex2_pt, 8), ex2_pt),
+        "convex-eighth": (convex_type_census(ex1_sys, eighth_pt, 10), eighth_pt),
+        "convex-periodic": (convex_type_census(ex1_sys, periodic_pt, 10), periodic_pt),
+        "constructed-ex1": (
+            constructed_v_type_census(ex1_sys, ex1_pt, OpenSetApprox(ex1_sys, seed, 10), 8),
+            ex1_pt,
+        ),
     }
 
 
-def test_census_report_shares_one_list_per_type(ex1_sys, ex1_pt, ex2_sys, ex2_pt, eighth_pt):
-    seed = RationalInterval(Fraction(3, 7), Fraction(4, 7))
-    for census, pt in [
-        (convex_type_census(ex1_sys, ex1_pt, 12), ex1_pt),
-        (convex_type_census(ex2_sys, ex2_pt, 8), ex2_pt),
-        (convex_type_census(ex1_sys, eighth_pt, 10), eighth_pt),
-        (constructed_v_type_census(ex1_sys, ex1_pt, OpenSetApprox(ex1_sys, seed, 10), 8), ex1_pt),
-    ]:
+def test_census_report_expands_to_per_entry_report(censuses):
+    for census, pt in censuses.values():
         report = census.to_json(pt)
-        assert report == _census_report_per_entry(census, pt)
+        assert expand_census_report(report) == census_report_per_entry(census, pt)
         assert encode_report(report) == json.dumps(report, indent=2)
-        lists = {}
-        for lv, level_json in zip(census.levels, report["levels"]):
-            for entry, entry_json in zip(lv.types, level_json["types"]):
-                lists.setdefault(id(entry.displacements), entry_json["displacements"])
-                assert entry_json["displacements"] is lists[id(entry.displacements)]
-        assert len(lists) < sum(len(lv.types) for lv in census.levels)
+
+
+def test_census_report_writes_each_value_and_type_once(censuses, ex1_sys, ex2_sys):
+    alphabet = {"convex-ex1": ex1_sys.alphabet_size, "convex-ex2": ex2_sys.alphabet_size}
+    for name, (census, pt) in censuses.items():
+        report = census.to_json(pt)
+        values, types = report["values"], report["types"]
+        assert len({json.dumps(v, sort_keys=True) for v in values}) == len(values)
+        assert len({tuple(t) for t in types}) == len(types)
+        assert all(0 <= i < len(values) for t in types for i in t)
+        for lv in report["levels"]:
+            assert all(0 <= t < len(types) for t in lv["types"])
+            assert len(lv["types"]) == lv["distinct_types"] == report["counts"][lv["level"] - 1]
+            assert len(lv["word_counts"]) == len(lv["witnesses"]) == len(lv["types"])
+            if name in alphabet:
+                # every word of the level has exactly one type
+                assert sum(lv["word_counts"]) == alphabet[name] ** lv["level"]

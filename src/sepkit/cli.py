@@ -182,7 +182,10 @@ def encode_report(obj) -> str:
 
     No report shares a container between two places (a census report
     writes each displacement and each type once, as a table that the
-    levels index), so each container is encoded where it appears.
+    levels index), so each container is encoded where it appears.  A
+    list whose items are all ``str``, or all exact ``int`` (not
+    ``bool``), such as a census level's columns, is written with one
+    ``join``.
     """
     pieces: list[str] = []
     append = pieces.append
@@ -223,12 +226,19 @@ def encode_report(obj) -> str:
                 sep = between
             append("\n" + "  " * depth + "}")
         else:
-            append("[")
-            for v in obj:
-                append(sep)
-                write(v, depth + 1)
-                sep = between
-            append("\n" + "  " * depth + "]")
+            close = "\n" + "  " * depth + "]"
+            kinds = set(map(type, obj))
+            if kinds == {str}:
+                append("[" + inner + between.join(map(encode_basestring_ascii, obj)) + close)
+            elif kinds == {int}:
+                append("[" + inner + between.join(map(int.__repr__, obj)) + close)
+            else:
+                append("[")
+                for v in obj:
+                    append(sep)
+                    write(v, depth + 1)
+                    sep = between
+                append(close)
 
     write(obj, 0)
     return "".join(pieces)
@@ -459,7 +469,8 @@ def main(argv=None) -> int:
     except (Undecided, RefinementExhausted) as exc:
         command = " ".join(filter(None, (args.subcommand, getattr(args, "verifier", None))))
         budget = oracle_budget(args)
-        sys.stderr.write(f"sepkit: undecided ({command}, oracle budget {budget}): {exc}\n")
+        where = "" if getattr(exc, "level", None) is None else f" at level {exc.level}"
+        sys.stderr.write(f"sepkit: undecided ({command}, oracle budget {budget}): {exc}{where}\n")
         return EXIT_UNDECIDED
     except ValueError as exc:
         sys.stderr.write(f"sepkit: {exc}\n")

@@ -38,11 +38,16 @@ DEFAULT_SIGN_BUDGET = 200
 
 
 class Undecided(Exception):
-    """A query could not be settled within its refinement budget."""
+    """A query could not be settled within its refinement budget.
+
+    ``level`` is the word level a level-by-level search was building
+    when the query came up, set by that search; None elsewhere.
+    """
 
     def __init__(self, message: str, depth: int):
         super().__init__(f"{message} (refined to depth {depth})")
         self.depth = depth
+        self.level: int | None = None
 
 
 class RefinementExhausted(Exception):

@@ -16,6 +16,8 @@ from .exact import AFFINE_ZERO, AffineExpr, Param, rational_to_str
 
 #: Byte-to-digit table for words whose symbols are all at most 9.
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+#: The symbols a word can write as one digit each.
+_ONE_DIGIT = bytes(range(10))
 
 #: The largest symbol, and so the largest alphabet, a word can hold.
 MAX_SYMBOL = 255
@@ -68,9 +70,18 @@ class Word:
         return Word(self.symbols + _symbol_bytes((symbol,)))
 
     def __str__(self) -> str:
-        if max(self.symbols, default=0) > 9:
-            return ",".join(map(str, self.symbols)) + ("," if len(self.symbols) == 1 else "")
-        return self.symbols.translate(_DIGITS).decode()
+        return word_text(self.symbols)
+
+
+def word_text(symbols: bytes) -> str:
+    """The string form of a word's symbol bytes, which ``Word.parse`` reads back.
+
+    A digit string when every symbol is at most 9; otherwise the symbols
+    comma-separated, with a trailing comma after a lone symbol.
+    """
+    if symbols.translate(None, _ONE_DIGIT):
+        return ",".join(map(str, symbols)) + ("," if len(symbols) == 1 else "")
+    return symbols.translate(_DIGITS).decode()
 
 
 def _symbol_bytes(symbols) -> bytes:

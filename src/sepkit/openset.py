@@ -29,7 +29,6 @@ from .separation import (
     CensusLevel,
     CensusResult,
     DisplacementLattice,
-    TypeEntry,
     _Node,
     _PointMemo,
     census_states,
@@ -431,21 +430,21 @@ def constructed_v_type_census(
     kept: dict[int, tuple] = {}
     levels = []
     for level, automaton, states in census_states(sys, pt, max_level):
-        merged: dict[tuple, TypeEntry] = {}
+        merged: dict[tuple, list] = {}
         # states come in witness order (see ``census_states``), so each
-        # merged entry keeps its smallest witness and ``merged`` keeps that order
+        # merged row keeps its smallest witness and ``merged`` keeps that order
         for key, (count, witness) in states.items():
             if key not in kept:
                 members = zip(automaton.type_of(key), automaton.value_ids(key))
                 pairs = [(v, ident) for v, ident in members if oracle.overlaps(v) is not None]
                 kept[key] = tuple(zip(*pairs)) or ((), ())
             filtered, fkey = kept[key]
-            if fkey in merged:
-                old = merged[fkey]
-                merged[fkey] = TypeEntry(old.displacements, old.count + count, old.witness)
+            row = merged.get(fkey)
+            if row is None:
+                merged[fkey] = [filtered, count, witness]
             else:
-                merged[fkey] = TypeEntry(filtered, count, witness)
-        levels.append(CensusLevel(level, tuple(merged.values())))
+                row[1] += count
+        levels.append(CensusLevel(level, *zip(*merged.values())))
     caveats = (
         f"neighbour test truncated at depth {open_set.depth}; truncation can only "
         "under-report neighbours",

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
+from operator import itemgetter
 
 from .exact import AFFINE_ZERO, AffineExpr, Param, RationalParam, Undecided, rational_to_str
-from .ifs import EMPTY_WORD, IfsSystem, Word
+from .ifs import IfsSystem, Word, word_text
 
 DISPLAY_DIGITS = 12
 
@@ -201,16 +202,21 @@ def _search(memo: _PointMemo, max_level: int):
     A level is {value id: (sigma, tau, (P, Q), form)} in discovery
     order: parents are expanded in witness order, each with its children
     in (i, j) order, and a value keeps the first pair that reaches it.
-    The words sigma and tau are bytes, one byte per symbol.
+    The words sigma and tau are bytes, one byte per symbol.  A bound
+    test that stays undecided raises ``Undecided`` naming the level.
     """
     symbol = [bytes((s,)) for s in range(256)]
     current = [(b"", b"", _ZERO_STATE)]
-    for _ in range(max_level):
+    for level in range(1, max_level + 1):
         nxt: dict = {}
-        for sigma, tau, point in current:
-            for i, j, child, node in memo.children(point):
-                if node.ident not in nxt:
-                    nxt[node.ident] = (sigma + symbol[i], tau + symbol[j], child, node.form)
+        try:
+            for sigma, tau, point in current:
+                for i, j, child, node in memo.children(point):
+                    if node.ident not in nxt:
+                        nxt[node.ident] = (sigma + symbol[i], tau + symbol[j], child, node.form)
+        except Undecided as exc:
+            exc.level = level
+            raise
         yield nxt
         current = sorted(entry[:3] for entry in nxt.values())
 
@@ -277,41 +283,59 @@ def wsp_min_displacement(sys: IfsSystem, pt: Param, max_level: int) -> WspResult
 
     Only values inside (-1, 1) can compete (anything at or beyond 1 is
     never smaller than them once any in-bound value exists); if a level
-    has no nonzero in-bound value its per-level entry is None.  Within a
-    level the first minimum in witness order wins.  Magnitudes and their
-    comparisons are sign queries on integer lattice points; only the
-    reported minima are built as forms and words.
+    has no nonzero in-bound value its per-level entry is None.
+    Prefixing one symbol to both words keeps a displacement, so every
+    level holds all values of the levels before it, and a level's
+    smallest |v| is a running minimum: each value is compared once, at
+    the level where it first appears, against the smallest |v| so far,
+    and the values tied at that magnitude (v and -v) are kept.  Within a
+    level the tied entry with the first witness wins, and its |v| is read
+    from its own lattice point, since at a rational point one value has
+    many forms.  Magnitudes and their comparisons are sign queries on
+    integer lattice points; only the reported minima are built as forms
+    and words.
     """
     lattice = DisplacementLattice(sys)
-    lp, lq = lattice.lp, lattice.lq
+    lp, lq, sign = lattice.lp, lattice.lq, pt.sign_lattice
     memo = _PointMemo(lattice, pt, Fraction(1), strict=True)
-    zero = memo.value_id(AFFINE_ZERO)
+    memo.value_id(AFFINE_ZERO)
     # all bound tests run before any comparison, so the first sign query
-    # that stays undecided does not depend on how the levels are consumed
-    levels = list(_search(memo, max_level))
-    best = None  # (|v| as a lattice point, its WspLevelMinimum)
+    # that stays undecided does not depend on how the levels are consumed;
+    # the value ids that a level's search assigns are that level's new values
+    levels, first_ids = [], [len(memo.keys)]
+    for level in _search(memo, max_level):
+        levels.append(level)
+        first_ids.append(len(memo.keys))
+    least = None  # the smallest |v| so far, as a lattice point
+    tied: list[int] = []  # the value ids at that magnitude
+    best_level = 0  # where the smallest |v| of all first appears
     per_level: list[WspLevelMinimum | None] = []
     for index, level in enumerate(levels, start=1):
-        least = None  # (|v| as a lattice point, node)
-        for node in sorted(node for ident, node in level.items() if ident != zero):
-            P, Q = node[2]
-            if pt.sign_lattice(P, lp, Q, lq) < 0:
+        try:
+            for ident in range(first_ids[index - 1], first_ids[index]):
+                P, Q = level[ident][2]
+                if sign(P, lp, Q, lq) < 0:
+                    P, Q = -P, -Q
+                order = -1 if least is None else sign(P - least[0], lp, Q - least[1], lq)
+                if order < 0:
+                    least, tied, best_level = (P, Q), [ident], index
+                elif order == 0:
+                    tied.append(ident)
+            if not tied:
+                per_level.append(None)
+                continue
+            entries = (level[ident] for ident in tied)
+            sigma, tau, (P, Q), form = min(entries, key=itemgetter(0, 1))
+            if sign(P, lp, Q, lq) < 0:
                 P, Q = -P, -Q
-            if least is None or pt.sign_lattice(P - least[0][0], lp, Q - least[0][1], lq) < 0:
-                least = ((P, Q), node)
-        if least is None:
-            per_level.append(None)
-            continue
-        point, (sigma, tau, _, form) = least
-        level_best = WspLevelMinimum(
-            index, Displacement(form, (Word(sigma), Word(tau))), lattice.form(point)
-        )
-        per_level.append(level_best)
-        if best is None or pt.sign_lattice(
-            point[0] - best[0][0], lp, point[1] - best[0][1], lq
-        ) < 0:
-            best = (point, level_best)
-    return WspResult(max_level, None if best is None else best[1], tuple(per_level))
+        except Undecided as exc:
+            exc.level = index
+            raise
+        per_level.append(WspLevelMinimum(
+            index, Displacement(form, (Word(sigma), Word(tau))), lattice.form((P, Q))
+        ))
+    minimum = per_level[best_level - 1] if best_level else None
+    return WspResult(max_level, minimum, tuple(per_level))
 
 
 class TypeAutomaton:
@@ -396,12 +420,28 @@ class TypeEntry:
 
 @dataclass(frozen=True)
 class CensusLevel:
+    """One census level as parallel columns, one row per entry in witness order.
+
+    ``type_column`` holds each entry's neighbourhood type, ``word_counts``
+    how many words have it, and ``witnesses`` its lex-first word as
+    symbol bytes, one byte per symbol.
+    """
+
     level: int
-    types: tuple[TypeEntry, ...]
+    type_column: tuple[NeighborhoodType, ...]
+    word_counts: tuple[int, ...]
+    witnesses: tuple[bytes, ...]
+
+    @property
+    def types(self) -> tuple[TypeEntry, ...]:
+        """The rows as entries, each witness as a ``Word``."""
+        return tuple(
+            map(TypeEntry, self.type_column, self.word_counts, map(Word, self.witnesses))
+        )
 
     @property
     def distinct_count(self) -> int:
-        return len(self.types)
+        return len(self.type_column)
 
 
 @dataclass(frozen=True)
@@ -460,10 +500,10 @@ class CensusResult:
         levels = [
             {
                 "level": lv.level,
-                "distinct_types": len(lv.types),
-                "types": [type_of(t.displacements) for t in lv.types],
-                "word_counts": [t.count for t in lv.types],
-                "witnesses": [str(t.witness) for t in lv.types],
+                "distinct_types": len(lv.type_column),
+                "types": list(map(type_of, lv.type_column)),
+                "word_counts": list(lv.word_counts),
+                "witnesses": list(map(word_text, lv.witnesses)),
             }
             for lv in self.levels
         ]
@@ -480,24 +520,36 @@ class CensusResult:
 def census_states(sys: IfsSystem, pt: Param, max_level: int):
     """Per-level automaton census with word counts and lex-first witnesses.
 
-    Yields (level, automaton, {state key: (count, witness)}).  Each dict
-    is in strictly increasing witness order: the parents are walked in
-    that order and each appends its symbols in ascending order, so a
-    state is first reached through its smallest witness, and a dict
-    keeps insertion order.
+    Yields (level, automaton, {state key: (count, witness)}), each
+    witness the word's symbol bytes.  Each dict is in strictly
+    increasing witness order: the parents are walked in that order and
+    each appends its symbols in ascending order, so a state is first
+    reached through its smallest witness, and a dict keeps insertion
+    order.  A state's successors are looked up once, as a row of
+    (child, appended symbol byte); a sign query that stays undecided
+    raises ``Undecided`` naming the level.
     """
     automaton = TypeAutomaton(sys, pt)
-    current: dict[int, tuple[int, Word]] = {automaton.root_key: (1, EMPTY_WORD)}
+    tails = [(i, bytes((i,))) for i in sys.symbols]
+    rows: dict[int, list[tuple[int, bytes]]] = {}
+    current: dict[int, tuple[int, bytes]] = {automaton.root_key: (1, b"")}
     for level in range(1, max_level + 1):
-        nxt: dict[int, tuple[int, Word]] = {}
+        nxt: dict[int, tuple[int, bytes]] = {}
         for key, (count, witness) in current.items():
-            for i in sys.symbols:
-                child = automaton.successor(key, i)
-                if child in nxt:
-                    old_count, old_witness = nxt[child]
-                    nxt[child] = (old_count + count, old_witness)
+            row = rows.get(key)
+            if row is None:
+                try:
+                    row = [(automaton.successor(key, i), tail) for i, tail in tails]
+                except Undecided as exc:
+                    exc.level = level
+                    raise
+                rows[key] = row
+            for child, tail in row:
+                entry = nxt.get(child)
+                if entry is None:
+                    nxt[child] = (count, witness + tail)
                 else:
-                    nxt[child] = (count, witness.append(i))
+                    nxt[child] = (entry[0] + count, entry[1])
         current = nxt
         yield level, automaton, current
 
@@ -511,11 +563,10 @@ def convex_type_census(sys: IfsSystem, pt: Param, max_level: int) -> CensusResul
     """
     levels = []
     for level, automaton, states in census_states(sys, pt, max_level):
-        entries = tuple(
-            TypeEntry(automaton.type_of(key), count, witness)
-            for key, (count, witness) in states.items()
+        counts, witnesses = zip(*states.values())
+        levels.append(
+            CensusLevel(level, tuple(map(automaton.type_of, states)), counts, witnesses)
         )
-        levels.append(CensusLevel(level, entries))
     return CensusResult("convex (0,1)", tuple(levels))
 
 

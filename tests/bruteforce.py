@@ -10,6 +10,8 @@ of the overlap oracle, the reference for its explicit stacks.
 ``reference_search`` and ``ReferenceTypeAutomaton`` step every parent
 through its children afresh each time, the reference for the shared
 child cache that expands each lattice point once.
+``sorting_wsp_min_displacement`` sorts and compares every value of
+every level, the reference for the running minimum over new values.
 ``census_report_per_entry`` is the census report with every entry's
 displacements written out in full, the reference that
 ``expand_census_report`` rebuilds from the compact report.
@@ -32,9 +34,18 @@ from sepkit import (
     map_at_zero,
 )
 from sepkit.construction import ConstructionTemplate, EmptyRefinement, RefinementOption
-from sepkit.exact import RefinementExhausted
+from sepkit.exact import AFFINE_ZERO, RefinementExhausted
 from sepkit.ifs import EMPTY_WORD
-from sepkit.separation import DISPLAY_DIGITS, Displacement, DisplacementLattice, TypeAutomaton
+from sepkit.separation import (
+    DISPLAY_DIGITS,
+    Displacement,
+    DisplacementLattice,
+    TypeAutomaton,
+    WspLevelMinimum,
+    WspResult,
+    _PointMemo,
+    _search,
+)
 
 
 def compare(pt: Param, e1: AffineExpr, e2: AffineExpr) -> int:
@@ -236,6 +247,43 @@ class ReferenceTypeAutomaton(TypeAutomaton):
         result = self._intern(found)
         self._transitions[memo_key] = result
         return result
+
+
+def sorting_wsp_min_displacement(sys: IfsSystem, pt: Param, max_level: int) -> WspResult:
+    """``wsp_min_displacement`` re-sorting and re-comparing every value at every level.
+
+    Each level's nonzero values are walked in witness order and the
+    first smallest |v| is kept; a level's minimum replaces the overall
+    one when it is strictly smaller.  All bound tests run first.
+    """
+    lattice = DisplacementLattice(sys)
+    lp, lq = lattice.lp, lattice.lq
+    memo = _PointMemo(lattice, pt, Fraction(1), strict=True)
+    zero = memo.value_id(AFFINE_ZERO)
+    levels = list(_search(memo, max_level))
+    best = None  # (|v| as a lattice point, its WspLevelMinimum)
+    per_level = []
+    for index, level in enumerate(levels, start=1):
+        least = None  # (|v| as a lattice point, entry)
+        for entry in sorted(entry for ident, entry in level.items() if ident != zero):
+            P, Q = entry[2]
+            if pt.sign_lattice(P, lp, Q, lq) < 0:
+                P, Q = -P, -Q
+            if least is None or pt.sign_lattice(P - least[0][0], lp, Q - least[0][1], lq) < 0:
+                least = ((P, Q), entry)
+        if least is None:
+            per_level.append(None)
+            continue
+        point, (sigma, tau, _, form) = least
+        level_best = WspLevelMinimum(
+            index, Displacement(form, (Word(sigma), Word(tau))), lattice.form(point)
+        )
+        per_level.append(level_best)
+        if best is None or pt.sign_lattice(
+            point[0] - best[0][0], lp, point[1] - best[0][1], lq
+        ) < 0:
+            best = (point, level_best)
+    return WspResult(max_level, None if best is None else best[1], tuple(per_level))
 
 
 def brute_force_displacements(

@@ -216,10 +216,14 @@ def test_undecided_names_command_and_budget(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("sepkit: undecided (types, oracle budget 200): ")
+    # the census names the level it was building
+    assert err.endswith(" (refined to depth 200) at level 200\n")
     monkeypatch.setenv("SEPKIT_ORACLE_BUDGET", "3")
     code, _, err = run_cli(capsys, "verify", "distinctness", "--example", "1", "--levels", "12")
     assert code == 3
     assert err.startswith("sepkit: undecided (verify distinctness, oracle budget 3): ")
+    # a decimal of the report belongs to no search level
+    assert " at level " not in err
 
 
 def test_exhausted_prefix_is_undecided(capsys):

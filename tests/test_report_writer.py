@@ -2,6 +2,7 @@
 and the compact census report against its per-entry expansion."""
 
 import json
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,29 @@ def test_shared_parts_match_at_each_depth(part):
     [], {}, (), [[]], {"": {}}, [(), {}, []], [1, [2, [3, [4]]]],
 ])
 def test_empty_and_nested_containers(value):
+    assert encode_report(value) == json.dumps(value, indent=2)
+
+
+class _Symbol(str):
+    pass
+
+
+@given(st.one_of(
+    st.lists(TEXT, min_size=1, max_size=6),
+    st.lists(st.integers(-(10**400), 10**400), min_size=1, max_size=6),
+    st.lists(st.one_of(st.integers(), st.booleans()), min_size=1, max_size=6),
+    st.lists(st.one_of(st.integers(), TEXT), min_size=1, max_size=6).map(tuple),
+))
+def test_flat_lists_match_json_dumps(items):
+    # all-str and all-int lists take the one-join path; bools and mixed lists do not
+    for value in (items, {"level": 3, "column": items}, [[items]]):
+        assert encode_report(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    [True, False], [1, True], [False, 0], [IntEnum("E", "A B").B, 3], [_Symbol("x"), "y"],
+])
+def test_int_and_str_subclasses_match_json_dumps(value):
     assert encode_report(value) == json.dumps(value, indent=2)
 
 

@@ -52,6 +52,7 @@ from bruteforce import (
     endpoint_separation_bruteforce,
     ReferenceTypeAutomaton,
     reference_search,
+    sorting_wsp_min_displacement,
     StaticRefiner,
     word_type,
 )
@@ -116,6 +117,70 @@ def test_wsp_matches_bruteforce(which, max_level, ex1_pt, ex2_pt):
     pt = ex1_pt if which == 1 else ex2_pt
     result = wsp_min_displacement(tmpl.system, pt, max_level)
     assert result.minimum.abs_value == _brute_min_abs(tmpl.system, pt, max_level)
+
+
+@pytest.mark.parametrize(
+    "which,value", [(1, F(1, 8)), (1, F(41, 56)), (2, F(1, 32)), (2, F(3, 64))]
+)
+def test_wsp_running_minimum_matches_sorting_every_level(which, value):
+    # at a rational point one value has many forms, and v ties with -v
+    sys = example_template(which).system
+    pt = RationalParam(value)
+    assert wsp_min_displacement(sys, pt, 600) == sorting_wsp_min_displacement(sys, pt, 600)
+
+
+@pytest.mark.parametrize("which,value,levels", [(1, F(1, 8), 300), (2, None, 100)])
+def test_wsp_sign_queries_grow_with_the_levels(which, value, levels):
+    # each value is compared when it first appears, so doubling the levels
+    # about doubles the sign queries, not quadruples them
+    sys = example_template(which).system
+    inner = example_point(which, budget=5000) if value is None else RationalParam(value)
+    calls = []
+    for depth in (levels, 2 * levels):
+        pt = _CountingParam(inner)
+        wsp_min_displacement(sys, pt, depth)
+        calls.append(sum(pt.queries.values()))
+    assert 0 < calls[1] <= 2.2 * calls[0]
+
+
+def test_census_looks_up_each_state_once(ex1_sys, eighth_pt):
+    def lookups(levels):
+        """The census's successor calls per (state, symbol), and the states it met."""
+        calls, keys = Counter(), set()
+        original = TypeAutomaton.successor
+
+        def counted(self, key, symbol):
+            calls[key, symbol] += 1
+            return original(self, key, symbol)
+
+        with mock.patch.object(TypeAutomaton, "successor", counted):
+            for _, automaton, states in separation.census_states(ex1_sys, eighth_pt, levels):
+                keys.update(states, (automaton.root_key,))
+        return calls, keys
+
+    calls, keys = lookups(600)
+    assert max(calls.values()) == 1
+    assert len(calls) <= len(keys) * ex1_sys.alphabet_size
+    # the seven states at a = 1/8 are all met by level 60
+    assert lookups(60)[0] == calls
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_displacement_sets_grow_by_the_scaled_gap(which):
+    # D_k = D_(k-1) + {u_k, -u_k}, so |D_k| = 2k + 1 (ROADMAP fact B)
+    tmpl = example_template(which)
+    pt = example_point(which)
+    run = run_construction(tmpl, DrivingSequence.thue_morse(), 100)
+    memo = separation._PointMemo(separation.DisplacementLattice(tmpl.system), pt, F(1), True)
+    zero = pt.canonical_key(AffineExpr.constant(0))
+    previous = {zero}
+    for k, (level, state) in enumerate(zip(separation._search(memo, 100), run.states), start=1):
+        assert state.level == k
+        values = {memo.keys[ident] for ident in level}
+        u = state.scaled_gap
+        assert values == previous | {pt.canonical_key(u), pt.canonical_key(-u)}
+        assert len(values) == 2 * k + 1
+        previous = values
 
 
 def test_example2_zero_displacement_witness(ex2_sys):
@@ -599,6 +664,9 @@ def test_lattice_core_matches_fraction_oracle_random_systems(ex1_pt, sys, levels
     assert _outcome(wsp_min_displacement, sys, pt, levels) == _outcome(
         _oracle_wsp_min_displacement, sys, pt, levels
     )
+    assert _outcome(wsp_min_displacement, sys, pt, levels) == _outcome(
+        sorting_wsp_min_displacement, sys, pt, levels
+    )
     assert _outcome(endpoint_separation, sys, pt, levels, F(4, 7)) == _outcome(
         _oracle_endpoint_separation, sys, pt, levels, F(4, 7)
     )
@@ -861,6 +929,30 @@ def test_short_refiner_undecided_like_the_oracle(which, depth, levels):
     with pytest.raises(Undecided) as expected:
         _oracle_census(sys, _short_point(which, depth), levels)
     assert str(got.value) == str(expected.value)
+
+
+def _first_undecided_level(fn, sys, make_point, levels):
+    """The smallest number of levels at which ``fn`` raises ``Undecided``."""
+    for level in range(1, levels + 1):
+        try:
+            fn(sys, make_point(), level)
+        except Undecided:
+            return level
+    return None
+
+
+@pytest.mark.parametrize("which,depth,levels", [(1, 3, 8), (1, 6, 8), (2, 3, 4)])
+def test_undecided_names_the_level(which, depth, levels):
+    # the level the search was building when a sign query stayed undecided
+    sys = example_template(which).system
+    for fn, oracle in (
+        (displacement_levels, _oracle_displacement_levels),
+        (convex_type_census, _oracle_census),
+    ):
+        with pytest.raises(Undecided) as raised:
+            fn(sys, _short_point(which, depth), levels)
+        expected = _first_undecided_level(oracle, sys, lambda: _short_point(which, depth), levels)
+        assert raised.value.level == expected
 
 
 @pytest.mark.parametrize("which,depth", [(1, 3), (1, 6), (2, 3), (2, 6)])

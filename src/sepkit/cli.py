@@ -7,11 +7,19 @@ produce byte-identical output (opt in to timestamps with --timestamps).
 
 Exit codes: 0 success/pass, 1 property violation reported, 2 usage or
 input error, 3 undecided within the refinement budget.
+
+``main(argv)`` may be called any number of times in one process.  It
+reuses one parser, built on first use: ``build_parser()`` returns that
+shared parser, and callers must not modify it.  Parsing returns a fresh
+namespace and no default reads the environment (``SEPKIT_ORACLE_BUDGET``
+is read when a command runs), so a request's report does not depend on
+the requests before it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -381,7 +389,9 @@ def _add_common(parser, sequence=True):
     parser.add_argument("--timestamps", action="store_true")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one ``sepkit`` parser, built on first use; do not modify it."""
     parser = argparse.ArgumentParser(
         prog="sepkit",
         description="Exact separation-property toolkit for parameterized "

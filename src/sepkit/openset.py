@@ -424,6 +424,8 @@ def constructed_v_type_census(
     intersection is non-empty at this truncation depth.  Words whose
     candidate sets differ may collapse to one type here.
     """
+    if max_level < 1:
+        raise ValueError("max_level must be >= 1")
     oracle = OverlapOracle(open_set, pt)
     # automaton state -> (kept displacements, their value ids), one tuple
     # per state, so the report formats each distinct type once

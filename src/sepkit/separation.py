@@ -295,6 +295,8 @@ def wsp_min_displacement(sys: IfsSystem, pt: Param, max_level: int) -> WspResult
     integer lattice points; only the reported minima are built as forms
     and words.
     """
+    if max_level < 1:
+        raise ValueError("max_level must be >= 1")
     lattice = DisplacementLattice(sys)
     lp, lq, sign = lattice.lp, lattice.lq, pt.sign_lattice
     memo = _PointMemo(lattice, pt, Fraction(1), strict=True)
@@ -561,6 +563,8 @@ def convex_type_census(sys: IfsSystem, pt: Param, max_level: int) -> CensusResul
     neighbours exactly when their displacement lies in (-1, 1), so the
     census never needs the attractor itself.
     """
+    if max_level < 1:
+        raise ValueError("max_level must be >= 1")
     levels = []
     for level, automaton, states in census_states(sys, pt, max_level):
         counts, witnesses = zip(*states.values())

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sepkit.cli import main
+from sepkit.cli import build_parser, main
 from sepkit.construction import PERIODIC_WARNING
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,6 +25,14 @@ def readme_commands() -> list[list[str]]:
     section = README.read_text().split("\n## CLI\n", 1)[1]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("sepkit ")]
+
+
+def src_env() -> dict:
+    """The environment of a fresh ``sepkit`` process: this checkout's sources, default budget."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("SEPKIT_ORACLE_BUDGET", None)
+    return env
 
 
 def test_readme_cli_commands_run(capsys, tmp_path):
@@ -108,10 +116,9 @@ def test_verify_osc_runs_deep_under_a_small_recursion_limit():
         "sys.exit(main(['verify', 'osc', '--example', '1', '--seed', '3/7:4/7',\n"
         "               '--depth', '600', '--oracle-budget', '5000']))\n"
     )
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", program],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=src_env(),
         capture_output=True,
         timeout=120,
     )
@@ -322,3 +329,52 @@ def test_template_with_more_than_255_maps_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "at most 255" in err
+
+
+def test_one_parser_serves_many_requests(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    monkeypatch.delenv("SEPKIT_ORACLE_BUDGET", raising=False)
+    code, out, _ = run_cli(capsys, "types", "--example", "1", "--levels", "3",
+                           "--sequence", "fibonacci", "--oracle-budget", "50")
+    assert code == 0
+    assert json.loads(out)["config"]["oracle_budget"] == 50
+    code, out, err = run_cli(capsys, "types", "--example", "1", "--levels", "x")
+    assert (code, out) == (2, "")
+    assert "invalid int value: 'x'" in err
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: sepkit ")
+    # the defaults come back: levels 10, thue-morse, budget 200
+    code, out, _ = run_cli(capsys, "types", "--example", "1")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["levels"], config["sequence"], config["oracle_budget"]) == (
+        10, "thue-morse", 200,
+    )
+    fresh = subprocess.run(
+        [sys.executable, "-m", "sepkit.cli", "types", "--example", "1"],
+        env=src_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert out == fresh.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["types", "--example", "1", "--levels", "-3"],
+        ["types", "--example", "1", "--levels", "0"],
+        ["types", "--example", "1", "--open-set", "constructed", "--seed", "3/7:4/7",
+         "--levels", "0"],
+        ["wsp", "--example", "1", "--max-level", "0"],
+        ["wsp", "--example", "1", "--max-level", "-1"],
+    ],
+    ids=["types-negative", "types-zero", "constructed-zero", "wsp-zero", "wsp-negative"],
+)
+def test_fewer_than_one_level_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "sepkit: max_level must be >= 1\n"

@@ -234,6 +234,17 @@ def test_reports_unchanged(request, capsys, argv, exit_code, digest):
     _check_digest(request, capsys, argv, exit_code, digest)
 
 
+def test_reports_unchanged_when_repeated_in_one_process(capsys):
+    # every request, twice over, in one process: no module-level state (the
+    # shared parser, the Fibonacci word cache) carries into the next request
+    for _ in range(2):
+        for case in GOLDEN:
+            argv, exit_code, digest = case.values
+            code = main(list(argv))
+            out = capsys.readouterr().out
+            assert (case.id, code, _sha256(out)) == (case.id, exit_code, digest)
+
+
 SVG_GOLDEN = {
     1: [
         "a26dc4f5d016a1eeeae102243949b9c66ede4082c13095f13278c61cba9196b5",

@@ -212,6 +212,21 @@ def test_census_saturates_at_rational_control(ex1_sys, eighth_pt):
     assert counts == (3, 5, 7, 7, 7, 7, 7, 7, 7, 7)
 
 
+@pytest.mark.parametrize("max_level", [0, -3])
+def test_level_searches_refuse_fewer_than_one_level(ex1_sys, ex1_pt, max_level):
+    # as exact_overlap_scan does, instead of an empty report
+    oset = OpenSetApprox(ex1_sys, RationalInterval.make(F(3, 7), F(4, 7)), 2)
+    calls = [
+        lambda: convex_type_census(ex1_sys, ex1_pt, max_level),
+        lambda: constructed_v_type_census(ex1_sys, ex1_pt, oset, max_level),
+        lambda: wsp_min_displacement(ex1_sys, ex1_pt, max_level),
+        lambda: exact_overlap_scan(ex1_sys, max_level),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="max_level must be >= 1"):
+            call()
+
+
 def _brute_word_type(sys, pt, word, words_same_level):
     values = {}
     for tau in words_same_level:

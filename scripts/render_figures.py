@@ -3,13 +3,7 @@
 
 import argparse
 
-from sepkit import (
-    DrivingSequence,
-    example_template,
-    param_point,
-    render_levels,
-    run_construction,
-)
+from sepkit import example_point, render_levels
 
 
 def main() -> None:
@@ -18,13 +12,11 @@ def main() -> None:
     parser.add_argument("--out", default="figures")
     args = parser.parse_args()
 
-    seq = DrivingSequence.thue_morse()
     for which in (1, 2):
-        tmpl = example_template(which)
-        pt = param_point(tmpl, seq)
-        run = run_construction(tmpl, seq, args.levels)
+        pt = example_point(which)
+        run = pt.refiner.run(args.levels)
         paths = render_levels(
-            tmpl.system, pt, run, args.levels, args.out, f"example{which}"
+            run.template.system, pt, run, args.levels, args.out, f"example{which}"
         )
         for path in paths:
             print(path)

@@ -28,18 +28,17 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .construction import (
-    PERIODIC_WARNING,
     ConstructionTemplate,
     DrivingSequence,
     EmptyRefinement,
     RefinementOption,
     example_template,
     param_point,
-    run_construction,
 )
 from .exact import (
     DEFAULT_SIGN_BUDGET,
     AffineExpr,
+    ParamPoint,
     RationalInterval,
     RefinementExhausted,
     Undecided,
@@ -150,13 +149,13 @@ def oracle_budget(args) -> int:
     return value
 
 
-def build_point(args, tmpl: ConstructionTemplate):
-    seq = parse_sequence(args.sequence)
-    pt = param_point(tmpl, seq, budget=oracle_budget(args))
+def build_point(args, tmpl: ConstructionTemplate) -> ParamPoint:
+    """The request's parameter point; its refiner is the request's one window chain."""
+    pt = param_point(tmpl, parse_sequence(args.sequence), budget=oracle_budget(args))
     report = validate_system(tmpl.system, pt)
     if not report.valid:
         raise UsageError(f"system fails validation: {json.dumps(report.to_json())}")
-    return seq, pt
+    return pt
 
 
 def run_config(args, command: str, **extra) -> dict:
@@ -266,8 +265,8 @@ def emit_results(args, command: str, prop: str, results) -> None:
 
 def cmd_construct(args) -> int:
     tmpl = resolve_template(args)
-    seq, pt = build_point(args, tmpl)
-    run = run_construction(tmpl, seq, args.depth)
+    pt = build_point(args, tmpl)
+    run = pt.refiner.run(args.depth)
     decimal = pt.eval_decimal(AffineExpr.parameter(), args.digits)
     if not args.json:
         sys.stdout.write(decimal + "\n")
@@ -285,7 +284,7 @@ def cmd_construct(args) -> int:
 
 def cmd_types(args) -> int:
     tmpl = resolve_template(args)
-    seq, pt = build_point(args, tmpl)
+    pt = build_point(args, tmpl)
     if args.open_set == "convex":
         census = convex_type_census(tmpl.system, pt, args.levels)
     else:
@@ -294,8 +293,7 @@ def cmd_types(args) -> int:
         open_set = OpenSetApprox(tmpl.system, seed, truncation)
         census = constructed_v_type_census(tmpl.system, pt, open_set, args.levels)
     report = census.to_json(pt)
-    if seq.kind == "periodic":
-        report["caveats"].append(PERIODIC_WARNING)
+    report["caveats"].extend(pt.refiner.warnings)
     emit_results(args, "types", "neighbourhood-types", report)
     return EXIT_OK
 
@@ -308,7 +306,7 @@ def default_seed(sys: IfsSystem) -> RationalInterval:
 
 def cmd_wsp(args) -> int:
     tmpl = resolve_template(args)
-    seq, pt = build_point(args, tmpl)
+    pt = build_point(args, tmpl)
     result = wsp_min_displacement(tmpl.system, pt, args.max_level)
     emit_results(args, "wsp", "weak-separation-minimum", result.to_json(pt))
     return EXIT_OK
@@ -316,7 +314,7 @@ def cmd_wsp(args) -> int:
 
 def cmd_verify_osc(args) -> int:
     tmpl = resolve_template(args)
-    seq, pt = build_point(args, tmpl)
+    pt = build_point(args, tmpl)
     seed = parse_seed(args.seed) if args.seed else default_seed(tmpl.system)
     result = verify_osc_open_set(tmpl.system, pt, seed, args.depth)
     emit_results(args, "verify-osc", "open-set-condition", result.to_json())
@@ -332,16 +330,15 @@ def cmd_verify_overlaps(args) -> int:
 
 def cmd_verify_distinctness(args) -> int:
     tmpl = resolve_template(args)
-    seq, pt = build_point(args, tmpl)
-    run = run_construction(tmpl, seq, args.levels)
-    result = distinctness_check(run, pt)
+    pt = build_point(args, tmpl)
+    result = distinctness_check(pt.refiner.run(args.levels), pt)
     emit_results(args, "verify-distinctness", "scaled-gap-distinctness", result.to_json(pt))
     return EXIT_OK if result.all_distinct else EXIT_VIOLATION
 
 
 def cmd_verify_endpoints(args) -> int:
     tmpl = resolve_template(args)
-    seq, pt = build_point(args, tmpl)
+    pt = build_point(args, tmpl)
     result = endpoint_separation(
         tmpl.system,
         pt,
@@ -355,11 +352,10 @@ def cmd_verify_endpoints(args) -> int:
 
 def cmd_render(args) -> int:
     tmpl = resolve_template(args)
-    seq, pt = build_point(args, tmpl)
-    run = run_construction(tmpl, seq, max(args.levels, 1))
+    pt = build_point(args, tmpl)
     name = f"example{args.example}" if args.example else tmpl.name
     paths = render_levels(
-        tmpl.system, pt, run, args.levels, args.out, name,
+        tmpl.system, pt, pt.refiner.run(args.levels), args.levels, args.out, name,
         scale=args.scale, decimals=args.decimals,
     )
     for path in paths:

@@ -282,13 +282,12 @@ class ConstructionRun:
 def run_construction(
     tmpl: ConstructionTemplate, seq: DrivingSequence, depth: int
 ) -> ConstructionRun:
-    """Deterministic state chain for levels 1..depth."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    engine = RefinementEngine(tmpl, seq)
-    states = engine.states_up_to(depth)
-    warnings = (PERIODIC_WARNING,) if seq.kind == "periodic" else ()
-    return ConstructionRun(tmpl, seq, states, warnings)
+    """Deterministic state chain for levels 1..depth, on a fresh engine.
+
+    A caller holding the point reads ``pt.refiner.run(depth)`` instead,
+    so that the run and the point's queries share one chain.
+    """
+    return RefinementEngine(tmpl, seq).run(depth)
 
 
 class RefinementEngine:
@@ -308,6 +307,18 @@ class RefinementEngine:
     @property
     def depth(self) -> int:
         return self._states[-1].level
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """The caveats of every run of this chain: a periodic sequence voids the guarantees."""
+        return (PERIODIC_WARNING,) if self.sequence.kind == "periodic" else ()
+
+    def run(self, depth: int) -> ConstructionRun:
+        """The run of levels 1..depth, read off this chain (extended as needed)."""
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        return ConstructionRun(self.template, self.sequence, self.states_up_to(depth),
+                               self.warnings)
 
     def state(self, level: int) -> ConstructionState:
         self._extend_to(level)

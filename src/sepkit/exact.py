@@ -238,7 +238,8 @@ class ParamPoint(_ParamBase):
     """A computable real defined by a nested chain of rational windows.
 
     ``refiner`` lazily extends the chain; queries refine only as deep as
-    they need, and no query refines beyond level ``budget``.  When
+    they need, and no query reads a window beyond level ``budget``, even
+    where a construction run has built the chain deeper.  When
     ``irrationality_assumed`` is set, a non-constant affine expression
     is taken to be nonzero at the point, which makes componentwise
     identity of (p, q) pairs coincide with equality of values; the flag
@@ -269,14 +270,16 @@ class ParamPoint(_ParamBase):
     def _refine(self, P: int, Lp: int, Q: int, Lq: int, decide, what: str):
         """The first answer ``decide(f_lo, d_lo, f_hi, d_hi)`` gives on the window chain.
 
-        Windows are fetched from the deepest one computed so far.  At a
-        window end n/d the form ``P/Lp + (Q/Lq)*a`` is ``f / (Lp*Lq*d)``
-        with ``f = P*Lq*d + Q*Lp*n``; ``decide`` returns None while the
-        window is too wide to answer.  Raises ``Undecided`` about
+        Windows are fetched from the deepest one computed so far, but
+        never beyond window ``budget``; the windows nest, so where the
+        walk starts changes no answer.  At a window end n/d the form
+        ``P/Lp + (Q/Lq)*a`` is ``f / (Lp*Lq*d)`` with
+        ``f = P*Lq*d + Q*Lp*n``; ``decide`` returns None while the window
+        is too wide to answer.  Raises ``Undecided`` about
         ``what`` when the chain runs out or the budget is reached.
         """
         A, B = P * Lq, Q * Lp
-        level = max(1, self.refiner.depth)
+        level = min(max(1, self.refiner.depth), self.budget)
         while True:
             try:
                 win = self.window(level)

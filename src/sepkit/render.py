@@ -139,6 +139,8 @@ def render_levels(
     decimals: int = 12,
 ) -> list[Path]:
     """Emit one SVG per level 1..levels into the output directory."""
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []

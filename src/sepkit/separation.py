@@ -188,13 +188,6 @@ class Displacement:
     value: AffineExpr
     witness: tuple[Word, Word]
 
-    def to_json(self, pt: Param) -> dict:
-        return {
-            "value": self.value.to_json(),
-            "decimal": pt.eval_decimal(self.value, DISPLAY_DIGITS),
-            "witness": [str(self.witness[0]), str(self.witness[1])],
-        }
-
 
 def _search(memo: _PointMemo, max_level: int):
     """Yield each level's in-bound displacements, levels 1..max_level.

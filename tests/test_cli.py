@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sepkit.cli import build_parser, main
-from sepkit.construction import PERIODIC_WARNING
+from sepkit.construction import PERIODIC_WARNING, RefinementEngine
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -208,6 +208,29 @@ def test_render_files(tmp_path, capsys):
     assert (out_dir / "example1-level1.svg").read_bytes() == first
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--example", "1", "--depth", "40", "--json"],
+        ["verify", "distinctness", "--example", "1", "--levels", "12"],
+        ["render", "--example", "2", "--levels", "2", "--out", "figs"],
+    ],
+    ids=["construct", "distinctness", "render"],
+)
+def test_one_window_chain_per_request(capsys, monkeypatch, tmp_path, argv):
+    built = []
+    init = RefinementEngine.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(RefinementEngine, "__init__", counting_init)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, len(built)) == (0, 1), err
+
+
 def test_oracle_budget_env_undecided(capsys, monkeypatch):
     monkeypatch.setenv("SEPKIT_ORACLE_BUDGET", "3")
     code, _, err = run_cli(
@@ -363,18 +386,22 @@ def test_one_parser_serves_many_requests(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        ["types", "--example", "1", "--levels", "-3"],
-        ["types", "--example", "1", "--levels", "0"],
-        ["types", "--example", "1", "--open-set", "constructed", "--seed", "3/7:4/7",
-         "--levels", "0"],
-        ["wsp", "--example", "1", "--max-level", "0"],
-        ["wsp", "--example", "1", "--max-level", "-1"],
+        (["types", "--example", "1", "--levels", "-3"], "max_level must be >= 1"),
+        (["types", "--example", "1", "--levels", "0"], "max_level must be >= 1"),
+        (["types", "--example", "1", "--open-set", "constructed", "--seed", "3/7:4/7",
+          "--levels", "0"], "max_level must be >= 1"),
+        (["wsp", "--example", "1", "--max-level", "0"], "max_level must be >= 1"),
+        (["wsp", "--example", "1", "--max-level", "-1"], "max_level must be >= 1"),
+        (["render", "--example", "1", "--levels", "0", "--out", "figs"], "depth must be >= 1"),
+        (["render", "--example", "1", "--levels", "-2", "--out", "figs"], "depth must be >= 1"),
     ],
-    ids=["types-negative", "types-zero", "constructed-zero", "wsp-zero", "wsp-negative"],
+    ids=["types-negative", "types-zero", "constructed-zero", "wsp-zero", "wsp-negative",
+         "render-zero", "render-negative"],
 )
-def test_fewer_than_one_level_is_usage_error(capsys, argv):
+def test_fewer_than_one_level_is_usage_error(capsys, monkeypatch, tmp_path, argv, message):
+    monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == "sepkit: max_level must be >= 1\n"
+    assert (code, out, err) == (2, "", f"sepkit: {message}\n")
+    assert not (tmp_path / "figs").exists()

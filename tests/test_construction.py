@@ -11,6 +11,7 @@ from sepkit import (
     DrivingSequence,
     EmptyRefinement,
     IfsSystem,
+    ParamPoint,
     RationalInterval,
     Undecided,
     Word,
@@ -129,6 +130,31 @@ def test_run_construction_example2_depths(ex2_template, tm):
     assert run.states[2].window == RationalInterval.make(F(191, 4096), F(3, 64))
     assert run.states[2].choice == "option1"
     assert run.states[3].window == RationalInterval.make(F(3070, 65552), F(3071, 65552))
+
+
+def test_engine_run_reads_the_engine_chain(ex1_template, tm):
+    engine = RefinementEngine(ex1_template, tm)
+    engine.states_up_to(30)
+    run = engine.run(12)
+    assert run == run_construction(ex1_template, tm, 12)
+    assert run.states == engine.states_up_to(12)
+    assert engine.depth == 30
+    with pytest.raises(ValueError):
+        engine.run(0)
+
+
+def test_query_never_reads_a_window_beyond_its_budget(ex1_template, tm, monkeypatch):
+    # a run over the point's chain may build it past the budget; the
+    # budget still caps the windows a query reads
+    engine = RefinementEngine(ex1_template, tm)
+    engine.states_up_to(40)
+    asked = []
+    window = engine.window
+    monkeypatch.setattr(engine, "window", lambda level: asked.append(level) or window(level))
+    pt = ParamPoint(engine, budget=3)
+    with pytest.raises(Undecided):
+        pt.eval_decimal(AffineExpr.parameter(), 25)
+    assert asked and max(asked) <= 3
 
 
 def test_periodic_sequence_is_flagged(ex1_template):

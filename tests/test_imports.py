@@ -1,4 +1,4 @@
-"""Every name a sepkit module imports is used in that module.
+"""Every name a sepkit module or a script imports is used in that file.
 
 ``__init__.py`` is left out: it imports names only to re-export them.
 """
@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sepkit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "sepkit"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+SCRIPTS = sorted(f"scripts/{path.name}" for path in (ROOT / "scripts").glob("*.py"))
 
 
 def _annotations(tree: ast.AST):
@@ -45,11 +47,13 @@ def unused_imports(source: str) -> list[str]:
 
 def test_every_module_is_checked():
     assert {"cli.py", "construction.py", "exact.py", "separation.py"} <= set(MODULES)
+    assert "scripts/render_figures.py" in SCRIPTS
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_unused_imports(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+@pytest.mark.parametrize("name", MODULES + SCRIPTS)
+def test_no_unused_imports(name):
+    path = PACKAGE / name if name in MODULES else ROOT / name
+    assert unused_imports(path.read_text()) == []
 
 
 def test_unused_import_is_reported():

@@ -9,6 +9,7 @@ from sepkit import (
     cylinder,
     diagram_for_level,
     emit_svg,
+    render_levels,
     run_construction,
 )
 
@@ -54,6 +55,14 @@ def test_diagram_level_out_of_range(ex1_sys, ex1_pt, ex1_run):
         diagram_for_level(ex1_sys, ex1_pt, ex1_run, 9)
     with pytest.raises(ValueError):
         diagram_for_level(ex1_sys, ex1_pt, ex1_run, 0)
+
+
+
+@pytest.mark.parametrize("levels", [0, -2])
+def test_render_levels_below_one_writes_nothing(ex1_sys, ex1_pt, ex1_run, tmp_path, levels):
+    with pytest.raises(ValueError):
+        render_levels(ex1_sys, ex1_pt, ex1_run, levels, tmp_path / "figs", "example1")
+    assert not (tmp_path / "figs").exists()
 
 
 def _counts(path):

@@ -354,10 +354,13 @@ def cmd_render(args) -> int:
     tmpl = resolve_template(args)
     pt = build_point(args, tmpl)
     name = f"example{args.example}" if args.example else tmpl.name
-    paths = render_levels(
-        tmpl.system, pt, pt.refiner.run(args.levels), args.levels, args.out, name,
-        scale=args.scale, decimals=args.decimals,
-    )
+    try:
+        paths = render_levels(
+            tmpl.system, pt, pt.refiner.run(args.levels), args.levels, args.out, name,
+            scale=args.scale, decimals=args.decimals,
+        )
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     for path in paths:
         sys.stdout.write(str(path) + "\n")
     return EXIT_OK

@@ -75,7 +75,6 @@ class DrivingSequence:
     """
 
     kind: str
-    label: str
     aperiodic: bool
     prefix: tuple[int, ...] = ()
 
@@ -96,29 +95,25 @@ class DrivingSequence:
 
     @staticmethod
     def thue_morse() -> "DrivingSequence":
-        return DrivingSequence("thue-morse", "thue-morse", aperiodic=True)
+        return DrivingSequence("thue-morse", aperiodic=True)
 
     @staticmethod
     def fibonacci() -> "DrivingSequence":
-        return DrivingSequence("fibonacci", "fibonacci", aperiodic=True)
+        return DrivingSequence("fibonacci", aperiodic=True)
 
     @staticmethod
     def from_bits(bits) -> "DrivingSequence":
         seq = tuple(int(b) for b in bits)
         if any(b not in (0, 1) for b in seq):
             raise ValueError("driving bits must be 0 or 1")
-        return DrivingSequence(
-            "explicit-prefix", f"bits:{''.join(map(str, seq))}", aperiodic=False, prefix=seq
-        )
+        return DrivingSequence("explicit-prefix", aperiodic=False, prefix=seq)
 
     @staticmethod
     def periodic(pattern) -> "DrivingSequence":
         seq = tuple(int(b) for b in pattern)
         if not seq or any(b not in (0, 1) for b in seq):
             raise ValueError("pattern must be a non-empty 0/1 string")
-        return DrivingSequence(
-            "periodic", f"periodic:{''.join(map(str, seq))}", aperiodic=False, prefix=seq
-        )
+        return DrivingSequence("periodic", aperiodic=False, prefix=seq)
 
 
 @dataclass(frozen=True)
@@ -302,7 +297,6 @@ class RefinementEngine:
         self.sequence = sequence
         self._lock = threading.Lock()
         self._states: list[ConstructionState] = [template.initial_state()]
-        self._step_index = 0
 
     @property
     def depth(self) -> int:
@@ -339,16 +333,16 @@ class RefinementEngine:
             return
         with self._lock:
             while self._states[-1].level < level:
-                if self._step_index < len(self.template.fixed_prefix):
-                    opt = self.template.fixed_prefix[self._step_index]
+                taken = len(self._states) - 1  # refinement steps so far
+                if taken < len(self.template.fixed_prefix):
+                    opt = self.template.fixed_prefix[taken]
                     choice = "prefix"
                 else:
-                    k = self._step_index - len(self.template.fixed_prefix) + 1
+                    k = taken - len(self.template.fixed_prefix) + 1
                     bit = self.sequence.bit(k)  # may raise RefinementExhausted
                     opt = self.template.option2 if bit else self.template.option1
                     choice = f"option{bit + 1}"
                 self._states.append(refine_step(self._states[-1], opt, choice=choice))
-                self._step_index += 1
 
 
 def param_point(
@@ -369,9 +363,7 @@ def param_point(
     """
     engine = RefinementEngine(tmpl, seq)
     assumed = seq.aperiodic if irrationality_assumed is None else irrationality_assumed
-    return ParamPoint(
-        engine, irrationality_assumed=assumed, label=f"{tmpl.name}+{seq.label}", budget=budget
-    )
+    return ParamPoint(engine, irrationality_assumed=assumed, budget=budget)
 
 
 def example_template(which: int) -> ConstructionTemplate:

@@ -201,7 +201,6 @@ class Refiner(Protocol):
 class _ParamBase:
     """The queries every parameter point answers."""
 
-    label: str
     irrationality_assumed: bool
 
     def sign(self, e: AffineExpr) -> int:
@@ -254,12 +253,10 @@ class ParamPoint(_ParamBase):
         self,
         refiner: Refiner,
         irrationality_assumed: bool = False,
-        label: str = "a",
         budget: int = DEFAULT_SIGN_BUDGET,
     ):
         self.refiner = refiner
         self.irrationality_assumed = irrationality_assumed
-        self.label = label
         self.budget = budget
         self._sign_cache: dict[tuple[int, int, int, int], int] = {}
         self._decimal_cache: dict[tuple[Fraction, Fraction, int], str] = {}
@@ -362,9 +359,8 @@ class RationalParam(_ParamBase):
     and ``sign`` may legitimately return 0.
     """
 
-    def __init__(self, value, label: str | None = None):
+    def __init__(self, value):
         self.value = Fraction(value)
-        self.label = label or f"a={self.value}"
         self.irrationality_assumed = False
 
     def sign(self, e: AffineExpr) -> int:

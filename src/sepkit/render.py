@@ -138,9 +138,16 @@ def render_levels(
     scale: int = 900,
     decimals: int = 12,
 ) -> list[Path]:
-    """Emit one SVG per level 1..levels into the output directory."""
+    """Emit one SVG per level 1..levels into the output directory.
+
+    Bad sizes raise ``ValueError`` before the directory is made.
+    """
     if levels < 1:
         raise ValueError("levels must be >= 1")
+    if scale < 1:
+        raise ValueError("scale must be >= 1")
+    if decimals < 1:
+        raise ValueError("digits must be >= 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []

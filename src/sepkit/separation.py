@@ -356,7 +356,6 @@ class TypeAutomaton:
         self._value_ids: list[tuple[int, ...]] = []
         self._members: list[tuple[tuple[int, int], ...]] = []
         self._types: list[tuple[AffineExpr, ...]] = []
-        self._transitions: dict[tuple[int, int], int] = {}
         zero = self._memo.value_id(AFFINE_ZERO)
         self.root_key = self._intern({zero: (_ZERO_STATE, AFFINE_ZERO)})
 
@@ -390,10 +389,7 @@ class TypeAutomaton:
         return self._value_ids[key]
 
     def successor(self, key: int, symbol: int) -> int:
-        memo_key = (key, symbol)
-        cached = self._transitions.get(memo_key)
-        if cached is not None:
-            return cached
+        """The state after ``symbol``, built and interned afresh on each call."""
         # a member is scanned through the steps of symbols <= symbol, resuming where it stopped
         memo, upto = self._memo, (self.sys.symbols.index(symbol) + 1) * self.sys.alphabet_size
         found: dict = {}
@@ -401,9 +397,7 @@ class TypeAutomaton:
             for i, _, child, node in memo.children(point, upto):
                 if i == symbol and node.ident not in found:
                     found[node.ident] = (child, node.form)
-        result = self._intern(found)
-        self._transitions[memo_key] = result
-        return result
+        return self._intern(found)
 
 
 @dataclass(frozen=True)
@@ -647,46 +641,44 @@ def exact_overlap_scan(sys: IfsSystem, max_level: int) -> OverlapScanResult:
     Purely symbolic: S_sigma = S_tau exactly when the displacement walk
     of (sigma, tau) ends at 0 componentwise, so the pairs are the closed
     walks 0 -> ... -> 0 on the finite graph of ``_return_walks``, read
-    with sigma < tau (i < j at the first difference).  A prefix is only
-    extended while its walk can still return within the level budget.
-    Since v_k = m^(k-s) * v_s + v(tail), a pair factors through a
-    shorter overlap (same map on a prefix pair and on the suffix pair)
-    exactly when its walk is at 0 at an interior position; such pairs,
-    shared prefixes included, are reported separately as derived.
-    Within a level, pairs are grouped by their common map, groups in
-    order of their smallest word, pairs in (sigma, tau) order.
+    with sigma < tau (i < j at the first difference).  One walk over an
+    explicit stack visits them all, the words as symbol bytes.  While
+    sigma = tau the pair is a shared prefix: it diverges by an (i, j)
+    step with i < j, and it is extended by an (s, s) step only while
+    the shortest diverging return still fits in the level budget.  Once
+    the words differ, a walk is extended only while it can still return
+    within the budget.  Since v_k = m^(k-s) * v_s + v(tail), a pair
+    factors through a shorter overlap (same map on a prefix pair and on
+    the suffix pair) exactly when its walk is at 0 at an interior
+    position; such pairs, shared prefixes included, are reported
+    separately as derived.  Within a level, pairs are grouped by their
+    common map, groups in order of their smallest word, pairs in
+    (sigma, tau) order.
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
     edges, distance = _return_walks(sys)
+    symbol = [bytes((s,)) for s in range(256)]
+    shortest = min(
+        (1 + distance[nxt] for i, j, nxt in edges[_ZERO_STATE] if i < j), default=max_level
+    )
     found: list[list] = [[] for _ in range(max_level + 1)]
-
-    def reach(sigma, tau, state, zero_seen):
+    stack = [(b"", b"", _ZERO_STATE, False)]
+    while stack:
+        sigma, tau, state, zero_seen = stack.pop()
         level = len(sigma)
-        if state == _ZERO_STATE:
-            found[level].append((sigma, tau, zero_seen))
+        if state == _ZERO_STATE and level:
+            if sigma != tau:
+                found[level].append((sigma, tau, zero_seen))
             zero_seen = True
         budget = max_level - level - 1
         for i, j, nxt in edges[state]:
-            if distance[nxt] <= budget:
-                reach(sigma + (i,), tau + (j,), nxt, zero_seen)
-
-    # the first differing symbols decide sigma < tau
-    diverge = [e for e in edges[_ZERO_STATE] if e[0] < e[1]]
-    shortest = min((1 + distance[nxt] for _, _, nxt in diverge), default=None)
-
-    def shared(prefix):
-        level = len(prefix) + 1
-        budget = max_level - level
-        for i, j, nxt in diverge:
-            if distance[nxt] <= budget:
-                reach(prefix + (i,), prefix + (j,), nxt, bool(prefix))
-        if level + shortest <= max_level:
-            for s in sys.symbols:
-                shared(prefix + (s,))
-
-    if shortest is not None:
-        shared(())
+            if sigma != tau or i < j:
+                fits = distance[nxt] <= budget
+            else:
+                fits = i == j and shortest <= budget
+            if fits:
+                stack.append((sigma + symbol[i], tau + symbol[j], nxt, zero_seen))
     primitive: list[OverlapPair] = []
     derived: list[OverlapPair] = []
     for level in range(1, max_level + 1):
@@ -696,8 +688,7 @@ def exact_overlap_scan(sys: IfsSystem, max_level: int) -> OverlapScanResult:
         for sigma, tau, _ in pairs:
             if sigma < smallest.get(tau, tau):
                 smallest[tau] = sigma
-        pairs.sort(key=lambda e: (smallest.get(e[0], e[0]), e[0], e[1]))
-        for sigma, tau, is_derived in pairs:
+        for _, sigma, tau, is_derived in sorted((smallest.get(s, s), s, t, d) for s, t, d in pairs):
             pair = OverlapPair(Word(sigma), Word(tau), level)
             (derived if is_derived else primitive).append(pair)
     return OverlapScanResult(max_level, tuple(primitive), tuple(derived))
@@ -760,12 +751,8 @@ def distinctness_check(run, pt: Param) -> DistinctnessReport:
     undecided = []
     for a in range(len(gaps)):
         for b in range(a + 1, len(gaps)):
-            diff = gaps[a] - gaps[b]
-            if diff.p == 0 and diff.q == 0:
-                collisions.append((levels[a], levels[b]))
-                continue
             try:
-                if pt.sign(diff) == 0:
+                if pt.sign(gaps[a] - gaps[b]) == 0:
                     collisions.append((levels[a], levels[b]))
             except Undecided:
                 undecided.append((levels[a], levels[b]))

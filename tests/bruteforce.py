@@ -226,7 +226,12 @@ def reference_search(memo, max_level: int):
 
 
 class ReferenceTypeAutomaton(TypeAutomaton):
-    """The automaton that steps every member through one symbol's steps itself."""
+    """The automaton that steps every member through one symbol's steps itself,
+    and remembers each transition it builds."""
+
+    def __init__(self, sys: IfsSystem, pt: Param):
+        super().__init__(sys, pt)
+        self._transitions: dict[tuple[int, int], int] = {}
 
     def successor(self, key: int, symbol: int) -> int:
         memo_key = (key, symbol)

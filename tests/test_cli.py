@@ -209,6 +209,24 @@ def test_render_files(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "out,denied,reason",
+    [("afile", False, "File exists"), ("afile/figs", False, "Not a directory"),
+     ("figs", True, "Permission denied")],
+    ids=["existing-file", "under-a-file", "unwritable"],
+)
+def test_render_unwritable_out_is_usage_error(capsys, monkeypatch, tmp_path, out, denied, reason):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").touch()
+    if denied:  # the tests may run as root, which a read-only directory does not stop
+        def write_text(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "write_text", write_text)
+    code, stdout, err = run_cli(capsys, "render", "--example", "1", "--levels", "2", "--out", out)
+    assert (code, stdout, err) == (2, "", f"sepkit: cannot write --out {out}: {reason}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["construct", "--example", "1", "--depth", "40", "--json"],
@@ -396,9 +414,13 @@ def test_one_parser_serves_many_requests(capsys, monkeypatch):
         (["wsp", "--example", "1", "--max-level", "-1"], "max_level must be >= 1"),
         (["render", "--example", "1", "--levels", "0", "--out", "figs"], "depth must be >= 1"),
         (["render", "--example", "1", "--levels", "-2", "--out", "figs"], "depth must be >= 1"),
+        (["render", "--example", "1", "--out", "figs", "--scale", "0"], "scale must be >= 1"),
+        (["render", "--example", "1", "--out", "figs", "--scale", "-5"], "scale must be >= 1"),
+        (["render", "--example", "1", "--out", "figs", "--decimals", "0"], "digits must be >= 1"),
     ],
     ids=["types-negative", "types-zero", "constructed-zero", "wsp-zero", "wsp-negative",
-         "render-zero", "render-negative"],
+         "render-zero", "render-negative", "render-scale-zero", "render-scale-negative",
+         "render-decimals-zero"],
 )
 def test_fewer_than_one_level_is_usage_error(capsys, monkeypatch, tmp_path, argv, message):
     monkeypatch.chdir(tmp_path)

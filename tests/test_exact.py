@@ -123,7 +123,7 @@ def test_sign_never_zero_for_nonconstant_when_irrational(ex1_pt):
 
 def test_sign_undecided_on_exhausted_chain():
     refiner = StaticRefiner([RationalInterval.make(0, 1), RationalInterval.make(F(1, 4), F(3, 4))])
-    pt = ParamPoint(refiner, label="stub")
+    pt = ParamPoint(refiner)
     # root 1/2 stays inside both windows and the chain cannot extend
     with pytest.raises(Undecided):
         pt.sign(AffineExpr(F(-1, 2), F(1)))

@@ -336,6 +336,21 @@ def test_overlap_scan_matches_bruteforce_random_systems(sys, max_level):
 
 
 
+@pytest.mark.parametrize(
+    "last,first_pair",
+    [(F(9, 11), ("10,", "11,")), (F(100, 121), ("10,2", "11,1"))],
+    ids=["equal-offsets", "cancelling-offsets"],
+)
+def test_overlap_scan_symbols_above_nine(last, first_pair):
+    # eleven maps: witnesses hold symbols >= 10, written as comma lists
+    sys = IfsSystem(11, tuple(AffineExpr.constant(F(k, 11)) for k in range(10))
+                    + (AffineExpr.constant(last),))
+    for level in (1, 2):
+        assert exact_overlap_scan(sys, level) == _brute_force_overlap_scan(sys, level)
+    first = exact_overlap_scan(sys, 2).overlaps[0]
+    assert (str(first.left), str(first.right)) == first_pair
+
+
 def test_overlap_scan_example2(ex2_sys):
     scan1 = exact_overlap_scan(ex2_sys, 1)
     assert scan1.overlaps == ()
@@ -695,7 +710,6 @@ class _CountingParam(Param):
 
     def __init__(self, inner):
         self.inner = inner
-        self.label = inner.label
         self.irrationality_assumed = inner.irrationality_assumed
         self.queries = Counter()
 

@@ -8,9 +8,10 @@ first) and shrinks the window to the exact solution set of the next
 overlap inequality.  A state holds the gap only as the scaled gap
 ``m^n * gap``, a point of the system's integer displacement lattice
 (:class:`~sepkit.separation.DisplacementLattice`): it follows the
-displacement recursion from level to level, and the window ends are
-compared with the band ``0 < m^n * gap < 1`` by integer
-cross-multiplication, at the first level and at every step alike.
+displacement recursion from level to level, and the window ends, kept
+as integer numerators and denominators, are compared with the band
+``0 < m^n * gap < 1`` by cross-multiplication, at the first level and
+at every step alike.
 Driving the binary choice of step with an aperiodic sequence pins the
 window chain down to a single parameter value, which is exposed as a
 :class:`~sepkit.exact.ParamPoint`.
@@ -19,12 +20,13 @@ window chain down to a single parameter value, which is exposed as a
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
     DEFAULT_SIGN_BUDGET,
     AffineExpr,
+    EmptyRefinement,
     ParamPoint,
     RationalInterval,
     RefinementExhausted,
@@ -36,10 +38,6 @@ PERIODIC_WARNING = (
     "driving sequence is eventually periodic: the singleton-intersection and "
     "unbounded-type-growth guarantees do not apply"
 )
-
-
-class EmptyRefinement(Exception):
-    """A refinement step produced an empty window (bad template)."""
 
 
 def thue_morse_bit(n: int) -> int:
@@ -130,7 +128,6 @@ class RefinementOption:
     append_right: int
 
 
-@dataclass(frozen=True)
 class ConstructionState:
     """Level-n snapshot of the refinement.
 
@@ -138,16 +135,57 @@ class ConstructionState:
     point (P, Q) of the system's displacement ``lattice``; on ``window``
     it takes values in (0, 1), which is exactly the condition that the
     two cylinders overlap with the right one's origin inside the left
-    one.  ``==`` compares the point, not the lattice.
+    one.  The state keeps the window as ``ends``, four ints
+    ``(lo_num, lo_den, hi_num, hi_den)`` with positive, not necessarily
+    reduced denominators, and its words as its parent and the ``option``
+    taken from it; ``window``, ``left`` and ``right`` are built on first
+    read, once.  ``==`` compares all but the lattice.
     """
 
-    level: int
-    left: Word
-    right: Word
-    window: RationalInterval
-    point: tuple[int, int]
-    lattice: DisplacementLattice = field(compare=False, repr=False)
-    choice: str | None = None
+    __slots__ = ("level", "point", "ends", "lattice", "choice",
+                 "_parent", "_option", "_words", "_window")
+
+    def __init__(self, level: int, point: tuple[int, int], ends: tuple[int, int, int, int],
+                 lattice: DisplacementLattice, choice: str | None = None,
+                 parent: ConstructionState | None = None, option: RefinementOption | None = None):
+        self.level, self.point, self.ends, self.lattice = level, point, ends, lattice
+        self.choice, self._parent, self._option = choice, parent, option
+        self._words = self._window = None
+
+    @property
+    def window(self) -> RationalInterval:
+        if self._window is None:
+            lo_num, lo_den, hi_num, hi_den = self.ends
+            self._window = RationalInterval(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den))
+        return self._window
+
+    left = property(lambda self: self._built_words()[0])
+    right = property(lambda self: self._built_words()[1])
+
+    def _built_words(self) -> tuple[Word, Word]:
+        """The words, replayed in a loop (chains reach thousands of levels)."""
+        if self._words is None:
+            options, state = [], self
+            while state._words is None:
+                options.append(state._option)
+                state = state._parent
+            left, right = (bytearray(w.symbols) for w in state._words)
+            for opt in reversed(options):
+                if opt.swap:
+                    left, right = right, left
+                left.append(opt.append_left)
+                right.append(opt.append_right)
+            self._words = (Word(bytes(left)), Word(bytes(right)))
+        return self._words
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.level, self.point, self.choice, self.window, self._built_words())
+                == (other.level, other.point, other.choice, other.window, other._built_words()))
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.point, self.choice))
 
     @property
     def scaled_gap(self) -> AffineExpr:
@@ -171,27 +209,26 @@ class ConstructionState:
 
 
 def _clip_to_band(
-    lattice: DisplacementLattice, point: tuple[int, int], window: RationalInterval
-) -> tuple[Fraction, Fraction]:
-    """The ends of ``window`` cut down to where the point lies in (0, 1); maybe empty.
+    lattice: DisplacementLattice, point: tuple[int, int], ends: tuple[int, int, int, int]
+) -> tuple[int, int, int, int]:
+    """The window ``ends`` cut down to where the point lies in (0, 1); maybe empty.
 
     For Q != 0, ``0 < P/Lp + (Q/Lq)*a < 1`` holds exactly for a strictly
     between b0/den and b1/den.  Each window end is compared with its
-    bound by integer cross-multiplication; only an end that moves is
-    built as a ``Fraction``, so the window lies in the band exactly
-    when both ends come back unchanged.
+    bound by integer cross-multiplication, so the window lies in the
+    band exactly when the ends come back unchanged.
     """
     P, Q = point
     lp, lq = lattice.lp, lattice.lq
     b0, b1, den = -P * lq, (lp - P) * lq, lp * Q
     if den < 0:
         b0, b1, den = -b1, -b0, -den
-    lo, hi = window.lo, window.hi
-    if b0 * lo.denominator > lo.numerator * den:
-        lo = Fraction(b0, den)
-    if b1 * hi.denominator < hi.numerator * den:
-        hi = Fraction(b1, den)
-    return lo, hi
+    lo_num, lo_den, hi_num, hi_den = ends
+    if b0 * lo_den > lo_num * den:
+        lo_num, lo_den = b0, den
+    if b1 * hi_den < hi_num * den:
+        hi_num, hi_den = b1, den
+    return lo_num, lo_den, hi_num, hi_den
 
 
 @dataclass(frozen=True)
@@ -221,9 +258,13 @@ class ConstructionTemplate:
         point = lattice.point(translation_amount(self.system, left, right))
         if point[1] == 0:
             raise ValueError("initial gap must depend on the parameter")
-        if _clip_to_band(lattice, point, window) != (window.lo, window.hi):
+        ends = (window.lo.numerator, window.lo.denominator,
+                window.hi.numerator, window.hi.denominator)
+        if _clip_to_band(lattice, point, ends) != ends:
             raise ValueError("initial window is not contained in the overlap band")
-        return ConstructionState(len(left), left, right, window, point, lattice)
+        state = ConstructionState(len(left), point, ends, lattice)
+        state._words = (left, right)  # the first state's words are given, not replayed
+        return state
 
 
 def refine_step(
@@ -233,16 +274,15 @@ def refine_step(
 
     The scaled gap u = m^level * gap steps on the state's displacement
     lattice, u' = m*(+-u) + m*(d_right - d_left) with the sign flipped
-    on a swap, so no rational arithmetic runs between levels.  The new
-    window is the old one cut down to the exact solution set of
-    ``0 < u' < 1``, that is ``0 < gap' < m^-(level+1)``.  Emptiness
-    means the template does not support the step and raises
-    :class:`EmptyRefinement`.  ``choice`` labels the new state.
+    on a swap, and the new window is the old one cut down to the exact
+    solution set of ``0 < u' < 1``, that is ``0 < gap' < m^-(level+1)``:
+    integer arithmetic only, on the point and the window ends.  The
+    words are not built here (see ``ConstructionState``).  Emptiness,
+    found by cross-multiplying the new ends, means the template does not
+    support the step and raises :class:`EmptyRefinement`.  ``choice``
+    labels the new state.
     """
     lattice = state.lattice
-    left, right = (state.right, state.left) if opt.swap else (state.left, state.right)
-    new_left = left.append(opt.append_left)
-    new_right = right.append(opt.append_right)
     P, Q = state.point
     if opt.swap:
         P, Q = -P, -Q
@@ -251,13 +291,12 @@ def refine_step(
     point = (m * P + dP, m * Q + dQ)
     if point[1] == 0:
         raise EmptyRefinement("gap became constant; cannot solve for the parameter")
-    lo, hi = _clip_to_band(lattice, point, state.window)
-    if lo >= hi:
+    lo_num, lo_den, hi_num, hi_den = ends = _clip_to_band(lattice, point, state.ends)
+    if lo_num * hi_den >= hi_num * lo_den:
         raise EmptyRefinement(
             f"step from level {state.level} leaves no parameter window (option {opt})"
         )
-    return ConstructionState(state.level + 1, new_left, new_right,
-                             RationalInterval(lo, hi), point, lattice, choice)
+    return ConstructionState(state.level + 1, point, ends, lattice, choice, state, opt)
 
 
 @dataclass(frozen=True)
@@ -323,6 +362,10 @@ class RefinementEngine:
 
     def window(self, level: int) -> RationalInterval:
         return self.state(level).window
+
+    def ends(self, level: int) -> tuple[int, int, int, int]:
+        """The window at ``level`` as ints ``(lo_num, lo_den, hi_num, hi_den)``."""
+        return self.state(level).ends
 
     def states_up_to(self, level: int) -> tuple[ConstructionState, ...]:
         self._extend_to(level)

@@ -17,12 +17,13 @@ its sign is read off the window ends by integer cross-multiplication,
 refining until the form's root falls outside the current window.
 ``sign`` splits an ``AffineExpr`` into those integers; the lattice-based
 searches call ``sign_lattice`` on their integer points directly, without
-building forms.  Sign and decimal queries walk the chain in one loop,
-``ParamPoint._refine``: it hands the form's integer numerator at each
-window end to the query's test and raises ``Undecided`` when the chain
-or the point's refinement budget runs out.  A decimal is decided once
-the image interval rounds unambiguously.  No floating point is used
-anywhere.
+building forms.  Sign and decimal queries read the chain in one loop,
+``ParamPoint._refine``: it reads each window as integer ends
+(``Refiner.ends``), hands the form's integer numerator at each end to
+the query's test and raises ``Undecided`` when the chain or the point's
+refinement budget runs out.  A sign steps one level at a time; a
+decimal, decided once the image interval rounds unambiguously, jumps
+ahead.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -41,13 +42,18 @@ class Undecided(Exception):
     """A query could not be settled within its refinement budget.
 
     ``level`` is the word level a level-by-level search was building
-    when the query came up, set by that search; None elsewhere.
+    when the query came up, or the level of the report entry whose
+    decimal it is; None elsewhere.
     """
 
     def __init__(self, message: str, depth: int):
         super().__init__(f"{message} (refined to depth {depth})")
         self.depth = depth
         self.level: int | None = None
+
+
+class EmptyRefinement(Exception):
+    """A refinement step produced an empty window (bad template)."""
 
 
 class RefinementExhausted(Exception):
@@ -190,9 +196,16 @@ class RationalInterval:
 
 
 class Refiner(Protocol):
-    """Produces the nested parameter windows J_1 ⊃ J_2 ⊃ ..."""
+    """Produces the nested parameter windows J_1 ⊃ J_2 ⊃ ...
+
+    ``ends(level)`` is ``window(level)`` as ints ``(lo_num, lo_den,
+    hi_num, hi_den)``, denominators positive.  After a read fails because
+    the chain ends, ``depth`` is its last level.
+    """
 
     def window(self, level: int) -> RationalInterval: ...
+
+    def ends(self, level: int) -> tuple[int, int, int, int]: ...
 
     @property
     def depth(self) -> int: ...
@@ -264,34 +277,45 @@ class ParamPoint(_ParamBase):
     def window(self, level: int) -> RationalInterval:
         return self.refiner.window(level)
 
-    def _refine(self, P: int, Lp: int, Q: int, Lq: int, decide, what: str):
+    def _refine(self, P: int, Lp: int, Q: int, Lq: int, decide, what: str, ahead=None):
         """The first answer ``decide(f_lo, d_lo, f_hi, d_hi)`` gives on the window chain.
 
-        Windows are fetched from the deepest one computed so far, but
-        never beyond window ``budget``; the windows nest, so where the
-        walk starts changes no answer.  At a window end n/d the form
-        ``P/Lp + (Q/Lq)*a`` is ``f / (Lp*Lq*d)`` with
+        Windows are read as integer ends, from the deepest one built so
+        far but never beyond window ``budget``.  At a window end n/d the
+        form ``P/Lp + (Q/Lq)*a`` is ``f / (Lp*Lq*d)`` with
         ``f = P*Lq*d + Q*Lp*n``; ``decide`` returns None while the window
-        is too wide to answer.  Raises ``Undecided`` about
-        ``what`` when the chain runs out or the budget is reached.
+        is too wide to answer.  The next read is one level deeper, or
+        ``ahead(level, f_lo, d_lo, f_hi, d_hi)`` levels, but not past the
+        budget, and where the chain ends first (it runs out, or a step
+        leaves no window) its last window is read.  The windows nest, so
+        a window that answers gives the first answering window's answer,
+        and one that does not shows that no shallower window answers.
+        Raises ``Undecided`` about ``what`` when the chain runs out or the
+        budget is reached.
         """
         A, B = P * Lq, Q * Lp
-        level = min(max(1, self.refiner.depth), self.budget)
+        refiner, budget = self.refiner, self.budget
+        level, read = min(max(1, refiner.depth), budget), 0
         while True:
             try:
-                win = self.window(level)
-            except RefinementExhausted as exc:
+                lo_num, lo_den, hi_num, hi_den = refiner.ends(level)
+            except (RefinementExhausted, EmptyRefinement) as exc:
+                if refiner.depth > read:
+                    level = refiner.depth
+                    continue
+                if isinstance(exc, EmptyRefinement):
+                    raise
                 raise Undecided(f"{what} of {_form(P, Lp, Q, Lq)} undecided", exc.depth) from exc
-            lo, hi = win.lo, win.hi
-            answer = decide(A * lo.denominator + B * lo.numerator, lo.denominator,
-                            A * hi.denominator + B * hi.numerator, hi.denominator)
+            f_lo, f_hi = A * lo_den + B * lo_num, A * hi_den + B * hi_num
+            answer = decide(f_lo, lo_den, f_hi, hi_den)
             if answer is not None:
                 return answer
-            if level >= self.budget:
+            if level >= budget:
                 raise Undecided(
-                    f"{what} of {_form(P, Lp, Q, Lq)} undecided within budget", self.budget
+                    f"{what} of {_form(P, Lp, Q, Lq)} undecided within budget", budget
                 )
-            level += 1
+            read = level
+            level = min(budget, level + (ahead(level, f_lo, lo_den, f_hi, hi_den) if ahead else 1))
 
     def sign(self, e: AffineExpr) -> int:
         """Sign of ``e`` at the point, in {-1, 0, +1}; see ``sign_lattice``."""
@@ -316,12 +340,18 @@ class ParamPoint(_ParamBase):
     def eval_decimal(self, e: AffineExpr, digits: int) -> str:
         """Correctly rounded decimal value of ``e`` at the point.
 
-        Refines until both endpoints of the exact image interval round
-        to the same signed integer multiple of ``10^-digits``, which that
-        of the enclosed true value then must equal; only that answer is
-        formatted as a string.  The windows nest, so every deeper window
-        rounds to it as well; a remembered answer is what a fresh call
-        would return, and only answers are remembered.
+        Decided on a window whose exact image interval has both ends
+        round to the same signed integer multiple of ``10^-digits``, which
+        that of the enclosed true value then must equal; only that answer
+        is formatted as a string.  The windows nest and rounding is
+        monotone, so every deeper window rounds to it as well, and levels
+        may be skipped: from a window that does not decide, the query
+        jumps by the levels that bring the image width below
+        ``10^-digits`` at the rate (bits per level, about log2 m) that the
+        image has shrunk since the first window read, bit lengths rounded
+        so that a steadily shrinking chain is not jumped past that level.
+        A remembered answer is what a fresh call would return, and only
+        answers are remembered.
         """
         if digits < 1:
             raise ValueError("digits must be >= 1")
@@ -333,12 +363,24 @@ class ParamPoint(_ParamBase):
             return cached
         P, Lp, Q, Lq = e.p.numerator, e.p.denominator, e.q.numerator, e.q.denominator
         L = Lp * Lq
+        scale_bits, first = (10**digits).bit_length(), []  # log2(10^digits) < scale_bits
 
         def rounds_alike(f_lo, d_lo, f_hi, d_hi):
             r_lo = _round_scaled(f_lo, L * d_lo, digits)
             return r_lo if r_lo == _round_scaled(f_hi, L * d_hi, digits) else None
 
-        scaled = self._refine(P, Lp, Q, Lq, rounds_alike, "decimal value")
+        def ahead(level, f_lo, d_lo, f_hi, d_hi):
+            # log2 of the image width lies strictly between width_bits and width_bits + 2
+            width_bits = (abs(f_hi * d_lo - f_lo * d_hi).bit_length()
+                          - (L * d_lo * d_hi).bit_length() - 1)
+            if not first:
+                first.extend((level, width_bits))
+                return 1
+            # bits shed since the first window, bounded above; bits still to shed, below
+            shrunk, needed = first[1] - width_bits + 2, width_bits + scale_bits - 1
+            return max(1, needed * (level - first[0]) // shrunk) if needed > 0 else 1
+
+        scaled = self._refine(P, Lp, Q, Lq, rounds_alike, "decimal value", ahead)
         cached = self._decimal_cache[key] = _format_scaled(scaled, digits)
         return cached
 

@@ -240,6 +240,15 @@ def displacement_levels(
     ]
 
 
+def _decimal_at(pt: Param, value: AffineExpr, level: int) -> str:
+    """The display decimal of a report entry; one that stays undecided names ``level``."""
+    try:
+        return pt.eval_decimal(value, DISPLAY_DIGITS)
+    except Undecided as exc:
+        exc.level = level
+        raise
+
+
 @dataclass(frozen=True)
 class WspLevelMinimum:
     level: int
@@ -260,7 +269,7 @@ class WspResult:
             return {
                 "level": item.level,
                 "abs_value": item.abs_value.to_json(),
-                "abs_decimal": pt.eval_decimal(item.abs_value, DISPLAY_DIGITS),
+                "abs_decimal": _decimal_at(pt, item.abs_value, item.level),
                 "witness": [str(item.displacement.witness[0]), str(item.displacement.witness[1])],
             }
 
@@ -710,7 +719,7 @@ class DistinctnessReport:
         return {
             "levels": list(self.levels),
             "scaled_gaps": [
-                {"level": n, "value": u.to_json(), "decimal": pt.eval_decimal(u, DISPLAY_DIGITS)}
+                {"level": n, "value": u.to_json(), "decimal": _decimal_at(pt, u, n)}
                 for n, u in zip(self.levels, self.scaled_gaps)
             ],
             "all_distinct": self.all_distinct,

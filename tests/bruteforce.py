@@ -77,6 +77,15 @@ class StaticRefiner:
             raise RefinementExhausted(len(self._windows))
         return self._windows[level - 1]
 
+    def ends(self, level: int) -> tuple[int, int, int, int]:
+        return window_ends(self.window(level))
+
+
+def window_ends(window: RationalInterval) -> tuple[int, int, int, int]:
+    """A window as the integer ends ``Refiner.ends`` returns."""
+    lo, hi = window.lo, window.hi
+    return lo.numerator, lo.denominator, hi.numerator, hi.denominator
+
 
 def refine_step_fractions(
     state: tuple, opt: RefinementOption, tmpl: ConstructionTemplate

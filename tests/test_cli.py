@@ -270,8 +270,36 @@ def test_undecided_names_command_and_budget(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify", "distinctness", "--example", "1", "--levels", "12")
     assert code == 3
     assert err.startswith("sepkit: undecided (verify distinctness, oracle budget 3): ")
-    # a decimal of the report belongs to no search level
-    assert " at level " not in err
+    # a decimal of the report names the level of the gap it belongs to
+    assert err.endswith(" (refined to depth 3) at level 1\n")
+
+
+@pytest.mark.parametrize("digits,code,out,err", [
+    # the chain of the 30-bit prefix ends at level 31, the first window to
+    # decide 26 digits; a query needing more reads that window, then gives up
+    ("26", 0, "0.13546458535407347981096157\n", ""),
+    ("35", 3, "", "sepkit: undecided (construct, oracle budget 200): "
+                  "decimal value of 1*a undecided (refined to depth 30)\n"),
+])
+def test_construct_on_a_finite_prefix_reads_its_last_window(capsys, digits, code, out, err):
+    bits = "bits:011010011001011010010110011010"
+    argv = ("construct", "--example", "1", "--sequence", bits, "--depth", "1", "--digits", digits)
+    assert run_cli(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("command,budget,level", [
+    # the default budget runs out on the decimal of the level-186 gap
+    ("verify distinctness --example 1 --levels 200", "200", 186),
+    # the search decides, the decimal of the level-5 minimum does not
+    ("wsp --example 1 --max-level 10", "14", 5),
+])
+def test_undecided_report_decimal_names_its_level(capsys, monkeypatch, command, budget, level):
+    monkeypatch.setenv("SEPKIT_ORACLE_BUDGET", budget)
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, out) == (3, "")
+    name = " ".join(command.split()[:-4])
+    assert err.startswith(f"sepkit: undecided ({name}, oracle budget {budget}): decimal value of ")
+    assert err.endswith(f" undecided within budget (refined to depth {budget}) at level {level}\n")
 
 
 def test_exhausted_prefix_is_undecided(capsys):

@@ -149,8 +149,8 @@ def test_query_never_reads_a_window_beyond_its_budget(ex1_template, tm, monkeypa
     engine = RefinementEngine(ex1_template, tm)
     engine.states_up_to(40)
     asked = []
-    window = engine.window
-    monkeypatch.setattr(engine, "window", lambda level: asked.append(level) or window(level))
+    ends = engine.ends
+    monkeypatch.setattr(engine, "ends", lambda level: asked.append(level) or ends(level))
     pt = ParamPoint(engine, budget=3)
     with pytest.raises(Undecided):
         pt.eval_decimal(AffineExpr.parameter(), 25)

@@ -25,6 +25,7 @@ from bruteforce import (
     intersect,
     midpoint,
     solve_affine_band,
+    window_ends,
 )
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
@@ -195,17 +196,24 @@ def _reference_decimal(pt, e, digits):
 
 
 class _GrowingRefiner:
-    """A finite window chain that, like the construction, deepens on demand."""
+    """A finite window chain that, like the construction, deepens on demand.
+
+    A read past the end builds the whole chain, as the engine does
+    before its driving data runs out.
+    """
 
     def __init__(self, windows):
         self._windows = windows
         self.depth = 0
 
     def window(self, level):
+        self.depth = max(self.depth, min(level, len(self._windows)))
         if level > len(self._windows):
             raise RefinementExhausted(len(self._windows))
-        self.depth = max(self.depth, level)
         return self._windows[level - 1]
+
+    def ends(self, level):
+        return window_ends(self.window(level))
 
 
 def _outcome(call, *args):
@@ -312,31 +320,99 @@ def test_undecided_sign_is_not_cached(ex1_template, tm):
     assert pt.sign(e) == param_point(ex1_template, tm).sign(e)
 
 
-def test_sign_and_decimal_misses_fetch_windows_through_window(ex1_template, tm, monkeypatch):
-    # the benchmark tracer counts window fetches by patching ParamPoint.window
+def test_sign_and_decimal_misses_read_integer_window_ends(ex1_template, tm, monkeypatch):
+    # every query reads its windows as integer ends through the refiner
     from sepkit import param_point
+    from sepkit.construction import RefinementEngine
 
     e = AffineExpr(-midpoint(param_point(ex1_template, tm).window(12)), F(1))
     fetched = []
-    window = ParamPoint.window
+    ends = RefinementEngine.ends
 
     def counted(self, level):
         fetched.append(level)
-        return window(self, level)
+        return ends(self, level)
 
-    monkeypatch.setattr(ParamPoint, "window", counted)
+    monkeypatch.setattr(RefinementEngine, "ends", counted)
+    monkeypatch.setattr(ParamPoint, "window", None)
     pt = param_point(ex1_template, tm)
     pt.sign(e)
+    # a sign miss walks the chain one level at a time
     assert len(fetched) > 1 and fetched == list(range(1, len(fetched) + 1))
-    # a decimal miss starts at the deepest window computed so far
+    # a decimal miss starts at the deepest window computed so far and
+    # reads deeper windows only, possibly skipping levels
     deepest = fetched[-1]
     fetched.clear()
     pt.eval_decimal(AffineExpr.parameter(7), 20)
-    assert len(fetched) > 1 and fetched == list(range(deepest, deepest + len(fetched)))
+    assert len(fetched) > 1 and fetched[0] == deepest
+    assert all(a < b for a, b in zip(fetched, fetched[1:]))
     fetched.clear()
     fresh = param_point(ex1_template, tm)
     fresh.eval_decimal(AffineExpr.parameter(7), 20)
-    assert len(fetched) > 1 and fetched == list(range(1, len(fetched) + 1))
+    assert len(fetched) > 1 and fetched[0] == 1
+    assert all(a < b for a, b in zip(fetched, fetched[1:]))
+
+
+# --- decimals that jump ahead, against the level-by-level walk ---------------
+
+JUMP_FORMS = (AffineExpr.parameter(), AffineExpr(F(1, 5), F(-3)))
+
+
+def _needed_level(which, e, digits):
+    """The level of the first window that decides ``e`` to ``digits`` digits."""
+    from sepkit import example_point
+
+    pt = example_point(which, budget=5000)
+    _reference_decimal(pt, e, digits)
+    return pt.refiner.depth
+
+
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize("digits", [1, 2, 9, 64, 333, 600])
+@pytest.mark.parametrize("start", [1, 40])
+def test_decimal_jump_matches_the_walk_on_engine_chains(which, digits, start):
+    # budgets just below, at and above the level the answer needs, on a
+    # fresh chain and on one a run has built to level 40
+    from sepkit import example_point
+
+    for e in JUMP_FORMS:
+        needed = _needed_level(which, e, digits)
+        for budget in sorted({max(start, needed + d) for d in (-1, 0, 1)}):
+            walked, jumped = example_point(which, budget=budget), example_point(which, budget=budget)
+            walked.refiner.run(start)
+            jumped.refiner.run(start)
+            expected = _outcome(_reference_decimal, walked, e, digits)
+            assert _outcome(jumped.eval_decimal, e, digits) == expected
+            assert expected[0] == ("decided" if budget >= needed else "undecided")
+            # the jumps build no level the walk does not
+            assert jumped.refiner.depth <= walked.refiner.depth
+
+
+# the first 30 Thue-Morse bits: the chain of this prefix ends at level 31,
+# which is the first window to decide 26 digits of a; 35 digits need level 42
+THUE_MORSE_30 = "011010011001011010010110011010"
+
+
+@pytest.mark.parametrize("digits", [26, 35])
+def test_decimal_jump_on_a_finite_prefix_reads_its_last_window(ex1_template, digits, monkeypatch):
+    from sepkit import DrivingSequence, param_point
+    from sepkit.construction import RefinementEngine
+
+    seq = DrivingSequence.from_bits(THUE_MORSE_30)
+    e = AffineExpr.parameter()
+    expected = _outcome(_reference_decimal, param_point(ex1_template, seq), e, digits)
+    read = []
+    ends = RefinementEngine.ends
+    monkeypatch.setattr(RefinementEngine, "ends", lambda self, level: read.append(level) or ends(self, level))
+    assert _outcome(param_point(ex1_template, seq).eval_decimal, e, digits) == expected
+    if digits == 26:
+        assert expected == ("decided", "0.13546458535407347981096157")
+        assert read[-1] == 31
+    else:
+        # a jump went past the end of the chain, and the last window was
+        # read before the query gave up
+        assert expected == ("undecided", "decimal value of 1*a undecided (refined to depth 30)", 30)
+        assert read[read.index(31) - 1] > 31
 
 
 # --- decimal evaluation -----------------------------------------------------

@@ -38,7 +38,7 @@ from .construction import (
 from .exact import (
     DEFAULT_SIGN_BUDGET,
     AffineExpr,
-    ParamPoint,
+    Param,
     RationalInterval,
     RefinementExhausted,
     Undecided,
@@ -149,7 +149,7 @@ def oracle_budget(args) -> int:
     return value
 
 
-def build_point(args, tmpl: ConstructionTemplate) -> ParamPoint:
+def build_point(args, tmpl: ConstructionTemplate) -> Param:
     """The request's parameter point; its refiner is the request's one window chain."""
     pt = param_point(tmpl, parse_sequence(args.sequence), budget=oracle_budget(args))
     report = validate_system(tmpl.system, pt)

@@ -14,7 +14,8 @@ as integer numerators and denominators, are compared with the band
 at every step alike.
 Driving the binary choice of step with an aperiodic sequence pins the
 window chain down to a single parameter value, which is exposed as a
-:class:`~sepkit.exact.ParamPoint`.
+:class:`~sepkit.exact.ParamPoint`; a periodic sequence pins down a
+rational value, which is solved for exactly (:class:`PeriodicLimit`).
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from .exact import (
     DEFAULT_SIGN_BUDGET,
     AffineExpr,
     EmptyRefinement,
+    Param,
     ParamPoint,
     RationalInterval,
+    RationalParam,
     RefinementExhausted,
 )
 from .ifs import IfsSystem, Word, translation_amount
@@ -388,12 +391,59 @@ class RefinementEngine:
                 self._states.append(refine_step(self._states[-1], opt, choice=choice))
 
 
+class PeriodicLimit(RationalParam):
+    """The exact rational limit of a periodic construction.
+
+    Every query is answered by evaluation at ``value``, as at any
+    ``RationalParam``; ``refiner`` is the window chain the limit was
+    read from, so runs, renders and caveats read the same levels as at
+    a ``ParamPoint``.
+    """
+
+    def __init__(self, value: Fraction, refiner: RefinementEngine):
+        super().__init__(value)
+        self.refiner = refiner
+
+
+def _periodic_limit(engine: RefinementEngine, budget: int) -> Fraction | None:
+    """The parameter a periodic chain pins down, read off its first period.
+
+    Write b for the chain's first level, s for the length of the fixed
+    prefix and T for the period.  From level b+s on the steps repeat
+    every T levels, and the period map takes the scaled gap u_{b+s} to
+    u_{b+s+T} = A*u_{b+s} + B + C*a with |A| = m^T > 1, so only the
+    orbit it fixes stays in (0, 1): a parameter in every window solves
+    the linear equation u_{b+s+T} = u_{b+s}.  If its solution lies
+    strictly inside window b+s+T, every later level repeats one of
+    levels b+s..b+s+T there, so it lies in every window and is the
+    limit.  If it does not, no parameter lies in every window, and
+    ``EmptyRefinement`` is raised.  None when the equation is degenerate
+    or level b+s+T lies beyond ``budget``, which no query may read.
+    """
+    tmpl = engine.template
+    start = len(tmpl.initial_left) + len(tmpl.fixed_prefix)
+    end = start + len(engine.sequence.prefix)
+    if end > budget:
+        return None
+    last = engine.state(end)
+    (p0, q0), (p1, q1) = engine.state(start).point, last.point
+    if q0 == q1:
+        return None
+    limit = Fraction((p0 - p1) * last.lattice.lq, (q1 - q0) * last.lattice.lp)
+    if not last.window.lo < limit < last.window.hi:
+        raise EmptyRefinement(
+            f"the periodic windows close on no parameter: their only candidate, {limit}, "
+            f"is not inside the window {last.window} at level {end}"
+        )
+    return limit
+
+
 def param_point(
     tmpl: ConstructionTemplate,
     seq: DrivingSequence,
     irrationality_assumed: bool | None = None,
     budget: int = DEFAULT_SIGN_BUDGET,
-) -> ParamPoint:
+) -> Param:
     """The parameter pinned down by a template and a driving sequence.
 
     The irrationality flag defaults to True exactly for recognized
@@ -403,9 +453,21 @@ def param_point(
     denominators and hence the number of neighbourhood types, making
     the choice sequence eventually periodic).  The default can be
     overridden in either direction.
+
+    An unflagged periodic sequence gives a :class:`PeriodicLimit` at its
+    exact rational limit (see ``_periodic_limit``), found on the point's
+    own chain when the point is built; where the limit is not read off
+    within ``budget`` levels, and for every other sequence, the point
+    is a :class:`~sepkit.exact.ParamPoint` on that chain.  Raises
+    ``EmptyRefinement`` when a periodic chain's windows close on no
+    parameter.
     """
     engine = RefinementEngine(tmpl, seq)
     assumed = seq.aperiodic if irrationality_assumed is None else irrationality_assumed
+    if seq.kind == "periodic" and not assumed:
+        limit = _periodic_limit(engine, budget)
+        if limit is not None:
+            return PeriodicLimit(limit, engine)
     return ParamPoint(engine, irrationality_assumed=assumed, budget=budget)
 
 
@@ -466,6 +528,6 @@ def example_system(which: int) -> IfsSystem:
 
 
 def example_point(which: int, seq: DrivingSequence | None = None,
-                  budget: int = DEFAULT_SIGN_BUDGET) -> ParamPoint:
+                  budget: int = DEFAULT_SIGN_BUDGET) -> Param:
     seq = seq or DrivingSequence.thue_morse()
     return param_point(example_template(which), seq, budget=budget)

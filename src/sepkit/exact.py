@@ -260,6 +260,12 @@ class ParamPoint(_ParamBase):
     Refinement is serialized inside the refiner; all cached windows are
     immutable, so concurrent readers always see a consistent prefix of
     the chain and ask deterministic questions of it.
+
+    A chain that pins down a known rational value needs no refining:
+    ``construction.param_point`` answers a periodic driving sequence at
+    its exact limit (``construction.PeriodicLimit``, a ``RationalParam``
+    that keeps the chain as its ``refiner``) and builds this class only
+    where that limit is not read off within the budget.
     """
 
     def __init__(

@@ -5,8 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
 
+from sepkit import RationalParam, convex_type_census, example_system, wsp_min_displacement
 from sepkit.cli import build_parser, main
 from sepkit.construction import PERIODIC_WARNING, RefinementEngine
 
@@ -181,6 +184,36 @@ def test_types_periodic_carries_warning(capsys, open_set):
     assert periodic["caveats"] == [*aperiodic["caveats"], PERIODIC_WARNING]
 
 
+def test_types_periodic_counts_at_the_exact_limit(capsys):
+    code, out, _ = run_cli(capsys, "types", "--example", "1", "--sequence", "periodic:01",
+                           "--levels", "10")
+    assert code == 0
+    exact = convex_type_census(example_system(1), RationalParam(Fraction(16, 119)), 10)
+    counts = json.loads(out)["results"]["counts"]
+    assert counts == list(exact.counts) == [3, 5] + [6] * 8
+
+
+def test_wsp_periodic_decides_at_the_exact_limit(capsys):
+    # 336 - 2499a, exactly 0 at 16/119, no longer runs the sign budget out
+    code, out, err = run_cli(capsys, "wsp", "--example", "1", "--sequence", "periodic:01",
+                             "--max-level", "10")
+    assert code == 0, err
+    exact = wsp_min_displacement(example_system(1), RationalParam(Fraction(16, 119)), 10)
+    per_level = json.loads(out)["results"]["per_level"]
+    assert [e["abs_value"] for e in per_level] == [
+        e.abs_value.to_json() for e in exact.per_level
+    ]
+
+
+@pytest.mark.parametrize("example,candidate", [("1", "1/7"), ("2", "3/64")])
+def test_periodic_windows_closing_on_an_end_exit_2(capsys, example, candidate):
+    code, out, err = run_cli(capsys, "types", "--example", example, "--sequence", "periodic:0",
+                             "--levels", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("sepkit: empty refinement: the periodic windows close on no parameter")
+    assert f"only candidate, {candidate}," in err
+
+
 def test_wsp_report(capsys):
     code, out, _ = run_cli(capsys, "wsp", "--example", "1", "--max-level", "2")
     assert code == 0
@@ -232,8 +265,9 @@ def test_render_unwritable_out_is_usage_error(capsys, monkeypatch, tmp_path, out
         ["construct", "--example", "1", "--depth", "40", "--json"],
         ["verify", "distinctness", "--example", "1", "--levels", "12"],
         ["render", "--example", "2", "--levels", "2", "--out", "figs"],
+        ["construct", "--example", "1", "--depth", "40", "--json", "--sequence", "periodic:01"],
     ],
-    ids=["construct", "distinctness", "render"],
+    ids=["construct", "distinctness", "render", "construct-periodic"],
 )
 def test_one_window_chain_per_request(capsys, monkeypatch, tmp_path, argv):
     built = []

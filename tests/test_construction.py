@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from dataclasses import replace
 from fractions import Fraction as F
@@ -13,6 +14,7 @@ from sepkit import (
     IfsSystem,
     ParamPoint,
     RationalInterval,
+    RationalParam,
     Undecided,
     Word,
     example_template,
@@ -28,6 +30,7 @@ from sepkit.cli import load_template
 from sepkit.construction import (
     PERIODIC_WARNING,
     ConstructionTemplate,
+    PeriodicLimit,
     RefinementEngine,
     RefinementOption,
 )
@@ -40,6 +43,7 @@ from bruteforce import (
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
 
 # fixed, recorded 64-bit driving prefix for the construction invariants
 RECORDED_PREFIX = format(0xC96C5795D7870F42, "064b")
@@ -188,6 +192,71 @@ def test_irrationality_flag_override(ex1_template, tm):
     assert param_point(
         ex1_template, DrivingSequence.periodic("01")
     ).irrationality_assumed is False
+    # a periodic chain flagged by the caller stays a window chain, as the flag asks
+    flagged = param_point(ex1_template, DrivingSequence.periodic("01"), irrationality_assumed=True)
+    assert type(flagged) is ParamPoint and flagged.irrationality_assumed
+
+
+def _load_reference():
+    """``perfbench/reference.py``, the independent ``Fraction`` reference, loaded and only read."""
+    spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    return reference
+
+
+PERIODIC_LIMITS = {
+    (1, "01"): F(16, 119), (1, "1"): F(2, 21), (1, "0110"): F(386, 2849),
+    (2, "01"): F(1541, 32904), (2, "1"): F(101, 2184), (2, "0110"): F(13099, 279680),
+}
+
+
+def test_periodic_points_sit_at_the_reference_limit():
+    reference = _load_reference()
+    for (example, pattern), limit in PERIODIC_LIMITS.items():
+        pt = param_point(example_template(example), DrivingSequence.periodic(pattern))
+        assert isinstance(pt, PeriodicLimit)
+        assert pt.value == limit == reference.periodic_limit(example, pattern)
+        assert not pt.irrationality_assumed
+
+
+def test_periodic_limit_answers_as_its_rational_value(ex1_template):
+    seq = DrivingSequence.periodic("01")
+    pt, exact = param_point(ex1_template, seq), RationalParam(F(16, 119))
+    # 336 - 2499a vanishes at the limit: a window chain never decides its sign
+    forms = [AffineExpr(F(336), F(-2499)), AffineExpr(F(1, 3), F(-2)), AffineExpr.parameter()]
+    for e in forms:
+        assert pt.sign(e) == exact.sign(e)
+        assert pt.eval_decimal(e, 40) == exact.eval_decimal(e, 40)
+        assert pt.canonical_key(e) == exact.canonical_key(e)
+    assert pt.sign(forms[0]) == 0
+    # the point keeps its chain: runs and caveats read the same windows
+    assert isinstance(pt.refiner, RefinementEngine)
+    assert pt.refiner.run(6).states == run_construction(ex1_template, seq, 6).states
+    assert pt.refiner.warnings == (PERIODIC_WARNING,)
+    for state in pt.refiner.states_up_to(40):
+        assert state.window.lo < pt.value < state.window.hi
+
+
+@pytest.mark.parametrize("example,pattern,needed", [(1, "0110", 5), (2, "01", 4), (1, "1", 2)])
+def test_periodic_limit_needs_its_first_period_within_budget(example, pattern, needed):
+    # the limit is read at level 1 + len(fixed prefix) + period, never beyond the budget
+    tmpl, seq = example_template(example), DrivingSequence.periodic(pattern)
+    below = param_point(tmpl, seq, budget=needed - 1)
+    assert type(below) is ParamPoint and below.budget == needed - 1
+    assert below.refiner.depth == 1  # no window was built to look for the limit
+    assert isinstance(param_point(tmpl, seq, budget=needed), PeriodicLimit)
+
+
+@pytest.mark.parametrize("example,closing_end", [(1, F(1, 7)), (2, F(3, 64))])
+def test_periodic_windows_closing_on_a_window_end_are_refused(example, closing_end):
+    # periodic:0 windows shrink onto their common right end: their open
+    # intersection is empty, so no parameter satisfies the construction
+    tmpl, seq = example_template(example), DrivingSequence.periodic("0")
+    with pytest.raises(EmptyRefinement, match="close on no parameter"):
+        param_point(tmpl, seq)
+    states = run_construction(tmpl, seq, 12).states
+    assert all(s.window.hi == closing_end for s in states[len(tmpl.fixed_prefix) + 1:])
 
 
 def _sequences_for_invariants():

@@ -5,18 +5,19 @@ from the recorded benchmark baseline (seed 1, with the driving sequence
 drawn there); the ids are its request ids.  ``ORACLE_GOLDEN`` holds the
 requests that run the overlap oracle, ``GOLDEN`` the census, WSP,
 construction, distinctness, dimension, overlap-scan and endpoint
-requests, and deep requests beyond the benchmark: two WSP runs, two
-long constructions and distinctness at 150 levels, on both the
-grouped (flagged point) and the pairwise (unflagged) path.  The code
-behind them may change; their reports may not.  A declared output
-change updates the digests here.  The census reports changed format
-once, to a value table, a type table and levels as columns of
-indices; ``PER_ENTRY_GOLDEN`` keeps each one's digest from before
-that change, which its expansion must still match.  The three requests
-the benchmark marks as known defects (the periodic census and WSP, and
-distinctness at 200 levels) are left out: fixing them changes their
-output.  ``SVG_GOLDEN`` pins the bytes of every figure ``render`` writes
-for both examples at six levels.
+requests, the periodic census and WSP (pinned at their exact limit
+16/119, where ``perfbench/expected.json`` checks their answers, since
+the baseline records the wrong ones), and deep requests beyond the
+benchmark: two WSP runs, two long constructions and distinctness at 150
+levels, on the grouped path at a flagged point and at a periodic limit.
+The code behind them may change; their reports may not.  A declared
+output change updates the digests here.  The census reports changed
+format once, to a value table, a type table and levels as columns of
+indices; ``PER_ENTRY_GOLDEN`` keeps each one's digest from before that
+change, which its expansion must still match.  Distinctness at 200
+levels, which the benchmark marks as a known defect, is left out: fixing
+it changes its output.  ``SVG_GOLDEN`` pins the bytes of every figure
+``render`` writes for both examples at six levels.
 """
 
 import hashlib
@@ -153,6 +154,18 @@ GOLDEN = [
         "2ac95c3a218fc61834a4f21ceee786f91b9be897f673275b58b1a1ff6ea12d41",
         id="endpoints-ex2-5",
     ),
+    pytest.param(
+        ["types", "--example", "1", "--sequence", "periodic:01", "--levels", "10"],
+        0,
+        "6d65d038b151869435241ea52656156d3f72933ef36d9c3c368e3841aac29955",
+        id="types-periodic-10",
+    ),
+    pytest.param(
+        ["wsp", "--example", "1", "--sequence", "periodic:01", "--max-level", "10"],
+        0,
+        "96ccea301c9961f0e31a774e5cd210572fbf41f9a9a095e4930fbb65a89c43a1",
+        id="wsp-periodic-10",
+    ),
     # deep requests, where witness words are up to 300 symbols long
     pytest.param(
         ["wsp", "--example", "1", "--max-level", "300", "--oracle-budget", "5000"],
@@ -190,7 +203,7 @@ GOLDEN = [
         ["verify", "distinctness", "--example", "1", "--levels", "150",
          "--sequence", "periodic:01"],
         1,
-        "48f8c8fbf1846238d9641ae95b71324b761137d63acd69064dbad9baf4e3eba0",
+        "2dffefe1c039b9161dcf8d8dfa626abc6fead0da57a3a4b7ca7e2159d48e150f",
         id="distinct-periodic-150",
     ),
 ]

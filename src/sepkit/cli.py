@@ -478,8 +478,11 @@ def main(argv=None) -> int:
     except (Undecided, RefinementExhausted) as exc:
         command = " ".join(filter(None, (args.subcommand, getattr(args, "verifier", None))))
         budget = oracle_budget(args)
-        where = "" if getattr(exc, "level", None) is None else f" at level {exc.level}"
-        sys.stderr.write(f"sepkit: undecided ({command}, oracle budget {budget}): {exc}{where}\n")
+        where = [] if getattr(exc, "level", None) is None else [f"level {exc.level}"]
+        if getattr(exc, "words", None) is not None:
+            where.append('word pair ("{}", "{}")'.format(*exc.words))
+        at = f" at {', '.join(where)}" if where else ""
+        sys.stderr.write(f"sepkit: undecided ({command}, oracle budget {budget}): {exc}{at}\n")
         return EXIT_UNDECIDED
     except ValueError as exc:
         sys.stderr.write(f"sepkit: {exc}\n")

@@ -43,13 +43,16 @@ class Undecided(Exception):
 
     ``level`` is the word level a level-by-level search was building
     when the query came up, or the level of the report entry whose
-    decimal it is; None elsewhere.
+    decimal it is; None elsewhere.  ``words`` is the word pair from the
+    shift an overlap oracle was asked about to the point whose test
+    stayed undecided; None elsewhere.
     """
 
     def __init__(self, message: str, depth: int):
         super().__init__(f"{message} (refined to depth {depth})")
         self.depth = depth
         self.level: int | None = None
+        self.words = None
 
 
 class EmptyRefinement(Exception):

@@ -12,7 +12,10 @@ joined in.  The base cases, the seed against the deeper family
 translated by v, are one walk down the cylinder tree started at
 seed - v.  Every comparison is one integer sign query at the parameter
 point; both searches run depth first on explicit stacks, so the
-truncation depth is not bounded by the Python stack.  Everything is
+truncation depth is not bounded by the Python stack.  Nearly every point
+the family search expands is pass-through, with one child in bound and
+no walk to start, and a run of such points, as long as the truncation
+depth, is answered in one step at any budget.  Everything is
 exact; truncation can only under-report intersections, so every report
 carries the truncation depth as a caveat.
 """
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from .exact import AFFINE_ZERO, AffineExpr, Param, RationalInterval
+from .exact import AFFINE_ZERO, AffineExpr, Param, RationalInterval, Undecided
 from .ifs import EMPTY_WORD, IfsSystem, Word, apply_map, map_at_zero
 from .separation import (
     CensusLevel,
@@ -81,15 +84,14 @@ class OpenSetApprox:
                 yield word, lo, hi
 
 
-#: What ``_known_family`` and ``_known_walk`` return when the answer
-#: needs a search one level down.
+#: What ``_known_walk`` returns when the answer needs a search deeper.
 _SEARCH = object()
 
 
 class _Family(_Node):
     """A node of the family search: what it has decided about one in-bound point."""
 
-    __slots__ = ("near", "empty")
+    __slots__ = ("near", "empty", "run")
 
     def __init__(self, near: bool):
         super().__init__()
@@ -97,6 +99,9 @@ class _Family(_Node):
         self.near = near
         #: the largest budget at which the families are proved disjoint
         self.empty = 0
+        #: for a pass-through point, (end point, end node, length) of the
+        #: run of pass-through points it starts, else None
+        self.run = None
 
 
 class _FamilyMemo(_PointMemo):
@@ -131,13 +136,27 @@ class OverlapOracle:
     near, its in-bound children as far as the search reached them, and
     the largest budget at which its families are proved disjoint (a
     smaller budget searches a subset).  Its rare hits are kept per
-    budget, since their witness depends on it.  An interval keeps its
-    shortest word, which no budget changes, or the largest budget proved
-    empty.  Both searches run depth first on explicit stacks, in the
-    order of the recursion they replace, so the witness is the first on
-    that order.  Only decided answers are kept.  A shift off the lattice
-    is answered by an oracle on a lattice whose denominators cover its
-    own too (the ``lattice`` argument), with caches of its own.
+    budget, since their witness depends on it.  A pass-through point
+    (not near, both walk intervals missing (0,1), every step scanned and
+    exactly one child in bound) answers at budget b what its child
+    answers at b - 1, so a run of them is answered in one step: the
+    run's first point keeps its end and its length d, and answers None
+    below budget d and else the end's answer at b - d behind the run's
+    words, read off the run's single children only when an answer needs
+    them.  Runs join when their end turns out pass-through too, and a
+    follow points every point on the way at the final end, as union-find
+    compresses paths (``_run_end``); a run that closes on itself is
+    disjoint at every budget.  Branch points are searched again at each
+    larger budget.  An interval keeps its shortest word, which no budget
+    changes, or the largest budget proved empty.  Both searches run
+    depth first on explicit stacks, in the order of the recursion they
+    replace, so the witness is the first on that order and no sign query
+    is asked that the recursion would not ask.  Only decided answers are
+    kept; an ``Undecided`` raised in the family search carries in
+    ``words`` the word pair from the queried shift to the point whose
+    test stayed undecided.  A shift off the lattice is answered by an
+    oracle on a lattice whose denominators cover its own too (the
+    ``lattice`` argument), with caches of its own.
     """
 
     def __init__(
@@ -175,60 +194,120 @@ class OverlapOracle:
         """Does any V_n1 meet any V_n2 + v, for n1, n2 <= budget?
 
         A depth-first search over the children on a stack of
-        [point, node, budget, next child] frames; the first hit is the
-        first on every frame's path, so it winds straight up.
+        [point, node, budget, next child, run] frames, ``run`` the
+        (first node, length) of the run that led to the frame's point;
+        the first hit is the first on every frame's path, so it winds
+        straight up.
         """
-        point, points = (P, Q), self._points
-        node = points[point]
-        answer = self._known_family(point, node, budget)
-        if answer is not _SEARCH:
-            return answer
-        stack = [[point, node, budget, 0]]
-        while stack:
-            frame = stack[-1]
-            point, node, budget, k = frame
-            children = points.children(point, need=k + 1)
-            if k == len(children):
-                # every child's families are disjoint one level down
-                node.empty = budget
-                stack.pop()
-                continue
-            frame[3] = k + 1
-            _, _, point, node = children[k]
-            answer = self._known_family(point, node, budget - 1)
-            if answer is _SEARCH:
-                stack.append([point, node, budget - 1, 0])
-            elif answer is not None:
-                w1, w2 = answer
-                for point, node, budget, k in reversed(stack):
-                    i, j, _, _ = node.children[k - 1]
-                    w1, w2 = Word.of(i) + w1, Word.of(j) + w2
-                    self._hits[(*point, budget)] = (w1, w2)
-                return (w1, w2)
-        return None
+        points, stack = self._points, []
+        # the child (i, j, point, node) under test below the top frame, or
+        # None while the top frame scans its steps
+        probe = None
+        try:
+            answer = self._known_family((P, Q), points[(P, Q)], budget)
+            if type(answer) is not list:
+                return answer
+            stack.append(answer)
+            while stack:
+                frame = stack[-1]
+                point, node, budget, k, _ = frame
+                probe = None
+                children = points.children(point, need=k + 1)
+                if k == len(children):
+                    # every child's families are disjoint one level down
+                    node.empty = budget
+                    self._pass_through(point, node)
+                    stack.pop()
+                    continue
+                frame[3] = k + 1
+                probe = children[k]
+                _, _, point, node = probe
+                answer = self._known_family(point, node, budget - 1)
+                if type(answer) is list:
+                    stack.append(answer)
+                elif answer is not None:
+                    w1, w2 = answer
+                    for point, node, budget, k, run in reversed(stack):
+                        i, j, _, _ = node.children[k - 1]
+                        w1, w2 = Word.of(i) + w1, Word.of(j) + w2
+                        self._hits[(*point, budget)] = (w1, w2)
+                        if run is not None:
+                            w1, w2 = _behind(run, w1, w2)
+                    return (w1, w2)
+            return None
+        except Undecided as exc:
+            exc.words = self._undecided_words((P, Q), stack, probe)
+            raise
 
-    def _known_family(self, point: tuple[int, int], node: _Family | None, budget: int):
-        """The answer at ``budget`` when it needs no search of the children, else ``_SEARCH``."""
+    def _known_family(self, point: tuple[int, int], node: _Family | None, budget: int, run=None):
+        """The answer at ``budget`` when it needs no search of the children, else the
+        [point, node, budget, 0, run] frame that searches them, past the point's run."""
         if node is None:
             return None
         if node.near:
-            return (EMPTY_WORD, EMPTY_WORD)
-        if budget <= node.empty:
+            answer = (EMPTY_WORD, EMPTY_WORD)
+        elif budget <= node.empty:
             return None
+        elif node.run is not None:
+            end, end_node, d = _run_end(node)
+            if budget < d:
+                return None
+            # the run's end is not pass-through, so this goes one level deep
+            return self._known_family(end, end_node, budget - d, (node, d))
+        else:
+            P, Q = point
+            answer = self._hits.get((P, Q, budget))
+            if answer is None:
+                # seed against the deeper translated family, both ways round:
+                # seed meets S_w(seed) + v exactly when seed - v meets S_w(seed)
+                lo, hi = self._seed
+                hit = self._interval_vs_family(lo - P, hi - P, -Q, budget)
+                if hit is not None:
+                    answer = (EMPTY_WORD, hit)
+                else:
+                    hit = self._interval_vs_family(P + lo, P + hi, Q, budget)
+                    if hit is None:
+                        return [point, node, budget, 0, run]
+                    answer = (hit, EMPTY_WORD)
+        return answer if run is None else _behind(run, *answer)
+
+    def _pass_through(self, point: tuple[int, int], node: _Family) -> None:
+        """Start a run at a searched point whose steps are all scanned, if it passes through."""
+        if len(node.children) != 1:
+            return
         P, Q = point
-        hit = self._hits.get((P, Q, budget))
-        if hit is not None:
-            return hit
-        # seed against the deeper translated family, both ways round:
-        # seed meets S_w(seed) + v exactly when seed - v meets S_w(seed)
         lo, hi = self._seed
-        hit = self._interval_vs_family(lo - P, hi - P, -Q, budget)
-        if hit is not None:
-            return (EMPTY_WORD, hit)
-        hit = self._interval_vs_family(P + lo, P + hi, Q, budget)
-        if hit is not None:
-            return (hit, EMPTY_WORD)
-        return _SEARCH
+        if self._walks[(lo - P, hi - P, -Q)] == self._walks[(P + lo, P + hi, Q)] == inf:
+            child, child_node = node.children[0][2:]
+            end_node = child_node if child_node.run is None else _run_end(child_node)[1]
+            if end_node is node:
+                # a closed run never reaches a point that could meet
+                node.empty = inf
+            else:
+                node.run = (child, child_node, 1)
+
+    def _undecided_words(self, root: tuple[int, int], stack: list, probe) -> tuple[Word, Word]:
+        """The word pair from the queried shift to the point whose test stayed undecided:
+        the probe, else the step the top frame was scanning, else the root."""
+        if probe is not None:
+            i, j, _, node = probe
+        elif stack:
+            (i, j, _, _), node = self.lattice.steps[stack[-1][1].scanned], None
+        else:
+            i, node = None, self._points.get(root)
+        w1 = w2 = EMPTY_WORD
+        if node is not None and node.run is not None:
+            # a run is followed to its end before the end is tested
+            w1, w2 = _behind((node, node.run[2]), w1, w2)
+        if i is not None:
+            w1, w2 = Word.of(i) + w1, Word.of(j) + w2
+        for depth, (_, node, _, k, run) in enumerate(reversed(stack)):
+            if depth:
+                i, j, _, _ = node.children[k - 1]
+                w1, w2 = Word.of(i) + w1, Word.of(j) + w2
+            if run is not None:
+                w1, w2 = _behind(run, w1, w2)
+        return w1, w2
 
     def _interval_vs_family(self, lo: int, hi: int, Q: int, budget: int) -> Word | None:
         """Shortest word w, |w| <= budget, with (lo, hi) ∩ S_w(seed) != 0, if any.
@@ -287,6 +366,37 @@ class OverlapOracle:
         if type(known) is Word:
             return known if len(known) <= budget else None
         return None if budget <= known else _SEARCH
+
+
+def _run_end(node: _Family) -> tuple:
+    """The (end point, end node, length) of a pass-through node's run.
+
+    The run is followed through ends that turned out pass-through too,
+    and every node on the way is pointed at the final end, as union-find
+    compresses paths; the loop stays flat however long the run.
+    """
+    run = node.run
+    if run[1].run is None:
+        return run
+    path, d = [], 0
+    while node.run is not None:
+        path.append((node, d))
+        end, node, step = node.run
+        d += step
+    for start, at in path:
+        start.run = (end, node, d - at)
+    return path[0][0].run
+
+
+def _behind(run: tuple, w1: Word, w2: Word) -> tuple[Word, Word]:
+    """(w1, w2) behind the words of a run given as (first node, length)."""
+    node, d = run
+    run1, run2 = bytearray(), bytearray()
+    for _ in range(d):
+        i, j, _, node = node.children[0]
+        run1.append(i)
+        run2.append(j)
+    return Word(bytes(run1) + w1.symbols), Word(bytes(run2) + w2.symbols)
 
 
 @dataclass(frozen=True)
@@ -438,7 +548,11 @@ def constructed_v_type_census(
         for key, (count, witness) in states.items():
             if key not in kept:
                 members = zip(automaton.type_of(key), automaton.value_ids(key))
-                pairs = [(v, ident) for v, ident in members if oracle.overlaps(v) is not None]
+                try:
+                    pairs = [(v, ident) for v, ident in members if oracle.overlaps(v) is not None]
+                except Undecided as exc:
+                    exc.level = level
+                    raise
                 kept[key] = tuple(zip(*pairs)) or ((), ())
             filtered, fkey = kept[key]
             row = merged.get(fkey)

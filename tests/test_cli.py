@@ -336,6 +336,20 @@ def test_undecided_report_decimal_names_its_level(capsys, monkeypatch, command, 
     assert err.endswith(f" undecided within budget (refined to depth {budget}) at level {level}\n")
 
 
+@pytest.mark.parametrize("command,budget,where", [
+    ("verify osc --example 1 --seed 3/7:4/7 --depth 20", "6",
+     ' at word pair ("33233", "12311")'),
+    # the constructed census names the level it was building as well
+    ("types --example 1 --open-set constructed --seed 3/7:4/7 --levels 6", "10",
+     ' at level 2, word pair ("32331123", "23123331")'),
+])
+def test_undecided_oracle_names_the_word_pair(capsys, monkeypatch, command, budget, where):
+    monkeypatch.setenv("SEPKIT_ORACLE_BUDGET", budget)
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, out) == (3, "")
+    assert err.endswith(f" undecided within budget (refined to depth {budget}){where}\n")
+
+
 def test_exhausted_prefix_is_undecided(capsys):
     code, _, err = run_cli(
         capsys, "construct", "--example", "1", "--sequence", "bits:01", "--depth", "40",

@@ -76,6 +76,13 @@ ORACLE_GOLDEN = [
         "043600e329895c9b0833b5a29c8ecee20eaa4c1472c28ebdcd4b8e51cad36d1a",
         id="osc-ex2-30",
     ),
+    pytest.param(
+        ["types", "--example", "1", "--open-set", "constructed", "--seed", "3/7:4/7",
+         "--levels", "300", "--truncation", "302", "--oracle-budget", "5000"],
+        0,
+        "a50c097cef55f34573065b0a646d16855c8b462463bb2b4d1236d8152450be01",
+        id="constructed-ex1-300",
+    ),
 ]
 
 GOLDEN = [

@@ -399,7 +399,7 @@ def test_oracle_full_seed_matches_the_earlier_oracle(which, depth, ex1_pt, ex2_p
 
 
 @st.composite
-def valid_open_sets(draw):
+def valid_open_sets(draw, depths=st.integers(0, 3)):
     """A system valid at a RationalParam point (d_1 = 0, d_n = 1 - 1/m,
     every offset in [0, 1 - 1/m]) with a seed and a truncation depth."""
     m = draw(st.integers(2, 5))
@@ -416,7 +416,7 @@ def valid_open_sets(draw):
         [RationalInterval.make(0, 1), SEED1, SEED2, RationalInterval.make(F(1, 4), F(1, 2)),
          OFF_SEED]
     ))
-    return sys, pt, OpenSetApprox(sys, seed, draw(st.integers(0, 3)))
+    return sys, pt, OpenSetApprox(sys, seed, draw(depths))
 
 
 @settings(max_examples=50, deadline=None)
@@ -433,7 +433,10 @@ def test_oracle_matches_the_earlier_oracle_random_systems(case):
 # --- the overlap oracle against its recursive form ---------------------------------
 
 #: (example, seed, truncation depth), deeper than the earlier oracle's cases
-RECURSIVE_CASES = [(1, SEED1, 32), (2, SEED2, 16)]
+#: example 1 at depth 64 follows runs of single-child points far deeper
+#: than the queries' levels, in both query orders: a run asked at a budget
+#: shorter than itself, and a run whose end turns out single-child later
+RECURSIVE_CASES = [(1, SEED1, 32), (2, SEED2, 16), (1, SEED1, 64)]
 
 
 def _assert_witnesses_in_either_order(open_set, pt, queries):
@@ -454,6 +457,22 @@ def test_oracle_witnesses_match_the_recursive_oracle(which, seed, depth, ex1_pt,
     pt = ex1_pt if which == 1 else ex2_pt
     open_set = OpenSetApprox(sys, seed, depth)
     _assert_witnesses_in_either_order(open_set, pt, _queries(sys, pt, 6))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(valid_open_sets(st.integers(4, 12)), st.randoms(use_true_random=False))
+def test_oracle_matches_the_recursion_at_every_budget_random_systems(case, rng):
+    # one oracle asked every point at every budget, in a shuffled order: runs
+    # asked short of their length, runs whose end is searched deeper later,
+    # and hits found behind a run
+    sys, pt, open_set = case
+    oracle = OverlapOracle(open_set, pt)
+    reference = RecursiveOverlapOracle(open_set, pt)
+    points = {oracle.lattice.point(v) for v in _queries(sys, pt, 2)} - {None}
+    asks = [(point, budget) for point in sorted(points) for budget in range(open_set.depth + 1)]
+    rng.shuffle(asks)
+    for (P, Q), budget in asks:
+        assert oracle._family_vs_family(P, Q, budget) == reference._family_vs_family(P, Q, budget)
 
 
 @pytest.mark.parametrize("which,seed,depth", RECURSIVE_CASES)
@@ -490,3 +509,136 @@ def test_undecided_query_is_not_remembered():
         _OracleOverlapOracle(open_set, short).overlaps(v)
     assert str(first.value) == str(expected.value)
     assert oracle.overlaps(AFFINE_ZERO) == (EMPTY_WORD, EMPTY_WORD)
+
+
+class _Tripwire:
+    """A parameter point that answers as ``pt``, except that the sign query
+    ``trip``, or the ``limit``-th distinct one it is asked, stays undecided."""
+
+    def __init__(self, pt, limit=None, trip=None):
+        self.pt, self.asked, self.limit, self.trip = pt, set(), limit, trip
+
+    def sign_lattice(self, *form):
+        if form == self.trip or (form not in self.asked and len(self.asked) == self.limit):
+            self.trip = form
+            raise Undecided(f"sign of {form} tripped", 0)
+        self.asked.add(form)
+        return self.pt.sign_lattice(*form)
+
+
+def _peel(sys, v, w1, w2):
+    """The shift the family search reaches from v by peeling the word pair."""
+    for i, j in zip(w1, w2):
+        v = (v + sys.offset(j) - sys.offset(i)).scale(sys.ratio_denominator)
+    return v
+
+
+def test_undecided_names_the_word_pair():
+    full = example_point(1)
+    short = ParamPoint(
+        StaticRefiner([full.window(k) for k in range(1, 7)]), irrationality_assumed=True
+    )
+    sys = example_template(1).system
+    v = AffineExpr.parameter(7)
+    with pytest.raises(Undecided) as caught:
+        OverlapOracle(OpenSetApprox(sys, SEED1, 12), short).overlaps(v)
+    w1, w2 = caught.value.words
+    assert (str(w1), str(w2)) == ("33233", "12311")
+    assert caught.value.level is None
+    # the pair peels down to the point whose own test stayed undecided
+    with pytest.raises(Undecided) as again:
+        OverlapOracle(OpenSetApprox(sys, SEED1, 12 - len(w1)), short).overlaps(
+            _peel(sys, v, w1, w2)
+        )
+    assert again.value.words == (EMPTY_WORD, EMPTY_WORD)
+    assert str(again.value) == str(caught.value)
+    # the constructed census names the level it was building as well
+    with pytest.raises(Undecided) as census:
+        constructed_v_type_census(sys, short, OpenSetApprox(sys, SEED1, 12), 4)
+    assert census.value.level == 1
+    assert census.value.words is not None
+
+
+@pytest.mark.parametrize("which,seed,depth", [(1, SEED1, 40), (2, SEED2, 20)])
+def test_undecided_word_pair_leads_to_the_undecided_test(which, seed, depth):
+    # each pass fails at a different sign query: at the root, on a frame's
+    # step, in a child's walks, behind runs that earlier queries left; the
+    # word pair always peels down to a point whose own test asks that query
+    sys = example_template(which).system
+    pt = example_point(which, budget=5000)
+    queries = _queries(sys, pt, 6)[:-len(OFF_LATTICE)]
+    open_set = OpenSetApprox(sys, seed, depth)
+    counting = _Tripwire(pt)
+    oracle = OverlapOracle(open_set, counting)
+    for v in queries:
+        oracle.overlaps(v)
+    for limit in range(0, len(counting.asked), 3):
+        tripwire = _Tripwire(pt, limit=limit)
+        oracle = OverlapOracle(open_set, tripwire)
+        with pytest.raises(Undecided) as caught:
+            for v in queries:
+                oracle.overlaps(v)
+        w1, w2 = caught.value.words
+        fresh = _Tripwire(pt, trip=tripwire.trip)
+        with pytest.raises(Undecided) as again:
+            OverlapOracle(OpenSetApprox(sys, seed, depth - len(w1)), fresh).overlaps(
+                _peel(sys, v, w1, w2)
+            )
+        assert again.value.words == (EMPTY_WORD, EMPTY_WORD)
+        assert str(again.value) == str(caught.value)
+
+
+# --- runs of single-child points ------------------------------------------------
+
+
+def _constructed_census_decisions(which, seed, levels):
+    """Point decisions the overlap oracle makes in a constructed-set census."""
+    sys = example_template(which).system
+    pt = example_point(which, budget=5000)
+    decisions = 0
+    known = OverlapOracle._known_family
+
+    def counting(self, *args):
+        nonlocal decisions
+        decisions += 1
+        return known(self, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(OverlapOracle, "_known_family", counting)
+        constructed_v_type_census(sys, pt, OpenSetApprox(sys, seed, levels + 2), levels)
+    return decisions
+
+
+@pytest.mark.parametrize("which,seed,levels", [(1, SEED1, 50), (2, SEED2, 30)])
+def test_oracle_work_grows_linearly_with_the_levels(which, seed, levels):
+    # a run of single-child points is answered in one step, so a point met
+    # again at a budget one larger is not searched down its whole run again
+    once = _constructed_census_decisions(which, seed, levels)
+    twice = _constructed_census_decisions(which, seed, 2 * levels)
+    assert twice <= 2.2 * once, (once, twice)
+
+
+def test_oracle_decisions_in_a_deep_constructed_census():
+    assert _constructed_census_decisions(1, SEED1, 200) <= 2500
+
+
+#: a system with one middle map whose point 3/5 is its own only child, and
+#: one whose points 3/5 and -3/5 are each other's, both far from the seed
+CLOSED_RUNS = [F(8, 25), F(2, 25)]
+
+
+@pytest.mark.parametrize("middle", CLOSED_RUNS)
+def test_closed_run_is_disjoint_at_every_budget(middle):
+    sys = IfsSystem(5, tuple(AffineExpr.constant(d) for d in (0, middle, F(4, 5))))
+    pt = RationalParam(F(1, 3))
+    assert validate_system(sys, pt).valid
+    open_set = OpenSetApprox(sys, RationalInterval.make(F(9, 20), F(11, 20)), 20)
+    queries = [AffineExpr.constant(c) for c in (F(3, 5), F(-3, 5), F(1, 5), F(2, 5))]
+    queries += _queries(sys, pt, 3)
+    _assert_witnesses_in_either_order(open_set, pt, queries)
+    oracle = OverlapOracle(open_set, pt)
+    assert oracle.overlaps(AffineExpr.constant(F(3, 5))) is None
+    # a deeper open set asks the closed run at budgets it has not met
+    assert OverlapOracle(OpenSetApprox(sys, open_set.seed, 40), pt).overlaps(
+        AffineExpr.constant(F(-3, 5))
+    ) is None

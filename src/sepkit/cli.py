@@ -110,7 +110,7 @@ def load_template(path: str) -> ConstructionTemplate:
 
     try:
         return ConstructionTemplate(
-            system=IfsSystem.from_json(data["system"], name=data.get("name", "custom")),
+            system=IfsSystem.from_json(data["system"]),
             initial_left=Word.parse(data["initial_sigma"]),
             initial_right=Word.parse(data["initial_tau"]),
             initial_window=RationalInterval.from_json(data["initial_J"]),

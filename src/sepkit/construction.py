@@ -71,13 +71,18 @@ def fibonacci_bit(n: int) -> int:
 class DrivingSequence:
     """Binary choice stream: bit k selects option 1 (0) or option 2 (1).
 
-    ``aperiodic`` marks generators known to be non-eventually-periodic;
-    only those justify treating the constructed parameter as irrational.
+    ``prefix`` holds the bits of a ``"periodic"`` pattern or of an
+    ``"explicit-prefix"`` sequence.  ``aperiodic``, read off ``kind``,
+    marks the generators known to be non-eventually-periodic; only
+    those justify treating the constructed parameter as irrational.
     """
 
     kind: str
-    aperiodic: bool
     prefix: tuple[int, ...] = ()
+
+    @property
+    def aperiodic(self) -> bool:
+        return self.kind in ("thue-morse", "fibonacci")
 
     def bit(self, k: int) -> int:
         if k < 1:
@@ -96,25 +101,25 @@ class DrivingSequence:
 
     @staticmethod
     def thue_morse() -> "DrivingSequence":
-        return DrivingSequence("thue-morse", aperiodic=True)
+        return DrivingSequence("thue-morse")
 
     @staticmethod
     def fibonacci() -> "DrivingSequence":
-        return DrivingSequence("fibonacci", aperiodic=True)
+        return DrivingSequence("fibonacci")
 
     @staticmethod
     def from_bits(bits) -> "DrivingSequence":
         seq = tuple(int(b) for b in bits)
         if any(b not in (0, 1) for b in seq):
             raise ValueError("driving bits must be 0 or 1")
-        return DrivingSequence("explicit-prefix", aperiodic=False, prefix=seq)
+        return DrivingSequence("explicit-prefix", seq)
 
     @staticmethod
     def periodic(pattern) -> "DrivingSequence":
         seq = tuple(int(b) for b in pattern)
         if not seq or any(b not in (0, 1) for b in seq):
             raise ValueError("pattern must be a non-empty 0/1 string")
-        return DrivingSequence("periodic", aperiodic=False, prefix=seq)
+        return DrivingSequence("periodic", seq)
 
 
 @dataclass(frozen=True)
@@ -330,8 +335,11 @@ def run_construction(
 class RefinementEngine:
     """Lazy, append-only extension of a construction run.
 
-    Extension is serialized under a lock; readers of already-produced
-    windows never block and always see an immutable prefix.
+    ``state(level)`` is a level's state, and ``ends(level)`` its window
+    as integer ends, the one read every query makes; a window as an
+    interval is ``state(level).window``.  Extension is serialized under
+    a lock; readers of already-produced windows never block and always
+    see an immutable prefix.
     """
 
     def __init__(self, template: ConstructionTemplate, sequence: DrivingSequence):
@@ -362,9 +370,6 @@ class RefinementEngine:
         if level < base:
             raise ValueError(f"levels start at {base}")
         return self._states[level - base]
-
-    def window(self, level: int) -> RationalInterval:
-        return self.state(level).window
 
     def ends(self, level: int) -> tuple[int, int, int, int]:
         """The window at ``level`` as ints ``(lo_num, lo_den, hi_num, hi_den)``."""
@@ -487,7 +492,6 @@ def example_template(which: int) -> ConstructionTemplate:
                 AffineExpr.parameter(),
                 AffineExpr.constant(Fraction(6, 7)),
             ),
-            name="example-1",
         )
         return ConstructionTemplate(
             system=sys,
@@ -508,7 +512,6 @@ def example_template(which: int) -> ConstructionTemplate:
                 AffineExpr.constant(Fraction(11, 16)),
                 AffineExpr.constant(Fraction(15, 16)),
             ),
-            name="example-2",
         )
         return ConstructionTemplate(
             system=sys,

@@ -43,9 +43,10 @@ class Undecided(Exception):
 
     ``level`` is the word level a level-by-level search was building
     when the query came up, or the level of the report entry whose
-    decimal it is; None elsewhere.  ``words`` is the word pair from the
-    shift an overlap oracle was asked about to the point whose test
-    stayed undecided; None elsewhere.
+    decimal or test it is; None elsewhere.  ``words`` is the word pair
+    from the shift an overlap oracle was asked about to the point whose
+    test stayed undecided, or the word pair of the endpoint check's
+    entry whose test it is; None elsewhere.
     """
 
     def __init__(self, message: str, depth: int):
@@ -201,12 +202,11 @@ class RationalInterval:
 class Refiner(Protocol):
     """Produces the nested parameter windows J_1 ⊃ J_2 ⊃ ...
 
-    ``ends(level)`` is ``window(level)`` as ints ``(lo_num, lo_den,
-    hi_num, hi_den)``, denominators positive.  After a read fails because
-    the chain ends, ``depth`` is its last level.
+    ``ends(level)`` is window ``level`` as ints ``(lo_num, lo_den,
+    hi_num, hi_den)``, denominators positive: the one read of the
+    chain.  After a read fails because the chain ends, ``depth`` is its
+    last level.
     """
-
-    def window(self, level: int) -> RationalInterval: ...
 
     def ends(self, level: int) -> tuple[int, int, int, int]: ...
 
@@ -284,7 +284,10 @@ class ParamPoint(_ParamBase):
         self._decimal_cache: dict[tuple[Fraction, Fraction, int], str] = {}
 
     def window(self, level: int) -> RationalInterval:
-        return self.refiner.window(level)
+        """Window ``level`` as an interval, built from ``refiner.ends(level)``;
+        queries read the ends themselves."""
+        lo_num, lo_den, hi_num, hi_den = self.refiner.ends(level)
+        return RationalInterval(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den))
 
     def _refine(self, P: int, Lp: int, Q: int, Lq: int, decide, what: str, ahead=None):
         """The first answer ``decide(f_lo, d_lo, f_hi, d_hi)`` gives on the window chain.

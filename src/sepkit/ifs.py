@@ -100,6 +100,8 @@ EMPTY_WORD = Word()
 class IfsSystem:
     """Equicontractive family S_i(x) = x/m + d_i, i = 1..n.
 
+    A system is its maps and nothing else: it carries no name (a
+    template names its system), so systems with equal maps are equal.
     Only positive-orientation maps are representable; the ratio is the
     reciprocal of ``ratio_denominator``.  Offset validity at a concrete
     parameter point is checked by :func:`validate_system`, not here, so
@@ -108,7 +110,6 @@ class IfsSystem:
 
     ratio_denominator: int
     offsets: tuple[AffineExpr, ...]
-    name: str = "ifs"
 
     def __post_init__(self):
         if self.ratio_denominator < 2:
@@ -154,11 +155,10 @@ class IfsSystem:
         }
 
     @staticmethod
-    def from_json(data: dict, name: str = "ifs") -> "IfsSystem":
+    def from_json(data: dict) -> "IfsSystem":
         return IfsSystem(
             int(data["ratio_denominator"]),
             tuple(AffineExpr.from_json(entry) for entry in data["offsets"]),
-            name=name,
         )
 
 

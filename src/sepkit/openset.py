@@ -135,8 +135,9 @@ class OverlapOracle:
     Each lattice point is decided once, in the child cache: in bound,
     near, its in-bound children as far as the search reached them, and
     the largest budget at which its families are proved disjoint (a
-    smaller budget searches a subset).  Its rare hits are kept per
-    budget, since their witness depends on it.  A pass-through point
+    smaller budget searches a subset).  A hit is not kept, since its
+    witness depends on the budget: asked again, it is found again from
+    these facts and the cached walks.  A pass-through point
     (not near, both walk intervals missing (0,1), every step scanned and
     exactly one child in bound) answers at budget b what its child
     answers at b - 1, so a run of them is answered in one step: the
@@ -170,8 +171,6 @@ class OverlapOracle:
         self.lattice = lattice or DisplacementLattice(self.sys, self._ends)
         self._seed = tuple(self.lattice.point(end)[0] for end in self._ends)
         self._points = _FamilyMemo(self.lattice, pt, seed.width)
-        #: (P, Q, budget) -> witness, for budgets at which a child search hit
-        self._hits: dict[tuple[int, int, int], tuple[Word, Word]] = {}
         #: interval (lo, hi, Q) -> its shortest word, or the largest budget
         #: proved empty (infinite for an interval missing (0,1))
         self._walks: dict[tuple[int, int, int], Word | int | float] = {}
@@ -227,10 +226,9 @@ class OverlapOracle:
                     stack.append(answer)
                 elif answer is not None:
                     w1, w2 = answer
-                    for point, node, budget, k, run in reversed(stack):
+                    for _, node, _, k, run in reversed(stack):
                         i, j, _, _ = node.children[k - 1]
                         w1, w2 = Word.of(i) + w1, Word.of(j) + w2
-                        self._hits[(*point, budget)] = (w1, w2)
                         if run is not None:
                             w1, w2 = _behind(run, w1, w2)
                     return (w1, w2)
@@ -256,19 +254,17 @@ class OverlapOracle:
             return self._known_family(end, end_node, budget - d, (node, d))
         else:
             P, Q = point
-            answer = self._hits.get((P, Q, budget))
-            if answer is None:
-                # seed against the deeper translated family, both ways round:
-                # seed meets S_w(seed) + v exactly when seed - v meets S_w(seed)
-                lo, hi = self._seed
-                hit = self._interval_vs_family(lo - P, hi - P, -Q, budget)
-                if hit is not None:
-                    answer = (EMPTY_WORD, hit)
-                else:
-                    hit = self._interval_vs_family(P + lo, P + hi, Q, budget)
-                    if hit is None:
-                        return [point, node, budget, 0, run]
-                    answer = (hit, EMPTY_WORD)
+            # seed against the deeper translated family, both ways round:
+            # seed meets S_w(seed) + v exactly when seed - v meets S_w(seed)
+            lo, hi = self._seed
+            hit = self._interval_vs_family(lo - P, hi - P, -Q, budget)
+            if hit is not None:
+                answer = (EMPTY_WORD, hit)
+            else:
+                hit = self._interval_vs_family(P + lo, P + hi, Q, budget)
+                if hit is None:
+                    return [point, node, budget, 0, run]
+                answer = (hit, EMPTY_WORD)
         return answer if run is None else _behind(run, *answer)
 
     def _pass_through(self, point: tuple[int, int], node: _Family) -> None:

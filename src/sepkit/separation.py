@@ -410,13 +410,6 @@ class TypeAutomaton:
 
 
 @dataclass(frozen=True)
-class TypeEntry:
-    displacements: NeighborhoodType
-    count: int
-    witness: Word
-
-
-@dataclass(frozen=True)
 class CensusLevel:
     """One census level as parallel columns, one row per entry in witness order.
 
@@ -429,13 +422,6 @@ class CensusLevel:
     type_column: tuple[NeighborhoodType, ...]
     word_counts: tuple[int, ...]
     witnesses: tuple[bytes, ...]
-
-    @property
-    def types(self) -> tuple[TypeEntry, ...]:
-        """The rows as entries, each witness as a ``Word``."""
-        return tuple(
-            map(TypeEntry, self.type_column, self.word_counts, map(Word, self.witnesses))
-        )
 
     @property
     def distinct_count(self) -> int:
@@ -781,7 +767,7 @@ class EndpointBucket:
         out = {"passed": self.passed, "violations": self.violations}
         if self.min_abs is not None:
             out["min_abs"] = self.min_abs.to_json()
-            out["min_decimal"] = pt.eval_decimal(self.min_abs, DISPLAY_DIGITS)
+            out["min_decimal"] = _decimal_at(pt, self.min_abs, len(self.min_witness[0]))
             out["witness"] = {
                 "sigma": str(self.min_witness[0]),
                 "tau": str(self.min_witness[1]),
@@ -843,6 +829,8 @@ def endpoint_separation(
     is enumerated: the gaps come from the displacement frontier pruned
     at 1 + threshold, which is closed under extension, and the pairs
     with identical maps from the closed walks of ``exact_overlap_scan``.
+    A test of an entry that stays undecided raises ``Undecided`` naming
+    the entry's level and its word pair, in its report witness's order.
     """
     threshold = Fraction(threshold)
     if threshold <= 0:
@@ -870,8 +858,12 @@ def endpoint_separation(
                         equal_pairs.append((Word(tau), Word(sigma), delta))
                     continue
                 point = (shifted, Q)
-                if pt.sign_lattice(shifted, lp, Q, lq) < 0:
-                    point = (-shifted, -Q)
+                try:
+                    if pt.sign_lattice(shifted, lp, Q, lq) < 0:
+                        point = (-shifted, -Q)
+                except Undecided as exc:
+                    exc.level, exc.words = len(sigma), (Word(tau), Word(sigma))
+                    raise
                 (mixed if delta else same).append((point, sigma, tau, delta))
 
     # |value| <= threshold is the sign of |value| - n/d over Lp*d, as in ``within``
@@ -880,11 +872,15 @@ def endpoint_separation(
     def bucket(entries) -> EndpointBucket:
         least, violations = None, 0
         for entry in entries:
-            P, Q = entry[0]
-            if least is None or pt.sign_lattice(P - least[0][0], lp, Q - least[0][1], lq) < 0:
-                least = entry
-            if pt.sign_lattice(P * d - n * lp, lp * d, Q, lq) <= 0:
-                violations += 1
+            (P, Q), sigma, tau, _ = entry
+            try:
+                if least is None or pt.sign_lattice(P - least[0][0], lp, Q - least[0][1], lq) < 0:
+                    least = entry
+                if pt.sign_lattice(P * d - n * lp, lp * d, Q, lq) <= 0:
+                    violations += 1
+            except Undecided as exc:
+                exc.level, exc.words = len(sigma), (Word(tau), Word(sigma))
+                raise
         if least is None:
             return EndpointBucket(True, None, None, 0)
         point, sigma, tau, delta = least

@@ -452,17 +452,19 @@ def census_report_per_entry(census, pt: Param) -> dict:
         "levels": [
             {
                 "level": lv.level,
-                "distinct_types": len(lv.types),
+                "distinct_types": len(lv.type_column),
                 "types": [
                     {
                         "displacements": [
                             {"value": v.to_json(), "decimal": pt.eval_decimal(v, DISPLAY_DIGITS)}
-                            for v in t.displacements
+                            for v in displacements
                         ],
-                        "count": t.count,
-                        "witness": str(t.witness),
+                        "count": count,
+                        "witness": str(Word(witness)),
                     }
-                    for t in lv.types
+                    for displacements, count, witness in zip(
+                        lv.type_column, lv.word_counts, lv.witnesses
+                    )
                 ],
             }
             for lv in census.levels

@@ -194,8 +194,8 @@ def test_criterion_05_ftc_co_dichotomy(ex1_sys, ex1_pt, ex1_template, tm):
     denominators_ok = all(
         (v.evaluate(F(1, 8)) * 8).denominator == 1
         for level in control_census.levels
-        for entry in level.types
-        for v in entry.displacements
+        for displacements in level.type_column
+        for v in displacements
     )
     elapsed = time.perf_counter() - start
     ok = increasing and distinct and saturated and denominators_ok and elapsed < 60.0
@@ -216,9 +216,9 @@ def test_criterion_06_constructed_open_set_types(ex2_sys, ex2_pt):
     open_set = OpenSetApprox(ex2_sys, RationalInterval.make(F(7, 16), F(8, 16)), 10)
     census = constructed_v_type_census(ex2_sys, ex2_pt, open_set, 8)
     shapes = {
-        tuple(str(v) for v in entry.displacements)
+        tuple(str(v) for v in displacements)
         for level in census.levels
-        for entry in level.types
+        for displacements in level.type_column
     }
     elapsed = time.perf_counter() - start
     ok = (

@@ -326,6 +326,8 @@ def test_construct_on_a_finite_prefix_reads_its_last_window(capsys, digits, code
     ("verify distinctness --example 1 --levels 200", "200", 186),
     # the search decides, the decimal of the level-5 minimum does not
     ("wsp --example 1 --max-level 10", "14", 5),
+    # the endpoint tests decide, the decimal of the level-3 minimum does not
+    ("verify endpoints --example 1 --max-level 3", "5", 3),
 ])
 def test_undecided_report_decimal_names_its_level(capsys, monkeypatch, command, budget, level):
     monkeypatch.setenv("SEPKIT_ORACLE_BUDGET", budget)
@@ -342,6 +344,9 @@ def test_undecided_report_decimal_names_its_level(capsys, monkeypatch, command, 
     # the constructed census names the level it was building as well
     ("types --example 1 --open-set constructed --seed 3/7:4/7 --levels 6", "10",
      ' at level 2, word pair ("32331123", "23123331")'),
+    # the endpoint check names the entry whose test stayed undecided
+    ("verify endpoints --example 1 --max-level 3 --c 3/2", "3",
+     ' at level 3, word pair ("211", "133")'),
 ])
 def test_undecided_oracle_names_the_word_pair(capsys, monkeypatch, command, budget, where):
     monkeypatch.setenv("SEPKIT_ORACLE_BUDGET", budget)

@@ -71,8 +71,11 @@ def test_fibonacci_bits_prefix():
 def test_driving_sequence_kinds():
     assert DrivingSequence.thue_morse().aperiodic
     assert DrivingSequence.fibonacci().aperiodic
+    assert DrivingSequence("thue-morse").aperiodic
     explicit = DrivingSequence.from_bits("0011")
     assert not explicit.aperiodic
+    # the kind decides: a periodic sequence cannot be built flagged aperiodic
+    assert not DrivingSequence("periodic", (0, 1)).aperiodic
     assert [explicit.bit(k) for k in range(1, 5)] == [0, 0, 1, 1]
     periodic = DrivingSequence.periodic("01")
     assert [periodic.bit(k) for k in range(1, 5)] == [0, 1, 0, 1]
@@ -410,7 +413,6 @@ def _fractional_template() -> ConstructionTemplate:
             AffineExpr.parameter(F(1, 2)),
             AffineExpr(F(6, 7), F(-1, 3)),
         ),
-        name="fractional",
     )
     ex1 = example_template(1)
     return replace(ex1, system=sys, initial_window=RationalInterval.make(0, F(2, 7)),

@@ -189,7 +189,7 @@ def test_constructed_census_example2_three_types(ex2_sys, ex2_pt):
     assert census.counts == (3, 3, 3, 3)
     for level in census.levels:
         shapes = {
-            tuple(str(v) for v in entry.displacements) for entry in level.types
+            tuple(str(v) for v in displacements) for displacements in level.type_column
         }
         assert shapes == {("0",), ("0", "16*a"), ("-16*a", "0")}
     assert any("truncat" in c for c in census.caveats)
@@ -199,7 +199,7 @@ def test_constructed_census_example1_level1_separated(ex1_sys, ex1_pt):
     oset = OpenSetApprox(ex1_sys, SEED1, 8)
     census = constructed_v_type_census(ex1_sys, ex1_pt, oset, 1)
     assert census.counts == (1,)
-    assert [str(v) for v in census.levels[0].types[0].displacements] == ["0"]
+    assert [str(v) for v in census.levels[0].type_column[0]] == ["0"]
 
 
 @pytest.mark.parametrize("which", [1, 2])
@@ -211,8 +211,8 @@ def test_full_seed_depth0_matches_convex_census(which, ex1_pt, ex2_pt):
     convex = convex_type_census(tmpl.system, pt, 3)
     assert constructed.counts == convex.counts
     for lv_a, lv_b in zip(constructed.levels, convex.levels):
-        types_a = {tuple(pt.canonical_key(v) for v in t.displacements) for t in lv_a.types}
-        types_b = {tuple(pt.canonical_key(v) for v in t.displacements) for t in lv_b.types}
+        types_a = {tuple(pt.canonical_key(v) for v in t) for t in lv_a.type_column}
+        types_b = {tuple(pt.canonical_key(v) for v in t) for t in lv_b.type_column}
         assert types_a == types_b
 
 
@@ -464,14 +464,15 @@ def test_oracle_witnesses_match_the_recursive_oracle(which, seed, depth, ex1_pt,
 def test_oracle_matches_the_recursion_at_every_budget_random_systems(case, rng):
     # one oracle asked every point at every budget, in a shuffled order: runs
     # asked short of their length, runs whose end is searched deeper later,
-    # and hits found behind a run
+    # and hits found behind a run; then all of it again, so that each hit is
+    # also found on an oracle that has answered the same question before
     sys, pt, open_set = case
     oracle = OverlapOracle(open_set, pt)
     reference = RecursiveOverlapOracle(open_set, pt)
     points = {oracle.lattice.point(v) for v in _queries(sys, pt, 2)} - {None}
     asks = [(point, budget) for point in sorted(points) for budget in range(open_set.depth + 1)]
     rng.shuffle(asks)
-    for (P, Q), budget in asks:
+    for (P, Q), budget in asks * 2:
         assert oracle._family_vs_family(P, Q, budget) == reference._family_vs_family(P, Q, budget)
 
 

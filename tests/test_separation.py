@@ -195,8 +195,8 @@ def test_census_level1_example1(ex1_sys, ex1_pt):
     census = convex_type_census(ex1_sys, ex1_pt, 1)
     level = census.levels[0]
     types = {
-        str(entry.witness): [str(v) for v in entry.displacements]
-        for entry in level.types
+        str(Word(witness)): [str(v) for v in displacements]
+        for displacements, witness in zip(level.type_column, level.witnesses)
     }
     assert types == {"1": ["0", "7*a"], "2": ["-7*a", "0"], "3": ["0"]}
     assert level.distinct_count == 3
@@ -544,7 +544,7 @@ def _assert_witness_order(sys, pt, max_level, census):
         witnesses = [witness for _, witness in states.values()]
         assert all(a < b for a, b in zip(witnesses, witnesses[1:]))
     for level in census.levels:
-        witnesses = [entry.witness for entry in level.types]
+        witnesses = level.witnesses
         assert all(a < b for a, b in zip(witnesses, witnesses[1:]))
 
 
@@ -997,6 +997,32 @@ def test_short_refiner_wsp_and_endpoints_undecided_like_the_oracle(which, depth)
             assert got == _outcome(oracle, sys, _short_point(which, depth), levels, *extra)
             outcomes.append(got)
     assert any(isinstance(got, tuple) and got[0] == "undecided" for got in outcomes)
+
+
+def test_endpoint_undecided_names_the_entry():
+    # each short point decides the search but not a later test of one entry:
+    # its sign, its threshold test, its comparison with the bucket's minimum
+    sys = example_template(1).system
+    for depth, levels, threshold, form, level, words in (
+        (2, 2, F(3, 2), "-7 + 56*a", 2, ("22", "13")),
+        (1, 1, F(4, 7), "-4/7 + 7*a", 1, ("2", "1")),
+        (4, 3, F(1, 10), "54 - 399*a", 3, ("212", "133")),
+    ):
+        found = displacement_levels(sys, _short_point(1, depth), levels, 1 + threshold, False)
+        with pytest.raises(Undecided) as raised:
+            endpoint_separation(sys, _short_point(1, depth), levels, threshold)
+        assert str(raised.value) == f"sign of {form} undecided (refined to depth {depth})"
+        assert raised.value.level == level
+        assert tuple(map(str, raised.value.words)) == words
+        # the pair is the report witness's (tau, sigma) of an entry of that level
+        tau, sigma = map(Word.parse, words)
+        assert (sigma, tau) in [d.witness for d in found[level - 1].values()]
+    # the decimal of a bucket's minimum names the minimum's level
+    pt = _short_point(1, 2)
+    report = endpoint_separation(sys, pt, 1, F(4, 7))
+    with pytest.raises(Undecided) as raised:
+        report.to_json(pt)
+    assert raised.value.level == 1
 
 
 # --- distinctness ---------------------------------------------------------------

@@ -67,6 +67,9 @@ def fibonacci_bit(n: int) -> int:
     return int(word[n - 1])
 
 
+_SEQUENCE_KINDS = ("thue-morse", "fibonacci", "periodic", "explicit-prefix")
+
+
 @dataclass(frozen=True)
 class DrivingSequence:
     """Binary choice stream: bit k selects option 1 (0) or option 2 (1).
@@ -75,10 +78,21 @@ class DrivingSequence:
     ``"explicit-prefix"`` sequence.  ``aperiodic``, read off ``kind``,
     marks the generators known to be non-eventually-periodic; only
     those justify treating the constructed parameter as irrational.
+    An unknown ``kind``, a bit other than 0 or 1, or a periodic
+    sequence without a pattern raises ``ValueError``.
     """
 
     kind: str
     prefix: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if self.kind not in _SEQUENCE_KINDS:
+            raise ValueError(f"unknown driving sequence kind {self.kind!r}")
+        if self.kind == "periodic":
+            if not self.prefix or any(b not in (0, 1) for b in self.prefix):
+                raise ValueError("pattern must be a non-empty 0/1 string")
+        elif any(b not in (0, 1) for b in self.prefix):
+            raise ValueError("driving bits must be 0 or 1")
 
     @property
     def aperiodic(self) -> bool:
@@ -93,11 +107,9 @@ class DrivingSequence:
             return fibonacci_bit(k)
         if self.kind == "periodic":
             return self.prefix[(k - 1) % len(self.prefix)]
-        if self.kind == "explicit-prefix":
-            if k > len(self.prefix):
-                raise RefinementExhausted(len(self.prefix))
-            return self.prefix[k - 1]
-        raise ValueError(f"unknown driving sequence kind {self.kind!r}")
+        if k > len(self.prefix):
+            raise RefinementExhausted(len(self.prefix))
+        return self.prefix[k - 1]
 
     @staticmethod
     def thue_morse() -> "DrivingSequence":
@@ -109,17 +121,11 @@ class DrivingSequence:
 
     @staticmethod
     def from_bits(bits) -> "DrivingSequence":
-        seq = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in seq):
-            raise ValueError("driving bits must be 0 or 1")
-        return DrivingSequence("explicit-prefix", seq)
+        return DrivingSequence("explicit-prefix", tuple(int(b) for b in bits))
 
     @staticmethod
     def periodic(pattern) -> "DrivingSequence":
-        seq = tuple(int(b) for b in pattern)
-        if not seq or any(b not in (0, 1) for b in seq):
-            raise ValueError("pattern must be a non-empty 0/1 string")
-        return DrivingSequence("periodic", seq)
+        return DrivingSequence("periodic", tuple(int(b) for b in pattern))
 
 
 @dataclass(frozen=True)

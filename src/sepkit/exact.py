@@ -23,7 +23,9 @@ building forms.  Sign and decimal queries read the chain in one loop,
 the query's test and raises ``Undecided`` when the chain or the point's
 refinement budget runs out.  A sign steps one level at a time; a
 decimal, decided once the image interval rounds unambiguously, jumps
-ahead.  No floating point is used anywhere.
+ahead.  A point holds the deepest window any of its queries has read,
+and a sign query tries it before the loop: most are decided there,
+without a chain read.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -262,7 +264,9 @@ class ParamPoint(_ParamBase):
 
     Refinement is serialized inside the refiner; all cached windows are
     immutable, so concurrent readers always see a consistent prefix of
-    the chain and ask deterministic questions of it.
+    the chain and ask deterministic questions of it.  The held window
+    (see ``sign_lattice``) is replaced as one tuple, so a reader always
+    finds some window of the chain there.
 
     A chain that pins down a known rational value needs no refining:
     ``construction.param_point`` answers a periodic driving sequence at
@@ -282,6 +286,8 @@ class ParamPoint(_ParamBase):
         self.budget = budget
         self._sign_cache: dict[tuple[int, int, int, int], int] = {}
         self._decimal_cache: dict[tuple[Fraction, Fraction, int], str] = {}
+        # the deepest window a query has read: (level, lo_num, lo_den, hi_num, hi_den)
+        self._held: tuple[int, int, int, int, int] = (0, 0, 1, 0, 1)
 
     def window(self, level: int) -> RationalInterval:
         """Window ``level`` as an interval, built from ``refiner.ends(level)``;
@@ -289,11 +295,15 @@ class ParamPoint(_ParamBase):
         lo_num, lo_den, hi_num, hi_den = self.refiner.ends(level)
         return RationalInterval(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den))
 
-    def _refine(self, P: int, Lp: int, Q: int, Lq: int, decide, what: str, ahead=None):
+    def _refine(self, P: int, Lp: int, Q: int, Lq: int, decide, what: str, ahead=None,
+                tried: int = 0):
         """The first answer ``decide(f_lo, d_lo, f_hi, d_hi)`` gives on the window chain.
 
         Windows are read as integer ends, from the deepest one built so
-        far but never beyond window ``budget``.  At a window end n/d the
+        far but never beyond window ``budget``; where that is window
+        ``tried``, which the caller has read without an answer, the
+        first read is one level deeper.  A read deeper than the held
+        window becomes the held window.  At a window end n/d the
         form ``P/Lp + (Q/Lq)*a`` is ``f / (Lp*Lq*d)`` with
         ``f = P*Lq*d + Q*Lp*n``; ``decide`` returns None while the window
         is too wide to answer.  The next read is one level deeper, or
@@ -308,7 +318,13 @@ class ParamPoint(_ParamBase):
         A, B = P * Lq, Q * Lp
         refiner, budget = self.refiner, self.budget
         level, read = min(max(1, refiner.depth), budget), 0
+        if level == tried:
+            read, level = level, level + 1
         while True:
+            if read >= budget:
+                raise Undecided(
+                    f"{what} of {_form(P, Lp, Q, Lq)} undecided within budget", budget
+                )
             try:
                 lo_num, lo_den, hi_num, hi_den = refiner.ends(level)
             except (RefinementExhausted, EmptyRefinement) as exc:
@@ -318,14 +334,12 @@ class ParamPoint(_ParamBase):
                 if isinstance(exc, EmptyRefinement):
                     raise
                 raise Undecided(f"{what} of {_form(P, Lp, Q, Lq)} undecided", exc.depth) from exc
+            if level > self._held[0]:
+                self._held = (level, lo_num, lo_den, hi_num, hi_den)
             f_lo, f_hi = A * lo_den + B * lo_num, A * hi_den + B * hi_num
             answer = decide(f_lo, lo_den, f_hi, hi_den)
             if answer is not None:
                 return answer
-            if level >= budget:
-                raise Undecided(
-                    f"{what} of {_form(P, Lp, Q, Lq)} undecided within budget", budget
-                )
             read = level
             level = min(budget, level + (ahead(level, f_lo, lo_den, f_hi, hi_den) if ahead else 1))
 
@@ -339,14 +353,27 @@ class ParamPoint(_ParamBase):
         Constant forms are decided immediately.  Otherwise the window
         chain is refined until the root of the form falls on one side of
         the whole open window (see ``_sign_at_ends``).  Only decided
-        signs are cached.
+        signs are cached.  A form not in the cache is first tried on the
+        held window, the deepest any query on the point has read, unless
+        the budget has since been lowered below its level; the windows
+        nest, so an answer there is the one the chain gives, and the
+        chain is read, from one level deeper where it can be, only when
+        the held window does not answer.
         """
         if Q == 0:
             return (P > 0) - (P < 0)
         key = (P, Lp, Q, Lq)
         cached = self._sign_cache.get(key)
         if cached is None:
-            cached = self._sign_cache[key] = self._refine(P, Lp, Q, Lq, _sign_at_ends, "sign")
+            level, lo_num, lo_den, hi_num, hi_den = self._held
+            if 0 < level <= self.budget:
+                A, B = P * Lq, Q * Lp
+                cached = _sign_at_ends(A * lo_den + B * lo_num, lo_den,
+                                       A * hi_den + B * hi_num, hi_den)
+            if cached is None:
+                # a held window beyond the budget is not the chain's first read
+                cached = self._refine(P, Lp, Q, Lq, _sign_at_ends, "sign", tried=level)
+            self._sign_cache[key] = cached
         return cached
 
     def eval_decimal(self, e: AffineExpr, digits: int) -> str:

@@ -84,6 +84,19 @@ def word_text(symbols: bytes) -> str:
     return symbols.translate(_DIGITS).decode()
 
 
+def word_texts(words) -> list[str]:
+    """``word_text`` of each of a sequence of symbol byte strings.
+
+    When every symbol is at most 9 the words are joined, translated,
+    decoded and split in one pass each: the comma between two words is
+    then the only byte the digit test leaves.
+    """
+    joined = b",".join(words)
+    if len(joined.translate(None, _ONE_DIGIT)) == len(words) - 1:
+        return joined.translate(_DIGITS).decode().split(",")
+    return list(map(word_text, words))
+
+
 def _symbol_bytes(symbols) -> bytes:
     try:
         return bytes(symbols)

@@ -29,7 +29,7 @@ from math import lcm
 from operator import itemgetter
 
 from .exact import AFFINE_ZERO, AffineExpr, Param, RationalParam, Undecided, rational_to_str
-from .ifs import IfsSystem, Word, word_text
+from .ifs import IfsSystem, Word, word_texts
 
 DISPLAY_DIGITS = 12
 
@@ -351,8 +351,10 @@ class TypeAutomaton:
     State identity uses the parameter point's canonical value keys, so
     rational control points collapse displacement expressions by value
     while irrational points compare componentwise.  States are interned
-    as small ints; each keeps the value ids, lattice points and exact
-    forms of the members it was first built from.
+    as small ints by the set of their members' value ids, and a set is
+    sorted into canonical order only when it is a new state; each keeps
+    the value ids, lattice points and exact forms of the members it was
+    first built from, in that order.
     """
 
     def __init__(self, sys: IfsSystem, pt: Param):
@@ -361,7 +363,7 @@ class TypeAutomaton:
         lattice = DisplacementLattice(sys)
         self._lp, self._lq = lattice.lp, lattice.lq
         self._memo = _PointMemo(lattice, pt, Fraction(1), strict=True)
-        self._states: dict[tuple[int, ...], int] = {}
+        self._states: dict[frozenset[int], int] = {}
         self._value_ids: list[tuple[int, ...]] = []
         self._members: list[tuple[tuple[int, int], ...]] = []
         self._types: list[tuple[AffineExpr, ...]] = []
@@ -369,23 +371,24 @@ class TypeAutomaton:
         self.root_key = self._intern({zero: (_ZERO_STATE, AFFINE_ZERO)})
 
     def _intern(self, found: dict) -> int:
-        """The state of {value id: (lattice point, form)}, in canonical order.
+        """The state of {value id: (lattice point, form)}.
 
-        Members are ordered by the sign of the difference of their
-        lattice points.
+        Distinct ids are distinct values, so the set of ids names the
+        state.  A new state's members are put in canonical order, by the
+        sign of the difference of their lattice points.
         """
-        sign, lp, lq = self.pt.sign_lattice, self._lp, self._lq
-
-        def order(x, y):
-            (xp, xq), (yp, yq) = x[1][0], y[1][0]
-            return sign(xp - yp, lp, xq - yq, lq)
-
-        ordered = sorted(found.items(), key=cmp_to_key(order))
-        key = tuple(ident for ident, _ in ordered)
+        key = frozenset(found)
         state = self._states.get(key)
         if state is None:
+            sign, lp, lq = self.pt.sign_lattice, self._lp, self._lq
+
+            def order(x, y):
+                (xp, xq), (yp, yq) = x[1][0], y[1][0]
+                return sign(xp - yp, lp, xq - yq, lq)
+
+            ordered = sorted(found.items(), key=cmp_to_key(order))
             state = self._states[key] = len(self._types)
-            self._value_ids.append(key)
+            self._value_ids.append(tuple(ident for ident, _ in ordered))
             self._members.append(tuple(point for _, (point, _) in ordered))
             self._types.append(tuple(form for _, (_, form) in ordered))
         return state
@@ -487,7 +490,7 @@ class CensusResult:
                 "distinct_types": len(lv.type_column),
                 "types": list(map(type_of, lv.type_column)),
                 "word_counts": list(lv.word_counts),
-                "witnesses": list(map(word_text, lv.witnesses)),
+                "witnesses": word_texts(lv.witnesses),
             }
             for lv in self.levels
         ]

@@ -83,6 +83,40 @@ def test_driving_sequence_kinds():
         DrivingSequence.from_bits("012")
 
 
+@pytest.mark.parametrize(
+    "kind,prefix,message",
+    [
+        ("thue_morse", (), "unknown driving sequence kind 'thue_morse'"),
+        ("", (), "unknown driving sequence kind ''"),
+        ("periodic", (), "pattern must be a non-empty 0/1 string"),
+        ("periodic", (0, 2), "pattern must be a non-empty 0/1 string"),
+        ("explicit-prefix", (1, -1), "driving bits must be 0 or 1"),
+        ("explicit-prefix", ("0", "1"), "driving bits must be 0 or 1"),
+    ],
+)
+def test_driving_sequence_refuses_bad_raw_input(kind, prefix, message):
+    # refused when built, not with a ZeroDivisionError at the first bit,
+    # so param_point never returns a point for it
+    with pytest.raises(ValueError, match=message):
+        DrivingSequence(kind, prefix)
+
+
+def test_driving_sequence_factories_build_valid_sequences(ex1_template):
+    for seq in (DrivingSequence.thue_morse(), DrivingSequence.fibonacci(),
+                DrivingSequence.from_bits("0110"), DrivingSequence.periodic("01"),
+                DrivingSequence("periodic", (1,))):
+        assert seq == DrivingSequence(seq.kind, seq.prefix)
+        assert seq.bit(1) in (0, 1)
+    assert DrivingSequence.from_bits("").prefix == ()
+    for bad in ("", "012"):
+        with pytest.raises(ValueError, match="pattern must be a non-empty 0/1 string"):
+            DrivingSequence.periodic(bad)
+    with pytest.raises(ValueError, match="driving bits must be 0 or 1"):
+        DrivingSequence.from_bits("012")
+    assert param_point(ex1_template, DrivingSequence.periodic("01")).sign(
+        AffineExpr(F(-16, 119), F(1))) == 0
+
+
 def test_refine_step_example1_option1(ex1_template):
     state = ex1_template.initial_state()
     assert (state.level, str(state.left), str(state.right)) == (1, "1", "2")

@@ -353,6 +353,87 @@ def test_sign_and_decimal_misses_read_integer_window_ends(ex1_template, tm, monk
     assert all(a < b for a, b in zip(fetched, fetched[1:]))
 
 
+# --- the held window: the deepest window a point's queries have read ---------
+
+
+def test_sign_miss_decided_by_the_held_window_reads_no_window(ex1_template, tm, monkeypatch):
+    from sepkit import param_point
+    from sepkit.construction import RefinementEngine
+
+    chain = param_point(ex1_template, tm)
+    near = [AffineExpr(-midpoint(chain.window(k)), F(1)) for k in (6, 12, 20)]
+    expected = [chain.sign(e) for e in near]
+    fetched = []
+    ends = RefinementEngine.ends
+    monkeypatch.setattr(RefinementEngine, "ends", lambda self, level: fetched.append(level)
+                        or ends(self, level))
+    pt = param_point(ex1_template, tm)
+    assert pt.sign(near[1]) == expected[1]
+    deepest = fetched[-1]
+    fetched.clear()
+    # a form whose root the held window already leaves out
+    assert pt.sign(near[0]) == expected[0]
+    # the same form again, with its cached sign forgotten
+    pt._sign_cache.clear()
+    assert pt.sign(near[1]) == expected[1]
+    assert fetched == []
+    # a miss the held window leaves open reads the chain from one level deeper
+    assert pt.sign(near[2]) == expected[2]
+    assert fetched[0] == deepest + 1
+    assert fetched == list(range(deepest + 1, deepest + 1 + len(fetched)))
+
+
+def test_sign_after_the_budget_is_lowered_below_the_held_window(ex1_template, tm):
+    from sepkit import param_point
+
+    chain = param_point(ex1_template, tm)
+    deep = AffineExpr(-midpoint(chain.window(30)), F(1))
+    forms = [AffineExpr(-midpoint(chain.window(k)), F(1)) for k in (2, 5, 9, 20)]
+    outcomes = []
+    for budget in (1, 3, 12, 25):
+        pt = param_point(ex1_template, tm)
+        pt.sign(deep)
+        pt.budget = budget
+        fresh = param_point(ex1_template, tm, budget=budget)
+        outcomes.append([_outcome(pt.sign, e) for e in forms])
+        assert outcomes[-1] == [_outcome(fresh.sign, e) for e in forms]
+    # the held window decides every form, the chain up to budget 3 only one
+    assert [o[0] for o in outcomes[1]] == ["decided"] + ["undecided"] * 3
+    assert [o[0] for o in outcomes[3]] == ["decided"] * 4
+
+
+@st.composite
+def shared_point_cases(draw):
+    """One window chain, and forms on it each asked at its own budget."""
+    windows, first = draw(sign_cases())
+    forms = [first]
+    for _ in range(draw(st.integers(1, 7))):
+        if draw(st.booleans()):
+            win = draw(st.sampled_from(windows))
+            root = draw(st.sampled_from([win.lo, win.hi, midpoint(win)]))
+            c = draw(nonzero)
+            forms.append(AffineExpr(-c * root, c))
+        else:
+            forms.append(draw(affines))
+    order = draw(st.permutations(forms + forms[: draw(st.integers(0, len(forms)))]))
+    return windows, [(e, draw(st.integers(1, 6))) for e in order]
+
+
+@given(shared_point_cases())
+def test_signs_on_a_shared_point_match_the_fraction_root_walk(case):
+    # queries in any order, at budgets raised and lowered in between, on one point
+    windows, queries = case
+    pt, decided = ParamPoint(_GrowingRefiner(windows)), {}
+    for e, budget in queries:
+        pt.budget = budget
+        expected = _outcome(_reference_sign, ParamPoint(_GrowingRefiner(windows), budget=budget), e)
+        # a decided sign is remembered whatever the budget asked again at
+        expected = decided.get(e, expected)
+        assert _outcome(pt.sign, e) == expected
+        if expected[0] == "decided":
+            decided[e] = expected
+
+
 # --- decimals that jump ahead, against the level-by-level walk ---------------
 
 JUMP_FORMS = (AffineExpr.parameter(), AffineExpr(F(1, 5), F(-3)))
@@ -526,3 +607,31 @@ def test_concurrent_sign_queries_are_consistent(ex1_template, tm):
         with ThreadPoolExecutor(max_workers=8) as pool:
             got = list(pool.map(fresh.sign, queries))
         assert got == expected
+
+
+def test_concurrent_sign_misses_share_the_held_window(ex1_template, tm):
+    # threads that deepen and read the held window at once still get the
+    # sequential answers, and the held window stays a window of the chain
+    import random
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from sepkit import param_point
+
+    chain = param_point(ex1_template, tm)
+    queries = [AffineExpr(-midpoint(chain.window(k)), F(1)) for k in range(2, 40)]
+    queries += [AffineExpr(-chain.window(k).lo, F(1)) for k in range(2, 40)]
+    expected = {e: chain.sign(e) for e in queries}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(3):
+            random.Random(seed).shuffle(queries)
+            fresh = param_point(ex1_template, tm)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(fresh.sign, queries, timeout=60))
+            assert got == [expected[e] for e in queries]
+            level, *ends = fresh._held
+            assert level > 1 and tuple(ends) == fresh.refiner.ends(level)
+    finally:
+        sys.setswitchinterval(interval)

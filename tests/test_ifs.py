@@ -12,6 +12,7 @@ from sepkit import (
     translation_amount,
     validate_system,
 )
+from sepkit.ifs import word_text, word_texts
 
 from bruteforce import TupleWord
 
@@ -53,6 +54,21 @@ def test_word_str_matches_the_symbol_form(symbols):
         assert str(word) == ",".join(str(s) for s in symbols) + tail
     else:
         assert str(word) == "".join(str(s) for s in symbols)
+
+
+digit_words = st.lists(st.integers(0, 9), max_size=4).map(bytes)
+
+
+@given(st.lists(st.one_of(digit_words, st.binary(max_size=4)), max_size=6))
+def test_word_texts_is_each_word_text(words):
+    # a symbol above 9 (a comma's byte included) sends every word through word_text
+    assert word_texts(words) == list(map(word_text, words))
+
+
+@pytest.mark.parametrize("words", [(), (b"",), (b"", b""), (b"\x00\x01", b"\x09"),
+                                   (b"\x01,", b"\x02"), (b"\x01", b"\x0a\x01")])
+def test_word_texts_edge_cases(words):
+    assert word_texts(words) == list(map(word_text, words))
 
 
 @given(st.lists(st.integers(1, 3), max_size=5), st.lists(st.integers(1, 3), max_size=5),

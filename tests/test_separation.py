@@ -34,6 +34,7 @@ from sepkit import (
 )
 from sepkit import separation
 from sepkit.construction import PERIODIC_WARNING
+from sepkit.ifs import word_text
 from sepkit.separation import (
     Displacement,
     EndpointBucket,
@@ -163,6 +164,42 @@ def test_census_looks_up_each_state_once(ex1_sys, eighth_pt):
     assert len(calls) <= len(keys) * ex1_sys.alphabet_size
     # the seven states at a = 1/8 are all met by level 60
     assert lookups(60)[0] == calls
+
+
+def test_automaton_sorts_each_state_once(ex1_sys, eighth_pt):
+    # a found set is put in canonical order only when it is a new state
+    sorts, automata = [], []
+
+    def counted(order):
+        sorts.append(order)
+        return cmp_to_key(order)
+
+    class KeptAutomaton(TypeAutomaton):
+        def __init__(self, *args):
+            super().__init__(*args)
+            automata.append(self)
+
+    with mock.patch.multiple(separation, cmp_to_key=counted, TypeAutomaton=KeptAutomaton):
+        result = convex_type_census(ex1_sys, eighth_pt, 600)
+    (automaton,) = automata
+    assert result == convex_type_census(ex1_sys, eighth_pt, 600)
+    assert len(sorts) == len(automaton._types) == len(set(automaton._value_ids))
+
+
+@pytest.mark.parametrize("symbols", [3, 9, 10, 12])
+def test_census_witness_column_is_each_word_text(symbols):
+    # one joined translation when every symbol is at most 9, comma lists
+    # otherwise; the last map overlaps the one before it, so only words
+    # that use it have their own types
+    m = symbols + 1
+    sys = IfsSystem(m, tuple(AffineExpr.constant(F(k, m)) for k in range(symbols - 1))
+                    + (AffineExpr(F(symbols - 2, m), F(1, m)),))
+    result = convex_type_census(sys, RationalParam(F(1, 3)), 3)
+    report = result.to_json(RationalParam(F(1, 3)))
+    for level, lv in zip(report["levels"], result.levels):
+        assert level["witnesses"] == list(map(word_text, lv.witnesses))
+    assert (symbols >= 10) == any("," in w for level in report["levels"]
+                                  for w in level["witnesses"])
 
 
 @pytest.mark.parametrize("which", [1, 2])

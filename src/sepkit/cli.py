@@ -90,7 +90,7 @@ def parse_seed(spec: str) -> RationalInterval:
     try:
         lo, hi = spec.split(":")
         return RationalInterval(rational_from_str(lo), rational_from_str(hi))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad seed {spec!r}; expected LO:HI rationals") from exc
 
 

@@ -25,7 +25,9 @@ refinement budget runs out.  A sign steps one level at a time; a
 decimal, decided once the image interval rounds unambiguously, jumps
 ahead.  A point holds the deepest window any of its queries has read,
 and a sign query tries it before the loop: most are decided there,
-without a chain read.  No floating point is used anywhere.
+without a chain read.  The lattice searches read it too
+(``held_ends``), to decide most bound tests on its ends without a
+sign query.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -76,8 +78,15 @@ def rational_to_str(x: Fraction) -> str:
 
 
 def rational_from_str(text: str) -> Fraction:
-    """Parse ``"num/den"`` (or a bare integer / decimal literal)."""
-    return Fraction(text.strip())
+    """Parse ``"num/den"`` (or a bare integer / decimal literal).
+
+    Raises ``ValueError`` for text that is not a rational, a zero
+    denominator included.
+    """
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
 def round_decimal(x: Fraction, digits: int) -> str:
@@ -234,6 +243,12 @@ class _ParamBase:
     def canonical_key(self, e: AffineExpr):
         raise NotImplementedError
 
+    def held_ends(self) -> tuple[int, int, int, int, int] | None:
+        """A window known to hold the point, as ``(level, lo_num, lo_den, hi_num,
+        hi_den)``, the same tuple until it changes; None when a query must
+        take the exact path (``sign_lattice``)."""
+        return None
+
 
 #: Annotation alias: anything answering sign/decimal/key queries at a point.
 Param = _ParamBase
@@ -266,7 +281,11 @@ class ParamPoint(_ParamBase):
     immutable, so concurrent readers always see a consistent prefix of
     the chain and ask deterministic questions of it.  The held window
     (see ``sign_lattice``) is replaced as one tuple, so a reader always
-    finds some window of the chain there.
+    finds some window of the chain there.  ``held_ends`` hands it to the
+    child cache of the displacement searches, which decides a child's
+    bound test on its integer ends and sends only a child whose test
+    straddles it to ``sign_lattice``; while the budget is lowered below
+    the held level it hands out None, and every test is a sign query.
 
     A chain that pins down a known rational value needs no refining:
     ``construction.param_point`` answers a periodic driving sequence at
@@ -294,6 +313,17 @@ class ParamPoint(_ParamBase):
         queries read the ends themselves."""
         lo_num, lo_den, hi_num, hi_den = self.refiner.ends(level)
         return RationalInterval(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den))
+
+    def held_ends(self) -> tuple[int, int, int, int, int] | None:
+        """The held window while its level is within the budget, else None.
+
+        A sign read off its ends is the one ``sign_lattice`` gives, which
+        tries the same window first; at level 0 nothing has been read yet,
+        and after the budget is lowered below its level the chain is read
+        afresh.
+        """
+        held = self._held
+        return held if 0 < held[0] <= self.budget else None
 
     def _refine(self, P: int, Lp: int, Q: int, Lq: int, decide, what: str, ahead=None,
                 tried: int = 0):
@@ -443,6 +473,12 @@ class RationalParam(_ParamBase):
     def __init__(self, value):
         self.value = Fraction(value)
         self.irrationality_assumed = False
+        n, d = self.value.numerator, self.value.denominator
+        self._ends = (0, n, d, n, d)
+
+    def held_ends(self) -> tuple[int, int, int, int, int]:
+        """The degenerate window (r, r): a form's value at its ends is its value."""
+        return self._ends
 
     def sign(self, e: AffineExpr) -> int:
         return self.sign_lattice(e.p.numerator, e.p.denominator, e.q.numerator, e.q.denominator)

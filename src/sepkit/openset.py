@@ -11,8 +11,10 @@ cache (``_PointMemo``), on a lattice with the seed ends' denominators
 joined in.  The base cases, the seed against the deeper family
 translated by v, are one walk down the cylinder tree started at
 seed - v.  Every comparison is one integer sign query at the parameter
-point; both searches run depth first on explicit stacks, so the
-truncation depth is not bounded by the Python stack.  Nearly every point
+point, except the child cache's bound and near tests, which are mostly
+decided on the integer ends of the window the point holds; both
+searches run depth first on explicit stacks, so the truncation depth
+is not bounded by the Python stack.  Nearly every point
 the family search expands is pass-through, with one child in bound and
 no walk to start, and a run of such points, as long as the truncation
 depth, is answered in one step at any budget.  Everything is
@@ -33,6 +35,7 @@ from .separation import (
     CensusResult,
     DisplacementLattice,
     _Node,
+    _inside_at_ends,
     _PointMemo,
     census_states,
 )
@@ -105,15 +108,34 @@ class _Family(_Node):
 
 
 class _FamilyMemo(_PointMemo):
-    """The family search's child cache: families live in (0,1), so the bound is 1."""
+    """The family search's child cache: families live in (0,1), so the bound is 1.
+
+    A child the screen put in bound is tested for near on the same
+    window ends, against the seed width's ends, and takes the exact test
+    only when the window does not decide.
+    """
 
     def __init__(self, lattice: DisplacementLattice, pt: Param, width: Fraction):
         super().__init__(lattice, pt, Fraction(1), strict=True)
         self.width = width
+        self._near = None
 
-    def _node(self, point: tuple[int, int]) -> _Family:
+    def _hold(self, window: tuple[int, int, int, int, int]) -> None:
+        super()._hold(window)
+        # with the bound 1 a point's end value is over Lp*Lq*den, so |v| is
+        # below the width n/d where d times it is below n*Lp*Lq*den
+        scale = self.width.numerator * self.lattice.lp * self.lattice.lq
+        self._near = (scale * window[2], scale * window[4])
+
+    def _node(self, point: tuple[int, int], ends: tuple[int, int] | None = None) -> _Family:
         # seed ∩ (seed + v): |v| below the seed width
-        return _Family(self.lattice.within(self.pt, point, self.width))
+        near = None
+        if ends is not None:
+            d = self.width.denominator
+            near = _inside_at_ends(d * ends[0], d * ends[1], *self._near, True)
+        if near is None:
+            near = self.lattice.within(self.pt, point, self.width)
+        return _Family(near)
 
 
 class OverlapOracle:
@@ -130,7 +152,9 @@ class OverlapOracle:
     Both run on the lattice of ``DisplacementLattice`` with the seed
     ends' denominators joined in: a shift is a lattice point (P, Q), an
     interval is (Plo, Phi, Q), and every comparison is one integer sign
-    query at the point, so answers are exact for the computable parameter.
+    query at the point, or integer comparisons on the ends of a window
+    that holds it (the child cache's bound and near tests), so answers
+    are exact for the computable parameter.
 
     Each lattice point is decided once, in the child cache: in bound,
     near, its in-bound children as far as the search reached them, and

@@ -12,12 +12,17 @@ The recursion runs on an integer lattice (``DisplacementLattice``):
 with Lp and Lq the common denominators of the offsets' constant and
 parameter parts, every displacement is P/Lp + (Q/Lq)*a for integers P
 and Q, and a step is integer arithmetic on (P, Q).  One child cache,
-``_PointMemo``, decides each distinct lattice point once at the
-parameter point (two integer sign queries on (P, Q)) and expands each
-in-bound point once.  The displacement search (behind the smallest
-displacement and the endpoint check), the convex neighbourhood-type
-automaton and the open-set overlap oracle all read their children from
-it; the exact overlap scan needs no parameter point at all.
+``_PointMemo``, decides whether each child lies within the bound and
+expands each in-bound point once.  It steps the recursion on the values
+at the two integer ends of the window the parameter point holds, so
+nearly every child is decided by integer comparisons; only a child
+whose bound test straddles that window, or every child at a point that
+holds no window within its budget, takes the two integer sign queries
+on (P, Q), and that verdict is kept.  The displacement search (behind
+the smallest displacement and the endpoint check), the convex
+neighbourhood-type automaton and the open-set overlap oracle all read
+their children from it; the exact overlap scan needs no parameter
+point at all.
 """
 
 from __future__ import annotations
@@ -121,6 +126,24 @@ class _Value(_Node):
         self.ident, self.form = ident, form
 
 
+def _inside_at_ends(g_lo: int, g_hi: int, t_lo: int, t_hi: int, strict: bool) -> bool | None:
+    """|v| < t at the point (|v| <= t when not strict), read off a window's ends.
+
+    ``g_*`` is the displacement v and ``t_*`` the bound t at a window end,
+    on one positive scale per end.  Both tests t - v >= 0 and t + v >= 0
+    hold at the point when they hold at both ends, and fail when one is
+    at most 0 at both ends: v is affine in a, and the point lies inside
+    the window, or is its one value.  A test that holds with equality at
+    both ends holds with equality at the point.  None when the window
+    does not decide, the root of a test falling inside it.
+    """
+    closed = -t_lo <= g_lo <= t_lo and -t_hi <= g_hi <= t_hi
+    beyond = g_lo >= t_lo and g_hi >= t_hi or g_lo <= -t_lo and g_hi <= -t_hi
+    if closed and beyond:
+        return not strict  # |v| = t
+    return True if closed else False if beyond else None
+
+
 class _PointMemo(dict):
     """The child cache of the displacement recursion at one parameter point.
 
@@ -131,6 +154,20 @@ class _PointMemo(dict):
     equal exactly when the canonical keys are equal; ``keys[id]`` gives
     the key back.  Only decided verdicts are stored: a point whose sign
     test raised ``Undecided`` is tested again when it comes up again.
+
+    A child is first tested on the window the parameter point holds
+    (``Param.held_ends``), read once per scan: the recursion evaluated
+    at the window's two integer ends, the parent's value there times m
+    plus the step's end terms, gives the child's, and integer
+    comparisons with the bound's ends put it in bound, out of bound or
+    straddling (``_inside_at_ends``).  Only a straddling child takes the
+    exact test, ``DisplacementLattice.within``.  A child put out of
+    bound on the window is not stored, since meeting it again costs the
+    same few comparisons, and no window verdict enters the sign cache.
+    A point that holds no window within its budget (None) sends every
+    child to the exact test.  The windows nest and the exact test tries
+    the held window first, so both give one verdict, and the screen
+    reads no window that the exact test would not read.
     """
 
     def __init__(self, lattice: DisplacementLattice, pt: Param, bound: Fraction, strict: bool):
@@ -141,6 +178,11 @@ class _PointMemo(dict):
         self.strict = strict
         self.keys: list = []
         self._ids: dict = {}
+        #: the held window the screen is built for, and the screen: the
+        #: bound's value at its ends, the coefficients of P and Q in a
+        #: point's value at its ends, and each step's end terms
+        self._window = None
+        self._limits = self._coef = self._terms = None
 
     def value_id(self, form: AffineExpr) -> int:
         key = self.pt.canonical_key(form)
@@ -150,8 +192,10 @@ class _PointMemo(dict):
             self.keys.append(key)
         return ident
 
-    def _node(self, point: tuple[int, int]) -> _Node:
-        """An in-bound point's node; subclasses keep what their search needs."""
+    def _node(self, point: tuple[int, int], ends: tuple[int, int] | None = None) -> _Node:
+        """An in-bound point's node; subclasses keep what their search needs.
+        ``ends`` is the point's value at the held window's ends, on the
+        screen's scale, when the screen decided it."""
         form = self.lattice.form(point)
         return _Value(self.value_id(form), form)
 
@@ -160,17 +204,65 @@ class _PointMemo(dict):
         node = self[point] = self._node(point) if inside else None
         return node
 
+    def _hold(self, window: tuple[int, int, int, int, int]) -> None:
+        """Build the screen for a held window.
+
+        At a window end x = num/den the lattice point (P, Q) stands for
+        v(x) = (P*Lq*den + Q*Lp*num) / (Lp*Lq*den), and |v| against the
+        bound n/d compares d times that numerator with n*Lp*Lq*den.
+        """
+        _, lo_num, lo_den, hi_num, hi_den = window
+        lattice, n, d = self.lattice, self.bound.numerator, self.bound.denominator
+        lp, lq = lattice.lp, lattice.lq
+        self._coef = cp_lo, cq_lo, cp_hi, cq_hi = (
+            d * lq * lo_den, d * lp * lo_num, d * lq * hi_den, d * lp * hi_num
+        )
+        self._terms = [
+            (dp * cp_lo + dq * cq_lo, dp * cp_hi + dq * cq_hi) for _, _, dp, dq in lattice.steps
+        ]
+        self._limits = (n * lp * lq * lo_den, n * lp * lq * hi_den)
+        self._window = window
+
     def children(self, point: tuple[int, int], upto: int | None = None, need: int | None = None):
-        """The point's children, scanned through step ``upto`` or until ``need`` are found."""
+        """The point's children, scanned through step ``upto`` or until ``need`` are found.
+
+        A step counts as scanned once its child is decided, so an exact
+        test that raises ``Undecided`` leaves the scan at its step.
+        """
         node = self[point]
-        found, steps, m = node.children, self.lattice.steps, self.lattice.m
+        found, steps = node.children, self.lattice.steps
         stop = len(steps) if upto is None else upto
         need = stop if need is None else need
+        if node.scanned >= stop or len(found) >= need:
+            return found
+        m, (P, Q), strict = self.lattice.m, point, self.strict
+        window = self.pt.held_ends()
+        if window is not None:
+            if window is not self._window:
+                self._hold(window)
+            terms, (t_lo, t_hi) = self._terms, self._limits
+            cp_lo, cq_lo, cp_hi, cq_hi = self._coef
+            a_lo, a_hi = m * (P * cp_lo + Q * cq_lo), m * (P * cp_hi + Q * cq_hi)
         while node.scanned < stop and len(found) < need:
-            i, j, dp, dq = steps[node.scanned]
-            child = (m * point[0] + dp, m * point[1] + dq)
-            child_node = self[child]
-            node.scanned += 1
+            k = node.scanned
+            i, j, dp, dq = steps[k]
+            inside = None
+            if window is not None:
+                e_lo, e_hi = terms[k]
+                g_lo, g_hi = a_lo + e_lo, a_hi + e_hi
+                inside = _inside_at_ends(g_lo, g_hi, t_lo, t_hi, strict)
+                if inside is False:
+                    node.scanned = k + 1
+                    continue
+            child = (m * P + dp, m * Q + dq)
+            if inside is None:
+                child_node = self[child]
+            else:
+                # a cached verdict agrees with the window's, so None here is a miss
+                child_node = self.get(child)
+                if child_node is None:
+                    child_node = self[child] = self._node(child, (g_lo, g_hi))
+            node.scanned = k + 1
             if child_node is not None:
                 found.append((i, j, child, child_node))
         return found

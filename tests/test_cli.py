@@ -423,6 +423,33 @@ def test_template_refused_by_initial_state(tmp_path, capsys, fields, message):
     assert err == f"sepkit: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "fields,text",
+    [
+        ({"initial_J": {"lo": "0/1", "hi": "1/0"}}, "1/0"),
+        ({"initial_J": {"lo": "0/0", "hi": "1/7"}}, "0/0"),
+        ({"system": {**SEVENTHS["system"],
+                     "offsets": [{"p": "0/1", "q": "0/1"}, {"p": "0/1", "q": "1/0"},
+                                 {"p": "6/7", "q": "0/1"}]}}, "1/0"),
+    ],
+    ids=["window-end", "window-zero-over-zero", "offset"],
+)
+def test_template_zero_denominator_is_usage_error(tmp_path, capsys, fields, text):
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps({**SEVENTHS, **fields}))
+    code, out, err = run_cli(capsys, "construct", "--template", str(path), "--depth", "3")
+    assert code == 2
+    assert out == ""
+    assert err == f"sepkit: bad template: zero denominator in {text!r}\n"
+
+
+def test_zero_denominator_threshold_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "endpoints", "--example", "1", "--c", "1/0")
+    assert code == 2
+    assert out == ""
+    assert err == "sepkit: zero denominator in '1/0'\n"
+
+
 def test_template_and_example_conflict(tmp_path, capsys):
     path = tmp_path / "t.json"
     path.write_text("{}")

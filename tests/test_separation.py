@@ -35,8 +35,10 @@ from sepkit import (
 from sepkit import separation
 from sepkit.construction import PERIODIC_WARNING
 from sepkit.ifs import word_text
+from sepkit.openset import OverlapOracle, _FamilyMemo
 from sepkit.separation import (
     Displacement,
+    DisplacementLattice,
     EndpointBucket,
     EndpointReport,
     OverlapPair,
@@ -797,42 +799,95 @@ def test_bfs_decides_each_lattice_point_once(which, label, levels, ex1_pt, ex2_p
     assert again.queries == counting.queries
 
 
+def _lattice_decisions(sys, pt, levels):
+    """(bound verdicts per displacement value, census, exact tests) of one census.
+
+    A verdict is an exact test (``within``), a node built on a verdict
+    read off the held window, or a child first put out of bound on the
+    window; a later scan that meets that child again reads the same
+    integer ends, as a cache hit reads a stored verdict.
+    """
+    seen, out, exact = Counter(), set(), []
+    memo_cls, within = separation._PointMemo, separation.DisplacementLattice.within
+    node, children = memo_cls._node, memo_cls.children
+
+    def key(lattice, point):
+        value = lattice.form(point)
+        return (value.p, value.q)
+
+    def tested(lattice, point_at, point, *args):
+        seen[key(lattice, point)] += 1
+        exact.append(point)
+        return within(lattice, point_at, point, *args)
+
+    def built(memo, point, ends=None):
+        if ends is not None:
+            seen[key(memo.lattice, point)] += 1
+        return node(memo, point, ends)
+
+    def scanned(memo, point, *args):
+        start = memo[point].scanned
+        found = children(memo, point, *args)
+        m, steps = memo.lattice.m, memo.lattice.steps
+        for _, _, dp, dq in steps[start:memo[point].scanned]:
+            child = (m * point[0] + dp, m * point[1] + dq)
+            if child not in memo and child not in out:
+                out.add(child)
+                seen[key(memo.lattice, child)] += 1
+        return found
+
+    with mock.patch.object(separation.DisplacementLattice, "within", tested), \
+            mock.patch.object(memo_cls, "_node", built), \
+            mock.patch.object(memo_cls, "children", scanned):
+        census = convex_type_census(sys, pt, levels)
+    return seen, census, len(exact)
+
+
 @pytest.mark.parametrize("which,label,levels", ORACLE_CASES)
 def test_automaton_decides_each_lattice_point_once(which, label, levels, ex1_pt, ex2_pt):
     sys = example_template(which).system
     pt = _case_point(label, ex1_pt, ex2_pt)
 
-    def decisions(automaton_cls, bound_test, original, tested):
-        """Bound tests per displacement value during one census."""
-        seen = Counter()
-
-        def counted(*args):
-            value = tested(*args)
-            seen[(value.p, value.q)] += 1
-            return original(*args)
-
-        with mock.patch(bound_test, counted), \
-                mock.patch.object(separation, "TypeAutomaton", automaton_cls):
-            census = convex_type_census(sys, pt, levels)
-        return seen, census
-
-    lattice = (
-        TypeAutomaton,
-        "sepkit.separation.DisplacementLattice.within",
-        separation.DisplacementLattice.within,
-        lambda lat, point_at, point, *args: lat.form(point),
-    )
-    seen, census = decisions(*lattice)
+    seen, census, tested = _lattice_decisions(sys, pt, levels)
     assert seen and max(seen.values()) == 1
-    assert decisions(*lattice) == (seen, census)
-    oracle_seen, oracle = decisions(
-        _OracleTypeAutomaton, f"{__name__}._oracle_inside", _oracle_inside,
-        lambda point_at, value, *args: value,
-    )
+    assert _lattice_decisions(sys, pt, levels)[:2] == (seen, census)
+    # the held window decides most children, so few reach the exact test
+    assert tested < sum(seen.values())
+
+    oracle_seen, inside = Counter(), _oracle_inside
+
+    def counted(point_at, value, *args):
+        oracle_seen[(value.p, value.q)] += 1
+        return inside(point_at, value, *args)
+
+    with mock.patch(f"{__name__}._oracle_inside", counted), \
+            mock.patch.object(separation, "TypeAutomaton", _OracleTypeAutomaton):
+        oracle = convex_type_census(sys, pt, levels)
     assert census == oracle
     # the same lattice points are tested, the oracle once per child
     assert set(seen) == set(oracle_seen)
     assert sum(oracle_seen.values()) >= sum(seen.values())
+
+
+def test_census_decides_children_on_the_held_window():
+    # without the window screen this census made 1,113 exact bound tests;
+    # the screen reads no window of its own, so the chain reads stay 81
+    calls = Counter()
+    within, refine = separation.DisplacementLattice.within, ParamPoint._refine
+
+    def tested(*args):
+        calls["within"] += 1
+        return within(*args)
+
+    def refined(*args, **kwargs):
+        calls["refine"] += 1
+        return refine(*args, **kwargs)
+
+    with mock.patch.object(separation.DisplacementLattice, "within", tested), \
+            mock.patch.object(ParamPoint, "_refine", refined):
+        convex_type_census(example_template(1).system, example_point(1), 80)
+    assert calls["within"] <= 300
+    assert calls["refine"] == 81
 
 
 def _short_point(which, depth):
@@ -840,6 +895,92 @@ def _short_point(which, depth):
     full = example_point(which)
     windows = [full.window(k) for k in range(1, depth + 1)]
     return ParamPoint(StaticRefiner(windows), irrationality_assumed=True)
+
+
+def _screen_point(kind, depth):
+    """A fresh point for the window-screen equivalence test.
+
+    "short": example 1's chain cut after ``depth`` windows; "lowered": its
+    full chain, read about 15 levels deep by a decimal, then the budget
+    lowered below the held level; "full": its full chain; a Fraction: that
+    rational point.  Each side of the test builds its own, so both start
+    from the same sign cache and held window.
+    """
+    if kind == "short":
+        return _short_point(1, depth)
+    if kind in ("lowered", "full"):
+        pt = example_point(1)
+        if kind == "lowered":
+            pt.eval_decimal(AffineExpr.parameter(1), 12)
+            pt.budget = pt.held_ends()[0] - 1
+            assert pt.held_ends() is None
+        return pt
+    return RationalParam(kind)
+
+
+def _memo_walk(memo, levels):
+    """The memo's children (i, j, point) of every point reached in ``levels`` steps,
+    its in-bound points with their near verdicts, and how far each scan got;
+    the walk stops at the first ``Undecided``."""
+    rows, current, outcome = [], [separation._ZERO_STATE], "decided"
+    try:
+        for _ in range(levels):
+            reached = {}
+            for point in current:
+                kids = [(i, j, child) for i, j, child, _ in memo.children(point)]
+                rows.append((point, kids))
+                reached.update(dict.fromkeys(child for _, _, child in kids))
+            current = list(reached)
+    except Undecided as exc:
+        outcome = ("undecided", str(exc), exc.depth)
+    kept = {
+        point: (getattr(node, "near", None), node.scanned)
+        for point, node in memo.items() if node is not None
+    }
+    return outcome, rows, kept
+
+
+def _stamped(fn, *args):
+    """A call's result, or the message, depth, level and words of its ``Undecided``."""
+    try:
+        return ("decided", fn(*args))
+    except Undecided as exc:
+        return ("undecided", str(exc), exc.depth, exc.level, exc.words)
+
+
+def _screen_uses(sys, pt, levels, c, seed):
+    """Everything the screen serves, run in turn on one point: the bound 1,
+    strict; the endpoint check's 1 + c, not strict; the family search's
+    bound 1 and near test at the seed width."""
+    lattice = DisplacementLattice(sys)
+    open_set = OpenSetApprox(sys, seed, levels + 2)
+    family = OverlapOracle(open_set, pt).lattice
+    return [
+        _memo_walk(separation._PointMemo(lattice, pt, F(1), True), levels),
+        _memo_walk(separation._PointMemo(lattice, pt, 1 + c, False), levels),
+        _memo_walk(_FamilyMemo(family, pt, seed.width), levels),
+        _stamped(convex_type_census, sys, pt, levels),
+        _stamped(endpoint_separation, sys, pt, levels, c),
+        _stamped(constructed_v_type_census, sys, pt, open_set, levels),
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    small_systems(),
+    st.integers(1, 4),
+    st.sampled_from(["short", "lowered", "full", F(1, 8), F(2, 5), F(1, 3), F(0)]),
+    st.integers(2, 8),
+    # bounds and seed widths that rational points with m <= 5 can meet exactly
+    st.sampled_from([F(4, 7), F(1, 2), F(1)]),
+    st.sampled_from([(F(3, 7), F(4, 7)), (F(1, 4), F(3, 4)), (F(1, 2), F(3, 4))]),
+)
+def test_window_screen_matches_the_exact_path(sys, levels, kind, depth, c, ends):
+    # the counting wrapper holds no window, so every bound test is exact there
+    seed = RationalInterval.make(*ends)
+    screened = _screen_uses(sys, _screen_point(kind, depth), levels, c, seed)
+    exact = _screen_uses(sys, _CountingParam(_screen_point(kind, depth)), levels, c, seed)
+    assert screened == exact
 
 
 # --- the shared child cache against the loops that re-expand every parent ---------

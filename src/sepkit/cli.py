@@ -71,19 +71,23 @@ def parse_sequence(spec: str) -> DrivingSequence:
         return DrivingSequence.thue_morse()
     if spec == "fibonacci":
         return DrivingSequence.fibonacci()
-    if spec.startswith("bits:"):
-        return DrivingSequence.from_bits(spec[len("bits:"):])
     if spec.startswith("periodic:"):
         return DrivingSequence.periodic(spec[len("periodic:"):])
-    if spec.startswith("file:"):
+    if spec.startswith("bits:"):
+        bits = spec[len("bits:"):]
+    elif spec.startswith("file:"):
         path = spec[len("file:"):]
         try:
             with open(path) as handle:
-                text = "".join(handle.read().split())
+                bits = "".join(handle.read().split())
         except OSError as exc:
             raise UsageError(f"cannot read sequence file: {exc}") from exc
-        return DrivingSequence.from_bits(text)
-    raise UsageError(f"unknown sequence spec {spec!r}")
+    else:
+        raise UsageError(f"unknown sequence spec {spec!r}")
+    # an empty prefix cannot refine past the initial window
+    if not bits:
+        raise UsageError(f"sequence {spec!r} has no bits; expected a non-empty 0/1 string")
+    return DrivingSequence.from_bits(bits)
 
 
 def parse_seed(spec: str) -> RationalInterval:

@@ -25,13 +25,17 @@ refinement budget runs out.  A sign steps one level at a time; a
 decimal, decided once the image interval rounds unambiguously, jumps
 ahead.  A point holds the deepest window any of its queries has read,
 and a sign query tries it before the loop: most are decided there,
-without a chain read.  The lattice searches read it too
-(``held_ends``), to decide most bound tests on its ends without a
-sign query.  No floating point is used anywhere.
+without a chain read.  It keeps no answers, only that window and the
+chain: a sign asked again is decided on the held window, and a decimal
+on its first window read, unless the budget has since been lowered.
+The lattice searches read the held window too (``held_ends``), to
+decide most bound tests on its ends without a sign query.  No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Protocol
@@ -40,6 +44,11 @@ Rational = Fraction
 
 #: Default cap on refinement depth for sign and decimal queries.
 DEFAULT_SIGN_BUDGET = 200
+
+#: The most characters plus decimal exponent that ``rational_from_str``
+#: reads: Python's default limit for converting between int and str.
+MAX_LITERAL_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)")
 
 
 class Undecided(Exception):
@@ -81,12 +90,19 @@ def rational_from_str(text: str) -> Fraction:
     """Parse ``"num/den"`` (or a bare integer / decimal literal).
 
     Raises ``ValueError`` for text that is not a rational, a zero
-    denominator included.
+    denominator included, and, before any integer is built, for text
+    whose length plus its decimal exponent exceeds
+    ``MAX_LITERAL_DIGITS``: no numerator or denominator the text stands
+    for has more digits than that sum.
     """
+    text = text.strip()
+    exponent = _EXPONENT.search(text) if len(text) <= MAX_LITERAL_DIGITS else None
+    if len(text) + (abs(int(exponent[1])) if exponent else 0) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"rational {text!r} exceeds {MAX_LITERAL_DIGITS} digits")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def round_decimal(x: Fraction, digits: int) -> str:
@@ -277,15 +293,19 @@ class ParamPoint(_ParamBase):
     identity of (p, q) pairs coincide with equality of values; the flag
     is recorded, not proven, and can be disabled.
 
-    Refinement is serialized inside the refiner; all cached windows are
-    immutable, so concurrent readers always see a consistent prefix of
-    the chain and ask deterministic questions of it.  The held window
-    (see ``sign_lattice``) is replaced as one tuple, so a reader always
-    finds some window of the chain there.  ``held_ends`` hands it to the
-    child cache of the displacement searches, which decides a child's
-    bound test on its integer ends and sends only a child whose test
-    straddles it to ``sign_lattice``; while the budget is lowered below
-    the held level it hands out None, and every test is a sign query.
+    A point keeps no answers: a query asked again is decided again, on
+    the held window or the chain, so its outcome depends only on the
+    form, the window chain and the budget, never on what was asked
+    before.  Refinement is serialized inside the refiner; all cached
+    windows are immutable, so concurrent readers always see a
+    consistent prefix of the chain and ask deterministic questions of
+    it.  The held window (see ``sign_lattice``) is replaced as one
+    tuple, so a reader always finds some window of the chain there.
+    ``held_ends`` hands it to the child cache of the displacement
+    searches, which decides a child's bound test on its integer ends
+    and sends only a child whose test straddles it to ``sign_lattice``;
+    while the budget is lowered below the held level it hands out None,
+    and every test is a sign query.
 
     A chain that pins down a known rational value needs no refining:
     ``construction.param_point`` answers a periodic driving sequence at
@@ -303,8 +323,6 @@ class ParamPoint(_ParamBase):
         self.refiner = refiner
         self.irrationality_assumed = irrationality_assumed
         self.budget = budget
-        self._sign_cache: dict[tuple[int, int, int, int], int] = {}
-        self._decimal_cache: dict[tuple[Fraction, Fraction, int], str] = {}
         # the deepest window a query has read: (level, lo_num, lo_den, hi_num, hi_den)
         self._held: tuple[int, int, int, int, int] = (0, 0, 1, 0, 1)
 
@@ -382,29 +400,25 @@ class ParamPoint(_ParamBase):
 
         Constant forms are decided immediately.  Otherwise the window
         chain is refined until the root of the form falls on one side of
-        the whole open window (see ``_sign_at_ends``).  Only decided
-        signs are cached.  A form not in the cache is first tried on the
-        held window, the deepest any query on the point has read, unless
-        the budget has since been lowered below its level; the windows
-        nest, so an answer there is the one the chain gives, and the
-        chain is read, from one level deeper where it can be, only when
-        the held window does not answer.
+        the whole open window (see ``_sign_at_ends``).  A form is first
+        tried on the held window, the deepest any query on the point has
+        read, unless the budget has since been lowered below its level;
+        the windows nest, so an answer there is the one the chain gives,
+        and the chain is read, from one level deeper where it can be,
+        only when the held window does not answer.  No answer is kept:
+        asked again, a form is decided again, so its outcome depends
+        only on the form, the window chain and the budget.
         """
         if Q == 0:
             return (P > 0) - (P < 0)
-        key = (P, Lp, Q, Lq)
-        cached = self._sign_cache.get(key)
-        if cached is None:
-            level, lo_num, lo_den, hi_num, hi_den = self._held
-            if 0 < level <= self.budget:
-                A, B = P * Lq, Q * Lp
-                cached = _sign_at_ends(A * lo_den + B * lo_num, lo_den,
-                                       A * hi_den + B * hi_num, hi_den)
-            if cached is None:
-                # a held window beyond the budget is not the chain's first read
-                cached = self._refine(P, Lp, Q, Lq, _sign_at_ends, "sign", tried=level)
-            self._sign_cache[key] = cached
-        return cached
+        level, lo_num, lo_den, hi_num, hi_den = self._held
+        if 0 < level <= self.budget:
+            A, B = P * Lq, Q * Lp
+            sign = _sign_at_ends(A * lo_den + B * lo_num, lo_den, A * hi_den + B * hi_num, hi_den)
+            if sign is not None:
+                return sign
+        # a held window beyond the budget is not the chain's first read
+        return self._refine(P, Lp, Q, Lq, _sign_at_ends, "sign", tried=level)
 
     def eval_decimal(self, e: AffineExpr, digits: int) -> str:
         """Correctly rounded decimal value of ``e`` at the point.
@@ -419,17 +433,13 @@ class ParamPoint(_ParamBase):
         ``10^-digits`` at the rate (bits per level, about log2 m) that the
         image has shrunk since the first window read, bit lengths rounded
         so that a steadily shrinking chain is not jumped past that level.
-        A remembered answer is what a fresh call would return, and only
-        answers are remembered.
+        No answer is kept; the chain's windows are, so asking again starts
+        at the deepest window built and usually decides on its first read.
         """
         if digits < 1:
             raise ValueError("digits must be >= 1")
         if e.q == 0:
             return round_decimal(e.p, digits)
-        key = (e.p, e.q, digits)
-        cached = self._decimal_cache.get(key)
-        if cached is not None:
-            return cached
         P, Lp, Q, Lq = e.p.numerator, e.p.denominator, e.q.numerator, e.q.denominator
         L = Lp * Lq
         scale_bits, first = (10**digits).bit_length(), []  # log2(10^digits) < scale_bits
@@ -450,8 +460,7 @@ class ParamPoint(_ParamBase):
             return max(1, needed * (level - first[0]) // shrunk) if needed > 0 else 1
 
         scaled = self._refine(P, Lp, Q, Lq, rounds_alike, "decimal value", ahead)
-        cached = self._decimal_cache[key] = _format_scaled(scaled, digits)
-        return cached
+        return _format_scaled(scaled, digits)
 
     def canonical_key(self, e: AffineExpr):
         """Hashable identity for the value of ``e`` at the point.

@@ -163,11 +163,11 @@ class _PointMemo(dict):
     straddling (``_inside_at_ends``).  Only a straddling child takes the
     exact test, ``DisplacementLattice.within``.  A child put out of
     bound on the window is not stored, since meeting it again costs the
-    same few comparisons, and no window verdict enters the sign cache.
-    A point that holds no window within its budget (None) sends every
-    child to the exact test.  The windows nest and the exact test tries
-    the held window first, so both give one verdict, and the screen
-    reads no window that the exact test would not read.
+    same few comparisons.  A point that holds no window within its
+    budget (None) sends every child to the exact test.  The windows nest
+    and the exact test tries the held window first, so both give one
+    verdict, and the screen reads no window that the exact test would
+    not read.
     """
 
     def __init__(self, lattice: DisplacementLattice, pt: Param, bound: Fraction, strict: bool):
@@ -306,6 +306,24 @@ def _search(memo: _PointMemo, max_level: int):
         current = sorted(entry[:3] for entry in nxt.values())
 
 
+def _first_appearances(memo: _PointMemo, max_level: int) -> list[tuple[dict, list]]:
+    """Every level of ``_search`` with the values it adds: (level, [(value id, entry)]).
+
+    All bound tests run before the caller compares anything, so the
+    first sign query that stays undecided does not depend on how the
+    levels are consumed.  Prefixing one symbol to both words keeps a
+    displacement, so each level holds every value of the levels before
+    it, and the ids its search assigns are exactly its new values, in
+    discovery order; a value the caller tests at its first level need
+    not be tested again.
+    """
+    levels, start = [], len(memo.keys)
+    for level in _search(memo, max_level):
+        levels.append((level, [(i, level[i]) for i in range(start, len(memo.keys))]))
+        start = len(memo.keys)
+    return levels
+
+
 def displacement_levels(
     sys: IfsSystem,
     pt: Param,
@@ -395,21 +413,13 @@ def wsp_min_displacement(sys: IfsSystem, pt: Param, max_level: int) -> WspResult
     lp, lq, sign = lattice.lp, lattice.lq, pt.sign_lattice
     memo = _PointMemo(lattice, pt, Fraction(1), strict=True)
     memo.value_id(AFFINE_ZERO)
-    # all bound tests run before any comparison, so the first sign query
-    # that stays undecided does not depend on how the levels are consumed;
-    # the value ids that a level's search assigns are that level's new values
-    levels, first_ids = [], [len(memo.keys)]
-    for level in _search(memo, max_level):
-        levels.append(level)
-        first_ids.append(len(memo.keys))
     least = None  # the smallest |v| so far, as a lattice point
     tied: list[int] = []  # the value ids at that magnitude
     best_level = 0  # where the smallest |v| of all first appears
     per_level: list[WspLevelMinimum | None] = []
-    for index, level in enumerate(levels, start=1):
+    for index, (level, new) in enumerate(_first_appearances(memo, max_level), start=1):
         try:
-            for ident in range(first_ids[index - 1], first_ids[index]):
-                P, Q = level[ident][2]
+            for ident, (_, _, (P, Q), _) in new:
                 if sign(P, lp, Q, lq) < 0:
                     P, Q = -P, -Q
                 order = -1 if least is None else sign(P - least[0], lp, Q - least[1], lq)
@@ -920,12 +930,21 @@ def endpoint_separation(
     (tau, sigma).  Every such quantity must be exactly zero or exceed
     the threshold in magnitude.  Corresponding picks (z = w) reduce to
     the displacements themselves; mixed picks measure how far cylinder
-    interiors overlap and are tracked as their own bucket.  No word pair
-    is enumerated: the gaps come from the displacement frontier pruned
-    at 1 + threshold, which is closed under extension, and the pairs
-    with identical maps from the closed walks of ``exact_overlap_scan``.
-    A test of an entry that stays undecided raises ``Undecided`` naming
-    the entry's level and its word pair, in its report witness's order.
+    interiors overlap and are tracked as their own bucket.  A pick whose
+    value is exactly 0 (its sign is 0) is an equal pair, not a bucket
+    entry.  No word pair is enumerated: the gaps come from the
+    displacement frontier pruned at 1 + threshold, which is closed under
+    extension, and the pairs with identical maps from the closed walks
+    of ``exact_overlap_scan``.
+
+    Each level holds every value of the levels before it, so each value
+    is tested once, at the level where it first appears, with that
+    level's first witness: its sign, its comparison with the bucket's
+    smallest |value| so far and its threshold test.  A value that
+    violates counts once for each level from its first to ``max_level``,
+    and a touching value lists an equal pair at each of them.  A test of
+    an entry that stays undecided raises ``Undecided`` naming the
+    entry's level and its word pair, in its report witness's order.
     """
     threshold = Fraction(threshold)
     if threshold <= 0:
@@ -933,33 +952,37 @@ def endpoint_separation(
     lattice = DisplacementLattice(sys)
     lp, lq = lattice.lp, lattice.lq
     memo = _PointMemo(lattice, pt, 1 + threshold, strict=False)
-    levels = list(_search(memo, max_level))  # all bound tests first, as in WSP
+    levels = _first_appearances(memo, max_level)
     # identical endpoints come from identical maps (zero displacement) or
-    # from cylinders touching end to end (displacement exactly -+1)
+    # from cylinders touching end to end (a mixed pick of value exactly 0)
     scan = exact_overlap_scan(sys, max_level)
     equal_pairs: list[tuple[Word, Word, int]] = [
         (o.left, o.right, 0) for o in scan.overlaps + scan.derived
     ]
     # (|value| as a lattice point, sigma, tau, delta) for corresponding
-    # and for mixed picks; the value of (sigma, tau) shifted by delta
+    # and for mixed picks, each value's at its first level; the value of
+    # (sigma, tau) shifted by delta
     same: list[tuple] = []
     mixed: list[tuple] = []
-    for level in levels:
-        for sigma, tau, (P, Q), _ in level.values():
+    touching: dict[int, int] = {}  # value id -> delta of its mixed pick of value 0
+    for _, new in levels:
+        for ident, (sigma, tau, (P, Q), _) in new:
             for delta in (-1, 0, 1):
                 shifted = P + delta * lp
-                if shifted == 0 and Q == 0:
-                    if delta != 0:
-                        equal_pairs.append((Word(tau), Word(sigma), delta))
-                    continue
-                point = (shifted, Q)
                 try:
-                    if pt.sign_lattice(shifted, lp, Q, lq) < 0:
-                        point = (-shifted, -Q)
+                    sign = pt.sign_lattice(shifted, lp, Q, lq)
                 except Undecided as exc:
                     exc.level, exc.words = len(sigma), (Word(tau), Word(sigma))
                     raise
+                if sign == 0:
+                    if delta != 0:
+                        touching[ident] = delta
+                    continue
+                point = (shifted, Q) if sign > 0 else (-shifted, -Q)
                 (mixed if delta else same).append((point, sigma, tau, delta))
+    if touching:  # listed at every level, with that level's words
+        equal_pairs += [(Word(tau), Word(sigma), touching[ident]) for level, _ in levels
+                        for ident, (sigma, tau, _, _) in level.items() if ident in touching]
 
     # |value| <= threshold is the sign of |value| - n/d over Lp*d, as in ``within``
     n, d = threshold.numerator, threshold.denominator
@@ -972,7 +995,8 @@ def endpoint_separation(
                 if least is None or pt.sign_lattice(P - least[0][0], lp, Q - least[0][1], lq) < 0:
                     least = entry
                 if pt.sign_lattice(P * d - n * lp, lp * d, Q, lq) <= 0:
-                    violations += 1
+                    # the value is at every level from its first
+                    violations += max_level - len(sigma) + 1
             except Undecided as exc:
                 exc.level, exc.words = len(sigma), (Word(tau), Word(sigma))
                 raise

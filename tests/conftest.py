@@ -27,7 +27,7 @@ def ex2_sys(ex2_template):
 
 @pytest.fixture(scope="session")
 def ex1_pt():
-    # session-scoped so the refinement chain and sign caches are shared
+    # session-scoped so the refinement chain and held window are shared
     return example_point(1)
 
 

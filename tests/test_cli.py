@@ -450,6 +450,36 @@ def test_zero_denominator_threshold_is_usage_error(capsys):
     assert err == "sepkit: zero denominator in '1/0'\n"
 
 
+def test_huge_literals_are_usage_errors(tmp_path, capsys):
+    # refused before the integer 10^999999 is built, not after seconds of work
+    code, out, err = run_cli(
+        capsys, "verify", "endpoints", "--example", "1", "--max-level", "3", "--c", "1e999999"
+    )
+    assert (code, out) == (2, "")
+    assert err == "sepkit: rational '1e999999' exceeds 4300 digits\n"
+    code, out, err = run_cli(
+        capsys, "verify", "osc", "--example", "1", "--seed", "1e-99999:1/2", "--depth", "2"
+    )
+    assert (code, out) == (2, "")
+    assert err == "sepkit: bad seed '1e-99999:1/2'; expected LO:HI rationals\n"
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps({**SEVENTHS, "initial_J": {"lo": "0/1", "hi": "1e99999"}}))
+    code, out, err = run_cli(capsys, "construct", "--template", str(path), "--depth", "3")
+    assert (code, out) == (2, "")
+    assert err == "sepkit: bad template: rational '1e99999' exceeds 4300 digits\n"
+
+
+def test_empty_driving_sequence_is_usage_error(tmp_path, capsys):
+    empty = tmp_path / "bits.txt"
+    empty.write_text(" \n")
+    for spec in ("bits:", f"file:{empty}"):
+        code, out, err = run_cli(
+            capsys, "types", "--example", "1", "--levels", "3", "--sequence", spec
+        )
+        assert (code, out) == (2, "")
+        assert err == f"sepkit: sequence {spec!r} has no bits; expected a non-empty 0/1 string\n"
+
+
 def test_template_and_example_conflict(tmp_path, capsys):
     path = tmp_path / "t.json"
     path.write_text("{}")

@@ -255,10 +255,8 @@ def test_integer_sign_matches_the_fraction_root_walk(case, budget, kp, kq):
     scaled = (e.p.numerator * kp, e.p.denominator * kp, e.q.numerator * kq, e.q.denominator * kq)
     pt = ParamPoint(_GrowingRefiner(windows), budget=budget)
     assert _outcome(pt.sign_lattice, *scaled) == expected
-    # a decided sign of a non-constant form is remembered, an undecided
-    # one is asked again
+    # asked again, the form is decided again, to the same outcome
     assert _outcome(pt.sign_lattice, *scaled) == expected
-    assert (scaled in pt._sign_cache) == (e.q != 0 and expected[0] == "decided")
 
 
 @given(sign_cases(), st.integers(1, 12), st.integers(1, 6))
@@ -269,7 +267,7 @@ def test_integer_decimal_matches_the_fraction_window_walk(case, digits, budget):
     )
     pt = ParamPoint(_GrowingRefiner(windows), budget=budget)
     assert _outcome(pt.eval_decimal, e, digits) == expected
-    # asked again on the deeper chain: the remembered answer, or the same failure
+    # asked again on the deeper chain: the same answer, or the same failure
     assert _outcome(pt.eval_decimal, e, digits) == expected
 
 
@@ -311,8 +309,7 @@ def test_undecided_sign_is_not_cached(ex1_template, tm):
     pt = param_point(ex1_template, tm, budget=3)
     with pytest.raises(Undecided) as first:
         pt.sign(e)
-    assert not pt._sign_cache
-    # nothing was remembered, so the same budget fails the same way again
+    # nothing is remembered, so the same budget fails the same way again
     with pytest.raises(Undecided) as again:
         pt.sign(e)
     assert str(again.value) == str(first.value)
@@ -373,8 +370,7 @@ def test_sign_miss_decided_by_the_held_window_reads_no_window(ex1_template, tm, 
     fetched.clear()
     # a form whose root the held window already leaves out
     assert pt.sign(near[0]) == expected[0]
-    # the same form again, with its cached sign forgotten
-    pt._sign_cache.clear()
+    # the same form again: a point keeps no answers, and the held window decides it
     assert pt.sign(near[1]) == expected[1]
     assert fetched == []
     # a miss the held window leaves open reads the chain from one level deeper
@@ -422,16 +418,14 @@ def shared_point_cases(draw):
 @given(shared_point_cases())
 def test_signs_on_a_shared_point_match_the_fraction_root_walk(case):
     # queries in any order, at budgets raised and lowered in between, on one point
+    # each outcome is a fresh point's at the budget of the moment: nothing
+    # is remembered, and a held window deeper than the budget is not read
     windows, queries = case
-    pt, decided = ParamPoint(_GrowingRefiner(windows)), {}
+    pt = ParamPoint(_GrowingRefiner(windows))
     for e, budget in queries:
         pt.budget = budget
         expected = _outcome(_reference_sign, ParamPoint(_GrowingRefiner(windows), budget=budget), e)
-        # a decided sign is remembered whatever the budget asked again at
-        expected = decided.get(e, expected)
         assert _outcome(pt.sign, e) == expected
-        if expected[0] == "decided":
-            decided[e] = expected
 
 
 # --- decimals that jump ahead, against the level-by-level walk ---------------
@@ -519,8 +513,8 @@ def test_eval_decimal_prefix_consistency(ex1_pt):
 
 
 def test_eval_decimal_memo_matches_fresh_points(ex1_template, tm):
-    # a remembered answer is what a fresh point gives, however deep the
-    # chain has been refined since; the digit count is part of the key
+    # an answer asked again is what a fresh point gives, however deep the
+    # chain has been refined since, and it depends on the digit count
     from sepkit import param_point
 
     forms = [AffineExpr(F(-n, 7 * n + 1), F(n)) for n in range(1, 20)]
@@ -539,13 +533,31 @@ def test_eval_decimal_undecided_is_not_remembered(ex1_template, tm):
 
     pt = param_point(ex1_template, tm, budget=2)
     seven_a = AffineExpr.parameter(7)
-    with pytest.raises(Undecided):
+    with pytest.raises(Undecided) as first:
         pt.eval_decimal(seven_a, 40)
-    assert not pt._decimal_cache
+    with pytest.raises(Undecided) as again:
+        pt.eval_decimal(seven_a, 40)
+    assert str(again.value) == str(first.value)
     pt.budget = DEFAULT_SIGN_BUDGET
     assert pt.eval_decimal(seven_a, 40) == param_point(ex1_template, tm).eval_decimal(
         seven_a, 40
     )
+
+
+def test_rational_literal_size_is_capped():
+    from sepkit.exact import MAX_LITERAL_DIGITS, rational_from_str
+
+    assert MAX_LITERAL_DIGITS == 4300
+    # the text's length plus its exponent: 6 + 4294
+    assert rational_from_str("1e4294") == 10**4294
+    assert rational_from_str("-2.5E-3") == F(-1, 400)
+    assert rational_from_str(" 3/7 ") == F(3, 7)
+    for text in ("1e4295", "1E-4295", "0.5e+4299", "7" * 4301, "1/" + "7" * 4299,
+                 "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="exceeds 4300 digits"):
+            rational_from_str(text)
+    with pytest.raises(ValueError):
+        rational_from_str("1e")
 
 
 def test_rational_param_is_exact():

@@ -484,12 +484,31 @@ def test_oracle_asks_only_sign_queries_the_recursion_asks(which, seed, depth):
     queries = _queries(sys, example_point(which), 6)
     asked = []
     for oracle_type in (OverlapOracle, RecursiveOverlapOracle):
-        pt = example_point(which)
+        pt = _RecordingPoint(example_point(which))
         oracle = oracle_type(OpenSetApprox(sys, seed, depth), pt)
         for v in queries:
             oracle.overlaps(v)
-        asked.append(set(pt._sign_cache))
+        asked.append(pt.asked)
     assert asked[0] <= asked[1]
+
+
+class _RecordingPoint:
+    """A point that answers as ``pt`` and keeps the non-constant sign queries
+    it is asked, as ``(P, Lp, Q, Lq)``."""
+
+    def __init__(self, pt):
+        self.pt, self.asked = pt, set()
+
+    def __getattr__(self, name):
+        return getattr(self.pt, name)
+
+    def sign(self, e):
+        return self.sign_lattice(e.p.numerator, e.p.denominator, e.q.numerator, e.q.denominator)
+
+    def sign_lattice(self, P, Lp, Q, Lq):
+        if Q != 0:
+            self.asked.add((P, Lp, Q, Lq))
+        return self.pt.sign_lattice(P, Lp, Q, Lq)
 
 
 def test_undecided_query_is_not_remembered():

@@ -499,7 +499,7 @@ def _oracle_endpoint_separation(sys, pt, max_level, threshold, include_mixed_in_
             for delta in (-1, 0, 1):
                 value = disp.value.shift(delta)
                 witness = (disp.witness[1], disp.witness[0], delta)
-                if value.p == 0 and value.q == 0:
+                if pt.sign(value) == 0:
                     if delta != 0:
                         equal_pairs.append(witness)
                     continue
@@ -904,7 +904,7 @@ def _screen_point(kind, depth):
     full chain, read about 15 levels deep by a decimal, then the budget
     lowered below the held level; "full": its full chain; a Fraction: that
     rational point.  Each side of the test builds its own, so both start
-    from the same sign cache and held window.
+    from the same held window.
     """
     if kind == "short":
         return _short_point(1, depth)
@@ -1282,6 +1282,38 @@ def test_endpoint_mixed_gaps_are_small_and_reported(ex1_sys, ex1_pt):
     assert report.mixed.min_abs == one_minus_7a
     strict = endpoint_separation(ex1_sys, ex1_pt, 2, F(4, 7), include_mixed_in_verdict=True)
     assert not strict.passed
+
+
+def test_endpoint_pick_of_value_zero_is_an_equal_pair(ex1_sys):
+    # at a = 1/8 the mixed pick -7 + 56*a of ("22", "13") is exactly 0: the
+    # cylinders touch end to end, which is allowed, not a violation of size 0
+    report = endpoint_separation(ex1_sys, RationalParam(F(1, 8)), 2, F(4, 7))
+    assert report.mixed.min_abs == AffineExpr(F(1), F(-7))
+    assert tuple(map(str, report.mixed.min_witness[:2])) == ("2", "1")
+    assert report.mixed.min_witness[2] == -1
+    assert report.mixed.violations == 4
+    assert [(str(s), str(t), d) for s, t, d in report.equal_pairs] == [
+        ("22", "13", -1), ("13", "22", 1)
+    ]
+
+
+def test_endpoint_check_tests_each_value_once(monkeypatch):
+    # each level adds a few new values, and each value is tested at its
+    # first level only, so doubling the levels about doubles the sign
+    # queries; testing every value at every level makes it about four times
+    sys, counts = example_template(1).system, []
+    sign_lattice = ParamPoint.sign_lattice
+
+    def counted(self, *form):
+        counts[-1] += 1
+        return sign_lattice(self, *form)
+
+    monkeypatch.setattr(ParamPoint, "sign_lattice", counted)
+    for levels in (50, 100, 200):
+        counts.append(0)
+        endpoint_separation(sys, example_point(1, budget=5000), levels, F(4, 7))
+    assert counts[1] <= 2.2 * counts[0] and counts[2] <= 2.2 * counts[1]
+    assert counts[2] <= 6000
 
 
 @pytest.mark.parametrize("which,level", [(1, 3), (2, 2)])

@@ -91,11 +91,13 @@ def parse_sequence(spec: str) -> DrivingSequence:
 
 
 def parse_seed(spec: str) -> RationalInterval:
+    ends = spec.split(":")
+    if len(ends) != 2:
+        raise UsageError(f"bad seed {spec!r}; expected LO:HI rationals")
     try:
-        lo, hi = spec.split(":")
-        return RationalInterval(rational_from_str(lo), rational_from_str(hi))
-    except ValueError as exc:
-        raise UsageError(f"bad seed {spec!r}; expected LO:HI rationals") from exc
+        return RationalInterval(*map(rational_from_str, ends))
+    except ValueError as exc:  # the cause: a bad rational, or an empty interval
+        raise UsageError(f"bad seed {spec!r}: {exc}") from exc
 
 
 def load_template(path: str) -> ConstructionTemplate:

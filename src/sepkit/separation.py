@@ -23,6 +23,13 @@ the smallest displacement and the endpoint check), the convex
 neighbourhood-type automaton and the open-set overlap oracle all read
 their children from it; the exact overlap scan needs no parameter
 point at all.
+
+The displacement search hands each level to its reader as it finds it,
+with the ids of the values that level adds.  The smallest displacement
+and the endpoint check read each level once and drop it, so they hold
+one level at a time; the search alone decides which ``Undecided`` a
+request raises when a bound test and a reader's own test both stay
+undecided.
 """
 
 from __future__ import annotations
@@ -282,18 +289,30 @@ class Displacement:
 
 
 def _search(memo: _PointMemo, max_level: int):
-    """Yield each level's in-bound displacements, levels 1..max_level.
+    """Yield each level's in-bound displacements, levels 1..max_level, as they are found.
 
-    A level is {value id: (sigma, tau, (P, Q), form)} in discovery
-    order: parents are expanded in witness order, each with its children
-    in (i, j) order, and a value keeps the first pair that reaches it.
-    The words sigma and tau are bytes, one byte per symbol.  A bound
-    test that stays undecided raises ``Undecided`` naming the level.
+    A level comes as (level, new): the level is {value id: (sigma, tau,
+    (P, Q), form)} in discovery order, where parents are expanded in
+    witness order, each with its children in (i, j) order, and a value
+    keeps the first pair that reaches it.  The words sigma and tau are
+    bytes, one byte per symbol.  Prefixing one symbol to both words
+    keeps a displacement, so each level holds every value of the levels
+    before it, and ``new``, the range of ids the level assigns, is
+    exactly its new values in discovery order.  A bound test that stays
+    undecided raises ``Undecided`` naming the level.
+
+    A reader whose own test of a level stays undecided hands that
+    ``Undecided`` back with ``throw``.  The search then yields no more
+    levels but runs the bound tests of the rest, raises the first that
+    stays undecided, and otherwise raises the reader's; so a request
+    reports the error it would report had every bound test run first,
+    however its levels are read.
     """
     symbol = [bytes((s,)) for s in range(256)]
     current = [(b"", b"", _ZERO_STATE)]
+    held = None  # the reader's Undecided, raised once every bound test has run
     for level in range(1, max_level + 1):
-        nxt: dict = {}
+        start, nxt = len(memo.keys), {}
         try:
             for sigma, tau, point in current:
                 for i, j, child, node in memo.children(point):
@@ -302,26 +321,14 @@ def _search(memo: _PointMemo, max_level: int):
         except Undecided as exc:
             exc.level = level
             raise
-        yield nxt
+        if held is None:
+            try:
+                yield nxt, range(start, len(memo.keys))
+            except Undecided as exc:
+                held = exc
         current = sorted(entry[:3] for entry in nxt.values())
-
-
-def _first_appearances(memo: _PointMemo, max_level: int) -> list[tuple[dict, list]]:
-    """Every level of ``_search`` with the values it adds: (level, [(value id, entry)]).
-
-    All bound tests run before the caller compares anything, so the
-    first sign query that stays undecided does not depend on how the
-    levels are consumed.  Prefixing one symbol to both words keeps a
-    displacement, so each level holds every value of the levels before
-    it, and the ids its search assigns are exactly its new values, in
-    discovery order; a value the caller tests at its first level need
-    not be tested again.
-    """
-    levels, start = [], len(memo.keys)
-    for level in _search(memo, max_level):
-        levels.append((level, [(i, level[i]) for i in range(start, len(memo.keys))]))
-        start = len(memo.keys)
-    return levels
+    if held is not None:
+        raise held
 
 
 def displacement_levels(
@@ -346,7 +353,7 @@ def displacement_levels(
             memo.keys[ident]: Displacement(form, (Word(sigma), Word(tau)))
             for ident, (sigma, tau, _, form) in level.items()
         }
-        for level in _search(memo, max_level)
+        for level, _ in _search(memo, max_level)
     ]
 
 
@@ -373,13 +380,18 @@ class WspResult:
     per_level: tuple[WspLevelMinimum | None, ...]
 
     def to_json(self, pt: Param) -> dict:
+        """The report; the entries share a few minima, so each |v| gets its decimal once."""
+        decimals: dict[AffineExpr, str] = {}
+
         def entry(item):
             if item is None:
                 return None
+            if item.abs_value not in decimals:
+                decimals[item.abs_value] = _decimal_at(pt, item.abs_value, item.level)
             return {
                 "level": item.level,
                 "abs_value": item.abs_value.to_json(),
-                "abs_decimal": _decimal_at(pt, item.abs_value, item.level),
+                "abs_decimal": decimals[item.abs_value],
                 "witness": [str(item.displacement.witness[0]), str(item.displacement.witness[1])],
             }
 
@@ -405,7 +417,10 @@ def wsp_min_displacement(sys: IfsSystem, pt: Param, max_level: int) -> WspResult
     from its own lattice point, since at a rational point one value has
     many forms.  Magnitudes and their comparisons are sign queries on
     integer lattice points; only the reported minima are built as forms
-    and words.
+    and words.  Each level is read once, as the search finds it, and
+    then dropped; a comparison that stays undecided names its level and
+    is handed back to the search, which runs the remaining bound tests
+    first (``_search``).
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
@@ -417,9 +432,11 @@ def wsp_min_displacement(sys: IfsSystem, pt: Param, max_level: int) -> WspResult
     tied: list[int] = []  # the value ids at that magnitude
     best_level = 0  # where the smallest |v| of all first appears
     per_level: list[WspLevelMinimum | None] = []
-    for index, (level, new) in enumerate(_first_appearances(memo, max_level), start=1):
+    levels = _search(memo, max_level)
+    for index, (level, new) in enumerate(levels, start=1):
         try:
-            for ident, (_, _, (P, Q), _) in new:
+            for ident in new:
+                P, Q = level[ident][2]
                 if sign(P, lp, Q, lq) < 0:
                     P, Q = -P, -Q
                 order = -1 if least is None else sign(P - least[0], lp, Q - least[1], lq)
@@ -430,13 +447,12 @@ def wsp_min_displacement(sys: IfsSystem, pt: Param, max_level: int) -> WspResult
             if not tied:
                 per_level.append(None)
                 continue
-            entries = (level[ident] for ident in tied)
-            sigma, tau, (P, Q), form = min(entries, key=itemgetter(0, 1))
+            sigma, tau, (P, Q), form = min((level[i] for i in tied), key=itemgetter(0, 1))
             if sign(P, lp, Q, lq) < 0:
                 P, Q = -P, -Q
         except Undecided as exc:
             exc.level = index
-            raise
+            levels.throw(exc)  # raises, after the remaining bound tests
         per_level.append(WspLevelMinimum(
             index, Displacement(form, (Word(sigma), Word(tau))), lattice.form((P, Q))
         ))
@@ -942,9 +958,15 @@ def endpoint_separation(
     level's first witness: its sign, its comparison with the bucket's
     smallest |value| so far and its threshold test.  A value that
     violates counts once for each level from its first to ``max_level``,
-    and a touching value lists an equal pair at each of them.  A test of
-    an entry that stays undecided raises ``Undecided`` naming the
-    entry's level and its word pair, in its report witness's order.
+    and a touching value lists an equal pair at each of them.  Each
+    level is read once, as the search finds it, and then dropped: its new
+    values' signs are asked and its touching values' equal pairs listed
+    in that pass, and only each value's bucket entry is kept for the
+    comparisons and threshold tests that follow.  A test of an entry
+    that stays undecided raises ``Undecided`` naming the entry's level
+    and its word pair, in its report witness's order; a sign asked
+    during the pass is handed back to the search, which runs the
+    remaining bound tests first (``_search``).
     """
     threshold = Fraction(threshold)
     if threshold <= 0:
@@ -952,37 +974,35 @@ def endpoint_separation(
     lattice = DisplacementLattice(sys)
     lp, lq = lattice.lp, lattice.lq
     memo = _PointMemo(lattice, pt, 1 + threshold, strict=False)
-    levels = _first_appearances(memo, max_level)
     # identical endpoints come from identical maps (zero displacement) or
     # from cylinders touching end to end (a mixed pick of value exactly 0)
     scan = exact_overlap_scan(sys, max_level)
-    equal_pairs: list[tuple[Word, Word, int]] = [
-        (o.left, o.right, 0) for o in scan.overlaps + scan.derived
-    ]
+    equal_pairs = [(o.left, o.right, 0) for o in scan.overlaps + scan.derived]
     # (|value| as a lattice point, sigma, tau, delta) for corresponding
     # and for mixed picks, each value's at its first level; the value of
     # (sigma, tau) shifted by delta
-    same: list[tuple] = []
-    mixed: list[tuple] = []
+    same, mixed = [], []
     touching: dict[int, int] = {}  # value id -> delta of its mixed pick of value 0
-    for _, new in levels:
-        for ident, (sigma, tau, (P, Q), _) in new:
+    levels = _search(memo, max_level)
+    for level, new in levels:
+        for ident in new:
+            sigma, tau, (P, Q), _ = level[ident]
             for delta in (-1, 0, 1):
                 shifted = P + delta * lp
                 try:
                     sign = pt.sign_lattice(shifted, lp, Q, lq)
                 except Undecided as exc:
                     exc.level, exc.words = len(sigma), (Word(tau), Word(sigma))
-                    raise
+                    levels.throw(exc)  # raises, after the remaining bound tests
                 if sign == 0:
                     if delta != 0:
                         touching[ident] = delta
                     continue
                 point = (shifted, Q) if sign > 0 else (-shifted, -Q)
                 (mixed if delta else same).append((point, sigma, tau, delta))
-    if touching:  # listed at every level, with that level's words
-        equal_pairs += [(Word(tau), Word(sigma), touching[ident]) for level, _ in levels
-                        for ident, (sigma, tau, _, _) in level.items() if ident in touching]
+        if touching:  # listed at every level, with that level's words
+            equal_pairs += [(Word(tau), Word(sigma), touching[ident])
+                            for ident, (sigma, tau, _, _) in level.items() if ident in touching]
 
     # |value| <= threshold is the sign of |value| - n/d over Lp*d, as in ``within``
     n, d = threshold.numerator, threshold.denominator

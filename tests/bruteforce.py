@@ -34,7 +34,7 @@ from sepkit import (
     map_at_zero,
 )
 from sepkit.construction import ConstructionTemplate, EmptyRefinement, RefinementOption
-from sepkit.exact import AFFINE_ZERO, RefinementExhausted
+from sepkit.exact import AFFINE_ZERO, RefinementExhausted, Undecided
 from sepkit.ifs import EMPTY_WORD
 from sepkit.separation import (
     DISPLAY_DIGITS,
@@ -213,16 +213,19 @@ def word_type(automaton: TypeAutomaton, word: Word) -> tuple[AffineExpr, ...]:
 def reference_search(memo, max_level: int):
     """The displacement search that re-expands every in-bound parent at every level.
 
-    A drop-in for ``separation._search``: the same levels, in the same
-    order, from the same bound tests, but each parent's children are
-    stepped and looked up in ``memo`` afresh, level after level.
+    A drop-in for ``separation._search``: the same levels with the ids
+    they add, in the same order, from the same bound tests, and a
+    reader's thrown ``Undecided`` held until every bound test has run;
+    but each parent's children are stepped and looked up in ``memo``
+    afresh, level after level.
     """
     lattice = memo.lattice
     m = lattice.m
     steps = [(bytes((i,)), bytes((j,)), dp, dq) for i, j, dp, dq in lattice.steps]
     current = [(b"", b"", (0, 0))]
+    held = None
     for _ in range(max_level):
-        nxt: dict = {}
+        start, nxt = len(memo.keys), {}
         for sigma, tau, (vp, vq) in current:
             vp, vq = m * vp, m * vq
             for i, j, dp, dq in steps:
@@ -230,8 +233,14 @@ def reference_search(memo, max_level: int):
                 node = memo[point]
                 if node is not None and node.ident not in nxt:
                     nxt[node.ident] = (sigma + i, tau + j, point, node.form)
-        yield nxt
+        if held is None:
+            try:
+                yield nxt, range(start, len(memo.keys))
+            except Undecided as exc:
+                held = exc
         current = sorted(entry[:3] for entry in nxt.values())
+    if held is not None:
+        raise held
 
 
 class ReferenceTypeAutomaton(TypeAutomaton):
@@ -268,13 +277,14 @@ def sorting_wsp_min_displacement(sys: IfsSystem, pt: Param, max_level: int) -> W
 
     Each level's nonzero values are walked in witness order and the
     first smallest |v| is kept; a level's minimum replaces the overall
-    one when it is strictly smaller.  All bound tests run first.
+    one when it is strictly smaller.  All bound tests run first: every
+    level is kept before any is compared.
     """
     lattice = DisplacementLattice(sys)
     lp, lq = lattice.lp, lattice.lq
     memo = _PointMemo(lattice, pt, Fraction(1), strict=True)
     zero = memo.value_id(AFFINE_ZERO)
-    levels = list(_search(memo, max_level))
+    levels = [level for level, _ in _search(memo, max_level)]
     best = None  # (|v| as a lattice point, its WspLevelMinimum)
     per_level = []
     for index, level in enumerate(levels, start=1):

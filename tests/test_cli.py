@@ -461,12 +461,29 @@ def test_huge_literals_are_usage_errors(tmp_path, capsys):
         capsys, "verify", "osc", "--example", "1", "--seed", "1e-99999:1/2", "--depth", "2"
     )
     assert (code, out) == (2, "")
-    assert err == "sepkit: bad seed '1e-99999:1/2'; expected LO:HI rationals\n"
+    assert err == "sepkit: bad seed '1e-99999:1/2': rational '1e-99999' exceeds 4300 digits\n"
     path = tmp_path / "template.json"
     path.write_text(json.dumps({**SEVENTHS, "initial_J": {"lo": "0/1", "hi": "1e99999"}}))
     code, out, err = run_cli(capsys, "construct", "--template", str(path), "--depth", "3")
     assert (code, out) == (2, "")
     assert err == "sepkit: bad template: rational '1e99999' exceeds 4300 digits\n"
+
+
+@pytest.mark.parametrize("spec,cause", [
+    ("3/7", "; expected LO:HI rationals"),
+    ("3/7:1/2:4/7", "; expected LO:HI rationals"),
+    ("1e-99999:1/2", ": rational '1e-99999' exceeds 4300 digits"),
+    ("1/0:1/2", ": zero denominator in '1/0'"),
+    ("1/2:1/3", ": empty interval (1/2, 1/3)"),
+    ("x:1/2", ": Invalid literal for Fraction: 'x'"),
+])
+def test_bad_seed_names_its_cause(capsys, spec, cause):
+    # a seed of two parts is refused for the cause the parser or the interval gives
+    code, out, err = run_cli(
+        capsys, "verify", "osc", "--example", "1", "--seed", spec, "--depth", "2"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"sepkit: bad seed {spec!r}{cause}\n"
 
 
 def test_empty_driving_sequence_is_usage_error(tmp_path, capsys):

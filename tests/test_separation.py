@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 from functools import cmp_to_key
@@ -132,6 +133,21 @@ def test_wsp_running_minimum_matches_sorting_every_level(which, value):
     assert wsp_min_displacement(sys, pt, 600) == sorting_wsp_min_displacement(sys, pt, 600)
 
 
+@pytest.mark.parametrize("which,levels", [(1, 300), (2, 50)])
+def test_wsp_report_evaluates_each_minimum_once(which, levels):
+    # the per-level entries repeat the running minimum, so the report asks
+    # one decimal per distinct |v| (4 and 1 here), not one per level
+    sys, pt = example_template(which).system, example_point(which, budget=5000)
+    result = wsp_min_displacement(sys, pt, levels)
+    distinct = {item.abs_value for item in (result.minimum, *result.per_level) if item}
+    with mock.patch.object(pt, "eval_decimal", wraps=pt.eval_decimal) as asked:
+        report = result.to_json(pt)
+    assert asked.call_count == len(distinct) <= 4
+    assert [item["abs_decimal"] for item in report["per_level"]] == [
+        pt.eval_decimal(item.abs_value, separation.DISPLAY_DIGITS) for item in result.per_level
+    ]
+
+
 @pytest.mark.parametrize("which,value,levels", [(1, F(1, 8), 300), (2, None, 100)])
 def test_wsp_sign_queries_grow_with_the_levels(which, value, levels):
     # each value is compared when it first appears, so doubling the levels
@@ -213,7 +229,8 @@ def test_displacement_sets_grow_by_the_scaled_gap(which):
     memo = separation._PointMemo(separation.DisplacementLattice(tmpl.system), pt, F(1), True)
     zero = pt.canonical_key(AffineExpr.constant(0))
     previous = {zero}
-    for k, (level, state) in enumerate(zip(separation._search(memo, 100), run.states), start=1):
+    levels = separation._search(memo, 100)
+    for k, ((level, _), state) in enumerate(zip(levels, run.states), start=1):
         assert state.level == k
         values = {memo.keys[ident] for ident in level}
         u = state.scaled_gap
@@ -1201,6 +1218,76 @@ def test_endpoint_undecided_names_the_entry():
     with pytest.raises(Undecided) as raised:
         report.to_json(pt)
     assert raised.value.level == 1
+
+
+class _TrippingPoint:
+    """A point that answers as ``pt``, except that the sign queries ``trips``
+    stay undecided; it holds no window, so every bound test is a sign query."""
+
+    def __init__(self, pt, trips):
+        self.pt, self.trips = pt, trips
+
+    def sign_lattice(self, *form):
+        if form in self.trips:
+            raise Undecided(f"sign of {form} tripped", 0)
+        return self.pt.sign_lattice(*form)
+
+    def held_ends(self):
+        return None
+
+    def canonical_key(self, e):
+        return self.pt.canonical_key(e)
+
+
+def test_endpoint_check_raises_a_later_bound_test_before_its_own():
+    # a pick's sign stays undecided at level 2 and a child's bound test at
+    # level 4: the search runs every bound test before the check's own
+    # Undecided is raised, so the level-4 test's is, as when every level
+    # was searched before any pick was tested
+    sys, threshold = example_template(1).system, F(4, 7)
+    bound = 1 + threshold
+    lattice = DisplacementLattice(sys)
+    lp, lq, n, d = lattice.lp, lattice.lq, bound.numerator, bound.denominator
+    found = displacement_levels(sys, example_point(1), 4, bound, False)
+
+    def first_new_point(level):
+        new = [disp for key, disp in found[level - 1].items() if key not in found[level - 2]]
+        return lattice.point(new[0].value)
+
+    P, Q = first_new_point(2)
+    pick = (P, lp, Q, lq)  # its corresponding pick's sign
+    P, Q = first_new_point(4)
+    test = (P * d + n * lp, lp * d, Q, lq)  # the first half of its bound test
+    with pytest.raises(Undecided) as raised:
+        endpoint_separation(sys, _TrippingPoint(example_point(1), {pick, test}), 4, threshold)
+    assert str(raised.value) == f"sign of {test} tripped (refined to depth 0)"
+    assert (raised.value.level, raised.value.words) == (4, None)
+    # alone, the pick's sign is the check's own, named by its entry
+    with pytest.raises(Undecided) as raised:
+        endpoint_separation(sys, _TrippingPoint(example_point(1), {pick}), 4, threshold)
+    assert str(raised.value) == f"sign of {pick} tripped (refined to depth 0)"
+    assert raised.value.level == 2
+    tau, sigma = raised.value.words
+    assert (sigma, tau) in [disp.witness for disp in found[1].values()]
+
+
+@pytest.mark.parametrize("fn,which,extra", [
+    (wsp_min_displacement, 1, ()),
+    (wsp_min_displacement, 2, ()),
+    (endpoint_separation, 1, (F(4, 7),)),
+])
+def test_deep_search_readers_hold_one_level(fn, which, extra):
+    # WSP and the endpoint check read each level as the search finds it and
+    # drop it: at 120 levels they peak near 0.6 MB, and holding every level
+    # would take 5 to 7 MB
+    sys, pt = example_template(which).system, example_point(which)
+    tracemalloc.start()
+    try:
+        fn(sys, pt, 120, *extra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 # --- distinctness ---------------------------------------------------------------

@@ -107,11 +107,17 @@ def load_template(path: str) -> ConstructionTemplate:
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot load template: {exc}") from exc
 
+    def field(entry, key: str, kind: type, name: str):
+        # JSON true is a Python int, so the type is matched exactly
+        if type(entry[key]) is not kind:
+            raise ValueError(f"{key} {json.dumps(entry[key])} is not a JSON {name}")
+        return entry[key]
+
     def option(entry) -> RefinementOption:
         return RefinementOption(
-            swap=bool(entry["swap"]),
-            append_left=int(entry["append_sigma"]),
-            append_right=int(entry["append_tau"]),
+            swap=field(entry, "swap", bool, "boolean"),
+            append_left=field(entry, "append_sigma", int, "integer"),
+            append_right=field(entry, "append_tau", int, "integer"),
         )
 
     try:
@@ -123,7 +129,7 @@ def load_template(path: str) -> ConstructionTemplate:
             option1=option(data["option1"]),
             option2=option(data["option2"]),
             fixed_prefix=tuple(option(e) for e in data.get("fixed_prefix", [])),
-            name=data.get("name", "custom"),
+            name=field({"name": "custom", **data}, "name", str, "string"),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise UsageError(f"bad template: {exc}") from exc

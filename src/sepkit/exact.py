@@ -89,12 +89,15 @@ def rational_to_str(x: Fraction) -> str:
 def rational_from_str(text: str) -> Fraction:
     """Parse ``"num/den"`` (or a bare integer / decimal literal).
 
-    Raises ``ValueError`` for text that is not a rational, a zero
+    Raises ``ValueError`` for a value that is not a string (a JSON
+    number included), for text that is not a rational, a zero
     denominator included, and, before any integer is built, for text
     whose length plus its decimal exponent exceeds
     ``MAX_LITERAL_DIGITS``: no numerator or denominator the text stands
     for has more digits than that sum.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"rational {text!r} is not a string such as '3/7'")
     text = text.strip()
     exponent = _EXPONENT.search(text) if len(text) <= MAX_LITERAL_DIGITS else None
     if len(text) + (abs(int(exponent[1])) if exponent else 0) > MAX_LITERAL_DIGITS:

@@ -49,7 +49,10 @@ class Word:
 
         One trailing comma is allowed; ``str`` writes one after a lone
         symbol of 10 or more, so that ``"10,"`` is one symbol, not ``1, 0``.
+        A value that is not a string raises ``ValueError``.
         """
+        if not isinstance(text, str):
+            raise ValueError(f"word {text!r} is not a string such as '12'")
         text = text.strip()
         if not text:
             return Word()
@@ -169,8 +172,11 @@ class IfsSystem:
 
     @staticmethod
     def from_json(data: dict) -> "IfsSystem":
+        m = data["ratio_denominator"]
+        if type(m) is not int:
+            raise ValueError(f"ratio_denominator {m!r} is not a JSON integer")
         return IfsSystem(
-            int(data["ratio_denominator"]),
+            m,
             tuple(AffineExpr.from_json(entry) for entry in data["offsets"]),
         )
 

@@ -11,10 +11,12 @@ cache (``_PointMemo``), on a lattice with the seed ends' denominators
 joined in.  The base cases, the seed against the deeper family
 translated by v, are one walk down the cylinder tree started at
 seed - v.  Every comparison is one integer sign query at the parameter
-point, except the child cache's bound and near tests, which are mostly
-decided on the integer ends of the window the point holds; both
-searches run depth first on explicit stacks, so the truncation depth
-is not bounded by the Python stack.  Nearly every point
+point, except the child cache's bound tests, which are mostly decided
+on the integer ends of the window the point holds; the family search
+asks a point's near test (|v| below the seed width) itself, when it
+first reaches the point.  Both searches run depth first on explicit
+stacks, so the truncation depth is not bounded by the Python stack.
+Nearly every point
 the family search expands is pass-through, with one child in bound and
 no walk to start, and a run of such points, as long as the truncation
 depth, is answered in one step at any budget.  Everything is
@@ -35,7 +37,6 @@ from .separation import (
     CensusResult,
     DisplacementLattice,
     _Node,
-    _inside_at_ends,
     _PointMemo,
     census_states,
 )
@@ -92,14 +93,19 @@ _SEARCH = object()
 
 
 class _Family(_Node):
-    """A node of the family search: what it has decided about one in-bound point."""
+    """A node of the family search: what it has decided about one in-bound point.
+
+    The child cache builds it from the point alone; the search decides
+    near when it first reaches the point, and the rest as it goes.
+    """
 
     __slots__ = ("near", "empty", "run")
 
-    def __init__(self, near: bool):
+    def __init__(self):
         super().__init__()
-        #: |v| below the seed width: seed ∩ (seed + v) != 0 at every budget
-        self.near = near
+        #: |v| below the seed width, so seed ∩ (seed + v) != 0 at every
+        #: budget; None until the search first reaches the point
+        self.near = None
         #: the largest budget at which the families are proved disjoint
         self.empty = 0
         #: for a pass-through point, (end point, end node, length) of the
@@ -108,34 +114,12 @@ class _Family(_Node):
 
 
 class _FamilyMemo(_PointMemo):
-    """The family search's child cache: families live in (0,1), so the bound is 1.
+    """The family search's child cache, built with the bound 1 (families live
+    in (0,1)); it keeps only its node type, ``_Family``, whose near test the
+    search asks when it first reaches the point."""
 
-    A child the screen put in bound is tested for near on the same
-    window ends, against the seed width's ends, and takes the exact test
-    only when the window does not decide.
-    """
-
-    def __init__(self, lattice: DisplacementLattice, pt: Param, width: Fraction):
-        super().__init__(lattice, pt, Fraction(1), strict=True)
-        self.width = width
-        self._near = None
-
-    def _hold(self, window: tuple[int, int, int, int, int]) -> None:
-        super()._hold(window)
-        # with the bound 1 a point's end value is over Lp*Lq*den, so |v| is
-        # below the width n/d where d times it is below n*Lp*Lq*den
-        scale = self.width.numerator * self.lattice.lp * self.lattice.lq
-        self._near = (scale * window[2], scale * window[4])
-
-    def _node(self, point: tuple[int, int], ends: tuple[int, int] | None = None) -> _Family:
-        # seed ∩ (seed + v): |v| below the seed width
-        near = None
-        if ends is not None:
-            d = self.width.denominator
-            near = _inside_at_ends(d * ends[0], d * ends[1], *self._near, True)
-        if near is None:
-            near = self.lattice.within(self.pt, point, self.width)
-        return _Family(near)
+    def _node(self, point: tuple[int, int]) -> _Family:
+        return _Family()
 
 
 class OverlapOracle:
@@ -153,16 +137,18 @@ class OverlapOracle:
     ends' denominators joined in: a shift is a lattice point (P, Q), an
     interval is (Plo, Phi, Q), and every comparison is one integer sign
     query at the point, or integer comparisons on the ends of a window
-    that holds it (the child cache's bound and near tests), so answers
-    are exact for the computable parameter.
+    that holds it (the child cache's bound test), so answers are exact
+    for the computable parameter.
 
-    Each lattice point is decided once, in the child cache: in bound,
-    near, its in-bound children as far as the search reached them, and
-    the largest budget at which its families are proved disjoint (a
-    smaller budget searches a subset).  A hit is not kept, since its
-    witness depends on the budget: asked again, it is found again from
-    these facts and the cached walks.  A pass-through point
-    (not near, both walk intervals missing (0,1), every step scanned and
+    Each lattice point is decided once: in bound, by the child cache,
+    which builds its node from the point alone; near, by the search
+    when it first reaches the point, through ``DisplacementLattice.within``
+    at the seed width; its in-bound children as far as the search
+    reached them; and the largest budget at which its families are
+    proved disjoint (a smaller budget searches a subset).  A hit is not
+    kept, since its witness depends on the budget: asked again, it is
+    found again from these facts and the cached walks.  A pass-through
+    point (not near, both walk intervals missing (0,1), every step scanned and
     exactly one child in bound) answers at budget b what its child
     answers at b - 1, so a run of them is answered in one step: the
     run's first point keeps its end and its length d, and answers None
@@ -194,7 +180,9 @@ class OverlapOracle:
         self._ends = (AffineExpr.constant(seed.lo), AffineExpr.constant(seed.hi))
         self.lattice = lattice or DisplacementLattice(self.sys, self._ends)
         self._seed = tuple(self.lattice.point(end)[0] for end in self._ends)
-        self._points = _FamilyMemo(self.lattice, pt, seed.width)
+        # the near test's bound, kept since ``width`` subtracts on every read
+        self._width = seed.width
+        self._points = _FamilyMemo(self.lattice, pt, Fraction(1), strict=True)
         #: interval (lo, hi, Q) -> its shortest word, or the largest budget
         #: proved empty (infinite for an interval missing (0,1))
         self._walks: dict[tuple[int, int, int], Word | int | float] = {}
@@ -220,7 +208,7 @@ class OverlapOracle:
         [point, node, budget, next child, run] frames, ``run`` the
         (first node, length) of the run that led to the frame's point;
         the first hit is the first on every frame's path, so it winds
-        straight up.
+        straight up, and its words are read off that path (``_path``).
         """
         points, stack = self._points, []
         # the child (i, j, point, node) under test below the top frame, or
@@ -244,18 +232,12 @@ class OverlapOracle:
                     continue
                 frame[3] = k + 1
                 probe = children[k]
-                _, _, point, node = probe
+                i, j, point, node = probe
                 answer = self._known_family(point, node, budget - 1)
                 if type(answer) is list:
                     stack.append(answer)
                 elif answer is not None:
-                    w1, w2 = answer
-                    for _, node, _, k, run in reversed(stack):
-                        i, j, _, _ = node.children[k - 1]
-                        w1, w2 = Word.of(i) + w1, Word.of(j) + w2
-                        if run is not None:
-                            w1, w2 = _behind(run, w1, w2)
-                    return (w1, w2)
+                    return _path(stack, i, j, *answer)
             return None
         except Undecided as exc:
             exc.words = self._undecided_words((P, Q), stack, probe)
@@ -266,6 +248,9 @@ class OverlapOracle:
         [point, node, budget, 0, run] frame that searches them, past the point's run."""
         if node is None:
             return None
+        if node.near is None:
+            # seed ∩ (seed + v): |v| below the seed width
+            node.near = self.lattice.within(self.pt, point, self._width)
         if node.near:
             answer = (EMPTY_WORD, EMPTY_WORD)
         elif budget <= node.empty:
@@ -314,20 +299,12 @@ class OverlapOracle:
         elif stack:
             (i, j, _, _), node = self.lattice.steps[stack[-1][1].scanned], None
         else:
-            i, node = None, self._points.get(root)
+            i, j, node = None, None, self._points.get(root)
         w1 = w2 = EMPTY_WORD
         if node is not None and node.run is not None:
             # a run is followed to its end before the end is tested
             w1, w2 = _behind((node, node.run[2]), w1, w2)
-        if i is not None:
-            w1, w2 = Word.of(i) + w1, Word.of(j) + w2
-        for depth, (_, node, _, k, run) in enumerate(reversed(stack)):
-            if depth:
-                i, j, _, _ = node.children[k - 1]
-                w1, w2 = Word.of(i) + w1, Word.of(j) + w2
-            if run is not None:
-                w1, w2 = _behind(run, w1, w2)
-        return w1, w2
+        return _path(stack, i, j, w1, w2)
 
     def _interval_vs_family(self, lo: int, hi: int, Q: int, budget: int) -> Word | None:
         """Shortest word w, |w| <= budget, with (lo, hi) ∩ S_w(seed) != 0, if any.
@@ -406,6 +383,18 @@ def _run_end(node: _Family) -> tuple:
     for start, at in path:
         start.run = (end, node, d - at)
     return path[0][0].run
+
+
+def _path(stack: list, i: int, j: int, w1: Word, w2: Word) -> tuple[Word, Word]:
+    """(w1, w2) behind the words of the search path to the step (i, j) out of the
+    top frame: each frame's step up and the run that led to the frame."""
+    for depth, (_, node, _, k, run) in enumerate(reversed(stack)):
+        if depth:
+            i, j, _, _ = node.children[k - 1]
+        w1, w2 = Word.of(i) + w1, Word.of(j) + w2
+        if run is not None:
+            w1, w2 = _behind(run, w1, w2)
+    return w1, w2
 
 
 def _behind(run: tuple, w1: Word, w2: Word) -> tuple[Word, Word]:

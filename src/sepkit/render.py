@@ -140,8 +140,12 @@ def render_levels(
 ) -> list[Path]:
     """Emit one SVG per level 1..levels into the output directory.
 
-    Bad sizes raise ``ValueError`` before the directory is made.
+    Bad sizes, and a name that is not one plain path component (empty,
+    ``.``, ``..``, or holding a ``/`` or ``\\``), raise ``ValueError``
+    before the directory is made, so every file lands inside it.
     """
+    if example_name in ("", ".", "..") or "/" in example_name or "\\" in example_name:
+        raise ValueError(f"name {example_name!r} is not one plain path component")
     if levels < 1:
         raise ValueError("levels must be >= 1")
     if scale < 1:

@@ -155,8 +155,9 @@ class _PointMemo(dict):
     """The child cache of the displacement recursion at one parameter point.
 
     Maps each lattice point (P, Q) to None when its displacement lies
-    outside the bound, else to its node (``_node`` builds it), decided
-    once.  ``children`` scans a node's steps on from where the last call
+    outside the bound, else to its node, decided once; ``_node`` builds
+    the node from the point alone, whichever test put it in bound.
+    ``children`` scans a node's steps on from where the last call
     stopped, so no point is expanded twice.  Value ids are small ints,
     equal exactly when the canonical keys are equal; ``keys[id]`` gives
     the key back.  Only decided verdicts are stored: a point whose sign
@@ -199,10 +200,9 @@ class _PointMemo(dict):
             self.keys.append(key)
         return ident
 
-    def _node(self, point: tuple[int, int], ends: tuple[int, int] | None = None) -> _Node:
-        """An in-bound point's node; subclasses keep what their search needs.
-        ``ends`` is the point's value at the held window's ends, on the
-        screen's scale, when the screen decided it."""
+    def _node(self, point: tuple[int, int]) -> _Node:
+        """An in-bound point's node, built from the point alone; subclasses
+        keep what their search needs."""
         form = self.lattice.form(point)
         return _Value(self.value_id(form), form)
 
@@ -268,7 +268,7 @@ class _PointMemo(dict):
                 # a cached verdict agrees with the window's, so None here is a miss
                 child_node = self.get(child)
                 if child_node is None:
-                    child_node = self[child] = self._node(child, (g_lo, g_hi))
+                    child_node = self[child] = self._node(child)
             node.scanned = k + 1
             if child_node is not None:
                 found.append((i, j, child, child_node))

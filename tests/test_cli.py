@@ -241,6 +241,20 @@ def test_render_files(tmp_path, capsys):
     assert (out_dir / "example1-level1.svg").read_bytes() == first
 
 
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "..", ".", ""])
+def test_render_refuses_a_name_outside_out(tmp_path, capsys, name):
+    # a template name is one plain path component, so no file lands beside --out
+    template = tmp_path / "template.json"
+    template.write_text(json.dumps({**SEVENTHS, "name": name}))
+    code, out, err = run_cli(
+        capsys, "render", "--template", str(template), "--levels", "1",
+        "--out", str(tmp_path / "figs"),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"sepkit: name {name!r} is not one plain path component\n"
+    assert sorted(tmp_path.iterdir()) == [template]
+
+
 @pytest.mark.parametrize(
     "out,denied,reason",
     [("afile", False, "File exists"), ("afile/figs", False, "Not a directory"),
@@ -441,6 +455,40 @@ def test_template_zero_denominator_is_usage_error(tmp_path, capsys, fields, text
     assert code == 2
     assert out == ""
     assert err == f"sepkit: bad template: zero denominator in {text!r}\n"
+
+
+def _offsets(first_p):
+    return {**SEVENTHS["system"], "offsets": [{"p": first_p, "q": "0/1"},
+                                              *SEVENTHS["system"]["offsets"][1:]]}
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"system": _offsets(0.857)}, "rational 0.857 is not a string such as '3/7'"),
+        ({"initial_sigma": 1}, "word 1 is not a string such as '12'"),
+        ({"initial_J": {"lo": 0, "hi": "1/7"}}, "rational 0 is not a string such as '3/7'"),
+        ({"option1": {**SEVENTHS["option1"], "swap": "false"}},
+         'swap "false" is not a JSON boolean'),
+        ({"option2": {**SEVENTHS["option2"], "append_sigma": 3.9}},
+         "append_sigma 3.9 is not a JSON integer"),
+        ({"option1": {**SEVENTHS["option1"], "append_tau": True}},
+         "append_tau true is not a JSON integer"),
+        ({"system": {**SEVENTHS["system"], "ratio_denominator": 7.5}},
+         "ratio_denominator 7.5 is not a JSON integer"),
+        ({"name": 5}, "name 5 is not a JSON string"),
+    ],
+    ids=["number-rational", "number-word", "number-window-end", "string-swap",
+         "float-append", "boolean-append", "float-denominator", "number-name"],
+)
+def test_template_field_of_the_wrong_json_type_is_usage_error(tmp_path, capsys, fields, message):
+    # a number where a string belongs, or a string where a boolean belongs,
+    # is refused by name instead of being read as some other value
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps({**SEVENTHS, **fields}))
+    code, out, err = run_cli(capsys, "construct", "--template", str(path), "--depth", "3")
+    assert (code, out) == (2, "")
+    assert err == f"sepkit: bad template: {message}\n"
 
 
 def test_zero_denominator_threshold_is_usage_error(capsys):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -25,7 +26,7 @@ from sepkit import openset as openset_module
 from sepkit.exact import AFFINE_ZERO
 from sepkit.ifs import EMPTY_WORD
 from sepkit.openset import MATERIALIZE_LIMIT, containment_identity_holds
-from sepkit.separation import displacement_levels
+from sepkit.separation import DisplacementLattice, displacement_levels
 
 from bruteforce import RecursiveOverlapOracle, StaticRefiner
 
@@ -644,6 +645,34 @@ def test_oracle_work_grows_linearly_with_the_levels(which, seed, levels):
 
 def test_oracle_decisions_in_a_deep_constructed_census():
     assert _constructed_census_decisions(1, SEED1, 200) <= 2500
+
+
+@pytest.mark.parametrize("which,seed,levels", [(1, SEED1, 30), (2, SEED2, 14)])
+def test_family_search_asks_each_near_test_once(which, seed, levels):
+    # the family search asks a point's near test through ``within`` when it
+    # first reaches the point, and it reaches every point its cache builds
+    sys = example_template(which).system
+    asked, oracles = Counter(), []
+    within, init = DisplacementLattice.within, OverlapOracle.__init__
+
+    def tested(lattice, pt, point, bound, *args):
+        if bound == seed.width:
+            asked[(lattice.lp, lattice.lq, point)] += 1
+        return within(lattice, pt, point, bound, *args)
+
+    def kept(oracle, *args):
+        init(oracle, *args)
+        oracles.append(oracle)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DisplacementLattice, "within", tested)
+        patch.setattr(OverlapOracle, "__init__", kept)
+        constructed_v_type_census(
+            sys, example_point(which), OpenSetApprox(sys, seed, levels + 2), levels
+        )
+    nodes = sum(node is not None for oracle in oracles for node in oracle._points.values())
+    assert max(asked.values()) == 1
+    assert sum(asked.values()) == nodes == {1: 125, 2: 61}[which]
 
 
 #: a system with one middle map whose point 3/5 is its own only child, and

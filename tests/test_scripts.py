@@ -46,3 +46,25 @@ def test_script_output_unchanged(tmp_path, argv, digest):
     )
     assert done.returncode == 0, done.stderr.decode()
     assert hashlib.sha256(done.stdout).hexdigest() == digest
+
+
+def _code_lines(*argv):
+    """{module: code lines} and the total that scripts/code_lines.py prints."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py"), *argv],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    rows = dict(line.split() for line in done.stdout.splitlines())
+    total = int(rows.pop("total"))
+    return {name: int(count) for name, count in rows.items()}, total
+
+
+def test_code_lines_total_is_the_sum_of_the_modules(tmp_path):
+    modules, total = _code_lines()
+    assert "openset.py" in modules and total == sum(modules.values())
+    (tmp_path / "doc.py").write_text('"""Only a docstring.\n\nOf two paragraphs."""\n')
+    (tmp_path / "code.py").write_text(
+        '"""A module."""\n\n# a comment\nx = (\n    1,\n)\n\n\ndef f():\n    """A function."""\n'
+        "    return x  # a comment after code\n"
+    )
+    assert _code_lines(str(tmp_path)) == ({"code.py": 5, "doc.py": 0}, 5)

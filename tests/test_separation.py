@@ -837,10 +837,11 @@ def _lattice_decisions(sys, pt, levels):
         exact.append(point)
         return within(lattice, point_at, point, *args)
 
-    def built(memo, point, ends=None):
-        if ends is not None:
+    def built(memo, point):
+        # a node ``within`` did not just test was built on the window's verdict
+        if exact[-1:] != [point]:
             seen[key(memo.lattice, point)] += 1
-        return node(memo, point, ends)
+        return node(memo, point)
 
     def scanned(memo, point, *args):
         start = memo[point].scanned
@@ -937,8 +938,8 @@ def _screen_point(kind, depth):
 
 def _memo_walk(memo, levels):
     """The memo's children (i, j, point) of every point reached in ``levels`` steps,
-    its in-bound points with their near verdicts, and how far each scan got;
-    the walk stops at the first ``Undecided``."""
+    its in-bound points with how far each scan got; the walk stops at the
+    first ``Undecided``."""
     rows, current, outcome = [], [separation._ZERO_STATE], "decided"
     try:
         for _ in range(levels):
@@ -950,10 +951,7 @@ def _memo_walk(memo, levels):
             current = list(reached)
     except Undecided as exc:
         outcome = ("undecided", str(exc), exc.depth)
-    kept = {
-        point: (getattr(node, "near", None), node.scanned)
-        for point, node in memo.items() if node is not None
-    }
+    kept = {point: node.scanned for point, node in memo.items() if node is not None}
     return outcome, rows, kept
 
 
@@ -968,14 +966,15 @@ def _stamped(fn, *args):
 def _screen_uses(sys, pt, levels, c, seed):
     """Everything the screen serves, run in turn on one point: the bound 1,
     strict; the endpoint check's 1 + c, not strict; the family search's
-    bound 1 and near test at the seed width."""
+    bound 1 on its own lattice.  The family search asks its near test at
+    the seed width itself, so the constructed census compares it end to end."""
     lattice = DisplacementLattice(sys)
     open_set = OpenSetApprox(sys, seed, levels + 2)
     family = OverlapOracle(open_set, pt).lattice
     return [
         _memo_walk(separation._PointMemo(lattice, pt, F(1), True), levels),
         _memo_walk(separation._PointMemo(lattice, pt, 1 + c, False), levels),
-        _memo_walk(_FamilyMemo(family, pt, seed.width), levels),
+        _memo_walk(_FamilyMemo(family, pt, F(1), True), levels),
         _stamped(convex_type_census, sys, pt, levels),
         _stamped(endpoint_separation, sys, pt, levels, c),
         _stamped(constructed_v_type_census, sys, pt, open_set, levels),

@@ -113,6 +113,13 @@ def load_template(path: str) -> ConstructionTemplate:
             raise ValueError(f"{key} {json.dumps(entry[key])} is not a JSON {name}")
         return entry[key]
 
+    def objects(entry, key: str, name: str) -> list:
+        """A JSON array of objects, each called ``name`` if it is refused."""
+        items = field(entry, key, list, "array")
+        for item in items:
+            field({name: item}, name, dict, "object")
+        return items
+
     def option(entry) -> RefinementOption:
         return RefinementOption(
             swap=field(entry, "swap", bool, "boolean"),
@@ -121,17 +128,23 @@ def load_template(path: str) -> ConstructionTemplate:
         )
 
     try:
+        data = field({"template": data}, "template", dict, "object")
+        system = field(data, "system", dict, "object")
+        objects(system, "offsets", "offset")
+        prefix = {"fixed_prefix": [], **data}
         return ConstructionTemplate(
-            system=IfsSystem.from_json(data["system"]),
+            system=IfsSystem.from_json(system),
             initial_left=Word.parse(data["initial_sigma"]),
             initial_right=Word.parse(data["initial_tau"]),
-            initial_window=RationalInterval.from_json(data["initial_J"]),
-            option1=option(data["option1"]),
-            option2=option(data["option2"]),
-            fixed_prefix=tuple(option(e) for e in data.get("fixed_prefix", [])),
+            initial_window=RationalInterval.from_json(field(data, "initial_J", dict, "object")),
+            option1=option(field(data, "option1", dict, "object")),
+            option2=option(field(data, "option2", dict, "object")),
+            fixed_prefix=tuple(map(option, objects(prefix, "fixed_prefix", "fixed_prefix entry"))),
             name=field({"name": "custom", **data}, "name", str, "string"),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except KeyError as exc:
+        raise UsageError(f"bad template: field {json.dumps(exc.args[0])} is missing") from exc
+    except (ValueError, TypeError) as exc:
         raise UsageError(f"bad template: {exc}") from exc
 
 

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
-from operator import itemgetter
 
 from .exact import AFFINE_ZERO, AffineExpr, Param, RationalParam, Undecided, rational_to_str
 from .ifs import IfsSystem, Word, word_texts
@@ -292,14 +291,23 @@ def _search(memo: _PointMemo, max_level: int):
     """Yield each level's in-bound displacements, levels 1..max_level, as they are found.
 
     A level comes as (level, new): the level is {value id: (sigma, tau,
-    (P, Q), form)} in discovery order, where parents are expanded in
+    (P, Q), node)} in discovery order, where parents are expanded in
     witness order, each with its children in (i, j) order, and a value
-    keeps the first pair that reaches it.  The words sigma and tau are
-    bytes, one byte per symbol.  Prefixing one symbol to both words
-    keeps a displacement, so each level holds every value of the levels
-    before it, and ``new``, the range of ids the level assigns, is
-    exactly its new values in discovery order.  A bound test that stays
-    undecided raises ``Undecided`` naming the level.
+    keeps the first pair that reaches it; ``node.form`` is the value.
+    The words sigma and tau are bytes, one byte per symbol.  Prefixing
+    one symbol to both words keeps a displacement, so each level holds
+    every value of the levels before it, and ``new``, the range of ids
+    the level assigns, is exactly its new values in discovery order.  A
+    bound test that stays undecided raises ``Undecided`` naming the
+    level.
+
+    The next level's parents are this level's entries, sorted as they
+    are.  A parent whose node has scanned every step gives its children
+    straight off the node; only the others, the lattice points first
+    reached at the level before, go through ``_PointMemo.children``, so
+    every bound test comes at the same place in the same order.  Where
+    the levels stop growing, a level costs a walk over its entries and
+    no exact arithmetic.
 
     A reader whose own test of a level stays undecided hands that
     ``Undecided`` back with ``throw``.  The search then yields no more
@@ -309,15 +317,19 @@ def _search(memo: _PointMemo, max_level: int):
     however its levels are read.
     """
     symbol = [bytes((s,)) for s in range(256)]
-    current = [(b"", b"", _ZERO_STATE)]
+    # zero's node is the memo's to build, inside level 1; a fresh node,
+    # scanned through no step, sends the search there
+    current = [(b"", b"", _ZERO_STATE, _Node())]
+    scanned = len(memo.lattice.steps)
     held = None  # the reader's Undecided, raised once every bound test has run
     for level in range(1, max_level + 1):
         start, nxt = len(memo.keys), {}
         try:
-            for sigma, tau, point in current:
-                for i, j, child, node in memo.children(point):
+            for sigma, tau, point, parent in current:
+                found = parent.children if parent.scanned == scanned else memo.children(point)
+                for i, j, child, node in found:
                     if node.ident not in nxt:
-                        nxt[node.ident] = (sigma + symbol[i], tau + symbol[j], child, node.form)
+                        nxt[node.ident] = (sigma + symbol[i], tau + symbol[j], child, node)
         except Undecided as exc:
             exc.level = level
             raise
@@ -326,7 +338,7 @@ def _search(memo: _PointMemo, max_level: int):
                 yield nxt, range(start, len(memo.keys))
             except Undecided as exc:
                 held = exc
-        current = sorted(entry[:3] for entry in nxt.values())
+        current = sorted(nxt.values())  # (sigma, tau) names an entry, so no node is compared
     if held is not None:
         raise held
 
@@ -350,8 +362,8 @@ def displacement_levels(
     memo = _PointMemo(DisplacementLattice(sys), pt, bound, strict)
     return [
         {
-            memo.keys[ident]: Displacement(form, (Word(sigma), Word(tau)))
-            for ident, (sigma, tau, _, form) in level.items()
+            memo.keys[ident]: Displacement(node.form, (Word(sigma), Word(tau)))
+            for ident, (sigma, tau, _, node) in level.items()
         }
         for level, _ in _search(memo, max_level)
     ]
@@ -412,15 +424,19 @@ def wsp_min_displacement(sys: IfsSystem, pt: Param, max_level: int) -> WspResult
     level holds all values of the levels before it, and a level's
     smallest |v| is a running minimum: each value is compared once, at
     the level where it first appears, against the smallest |v| so far,
-    and the values tied at that magnitude (v and -v) are kept.  Within a
-    level the tied entry with the first witness wins, and its |v| is read
-    from its own lattice point, since at a rational point one value has
-    many forms.  Magnitudes and their comparisons are sign queries on
-    integer lattice points; only the reported minima are built as forms
-    and words.  Each level is read once, as the search finds it, and
-    then dropped; a comparison that stays undecided names its level and
-    is handed back to the search, which runs the remaining bound tests
-    first (``_search``).
+    and the values tied at that magnitude (v and -v) are kept, each
+    with the sign asked when it first appeared.  Magnitudes and their
+    comparisons are sign queries on integer lattice points, asked only
+    of new values, so a level that adds none asks no sign.  Within a
+    level the tied entry with the first witness wins, and its |v| is
+    its own lattice point, negated when the value's kept sign is
+    negative: at a rational point one value has many lattice points,
+    and equal values have equal signs.  Each reported |v| point is
+    built as a form once; only the reported minima are built as words.
+    Each level is read once, as the search finds it, and then dropped;
+    a comparison that stays undecided names its level and is handed
+    back to the search, which runs the remaining bound tests first
+    (``_search``).
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
@@ -429,32 +445,38 @@ def wsp_min_displacement(sys: IfsSystem, pt: Param, max_level: int) -> WspResult
     memo = _PointMemo(lattice, pt, Fraction(1), strict=True)
     memo.value_id(AFFINE_ZERO)
     least = None  # the smallest |v| so far, as a lattice point
-    tied: list[int] = []  # the value ids at that magnitude
+    tied: dict[int, bool] = {}  # the value ids at that magnitude: is the value negative
     best_level = 0  # where the smallest |v| of all first appears
+    forms: dict[tuple[int, int], AffineExpr] = {}  # each reported |v| point's form
     per_level: list[WspLevelMinimum | None] = []
     levels = _search(memo, max_level)
     for index, (level, new) in enumerate(levels, start=1):
         try:
             for ident in new:
                 P, Q = level[ident][2]
-                if sign(P, lp, Q, lq) < 0:
+                negative = sign(P, lp, Q, lq) < 0
+                if negative:
                     P, Q = -P, -Q
                 order = -1 if least is None else sign(P - least[0], lp, Q - least[1], lq)
                 if order < 0:
-                    least, tied, best_level = (P, Q), [ident], index
+                    least, tied, best_level = (P, Q), {ident: negative}, index
                 elif order == 0:
-                    tied.append(ident)
-            if not tied:
-                per_level.append(None)
-                continue
-            sigma, tau, (P, Q), form = min((level[i] for i in tied), key=itemgetter(0, 1))
-            if sign(P, lp, Q, lq) < 0:
-                P, Q = -P, -Q
+                    tied[ident] = negative
         except Undecided as exc:
             exc.level = index
             levels.throw(exc)  # raises, after the remaining bound tests
+        if not tied:
+            per_level.append(None)
+            continue
+        # equal ids are equal values, so this level's point has the sign kept for the id
+        ident = min(tied, key=lambda i: level[i][:2])
+        sigma, tau, (P, Q), node = level[ident]
+        point = (-P, -Q) if tied[ident] else (P, Q)
+        abs_value = forms.get(point)
+        if abs_value is None:
+            abs_value = forms[point] = lattice.form(point)
         per_level.append(WspLevelMinimum(
-            index, Displacement(form, (Word(sigma), Word(tau))), lattice.form((P, Q))
+            index, Displacement(node.form, (Word(sigma), Word(tau))), abs_value
         ))
     minimum = per_level[best_level - 1] if best_level else None
     return WspResult(max_level, minimum, tuple(per_level))

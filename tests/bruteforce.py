@@ -44,7 +44,6 @@ from sepkit.separation import (
     WspLevelMinimum,
     WspResult,
     _PointMemo,
-    _search,
 )
 
 
@@ -232,7 +231,7 @@ def reference_search(memo, max_level: int):
                 point = (vp + dp, vq + dq)
                 node = memo[point]
                 if node is not None and node.ident not in nxt:
-                    nxt[node.ident] = (sigma + i, tau + j, point, node.form)
+                    nxt[node.ident] = (sigma + i, tau + j, point, node)
         if held is None:
             try:
                 yield nxt, range(start, len(memo.keys))
@@ -278,13 +277,15 @@ def sorting_wsp_min_displacement(sys: IfsSystem, pt: Param, max_level: int) -> W
     Each level's nonzero values are walked in witness order and the
     first smallest |v| is kept; a level's minimum replaces the overall
     one when it is strictly smaller.  All bound tests run first: every
-    level is kept before any is compared.
+    level is kept before any is compared.  The levels come from
+    ``reference_search``, so no search code is shared with the function
+    it checks.
     """
     lattice = DisplacementLattice(sys)
     lp, lq = lattice.lp, lattice.lq
     memo = _PointMemo(lattice, pt, Fraction(1), strict=True)
     zero = memo.value_id(AFFINE_ZERO)
-    levels = [level for level, _ in _search(memo, max_level)]
+    levels = [level for level, _ in reference_search(memo, max_level)]
     best = None  # (|v| as a lattice point, its WspLevelMinimum)
     per_level = []
     for index, level in enumerate(levels, start=1):
@@ -298,9 +299,9 @@ def sorting_wsp_min_displacement(sys: IfsSystem, pt: Param, max_level: int) -> W
         if least is None:
             per_level.append(None)
             continue
-        point, (sigma, tau, _, form) = least
+        point, (sigma, tau, _, node) = least
         level_best = WspLevelMinimum(
-            index, Displacement(form, (Word(sigma), Word(tau))), lattice.form(point)
+            index, Displacement(node.form, (Word(sigma), Word(tau))), lattice.form(point)
         )
         per_level.append(level_best)
         if best is None or pt.sign_lattice(

@@ -491,6 +491,43 @@ def test_template_field_of_the_wrong_json_type_is_usage_error(tmp_path, capsys, 
     assert err == f"sepkit: bad template: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"system": {**SEVENTHS["system"], "offsets": "abc"}},
+         'offsets "abc" is not a JSON array'),
+        ({"system": {**SEVENTHS["system"], "offsets": [7]}}, "offset 7 is not a JSON object"),
+        ({"fixed_prefix": {"swap": False}},
+         'fixed_prefix {"swap": false} is not a JSON array'),
+        ({"fixed_prefix": [[]]}, "fixed_prefix entry [] is not a JSON object"),
+        ({"initial_J": "0:1/7"}, 'initial_J "0:1/7" is not a JSON object'),
+        ({"option1": [1]}, "option1 [1] is not a JSON object"),
+        ({"system": [1]}, "system [1] is not a JSON object"),
+        ({"option2": {"append_sigma": 2, "append_tau": 3}}, 'field "swap" is missing'),
+        ({"initial_J": {"lo": "0/1"}}, 'field "hi" is missing'),
+    ],
+    ids=["string-offsets", "number-offset", "object-prefix", "array-prefix-entry",
+         "string-window", "array-option", "array-system", "missing-swap", "missing-hi"],
+)
+def test_template_object_or_array_of_the_wrong_json_type_is_usage_error(
+    tmp_path, capsys, fields, message
+):
+    # the field and its value are named, not Python's indexing error
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps({**SEVENTHS, **fields}))
+    code, out, err = run_cli(capsys, "construct", "--template", str(path), "--depth", "3")
+    assert (code, out) == (2, "")
+    assert err == f"sepkit: bad template: {message}\n"
+
+
+def test_template_that_is_not_an_object_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "template.json"
+    path.write_text("[1]")
+    code, out, err = run_cli(capsys, "construct", "--template", str(path), "--depth", "3")
+    assert (code, out) == (2, "")
+    assert err == "sepkit: bad template: template [1] is not a JSON object\n"
+
+
 def test_zero_denominator_threshold_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "verify", "endpoints", "--example", "1", "--c", "1/0")
     assert code == 2

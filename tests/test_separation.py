@@ -133,6 +133,27 @@ def test_wsp_running_minimum_matches_sorting_every_level(which, value):
     assert wsp_min_displacement(sys, pt, 600) == sorting_wsp_min_displacement(sys, pt, 600)
 
 
+@pytest.mark.parametrize("which,value,calls", [(1, F(1, 8), 9), (2, F(1, 32), 5)])
+def test_wsp_asks_no_sign_once_the_levels_saturate(which, value, calls):
+    # at a rational point the displacement set stops growing after a few
+    # levels; a level that adds no value asks no sign, since each tied value
+    # keeps the sign asked when it first appeared
+    sys = example_template(which).system
+    sign_lattice = RationalParam.sign_lattice
+    counts = []
+    for levels in (20, 600):
+        asked = []
+
+        def counted(self, *args):
+            asked.append(args)
+            return sign_lattice(self, *args)
+
+        with mock.patch.object(RationalParam, "sign_lattice", counted):
+            wsp_min_displacement(sys, RationalParam(value), levels)
+        counts.append(len(asked))
+    assert counts == [calls, calls]
+
+
 @pytest.mark.parametrize("which,levels", [(1, 300), (2, 50)])
 def test_wsp_report_evaluates_each_minimum_once(which, levels):
     # the per-level entries repeat the running minimum, so the report asks

@@ -501,17 +501,28 @@ def main(argv=None) -> int:
         sys.stderr.write(f"sepkit: empty refinement: {exc}\n")
         return EXIT_USAGE
     except (Undecided, RefinementExhausted) as exc:
-        command = " ".join(filter(None, (args.subcommand, getattr(args, "verifier", None))))
-        budget = oracle_budget(args)
         where = [] if getattr(exc, "level", None) is None else [f"level {exc.level}"]
         if getattr(exc, "words", None) is not None:
             where.append('word pair ("{}", "{}")'.format(*exc.words))
         at = f" at {', '.join(where)}" if where else ""
-        sys.stderr.write(f"sepkit: undecided ({command}, oracle budget {budget}): {exc}{at}\n")
-        return EXIT_UNDECIDED
+        return _undecided(args, f"{exc}{at}")
     except ValueError as exc:
         sys.stderr.write(f"sepkit: {exc}\n")
         return EXIT_USAGE
+    except MemoryError:
+        # the answer needs more memory than the process may take, which is no
+        # violation; it is reported once the handler has let go of the
+        # traceback, and with it of the frames that hold that memory
+        pass
+    return _undecided(args, "out of memory")
+
+
+def _undecided(args, reason: str) -> int:
+    """Report an undecided run on one stderr line naming the command and the budget."""
+    command = " ".join(filter(None, (args.subcommand, getattr(args, "verifier", None))))
+    budget = oracle_budget(args)
+    sys.stderr.write(f"sepkit: undecided ({command}, oracle budget {budget}): {reason}\n")
+    return EXIT_UNDECIDED
 
 
 def entrypoint() -> None:

@@ -22,6 +22,16 @@ no walk to start, and a run of such points, as long as the truncation
 depth, is answered in one step at any budget.  Everything is
 exact; truncation can only under-report intersections, so every report
 carries the truncation depth as a caveat.
+
+The constructed census filters each convex state of the type automaton
+once with the oracle, and the states with the same kept members form a
+class, one report row.  Each level steps the classes, with their word
+counts and smallest witnesses, and builds and filters only the states
+new at it; a state whose successors fall in other classes than its
+class's do sends the census back to stepping every state.  The
+automaton runs on the oracle's lattice and child cache, so each point
+is decided once for both, and a node gets its value id and form only
+when the automaton reads it.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from .separation import (
     CensusLevel,
     CensusResult,
     DisplacementLattice,
+    TypeAutomaton,
     _Node,
     _PointMemo,
     census_states,
@@ -96,7 +107,9 @@ class _Family(_Node):
     """A node of the family search: what it has decided about one in-bound point.
 
     The child cache builds it from the point alone; the search decides
-    near when it first reaches the point, and the rest as it goes.
+    near when it first reaches the point, and the rest as it goes.  It
+    is the one node type of the cache the constructed census's automaton
+    shares, which fills in the value id and form of ``_Node``.
     """
 
     __slots__ = ("near", "empty", "run")
@@ -116,7 +129,10 @@ class _Family(_Node):
 class _FamilyMemo(_PointMemo):
     """The family search's child cache, built with the bound 1 (families live
     in (0,1)); it keeps only its node type, ``_Family``, whose near test the
-    search asks when it first reaches the point."""
+    search asks when it first reaches the point.  The constructed census's
+    automaton reads the same cache, and a node gets the value id and form
+    that automaton keeps only when it first reads the node
+    (``_PointMemo.value``)."""
 
     def _node(self, point: tuple[int, int]) -> _Family:
         return _Family()
@@ -541,10 +557,112 @@ def constructed_v_type_census(
     convex census (a displacement at or beyond 1 can never join any
     type); each candidate is then kept only if the translated family
     intersection is non-empty at this truncation depth.  Words whose
-    candidate sets differ may collapse to one type here.
+    candidate sets differ may collapse to one type here: a class is the
+    convex states with the same kept value ids, one report row.
+
+    Each level steps the classes, with their word counts and smallest
+    witnesses (``_class_levels``), not the 2k + 1 convex states, on one
+    child cache that the automaton shares with the overlap oracle.  A
+    state whose successors fall in other classes than its class's do
+    would make merging unsound; then the census steps every state
+    instead (``_state_levels``), on fresh caches, and reports what that
+    gives.
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
+    levels = _class_levels(sys, pt, open_set, max_level)
+    if levels is None:
+        levels = _state_levels(sys, pt, open_set, max_level)
+    caveats = (
+        f"neighbour test truncated at depth {open_set.depth}; truncation can only "
+        "under-report neighbours",
+    )
+    return CensusResult(f"constructed seed {open_set.seed}", tuple(levels), caveats)
+
+
+def _kept(oracle: OverlapOracle, automaton, key: int, level: int) -> tuple:
+    """A state's members whose translated families meet, as (forms, value ids)."""
+    members = zip(automaton.type_of(key), automaton.value_ids(key))
+    try:
+        pairs = [(v, ident) for v, ident in members if oracle.overlaps(v) is not None]
+    except Undecided as exc:
+        exc.level = level
+        raise
+    return tuple(zip(*pairs)) or ((), ())
+
+
+def _class_levels(
+    sys: IfsSystem, pt: Param, open_set: OpenSetApprox, max_level: int
+) -> list[CensusLevel] | None:
+    """The census levels, stepping classes; None when a state's row of classes
+    differs from its class's.
+
+    A state's row is built at the level after the state first appears,
+    as ``census_states`` builds it, and a state is filtered at the
+    first level from 1 on that holds it.  The states first present at
+    level k + 1 are the new successors of those first present at level
+    k, the frontier, since a state's successors are all present one
+    level after it is.  The frontier is kept in witness order, and
+    stepping it in that order, each state's symbols ascending, meets
+    the new states in witness order too; so every row and every filter
+    is asked at the same level and in the same order as when every
+    state is stepped.  Once its row and its class are both known, each
+    state's row mapped to classes is checked against its class's row;
+    while they agree, the words of a class go to the same class under
+    each symbol, so a class's word count and smallest witness step as
+    one entry, and the state of its smallest witness (whose kept forms
+    the row reports) steps along.
+    """
+    oracle = OverlapOracle(open_set, pt)
+    automaton = TypeAutomaton(sys, pt, oracle._points)
+    symbols, root = sys.symbols, automaton.root_key
+    tails = [bytes((i,)) for i in symbols]
+    # state -> (kept forms, their value ids); the ids name the state's class
+    kept: dict[int, tuple] = {}
+    class_rows: dict[tuple, tuple] = {}  # class -> the classes its words go to
+    rows: dict[int, tuple] = {}  # state -> its successors
+    frontier = [root]
+    # a level's classes in witness order: [word count, witness, witness's state]
+    current = [[1, b"", root]]
+    levels = []
+    for level in range(1, max_level + 1):
+        try:
+            for key in frontier:
+                rows[key] = tuple(automaton.successor(key, i) for i in symbols)
+        except Undecided as exc:
+            exc.level = level
+            raise
+        reached = dict.fromkeys(child for key in frontier for child in rows[key])
+        fresh = [key for key in reached if key not in kept]
+        for key in fresh:
+            kept[key] = _kept(oracle, automaton, key, level)
+        # the root is filtered at the first level from 1 that holds it, if any
+        for key in (*frontier, *fresh):
+            if key in rows and key in kept:
+                stepped = tuple(kept[child][1] for child in rows[key])
+                if class_rows.setdefault(kept[key][1], stepped) != stepped:
+                    return None
+        nxt: dict[tuple, list] = {}
+        for count, witness, key in current:
+            for child, tail in zip(rows[key], tails):
+                entry = nxt.get(kept[child][1])
+                if entry is None:
+                    nxt[kept[child][1]] = [count, witness + tail, child]
+                else:
+                    entry[0] += count
+        current = list(nxt.values())
+        counts, witnesses, states = zip(*current)
+        levels.append(CensusLevel(level, tuple(kept[key][0] for key in states), counts, witnesses))
+        # the root is present at level 0 and its row built at level 1
+        frontier = [key for key in fresh if key != root]
+    return levels
+
+
+def _state_levels(
+    sys: IfsSystem, pt: Param, open_set: OpenSetApprox, max_level: int
+) -> list[CensusLevel]:
+    """The census levels, stepping every convex state (``census_states``) and
+    merging the states of each class into one row."""
     oracle = OverlapOracle(open_set, pt)
     # automaton state -> (kept displacements, their value ids), one tuple
     # per state, so the report formats each distinct type once
@@ -556,13 +674,7 @@ def constructed_v_type_census(
         # merged row keeps its smallest witness and ``merged`` keeps that order
         for key, (count, witness) in states.items():
             if key not in kept:
-                members = zip(automaton.type_of(key), automaton.value_ids(key))
-                try:
-                    pairs = [(v, ident) for v, ident in members if oracle.overlaps(v) is not None]
-                except Undecided as exc:
-                    exc.level = level
-                    raise
-                kept[key] = tuple(zip(*pairs)) or ((), ())
+                kept[key] = _kept(oracle, automaton, key, level)
             filtered, fkey = kept[key]
             row = merged.get(fkey)
             if row is None:
@@ -570,8 +682,4 @@ def constructed_v_type_census(
             else:
                 row[1] += count
         levels.append(CensusLevel(level, *zip(*merged.values())))
-    caveats = (
-        f"neighbour test truncated at depth {open_set.depth}; truncation can only "
-        "under-report neighbours",
-    )
-    return CensusResult(f"constructed seed {open_set.seed}", tuple(levels), caveats)
+    return levels

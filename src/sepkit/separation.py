@@ -96,15 +96,30 @@ class DisplacementLattice:
     ) -> bool:
         """|v| < bound at the point for the lattice point v, or |v| <= bound when not strict.
 
-        The two tests are v + bound > 0, then bound - v > 0, as integer
-        sign queries over the denominator Lp times that of the bound.
+        The two tests are v + bound > 0 and bound - v > 0.  Both are
+        first decided on the integer ends of the window the point holds,
+        read once (``_inside_at_ends``), as the child cache's screen
+        decides them; the window decides both or neither, since a test
+        at most 0 at both ends leaves the other above 0 there.  Only
+        where the window straddles, or none is held, are they integer
+        sign queries over the denominator Lp times that of the bound, in
+        that order.
         """
-        least = 1 if strict else 0
         (P, Q), n, d = point, bound.numerator, bound.denominator
-        lp, lq = self.lp * d, self.lq
+        lp, lq = self.lp, self.lq
+        window = pt.held_ends()
+        if window is not None:
+            _, lo_num, lo_den, hi_num, hi_den = window
+            inside = _inside_at_ends(
+                d * (P * lq * lo_den + Q * lp * lo_num), d * (P * lq * hi_den + Q * lp * hi_num),
+                n * lp * lq * lo_den, n * lp * lq * hi_den, strict,
+            )
+            if inside is not None:
+                return inside
+        least = 1 if strict else 0
         return (
-            pt.sign_lattice(P * d + n * self.lp, lp, Q, lq) >= least
-            and pt.sign_lattice(n * self.lp - P * d, lp, -Q, lq) >= least
+            pt.sign_lattice(P * d + n * lp, lp * d, Q, lq) >= least
+            and pt.sign_lattice(n * lp - P * d, lp * d, -Q, lq) >= least
         )
 
 
@@ -114,21 +129,14 @@ _ZERO_STATE = (0, 0)
 
 class _Node:
     """An in-bound point of the child cache: its in-bound children (i, j, point,
-    node) in (i, j) order, found over the first ``scanned`` of the lattice's steps."""
+    node) in (i, j) order, found over the first ``scanned`` of the lattice's steps,
+    and its displacement's value id and exact form, None until first asked
+    (``_PointMemo.value``)."""
 
-    __slots__ = ("children", "scanned")
+    __slots__ = ("children", "scanned", "ident", "form")
 
-    def __init__(self):
+    def __init__(self, ident: int | None = None, form: AffineExpr | None = None):
         self.children, self.scanned = [], 0
-
-
-class _Value(_Node):
-    """A node with its displacement's value id and exact form."""
-
-    __slots__ = ("ident", "form")
-
-    def __init__(self, ident: int, form: AffineExpr):
-        super().__init__()
         self.ident, self.form = ident, form
 
 
@@ -203,7 +211,15 @@ class _PointMemo(dict):
         """An in-bound point's node, built from the point alone; subclasses
         keep what their search needs."""
         form = self.lattice.form(point)
-        return _Value(self.value_id(form), form)
+        return _Node(self.value_id(form), form)
+
+    def value(self, point: tuple[int, int], node: _Node) -> int:
+        """An in-bound point's value id; a node built without one gets it,
+        and its form, when first asked."""
+        if node.ident is None:
+            node.form = self.lattice.form(point)
+            node.ident = self.value_id(node.form)
+        return node.ident
 
     def __missing__(self, point: tuple[int, int]):
         inside = self.lattice.within(self.pt, point, self.bound, self.strict)
@@ -495,19 +511,31 @@ class TypeAutomaton:
     sorted into canonical order only when it is a new state; each keeps
     the value ids, lattice points and exact forms of the members it was
     first built from, in that order.
+
+    The first ``successor`` call for a state builds its whole row, its
+    successor under every symbol, symbol by symbol: a member's children
+    of symbol i are one contiguous run of its (i, j)-ordered list,
+    scanned through symbol i's steps, so bound tests and new states
+    come in the order of one call per symbol in turn.  Later calls read
+    the row.  The automaton builds its own child cache, or shares the
+    one it is given (``memo``, with the bound 1, strict), whose nodes
+    may hold what another search keeps and get their value id and form
+    only when the automaton first reads them.
     """
 
-    def __init__(self, sys: IfsSystem, pt: Param):
+    def __init__(self, sys: IfsSystem, pt: Param, memo: _PointMemo | None = None):
         self.sys = sys
         self.pt = pt
-        lattice = DisplacementLattice(sys)
-        self._lp, self._lq = lattice.lp, lattice.lq
-        self._memo = _PointMemo(lattice, pt, Fraction(1), strict=True)
+        if memo is None:
+            memo = _PointMemo(DisplacementLattice(sys), pt, Fraction(1), strict=True)
+        self._memo = memo
+        self._lp, self._lq = memo.lattice.lp, memo.lattice.lq
         self._states: dict[frozenset[int], int] = {}
         self._value_ids: list[tuple[int, ...]] = []
         self._members: list[tuple[tuple[int, int], ...]] = []
         self._types: list[tuple[AffineExpr, ...]] = []
-        zero = self._memo.value_id(AFFINE_ZERO)
+        self._rows: list[tuple[int, ...] | None] = []
+        zero = memo.value_id(AFFINE_ZERO)
         self.root_key = self._intern({zero: (_ZERO_STATE, AFFINE_ZERO)})
 
     def _intern(self, found: dict) -> int:
@@ -531,6 +559,7 @@ class TypeAutomaton:
             self._value_ids.append(tuple(ident for ident, _ in ordered))
             self._members.append(tuple(point for _, (point, _) in ordered))
             self._types.append(tuple(form for _, (_, form) in ordered))
+            self._rows.append(None)
         return state
 
     def type_of(self, key: int) -> tuple[AffineExpr, ...]:
@@ -541,15 +570,42 @@ class TypeAutomaton:
         return self._value_ids[key]
 
     def successor(self, key: int, symbol: int) -> int:
-        """The state after ``symbol``, built and interned afresh on each call."""
-        # a member is scanned through the steps of symbols <= symbol, resuming where it stopped
-        memo, upto = self._memo, (self.sys.symbols.index(symbol) + 1) * self.sys.alphabet_size
-        found: dict = {}
-        for point in self._members[key]:
-            for i, _, child, node in memo.children(point, upto):
-                if i == symbol and node.ident not in found:
-                    found[node.ident] = (child, node.form)
-        return self._intern(found)
+        """The state after ``symbol``; the first call for a state builds its row."""
+        index = self.sys.symbols.index(symbol)
+        row = self._rows[key]
+        if row is None:
+            row = self._rows[key] = self._row(key)
+        return row[index]
+
+    def _row(self, key: int) -> tuple[int, ...]:
+        """The successors of a state under every symbol, in symbol order.
+
+        An ``Undecided`` leaves no row: asked again, the scan resumes at
+        the step that raised, and the states built before it are found
+        again.
+        """
+        memo, n = self._memo, self.sys.alphabet_size
+        points = self._members[key]
+        members = [memo[point] for point in points]
+        read = [0] * len(members)  # each member's children read so far
+        row = []
+        for symbol in self.sys.symbols:
+            # symbol i's steps are the i-th run of n in (i, j) order
+            upto, found = symbol * n, {}
+            for k, member in enumerate(members):
+                if member.scanned < upto:
+                    memo.children(points[k], upto)
+                for i, _, child, node in member.children[read[k]:]:
+                    if i != symbol:
+                        break
+                    read[k] += 1
+                    ident = node.ident
+                    if ident is None:
+                        ident = memo.value(child, node)
+                    if ident not in found:
+                        found[ident] = (child, node.form)
+            row.append(self._intern(found))
+        return tuple(row)
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,42 @@ def test_verify_osc_runs_deep_under_a_small_recursion_limit():
     assert (results["depth"], results["passed"]) == (600, True)
 
 
+def test_memory_exhaustion_is_undecided():
+    # example 2's endpoint check lists its equal word pairs, about six times
+    # more per level; under a cap on the address space, set by the child on
+    # itself 100 MB above what its imports take, the listing runs out of
+    # memory within seconds.  With the C library's allocator the exhaustion
+    # is a MemoryError raised where an allocation fails; Python's own small
+    # object allocator can fail inside the interpreter's unwinding instead,
+    # where no handler sees it
+    resource = pytest.importorskip("resource")
+    status = Path("/proc/self/status")
+    if not status.exists():
+        pytest.skip("the imports' address space is read from /proc")
+    env = dict(src_env(), PYTHONMALLOC="malloc")
+    probe = (
+        "import sepkit.cli\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+        "           if line.startswith('VmPeak:')))\n"
+    )
+    imports = int(subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, check=True, timeout=60
+    ).stdout)
+    limit = imports * 1024 + 100 * 2**20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "sepkit.cli", "verify", "endpoints", "--example", "2",
+         "--max-level", "10", "--c", "4/7", "--oracle-budget", "12"],
+        env=env, capture_output=True, preexec_fn=cap, timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr.decode()) == (
+        3, b"", "sepkit: undecided (verify endpoints, oracle budget 12): out of memory\n"
+    )
+
+
 def test_verify_endpoints_exit_codes(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "endpoints", "--example", "1", "--max-level", "2", "--c", "4/7",

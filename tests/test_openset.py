@@ -1,9 +1,14 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
+from sys import gettrace, settrace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sepkit
 from sepkit import (
     AffineExpr,
     IfsSystem,
@@ -23,6 +28,7 @@ from sepkit import (
 )
 from sepkit import ifs as ifs_module
 from sepkit import openset as openset_module
+from sepkit.cli import main
 from sepkit.exact import AFFINE_ZERO
 from sepkit.ifs import EMPTY_WORD
 from sepkit.openset import MATERIALIZE_LIMIT, containment_identity_holds
@@ -645,6 +651,63 @@ def test_oracle_work_grows_linearly_with_the_levels(which, seed, levels):
 
 def test_oracle_decisions_in_a_deep_constructed_census():
     assert _constructed_census_decisions(1, SEED1, 200) <= 2500
+
+
+def _lines_run(fn, *args) -> int:
+    """The lines of sepkit code ``fn(*args)`` runs, counted by a trace function."""
+    root, count = str(Path(sepkit.__file__).parent), 0
+
+    def line(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename.startswith(root) else None
+
+    previous = gettrace()
+    settrace(call)
+    try:
+        fn(*args)
+    finally:
+        settrace(previous)
+    return count
+
+
+@pytest.mark.parametrize("which,seed", [(1, SEED1), (2, SEED2)])
+def test_constructed_census_work_grows_linearly_with_the_levels(which, seed):
+    # a level steps its classes (1 on example 1, 3 on example 2) and only the
+    # states new at it, not the 2k + 1 convex states, so twice the levels run
+    # about twice the code; stepping every state runs 2.6x to 2.7x as much
+    sys = example_template(which).system
+
+    def lines(levels):
+        open_set = OpenSetApprox(sys, seed, levels + 2)
+        pt = example_point(which, budget=5000)
+        return _lines_run(constructed_v_type_census, sys, pt, open_set, levels)
+
+    once, twice = lines(60), lines(120)
+    assert twice <= 2.2 * once, (once, twice)
+
+
+#: at truncation 1 the seed 1/4:3/4 keeps the same members of convex states
+#: whose successors are kept differently, so merging them would be unsound
+CLASSES_SPLIT = ["types", "--example", "1", "--open-set", "constructed", "--seed", "1/4:3/4",
+                 "--truncation", "1", "--levels", "12"]
+
+
+def test_census_steps_every_state_where_classes_split(capsys):
+    # the census then steps every state, and its report is the one the state
+    # loop gave before classes were stepped
+    state_levels = openset_module._state_levels
+    with mock.patch.object(openset_module, "_state_levels", wraps=state_levels) as states:
+        code = main(CLASSES_SPLIT)
+    out, err = capsys.readouterr()
+    assert states.call_count == 1
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1012e1cc9a49c6deca27159753b0fe29a5123812de46bc70e443670865801642"
+    )
 
 
 @pytest.mark.parametrize("which,seed,levels", [(1, SEED1, 30), (2, SEED2, 14)])

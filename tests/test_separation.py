@@ -5,7 +5,7 @@ from functools import cmp_to_key
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sepkit import (
     AffineExpr,
@@ -33,7 +33,7 @@ from sepkit import (
     translation_amount,
     wsp_min_displacement,
 )
-from sepkit import separation
+from sepkit import openset, separation
 from sepkit.construction import PERIODIC_WARNING
 from sepkit.ifs import word_text
 from sepkit.openset import OverlapOracle, _FamilyMemo
@@ -133,11 +133,12 @@ def test_wsp_running_minimum_matches_sorting_every_level(which, value):
     assert wsp_min_displacement(sys, pt, 600) == sorting_wsp_min_displacement(sys, pt, 600)
 
 
-@pytest.mark.parametrize("which,value,calls", [(1, F(1, 8), 9), (2, F(1, 32), 5)])
+@pytest.mark.parametrize("which,value,calls", [(1, F(1, 8), 7), (2, F(1, 32), 3)])
 def test_wsp_asks_no_sign_once_the_levels_saturate(which, value, calls):
     # at a rational point the displacement set stops growing after a few
     # levels; a level that adds no value asks no sign, since each tied value
-    # keeps the sign asked when it first appeared
+    # keeps the sign asked when it first appeared; every bound test, the
+    # root's too, is read off the point's degenerate window
     sys = example_template(which).system
     sign_lattice = RationalParam.sign_lattice
     counts = []
@@ -559,9 +560,10 @@ def _oracle_endpoint_separation(sys, pt, max_level, threshold, include_mixed_in_
 
 
 class _OracleTypeAutomaton:
-    """The Fraction-valued automaton, keyed by tuples of canonical keys."""
+    """The Fraction-valued automaton, keyed by tuples of canonical keys; it
+    keeps no child cache, so it ignores one it is handed."""
 
-    def __init__(self, sys, pt):
+    def __init__(self, sys, pt, memo=None):
         self.sys = sys
         self.pt = pt
         self._types = {}
@@ -706,7 +708,9 @@ def test_wsp_and_endpoints_match_fraction_oracle(which, label, levels, ex1_pt, e
 def test_constructed_census_matches_fraction_oracle(ex1_sys, ex1_pt):
     oset = OpenSetApprox(ex1_sys, RationalInterval.make(F(3, 7), F(4, 7)), 6)
     census = constructed_v_type_census(ex1_sys, ex1_pt, oset, 5)
-    with mock.patch.object(separation, "TypeAutomaton", _OracleTypeAutomaton):
+    # the class census builds its automaton in ``openset``, the state loop in ``separation``
+    with mock.patch.object(separation, "TypeAutomaton", _OracleTypeAutomaton), \
+            mock.patch.object(openset, "TypeAutomaton", _OracleTypeAutomaton):
         assert census == constructed_v_type_census(ex1_sys, ex1_pt, oset, 5)
     _assert_witness_order(ex1_sys, ex1_pt, 5, census)
 
@@ -837,36 +841,41 @@ def test_bfs_decides_each_lattice_point_once(which, label, levels, ex1_pt, ex2_p
     assert again.queries == counting.queries
 
 
-def _lattice_decisions(sys, pt, levels):
+def _lattice_decisions(sys, pt, levels, census=convex_type_census):
     """(bound verdicts per displacement value, census, exact tests) of one census.
 
-    A verdict is an exact test (``within``), a node built on a verdict
-    read off the held window, or a child first put out of bound on the
-    window; a later scan that meets that child again reads the same
-    integer ends, as a cache hit reads a stored verdict.
+    A verdict is an exact bound test (``within`` at the bound 1), a node
+    built on a verdict read off the held window, or a child first put
+    out of bound on the window; a later scan that meets that child
+    again reads the same integer ends, as a cache hit reads a stored
+    verdict.  Values are counted over every child cache the census
+    builds, the overlap oracle's too.
     """
     seen, out, exact = Counter(), set(), []
     memo_cls, within = separation._PointMemo, separation.DisplacementLattice.within
-    node, children = memo_cls._node, memo_cls.children
+    nodes, children = {cls: cls._node for cls in (memo_cls, _FamilyMemo)}, memo_cls.children
 
     def key(lattice, point):
         value = lattice.form(point)
         return (value.p, value.q)
 
-    def tested(lattice, point_at, point, *args):
-        seen[key(lattice, point)] += 1
-        exact.append(point)
-        return within(lattice, point_at, point, *args)
+    def tested(lattice, point_at, point, bound, *args):
+        if bound == 1:
+            seen[key(lattice, point)] += 1
+            exact.append(point)
+        return within(lattice, point_at, point, bound, *args)
 
-    def built(memo, point):
-        # a node ``within`` did not just test was built on the window's verdict
-        if exact[-1:] != [point]:
-            seen[key(memo.lattice, point)] += 1
-        return node(memo, point)
+    def building(node):
+        def built(memo, point):
+            # a node ``within`` did not just test was built on the window's verdict
+            if exact[-1:] != [point]:
+                seen[key(memo.lattice, point)] += 1
+            return node(memo, point)
+        return built
 
-    def scanned(memo, point, *args):
+    def scanned(memo, point, *args, **kwargs):
         start = memo[point].scanned
-        found = children(memo, point, *args)
+        found = children(memo, point, *args, **kwargs)
         m, steps = memo.lattice.m, memo.lattice.steps
         for _, _, dp, dq in steps[start:memo[point].scanned]:
             child = (m * point[0] + dp, m * point[1] + dq)
@@ -876,10 +885,11 @@ def _lattice_decisions(sys, pt, levels):
         return found
 
     with mock.patch.object(separation.DisplacementLattice, "within", tested), \
-            mock.patch.object(memo_cls, "_node", built), \
+            mock.patch.object(memo_cls, "_node", building(nodes[memo_cls])), \
+            mock.patch.object(_FamilyMemo, "_node", building(nodes[_FamilyMemo])), \
             mock.patch.object(memo_cls, "children", scanned):
-        census = convex_type_census(sys, pt, levels)
-    return seen, census, len(exact)
+        result = census(sys, pt, levels)
+    return seen, result, len(exact)
 
 
 @pytest.mark.parametrize("which,label,levels", ORACLE_CASES)
@@ -906,6 +916,22 @@ def test_automaton_decides_each_lattice_point_once(which, label, levels, ex1_pt,
     # the same lattice points are tested, the oracle once per child
     assert set(seen) == set(oracle_seen)
     assert sum(oracle_seen.values()) >= sum(seen.values())
+
+
+@pytest.mark.parametrize("which,label,levels", [(1, "ex1", 12), (2, "ex2", 6), (1, F(1, 8), 12)])
+def test_constructed_census_decides_each_lattice_point_once(which, label, levels, ex1_pt, ex2_pt):
+    # the automaton and the overlap oracle share one child cache, so a point
+    # both of them reach is decided once, not once in each
+    sys = example_template(which).system
+    pt = _case_point(label, ex1_pt, ex2_pt)
+    seed = RationalInterval.make(F(3, 7), F(4, 7))
+
+    def census(sys, pt, levels):
+        return constructed_v_type_census(sys, pt, OpenSetApprox(sys, seed, levels + 2), levels)
+
+    seen, result, _ = _lattice_decisions(sys, pt, levels, census)
+    assert seen and max(seen.values()) == 1
+    assert result == census(sys, pt, levels)
 
 
 def test_census_decides_children_on_the_held_window():
@@ -1018,6 +1044,31 @@ def test_window_screen_matches_the_exact_path(sys, levels, kind, depth, c, ends)
     screened = _screen_uses(sys, _screen_point(kind, depth), levels, c, seed)
     exact = _screen_uses(sys, _CountingParam(_screen_point(kind, depth)), levels, c, seed)
     assert screened == exact
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    small_systems(),
+    st.integers(1, 5),
+    st.sampled_from(["short", "lowered", "full", F(1, 8), F(2, 5), F(1, 3), F(0)]),
+    st.integers(2, 8),
+    st.sampled_from([(F(3, 7), F(4, 7)), (F(1, 4), F(3, 4)), (F(1, 2), F(3, 4)), (F(0), F(1))]),
+    st.integers(0, 3),
+)
+# example 1 at the seed 1/4:3/4: classes that step apart at truncation 1, and
+# a short chain that leaves a bound test undecided at truncation 0
+@example(example_template(1).system, 3, "full", 2, (F(1, 4), F(3, 4)), 1)
+@example(example_template(1).system, 4, "short", 4, (F(1, 4), F(3, 4)), 0)
+def test_class_stepping_matches_the_state_loop(sys, levels, kind, depth, ends, truncation):
+    # the constructed census steps classes, or every state where a class's
+    # states step apart; its report, or its Undecided, is the state loop's
+    open_set = OpenSetApprox(sys, RationalInterval.make(*ends), truncation)
+    got = _stamped(constructed_v_type_census, sys, _screen_point(kind, depth), open_set, levels)
+    with mock.patch.object(openset, "_class_levels", lambda *args: None):
+        expected = _stamped(
+            constructed_v_type_census, sys, _screen_point(kind, depth), open_set, levels
+        )
+    assert got == expected
 
 
 # --- the shared child cache against the loops that re-expand every parent ---------

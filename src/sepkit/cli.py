@@ -217,7 +217,10 @@ def encode_report(obj) -> str:
     levels index), so each container is encoded where it appears.  A
     list whose items are all ``str``, or all exact ``int`` (not
     ``bool``), such as a census level's columns, is written with one
-    ``join``.
+    ``join``.  So is a list of flat records, such as the word pairs of
+    an overlap or endpoint report: dicts with one key order whose values
+    are all ``str`` or exact ``int``, each written by one format string
+    (``_flat_records``).
     """
     pieces: list[str] = []
     append = pieces.append
@@ -264,6 +267,8 @@ def encode_report(obj) -> str:
                 append("[" + inner + between.join(map(encode_basestring_ascii, obj)) + close)
             elif kinds == {int}:
                 append("[" + inner + between.join(map(int.__repr__, obj)) + close)
+            elif kinds == {dict} and (records := _flat_records(obj, depth + 1)) is not None:
+                append("[" + inner + between.join(records) + close)
             else:
                 append("[")
                 for v in obj:
@@ -274,6 +279,39 @@ def encode_report(obj) -> str:
 
     write(obj, 0)
     return "".join(pieces)
+
+
+def _scalar_text(value) -> str:
+    return encode_basestring_ascii(value) if type(value) is str else int.__repr__(value)
+
+
+def _flat_records(records, depth: int):
+    """The JSON texts of dicts at ``depth`` that share one key order, or None.
+
+    Each dict must be non-empty, with ``str`` keys and only ``str`` or
+    exact ``int`` values; the texts are then one format string filled
+    with each record's values, written column by column.
+    """
+    keys = tuple(records[0])
+    if not keys or not all(type(k) is str for k in keys):
+        return None
+    if not all(map(keys.__eq__, map(tuple, records))):
+        return None
+    columns = []
+    for key in keys:
+        values = [record[key] for record in records]
+        kinds = set(map(type, values))
+        if kinds == {str}:
+            columns.append(map(encode_basestring_ascii, values))
+        elif kinds == {int}:
+            columns.append(map(int.__repr__, values))
+        elif kinds == {str, int}:
+            columns.append(map(_scalar_text, values))
+        else:
+            return None
+    inner = "\n" + "  " * (depth + 1)
+    fields = [inner + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
+    return map(("{" + ",".join(fields) + "\n" + "  " * depth + "}").__mod__, zip(*columns))
 
 
 def emit(args, report: dict) -> None:
@@ -413,6 +451,20 @@ def _add_common(parser, sequence=True):
     parser.add_argument("--timestamps", action="store_true")
 
 
+def _count(parser, flag: str, default: int | None, least: int) -> None:
+    """Add an integer option that ``main`` refuses, naming ``flag``, below ``least``."""
+    parser.add_argument(flag, type=int, default=default)
+    parser.set_defaults(least={**(parser.get_default("least") or {}), flag: least})
+
+
+def check_counts(args) -> None:
+    """Refuse a count option below its least value, by the flag the user typed."""
+    for flag, least in getattr(args, "least", {}).items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value < least:
+            raise UsageError(f"{flag} must be >= {least}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one ``sepkit`` parser, built on first use; do not modify it."""
@@ -425,22 +477,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="run the refinement and print the parameter")
     _add_common(p)
-    p.add_argument("--depth", type=int, default=60)
-    p.add_argument("--digits", type=int, default=10)
+    _count(p, "--depth", 60, least=1)
+    _count(p, "--digits", 10, least=1)
     p.add_argument("--json", action="store_true", help="emit the full per-level report")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("types", help="neighbourhood-type census")
     _add_common(p)
     p.add_argument("--open-set", choices=("convex", "constructed"), default="convex")
-    p.add_argument("--levels", type=int, default=10)
+    _count(p, "--levels", 10, least=1)
     p.add_argument("--seed", help="seed interval LO:HI for the constructed open set")
-    p.add_argument("--truncation", type=int, default=None)
+    _count(p, "--truncation", None, least=0)
     p.set_defaults(func=cmd_types)
 
     p = sub.add_parser("wsp", help="smallest nonzero normalized displacement")
     _add_common(p)
-    p.add_argument("--max-level", type=int, default=10)
+    _count(p, "--max-level", 10, least=1)
     p.set_defaults(func=cmd_wsp)
 
     verify = sub.add_parser("verify", help="run a separation verifier")
@@ -449,22 +501,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("osc", help="open set condition at finite depth")
     _add_common(p)
     p.add_argument("--seed", help="seed interval LO:HI (defaults per system)")
-    p.add_argument("--depth", type=int, default=8)
+    _count(p, "--depth", 8, least=0)
     p.set_defaults(func=cmd_verify_osc)
 
     p = vsub.add_parser("overlaps", help="exact overlap scan")
     _add_common(p, sequence=False)
-    p.add_argument("--max-level", type=int, default=2)
+    _count(p, "--max-level", 2, least=1)
     p.set_defaults(func=cmd_verify_overlaps)
 
     p = vsub.add_parser("distinctness", help="scaled-gap distinctness")
     _add_common(p)
-    p.add_argument("--levels", type=int, default=12)
+    _count(p, "--levels", 12, least=1)
     p.set_defaults(func=cmd_verify_distinctness)
 
     p = vsub.add_parser("endpoints", help="endpoint separation bound")
     _add_common(p)
-    p.add_argument("--max-level", type=int, default=8)
+    _count(p, "--max-level", 8, least=1)
     p.add_argument("--c", default="4/7", help="separation constant (rational)")
     p.add_argument("--mixed", action="store_true",
                    help="fold mixed-endpoint gaps into the verdict")
@@ -472,15 +524,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="emit cylinder diagrams as SVG")
     _add_common(p)
-    p.add_argument("--levels", type=int, default=2)
+    _count(p, "--levels", 2, least=1)
     p.add_argument("--out", required=True)
-    p.add_argument("--scale", type=int, default=900)
-    p.add_argument("--decimals", type=int, default=12)
+    _count(p, "--scale", 900, least=1)
+    _count(p, "--decimals", 12, least=1)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("dimension", help="similarity dimension log(n)/log(m)")
     _add_common(p, sequence=False)
-    p.add_argument("--digits", type=int, default=6)
+    _count(p, "--digits", 6, least=1)
     p.set_defaults(func=cmd_dimension)
 
     return parser
@@ -493,6 +545,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        check_counts(args)
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"sepkit: {exc}\n")

@@ -37,7 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import starmap
 from math import lcm
+from typing import NamedTuple
 
 from .exact import AFFINE_ZERO, AffineExpr, Param, RationalParam, Undecided, rational_to_str
 from .ifs import IfsSystem, Word, word_texts
@@ -125,6 +127,8 @@ class DisplacementLattice:
 
 #: The zero displacement as a lattice point.
 _ZERO_STATE = (0, 0)
+#: Each symbol as the one-byte string a word appends.
+_SYMBOL = [bytes((s,)) for s in range(256)]
 
 
 class _Node:
@@ -332,7 +336,7 @@ def _search(memo: _PointMemo, max_level: int):
     reports the error it would report had every bound test run first,
     however its levels are read.
     """
-    symbol = [bytes((s,)) for s in range(256)]
+    symbol = _SYMBOL
     # zero's node is the memo's to build, inside level 1; a fresh node,
     # scanned through no step, sends the search there
     current = [(b"", b"", _ZERO_STATE, _Node())]
@@ -761,21 +765,89 @@ class OverlapPair:
     right: Word
     level: int
 
-    def to_json(self) -> dict:
-        return {"sigma": str(self.left), "tau": str(self.right), "level": self.level}
+
+class _PairColumns(NamedTuple):
+    """Word pairs in report order as three columns: the symbol bytes of
+    each pair's sigma and tau, and one int each (a level or an endpoint
+    delta)."""
+
+    sigma: list
+    tau: list
+    value: list
+
+    def records(self, key: str) -> list[dict]:
+        """The report records {"sigma", "tau", key}, one ``word_texts`` per word column."""
+        return [
+            {"sigma": s, "tau": t, key: v}
+            for s, t, v in zip(word_texts(self.sigma), word_texts(self.tau), self.value)
+        ]
+
+
+class _HeldPairs:
+    """A frozen dataclass whose word-pair fields may be held as columns.
+
+    ``_held`` makes an instance that holds named fields as
+    ``_PairColumns`` instead of tuples; such a field is built (by
+    ``_row``) on its first read and kept, so a report written from the
+    columns (``_pairs``) builds no object per pair.  Values, types and
+    equality are those of an instance built with the tuples.
+    """
+
+    #: the type of a pair field's items, called with (Word, Word, int); None keeps the tuple
+    _row = None
+
+    def __getattr__(self, name: str):
+        held = vars(self).get("_columns", {})
+        if name not in held:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        sigma, tau, value = held[name]
+        rows = zip(map(Word, sigma), map(Word, tau), value)
+        rows = tuple(rows if self._row is None else starmap(self._row, rows))
+        object.__setattr__(self, name, rows)
+        return rows
+
+    @classmethod
+    def _held(cls, columns: dict[str, _PairColumns], **fields):
+        self = object.__new__(cls)
+        for name, value in {**fields, "_columns": columns}.items():
+            object.__setattr__(self, name, value)
+        return self
+
+    def _pairs(self, name: str) -> _PairColumns:
+        """The named pair field as columns, read off the rows if it was built with them."""
+        held = vars(self).get("_columns", {})
+        if name in held:
+            return held[name]
+        rows = [self._unrow(row) for row in getattr(self, name)]
+        return _PairColumns(*map(list, zip(*rows))) if rows else _PairColumns([], [], [])
 
 
 @dataclass(frozen=True)
-class OverlapScanResult:
+class OverlapScanResult(_HeldPairs):
+    """The pairs of ``exact_overlap_scan``, primitive and derived, in report order.
+
+    The scan's own result holds both fields as symbol-byte columns
+    (``_HeldPairs``): ``to_json`` writes them with one ``word_texts``
+    call per word column, and the ``OverlapPair`` tuples are built on
+    first read.  A result built with tuples is equal to one built from
+    the same pairs as columns.
+    """
+
     max_level: int
     overlaps: tuple[OverlapPair, ...]
     derived: tuple[OverlapPair, ...]
 
+    _row = OverlapPair
+
+    @staticmethod
+    def _unrow(pair: OverlapPair) -> tuple[bytes, bytes, int]:
+        return pair.left.symbols, pair.right.symbols, pair.level
+
     def to_json(self) -> dict:
         return {
             "max_level": self.max_level,
-            "overlaps": [o.to_json() for o in self.overlaps],
-            "derived": [o.to_json() for o in self.derived],
+            "overlaps": self._pairs("overlaps").records("level"),
+            "derived": self._pairs("derived").records("level"),
         }
 
 
@@ -835,57 +907,76 @@ def exact_overlap_scan(sys: IfsSystem, max_level: int) -> OverlapScanResult:
     Purely symbolic: S_sigma = S_tau exactly when the displacement walk
     of (sigma, tau) ends at 0 componentwise, so the pairs are the closed
     walks 0 -> ... -> 0 on the finite graph of ``_return_walks``, read
-    with sigma < tau (i < j at the first difference).  One walk over an
-    explicit stack visits them all, the words as symbol bytes.  While
-    sigma = tau the pair is a shared prefix: it diverges by an (i, j)
-    step with i < j, and it is extended by an (s, s) step only while
-    the shortest diverging return still fits in the level budget.  Once
-    the words differ, a walk is extended only while it can still return
-    within the budget.  Since v_k = m^(k-s) * v_s + v(tail), a pair
-    factors through a shorter overlap (same map on a prefix pair and on
-    the suffix pair) exactly when its walk is at 0 at an interior
+    with sigma < tau (i < j at the first difference).  The walks are
+    stepped a level at a time, as symbol-byte columns grouped by their
+    state, so that each step of a group is one pass over its columns.
+    While sigma = tau the pair is a shared prefix: it diverges by an
+    (i, j) step with i < j, and it is extended by an (s, s) step only
+    while the shortest diverging return still fits in the level budget.
+    Once the words differ, a walk is extended only while it can still
+    return within the budget.  Since v_k = m^(k-s) * v_s + v(tail), a
+    pair factors through a shorter overlap (same map on a prefix pair
+    and on the suffix pair) exactly when its walk is at 0 at an interior
     position; such pairs, shared prefixes included, are reported
     separately as derived.  Within a level, pairs are grouped by their
     common map, groups in order of their smallest word, pairs in
     (sigma, tau) order.
+
+    The result holds the pairs as symbol-byte columns and builds its
+    ``OverlapPair`` tuples only when they are read (``_HeldPairs``), so
+    a report written from it builds no object per pair.
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
     edges, distance = _return_walks(sys)
-    symbol = [bytes((s,)) for s in range(256)]
+    symbol = _SYMBOL
     shortest = min(
         (1 + distance[nxt] for i, j, nxt in edges[_ZERO_STATE] if i < j), default=max_level
     )
-    found: list[list] = [[] for _ in range(max_level + 1)]
-    stack = [(b"", b"", _ZERO_STATE, False)]
-    while stack:
-        sigma, tau, state, zero_seen = stack.pop()
-        level = len(sigma)
-        if state == _ZERO_STATE and level:
-            if sigma != tau:
-                found[level].append((sigma, tau, zero_seen))
-            zero_seen = True
-        budget = max_level - level - 1
-        for i, j, nxt in edges[state]:
-            if sigma != tau or i < j:
-                fits = distance[nxt] <= budget
-            else:
-                fits = i == j and shortest <= budget
-            if fits:
-                stack.append((sigma + symbol[i], tau + symbol[j], nxt, zero_seen))
-    primitive: list[OverlapPair] = []
-    derived: list[OverlapPair] = []
+    repeats = [symbol[i] for i, j, _ in edges[_ZERO_STATE] if i == j]
+    columns = {False: _PairColumns([], [], []), True: _PairColumns([], [], [])}
+    shared = [b""]  # the shared prefixes, at state 0
+
+    def step(groups: dict, key, sigmas: list, taus: list, i: int, j: int) -> None:
+        held, step_i, step_j = groups.setdefault(key, ([], [])), symbol[i], symbol[j]
+        held[0].extend([sigma + step_i for sigma in sigmas])
+        held[1].extend([tau + step_j for tau in taus])
+
+    # (state, whether the walk was at 0 at an interior position) -> (sigmas, taus)
+    walks: dict = {}
     for level in range(1, max_level + 1):
-        pairs = found[level]
+        if not shared and not any(sigmas for sigmas, _ in walks.values()):
+            break  # no walk left to return to 0
+        budget = max_level - level
+        stepped: dict = {}
+        for (state, seen), (sigmas, taus) in walks.items():
+            for i, j, nxt in edges[state]:
+                if distance[nxt] <= budget:
+                    step(stepped, (nxt, seen), sigmas, taus, i, j)
+        for i, j, nxt in edges[_ZERO_STATE]:
+            if i < j and distance[nxt] <= budget:
+                step(stepped, (nxt, level > 1), shared, shared, i, j)
+        shared = [p + s for p in shared for s in repeats] if shortest <= budget else []
+        # the pairs of this level are the walks back at 0; they go on as derived
+        back = {seen: stepped.pop((_ZERO_STATE, seen), ([], [])) for seen in (False, True)}
+        stepped[_ZERO_STATE, True] = (back[False][0] + back[True][0], back[False][1] + back[True][1])
+        walks = stepped
         # equal maps form cliques: a word's group starts at its smallest partner
         smallest: dict = {}
-        for sigma, tau, _ in pairs:
-            if sigma < smallest.get(tau, tau):
-                smallest[tau] = sigma
-        for _, sigma, tau, is_derived in sorted((smallest.get(s, s), s, t, d) for s, t, d in pairs):
-            pair = OverlapPair(Word(sigma), Word(tau), level)
-            (derived if is_derived else primitive).append(pair)
-    return OverlapScanResult(max_level, tuple(primitive), tuple(derived))
+        for sigmas, taus in back.values():
+            for sigma, tau in zip(sigmas, taus):
+                if sigma < smallest.get(tau, tau):
+                    smallest[tau] = sigma
+        # each sort key is (group, sigma, tau) as one string of three equal-length words
+        for seen, (sigmas, taus) in back.items():
+            keys = sorted(map(b"".join, zip(map(smallest.get, sigmas, sigmas), sigmas, taus)))
+            out = columns[seen]
+            out.sigma.extend([key[level:2 * level] for key in keys])
+            out.tau.extend([key[2 * level:] for key in keys])
+            out.value.extend([level] * len(keys))
+    return OverlapScanResult._held(
+        {"overlaps": columns[False], "derived": columns[True]}, max_level=max_level
+    )
 
 
 @dataclass(frozen=True)
@@ -976,13 +1067,26 @@ class EndpointBucket:
 
 
 @dataclass(frozen=True)
-class EndpointReport:
+class EndpointReport(_HeldPairs):
+    """The verdict of ``endpoint_separation``.
+
+    ``equal_pairs`` lists (sigma, tau, endpoint delta) for every pick of
+    value exactly 0: the overlap scan's pairs with delta 0, then the
+    touching mixed picks level by level.  ``endpoint_separation`` hands
+    them over as symbol-byte columns (``_HeldPairs``), which ``to_json``
+    writes directly; the tuple of ``Word`` pairs is built on first read.
+    """
+
     max_level: int
     threshold: Fraction
     corresponding: EndpointBucket
     mixed: EndpointBucket
     equal_pairs: tuple[tuple[Word, Word, int], ...]
     include_mixed_in_verdict: bool
+
+    @staticmethod
+    def _unrow(pair: tuple[Word, Word, int]) -> tuple[bytes, bytes, int]:
+        return pair[0].symbols, pair[1].symbols, pair[2]
 
     @property
     def passed(self) -> bool:
@@ -998,10 +1102,7 @@ class EndpointReport:
             "corresponding_endpoints": self.corresponding.to_json(pt),
             "mixed_endpoints": self.mixed.to_json(pt),
             "mixed_in_verdict": self.include_mixed_in_verdict,
-            "equal_pairs": [
-                {"sigma": str(s), "tau": str(t), "endpoint_delta": d}
-                for s, t, d in self.equal_pairs
-            ],
+            "equal_pairs": self._pairs("equal_pairs").records("endpoint_delta"),
             "notes": [
                 "differences are scaled by m^level before comparison with the threshold",
                 "mixed-endpoint gaps measure cylinder overlap widths and are reported "
@@ -1055,7 +1156,9 @@ def endpoint_separation(
     # identical endpoints come from identical maps (zero displacement) or
     # from cylinders touching end to end (a mixed pick of value exactly 0)
     scan = exact_overlap_scan(sys, max_level)
-    equal_pairs = [(o.left, o.right, 0) for o in scan.overlaps + scan.derived]
+    found, extended = scan._pairs("overlaps"), scan._pairs("derived")
+    equal = _PairColumns(found.sigma + extended.sigma, found.tau + extended.tau,
+                         [0] * (len(found.value) + len(extended.value)))
     # (|value| as a lattice point, sigma, tau, delta) for corresponding
     # and for mixed picks, each value's at its first level; the value of
     # (sigma, tau) shifted by delta
@@ -1079,8 +1182,11 @@ def endpoint_separation(
                 point = (shifted, Q) if sign > 0 else (-shifted, -Q)
                 (mixed if delta else same).append((point, sigma, tau, delta))
         if touching:  # listed at every level, with that level's words
-            equal_pairs += [(Word(tau), Word(sigma), touching[ident])
-                            for ident, (sigma, tau, _, _) in level.items() if ident in touching]
+            for ident, (sigma, tau, _, _) in level.items():
+                if ident in touching:
+                    equal.sigma.append(tau)
+                    equal.tau.append(sigma)
+                    equal.value.append(touching[ident])
 
     # |value| <= threshold is the sign of |value| - n/d over Lp*d, as in ``within``
     n, d = threshold.numerator, threshold.denominator
@@ -1104,13 +1210,13 @@ def endpoint_separation(
         witness = (Word(tau), Word(sigma), delta)
         return EndpointBucket(violations == 0, lattice.form(point), witness, violations)
 
-    return EndpointReport(
-        max_level,
-        threshold,
-        bucket(same),
-        bucket(mixed),
-        tuple(equal_pairs),
-        include_mixed_in_verdict,
+    return EndpointReport._held(
+        {"equal_pairs": equal},
+        max_level=max_level,
+        threshold=threshold,
+        corresponding=bucket(same),
+        mixed=bucket(mixed),
+        include_mixed_in_verdict=include_mixed_in_verdict,
     )
 
 

@@ -12,6 +12,8 @@ import pytest
 from sepkit import RationalParam, convex_type_census, example_system, wsp_min_displacement
 from sepkit.cli import build_parser, main
 from sepkit.construction import PERIODIC_WARNING, RefinementEngine
+from sepkit.ifs import Word
+from sepkit.separation import OverlapPair
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -682,24 +684,67 @@ def test_one_parser_serves_many_requests(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["types", "--example", "1", "--levels", "-3"], "max_level must be >= 1"),
-        (["types", "--example", "1", "--levels", "0"], "max_level must be >= 1"),
+        (["types", "--example", "1", "--levels", "-3"], "--levels must be >= 1"),
+        (["types", "--example", "1", "--levels", "0"], "--levels must be >= 1"),
         (["types", "--example", "1", "--open-set", "constructed", "--seed", "3/7:4/7",
-          "--levels", "0"], "max_level must be >= 1"),
-        (["wsp", "--example", "1", "--max-level", "0"], "max_level must be >= 1"),
-        (["wsp", "--example", "1", "--max-level", "-1"], "max_level must be >= 1"),
-        (["render", "--example", "1", "--levels", "0", "--out", "figs"], "depth must be >= 1"),
-        (["render", "--example", "1", "--levels", "-2", "--out", "figs"], "depth must be >= 1"),
-        (["render", "--example", "1", "--out", "figs", "--scale", "0"], "scale must be >= 1"),
-        (["render", "--example", "1", "--out", "figs", "--scale", "-5"], "scale must be >= 1"),
-        (["render", "--example", "1", "--out", "figs", "--decimals", "0"], "digits must be >= 1"),
+          "--levels", "0"], "--levels must be >= 1"),
+        (["wsp", "--example", "1", "--max-level", "0"], "--max-level must be >= 1"),
+        (["wsp", "--example", "1", "--max-level", "-1"], "--max-level must be >= 1"),
+        (["render", "--example", "1", "--levels", "0", "--out", "figs"], "--levels must be >= 1"),
+        (["render", "--example", "1", "--levels", "-2", "--out", "figs"],
+         "--levels must be >= 1"),
+        (["render", "--example", "1", "--out", "figs", "--scale", "0"], "--scale must be >= 1"),
+        (["render", "--example", "1", "--out", "figs", "--scale", "-5"], "--scale must be >= 1"),
+        (["render", "--example", "1", "--out", "figs", "--decimals", "0"],
+         "--decimals must be >= 1"),
+        (["render", "--example", "1", "--out", "figs", "--decimals", "-1"],
+         "--decimals must be >= 1"),
+        (["construct", "--example", "1", "--depth", "0"], "--depth must be >= 1"),
+        (["construct", "--example", "1", "--digits", "0"], "--digits must be >= 1"),
+        (["types", "--example", "1", "--open-set", "constructed", "--truncation", "-1"],
+         "--truncation must be >= 0"),
+        (["verify", "osc", "--example", "1", "--depth", "-1"], "--depth must be >= 0"),
+        (["verify", "overlaps", "--example", "2", "--max-level", "0"],
+         "--max-level must be >= 1"),
+        (["verify", "distinctness", "--example", "1", "--levels", "0"], "--levels must be >= 1"),
+        (["verify", "endpoints", "--example", "1", "--max-level", "0"],
+         "--max-level must be >= 1"),
+        (["dimension", "--example", "1", "--digits", "0"], "--digits must be >= 1"),
     ],
     ids=["types-negative", "types-zero", "constructed-zero", "wsp-zero", "wsp-negative",
          "render-zero", "render-negative", "render-scale-zero", "render-scale-negative",
-         "render-decimals-zero"],
+         "render-decimals-zero", "render-decimals-negative", "construct-depth",
+         "construct-digits", "truncation", "osc-depth", "overlaps-level", "distinctness-levels",
+         "endpoints-level", "dimension-digits"],
 )
 def test_fewer_than_one_level_is_usage_error(capsys, monkeypatch, tmp_path, argv, message):
+    # the line names the option as typed, not the library parameter it feeds
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"sepkit: {message}\n")
     assert not (tmp_path / "figs").exists()
+
+
+@pytest.mark.parametrize("verifier", ["overlaps", "endpoints"])
+def test_overlap_listing_builds_no_object_per_pair(capsys, monkeypatch, verifier):
+    # example 2's pairs stay symbol bytes from the scan to the report: the
+    # words and pairs a request builds do not grow with the pairs it lists
+    built = {Word: 0, OverlapPair: 0}
+    for cls in built:
+        def counted(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    seen = []
+    for level in ("4", "6"):
+        built.update(dict.fromkeys(built, 0))
+        code, out, _ = run_cli(capsys, "verify", verifier, "--example", "2", "--max-level", level)
+        assert code == 0
+        results = json.loads(out)["results"]
+        listed = results["derived"] if verifier == "overlaps" else results["equal_pairs"]
+        seen.append((len(listed), dict(built)))
+    (fewer, at_4), (more, at_6) = seen
+    assert more > 40 * fewer > 0
+    assert at_4 == at_6
+    assert sum(at_6.values()) <= 10

@@ -16,7 +16,7 @@ from sepkit import (
     convex_type_census,
     param_point,
 )
-from sepkit.cli import encode_report
+from sepkit.cli import _flat_records, encode_report
 
 from bruteforce import census_report_per_entry, expand_census_report
 
@@ -77,6 +77,50 @@ def test_flat_lists_match_json_dumps(items):
     # all-str and all-int lists take the one-join path; bools and mixed lists do not
     for value in (items, {"level": 3, "column": items}, [[items]]):
         assert encode_report(value) == json.dumps(value, indent=2)
+
+
+FLAT_VALUES = st.one_of(st.integers(), st.integers(-(10**400), 10**400), TEXT)
+RECORD_KEYS = st.one_of(TEXT, st.sampled_from(["%", "%s", "%(sigma)s", "sigma", "level"]))
+
+
+@st.composite
+def flat_records(draw):
+    """A list of dicts that share one key order and hold only str or int
+    values, and the flaw, if any, that must keep it off the one-format path:
+    a bool, None or float value, a key missing or added, or the keys of one
+    record reordered."""
+    keys = draw(st.lists(RECORD_KEYS, min_size=1, max_size=4, unique=True))
+    records = [
+        dict(zip(keys, draw(st.lists(FLAT_VALUES, min_size=len(keys), max_size=len(keys)))))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    flaw = draw(st.sampled_from([None, "bool", "none", "float", "missing", "added", "reordered"]))
+    record = records[draw(st.integers(0, len(records) - 1))]
+    key = draw(st.sampled_from(keys))
+    # a key flaw sets one record apart from another
+    apart = len(records) > 1
+    if flaw in ("bool", "none", "float"):
+        record[key] = draw({"bool": st.booleans(), "none": st.none(), "float": st.floats()}[flaw])
+    elif flaw == "missing" and apart:
+        del record[key]
+    elif flaw == "added" and apart:
+        record[draw(RECORD_KEYS.filter(lambda k: k not in keys))] = 0
+    elif flaw == "reordered" and apart and len(keys) > 1:
+        items = list(record.items())
+        record.clear()
+        record.update(items[1:] + items[:1])
+    else:
+        flaw = None
+    return records, flaw
+
+
+@given(flat_records())
+def test_flat_records_match_json_dumps(case):
+    # same-key flat records take the one-format path; any flaw leaves it
+    records, flaw = case
+    for value in (records, {"pairs": records}, [[records, records]]):
+        assert encode_report(value) == json.dumps(value, indent=2)
+    assert (_flat_records(records, 1) is None) == (flaw is not None)
 
 
 @pytest.mark.parametrize("value", [

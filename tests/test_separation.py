@@ -438,6 +438,30 @@ def test_overlap_scan_example2(ex2_sys):
     ]
 
 
+def test_held_pair_columns_match_built_tuples(ex1_sys, ex2_sys, ex2_pt):
+    # the scan and the endpoint check hand their pairs over as columns; the
+    # report, the fields, equality and hash are those of a result built with
+    # tuples (at a = 1/8 example 1 has touching picks, listed with delta +-1)
+    eighth = RationalParam(F(1, 8))
+    cases = [
+        (exact_overlap_scan(ex2_sys, 4), _brute_force_overlap_scan(ex2_sys, 4), (),
+         ("overlaps", "derived")),
+        (endpoint_separation(ex2_sys, ex2_pt, 4, F(4, 7)),
+         _oracle_endpoint_separation(ex2_sys, ex2_pt, 4, F(4, 7)), (ex2_pt,), ("equal_pairs",)),
+        (endpoint_separation(ex1_sys, eighth, 2, F(4, 7)),
+         _oracle_endpoint_separation(ex1_sys, eighth, 2, F(4, 7)), (eighth,), ("equal_pairs",)),
+    ]
+    for held, built, json_args, names in cases:
+        assert held.to_json(*json_args) == built.to_json(*json_args)
+        assert held == built and hash(held) == hash(built) and repr(held) == repr(built)
+        for name in names:
+            rows = getattr(held, name)
+            assert type(rows) is tuple and rows == getattr(built, name)
+            assert getattr(held, name) is rows
+    with pytest.raises(AttributeError):
+        exact_overlap_scan(ex2_sys, 2).pairs
+
+
 def test_overlap_scan_example1_empty(ex1_sys):
     scan = exact_overlap_scan(ex1_sys, 4)
     assert scan.overlaps == () and scan.derived == ()

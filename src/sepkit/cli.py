@@ -218,9 +218,9 @@ def encode_report(obj) -> str:
     list whose items are all ``str``, or all exact ``int`` (not
     ``bool``), such as a census level's columns, is written with one
     ``join``.  So is a list of flat records, such as the word pairs of
-    an overlap or endpoint report: dicts with one key order whose values
-    are all ``str`` or exact ``int``, each written by one format string
-    (``_flat_records``).
+    an overlap or endpoint report: dicts with one key order, each key's
+    values all ``str`` or all exact ``int``, each dict written by one
+    format string (``_flat_records``).
     """
     pieces: list[str] = []
     append = pieces.append
@@ -281,16 +281,13 @@ def encode_report(obj) -> str:
     return "".join(pieces)
 
 
-def _scalar_text(value) -> str:
-    return encode_basestring_ascii(value) if type(value) is str else int.__repr__(value)
-
-
 def _flat_records(records, depth: int):
     """The JSON texts of dicts at ``depth`` that share one key order, or None.
 
-    Each dict must be non-empty, with ``str`` keys and only ``str`` or
-    exact ``int`` values; the texts are then one format string filled
-    with each record's values, written column by column.
+    Each dict must be non-empty, with ``str`` keys, and each key's
+    values must be all ``str`` or all exact ``int``; the texts are then
+    one format string filled with each record's values, written column
+    by column.
     """
     keys = tuple(records[0])
     if not keys or not all(type(k) is str for k in keys):
@@ -305,8 +302,6 @@ def _flat_records(records, depth: int):
             columns.append(map(encode_basestring_ascii, values))
         elif kinds == {int}:
             columns.append(map(int.__repr__, values))
-        elif kinds == {str, int}:
-            columns.append(map(_scalar_text, values))
         else:
             return None
     inner = "\n" + "  " * (depth + 1)

@@ -787,10 +787,10 @@ class _HeldPairs:
     """A frozen dataclass whose word-pair fields may be held as columns.
 
     ``_held`` makes an instance that holds named fields as
-    ``_PairColumns`` instead of tuples; such a field is built (by
-    ``_row``) on its first read and kept, so a report written from the
-    columns (``_pairs``) builds no object per pair.  Values, types and
-    equality are those of an instance built with the tuples.
+    ``_PairColumns`` instead of tuples, kept in ``_columns``; such a
+    field is built (by ``_row``) on its first read and kept, so a report
+    written from ``_columns`` builds no object per pair.  Values, types
+    and equality are those of an instance built with the tuples.
     """
 
     #: the type of a pair field's items, called with (Word, Word, int); None keeps the tuple
@@ -813,14 +813,6 @@ class _HeldPairs:
             object.__setattr__(self, name, value)
         return self
 
-    def _pairs(self, name: str) -> _PairColumns:
-        """The named pair field as columns, read off the rows if it was built with them."""
-        held = vars(self).get("_columns", {})
-        if name in held:
-            return held[name]
-        rows = [self._unrow(row) for row in getattr(self, name)]
-        return _PairColumns(*map(list, zip(*rows))) if rows else _PairColumns([], [], [])
-
 
 @dataclass(frozen=True)
 class OverlapScanResult(_HeldPairs):
@@ -830,7 +822,8 @@ class OverlapScanResult(_HeldPairs):
     (``_HeldPairs``): ``to_json`` writes them with one ``word_texts``
     call per word column, and the ``OverlapPair`` tuples are built on
     first read.  A result built with tuples is equal to one built from
-    the same pairs as columns.
+    the same pairs as columns; ``to_json`` reads the columns, so it
+    writes only the scan's own result.
     """
 
     max_level: int
@@ -839,15 +832,11 @@ class OverlapScanResult(_HeldPairs):
 
     _row = OverlapPair
 
-    @staticmethod
-    def _unrow(pair: OverlapPair) -> tuple[bytes, bytes, int]:
-        return pair.left.symbols, pair.right.symbols, pair.level
-
     def to_json(self) -> dict:
         return {
             "max_level": self.max_level,
-            "overlaps": self._pairs("overlaps").records("level"),
-            "derived": self._pairs("derived").records("level"),
+            "overlaps": self._columns["overlaps"].records("level"),
+            "derived": self._columns["derived"].records("level"),
         }
 
 
@@ -1074,7 +1063,8 @@ class EndpointReport(_HeldPairs):
     value exactly 0: the overlap scan's pairs with delta 0, then the
     touching mixed picks level by level.  ``endpoint_separation`` hands
     them over as symbol-byte columns (``_HeldPairs``), which ``to_json``
-    writes directly; the tuple of ``Word`` pairs is built on first read.
+    writes directly (so it writes only a report that function made); the
+    tuple of ``Word`` pairs is built on first read.
     """
 
     max_level: int
@@ -1083,10 +1073,6 @@ class EndpointReport(_HeldPairs):
     mixed: EndpointBucket
     equal_pairs: tuple[tuple[Word, Word, int], ...]
     include_mixed_in_verdict: bool
-
-    @staticmethod
-    def _unrow(pair: tuple[Word, Word, int]) -> tuple[bytes, bytes, int]:
-        return pair[0].symbols, pair[1].symbols, pair[2]
 
     @property
     def passed(self) -> bool:
@@ -1102,7 +1088,7 @@ class EndpointReport(_HeldPairs):
             "corresponding_endpoints": self.corresponding.to_json(pt),
             "mixed_endpoints": self.mixed.to_json(pt),
             "mixed_in_verdict": self.include_mixed_in_verdict,
-            "equal_pairs": self._pairs("equal_pairs").records("endpoint_delta"),
+            "equal_pairs": self._columns["equal_pairs"].records("endpoint_delta"),
             "notes": [
                 "differences are scaled by m^level before comparison with the threshold",
                 "mixed-endpoint gaps measure cylinder overlap widths and are reported "
@@ -1156,7 +1142,7 @@ def endpoint_separation(
     # identical endpoints come from identical maps (zero displacement) or
     # from cylinders touching end to end (a mixed pick of value exactly 0)
     scan = exact_overlap_scan(sys, max_level)
-    found, extended = scan._pairs("overlaps"), scan._pairs("derived")
+    found, extended = scan._columns["overlaps"], scan._columns["derived"]
     equal = _PairColumns(found.sigma + extended.sigma, found.tau + extended.tau,
                          [0] * (len(found.value) + len(extended.value)))
     # (|value| as a lattice point, sigma, tau, delta) for corresponding

@@ -79,28 +79,32 @@ def test_flat_lists_match_json_dumps(items):
         assert encode_report(value) == json.dumps(value, indent=2)
 
 
-FLAT_VALUES = st.one_of(st.integers(), st.integers(-(10**400), 10**400), TEXT)
+INT_VALUES = st.one_of(st.integers(), st.integers(-(10**400), 10**400))
 RECORD_KEYS = st.one_of(TEXT, st.sampled_from(["%", "%s", "%(sigma)s", "sigma", "level"]))
 
 
 @st.composite
 def flat_records(draw):
-    """A list of dicts that share one key order and hold only str or int
-    values, and the flaw, if any, that must keep it off the one-format path:
-    a bool, None or float value, a key missing or added, or the keys of one
-    record reordered."""
+    """A list of dicts that share one key order and hold, under each key,
+    only str or only int values, and the flaw, if any, that must keep it off
+    the one-format path: a bool, None or float value, a key whose values mix
+    str and int, a key missing or added, or the keys of one record
+    reordered."""
     keys = draw(st.lists(RECORD_KEYS, min_size=1, max_size=4, unique=True))
+    kinds = {key: draw(st.sampled_from([INT_VALUES, TEXT])) for key in keys}
     records = [
-        dict(zip(keys, draw(st.lists(FLAT_VALUES, min_size=len(keys), max_size=len(keys)))))
-        for _ in range(draw(st.integers(1, 5)))
+        {key: draw(kinds[key]) for key in keys} for _ in range(draw(st.integers(1, 5)))
     ]
-    flaw = draw(st.sampled_from([None, "bool", "none", "float", "missing", "added", "reordered"]))
+    flaw = draw(st.sampled_from(
+        [None, "bool", "none", "float", "mixed", "missing", "added", "reordered"]))
     record = records[draw(st.integers(0, len(records) - 1))]
     key = draw(st.sampled_from(keys))
-    # a key flaw sets one record apart from another
+    # a mixed key or a key flaw sets one record apart from another
     apart = len(records) > 1
     if flaw in ("bool", "none", "float"):
         record[key] = draw({"bool": st.booleans(), "none": st.none(), "float": st.floats()}[flaw])
+    elif flaw == "mixed" and apart:
+        record[key] = draw(TEXT if kinds[key] is INT_VALUES else INT_VALUES)
     elif flaw == "missing" and apart:
         del record[key]
     elif flaw == "added" and apart:

@@ -445,14 +445,23 @@ def test_held_pair_columns_match_built_tuples(ex1_sys, ex2_sys, ex2_pt):
     eighth = RationalParam(F(1, 8))
     cases = [
         (exact_overlap_scan(ex2_sys, 4), _brute_force_overlap_scan(ex2_sys, 4), (),
-         ("overlaps", "derived")),
+         {"overlaps": "level", "derived": "level"}),
         (endpoint_separation(ex2_sys, ex2_pt, 4, F(4, 7)),
-         _oracle_endpoint_separation(ex2_sys, ex2_pt, 4, F(4, 7)), (ex2_pt,), ("equal_pairs",)),
+         _oracle_endpoint_separation(ex2_sys, ex2_pt, 4, F(4, 7)), (ex2_pt,),
+         {"equal_pairs": "endpoint_delta"}),
         (endpoint_separation(ex1_sys, eighth, 2, F(4, 7)),
-         _oracle_endpoint_separation(ex1_sys, eighth, 2, F(4, 7)), (eighth,), ("equal_pairs",)),
+         _oracle_endpoint_separation(ex1_sys, eighth, 2, F(4, 7)), (eighth,),
+         {"equal_pairs": "endpoint_delta"}),
     ]
     for held, built, json_args, names in cases:
-        assert held.to_json(*json_args) == built.to_json(*json_args)
+        # each pair written as one record of its words' texts and its int
+        report = held.to_json(*json_args)
+        for name, key in names.items():
+            rows = [(p.left, p.right, p.level) if isinstance(p, OverlapPair) else p
+                    for p in getattr(built, name)]
+            assert rows and report[name] == [
+                {"sigma": str(sigma), "tau": str(tau), key: value} for sigma, tau, value in rows
+            ]
         assert held == built and hash(held) == hash(built) and repr(held) == repr(built)
         for name in names:
             rows = getattr(held, name)

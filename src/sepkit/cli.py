@@ -341,6 +341,10 @@ def cmd_construct(args) -> int:
 
 
 def cmd_types(args) -> int:
+    if args.open_set == "convex":
+        for flag in ("--seed", "--truncation"):
+            if getattr(args, flag[2:]) is not None:
+                raise UsageError(f"{flag} needs --open-set constructed")
     tmpl = resolve_template(args)
     pt = build_point(args, tmpl)
     if args.open_set == "convex":

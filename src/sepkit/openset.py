@@ -23,15 +23,17 @@ depth, is answered in one step at any budget.  Everything is
 exact; truncation can only under-report intersections, so every report
 carries the truncation depth as a caveat.
 
-The constructed census filters each convex state of the type automaton
-once with the oracle, and the states with the same kept members form a
-class, one report row.  Each level steps the classes, with their word
-counts and smallest witnesses, and builds and filters only the states
-new at it; a state whose successors fall in other classes than its
-class's do sends the census back to stepping every state.  The
-automaton runs on the oracle's lattice and child cache, so each point
-is decided once for both, and a node gets its value id and form only
-when the automaton reads it.
+The constructed census runs the convex census's stepper
+(``separation.census_states``) with the oracle filter as its class
+function: each convex state of the type automaton is filtered once, and
+the states with the same kept members form a class, one report row.
+Each level steps the classes, with their word counts and smallest
+witnesses, and builds and filters only the states new at it; a state
+whose successors fall in other classes than its class's do sends the
+stepper round again with each state as its own class, and the census
+merges the states of each class.  The automaton runs on the oracle's
+lattice and child cache, so each point is decided once for both, and a
+node gets its value id and form only when the automaton reads it.
 """
 
 from __future__ import annotations
@@ -40,16 +42,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
+from . import separation
 from .exact import AFFINE_ZERO, AffineExpr, Param, RationalInterval, Undecided
 from .ifs import EMPTY_WORD, IfsSystem, Word, apply_map, map_at_zero
 from .separation import (
     CensusLevel,
     CensusResult,
+    ClassSplit,
     DisplacementLattice,
     TypeAutomaton,
     _Node,
     _PointMemo,
-    census_states,
 )
 
 #: Explicit component enumeration is refused beyond this many components.
@@ -560,19 +563,39 @@ def constructed_v_type_census(
     candidate sets differ may collapse to one type here: a class is the
     convex states with the same kept value ids, one report row.
 
-    Each level steps the classes, with their word counts and smallest
-    witnesses (``_class_levels``), not the 2k + 1 convex states, on one
-    child cache that the automaton shares with the overlap oracle.  A
-    state whose successors fall in other classes than its class's do
-    would make merging unsound; then the census steps every state
-    instead (``_state_levels``), on fresh caches, and reports what that
-    gives.
+    The census stepper (``census_states``) steps the classes, with their
+    word counts and smallest witnesses, not the 2k + 1 convex states;
+    its class function is the oracle filter, asked once per state.  The
+    automaton shares the oracle's child cache.  A state whose successors
+    fall in other classes than its class's do would make merging
+    unsound; then the stepper runs again with each state as its own
+    class (``_state_levels``), on the same automaton and filters, and
+    the census merges the states with the same kept members.
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
-    levels = _class_levels(sys, pt, open_set, max_level)
-    if levels is None:
-        levels = _state_levels(sys, pt, open_set, max_level)
+    oracle = OverlapOracle(open_set, pt)
+    automaton = TypeAutomaton(sys, pt, oracle._points)
+    # state -> (kept forms, their value ids), one tuple per state, so the
+    # report formats each distinct type once; the ids name the state's class
+    kept: dict[int, tuple] = {}
+
+    def class_of(key: int, level: int) -> tuple:
+        if key not in kept:
+            kept[key] = _kept(oracle, automaton, key, level)
+        return kept[key][1]
+
+    # ``census_states`` is looked up on its module at call time, so a
+    # wrapper set there (as perfbench's tracer sets one) sees this census too
+    try:
+        levels = [
+            CensusLevel(level, *zip(*[
+                (kept[key][0], count, witness) for count, witness, key in classes.values()
+            ]))
+            for level, _, classes in separation.census_states(automaton, max_level, class_of)
+        ]
+    except ClassSplit:
+        levels = _state_levels(automaton, max_level, class_of, kept)
     caveats = (
         f"neighbour test truncated at depth {open_set.depth}; truncation can only "
         "under-report neighbours",
@@ -591,94 +614,19 @@ def _kept(oracle: OverlapOracle, automaton, key: int, level: int) -> tuple:
     return tuple(zip(*pairs)) or ((), ())
 
 
-def _class_levels(
-    sys: IfsSystem, pt: Param, open_set: OpenSetApprox, max_level: int
-) -> list[CensusLevel] | None:
-    """The census levels, stepping classes; None when a state's row of classes
-    differs from its class's.
-
-    A state's row is built at the level after the state first appears,
-    as ``census_states`` builds it, and a state is filtered at the
-    first level from 1 on that holds it.  The states first present at
-    level k + 1 are the new successors of those first present at level
-    k, the frontier, since a state's successors are all present one
-    level after it is.  The frontier is kept in witness order, and
-    stepping it in that order, each state's symbols ascending, meets
-    the new states in witness order too; so every row and every filter
-    is asked at the same level and in the same order as when every
-    state is stepped.  Once its row and its class are both known, each
-    state's row mapped to classes is checked against its class's row;
-    while they agree, the words of a class go to the same class under
-    each symbol, so a class's word count and smallest witness step as
-    one entry, and the state of its smallest witness (whose kept forms
-    the row reports) steps along.
-    """
-    oracle = OverlapOracle(open_set, pt)
-    automaton = TypeAutomaton(sys, pt, oracle._points)
-    symbols, root = sys.symbols, automaton.root_key
-    tails = [bytes((i,)) for i in symbols]
-    # state -> (kept forms, their value ids); the ids name the state's class
-    kept: dict[int, tuple] = {}
-    class_rows: dict[tuple, tuple] = {}  # class -> the classes its words go to
-    rows: dict[int, tuple] = {}  # state -> its successors
-    frontier = [root]
-    # a level's classes in witness order: [word count, witness, witness's state]
-    current = [[1, b"", root]]
+def _state_levels(automaton, max_level: int, class_of, kept: dict) -> list[CensusLevel]:
+    """The census levels, stepping every state (``census_states`` with no
+    class function) and merging the states of each class into one row."""
     levels = []
-    for level in range(1, max_level + 1):
-        try:
-            for key in frontier:
-                rows[key] = tuple(automaton.successor(key, i) for i in symbols)
-        except Undecided as exc:
-            exc.level = level
-            raise
-        reached = dict.fromkeys(child for key in frontier for child in rows[key])
-        fresh = [key for key in reached if key not in kept]
-        for key in fresh:
-            kept[key] = _kept(oracle, automaton, key, level)
-        # the root is filtered at the first level from 1 that holds it, if any
-        for key in (*frontier, *fresh):
-            if key in rows and key in kept:
-                stepped = tuple(kept[child][1] for child in rows[key])
-                if class_rows.setdefault(kept[key][1], stepped) != stepped:
-                    return None
-        nxt: dict[tuple, list] = {}
-        for count, witness, key in current:
-            for child, tail in zip(rows[key], tails):
-                entry = nxt.get(kept[child][1])
-                if entry is None:
-                    nxt[kept[child][1]] = [count, witness + tail, child]
-                else:
-                    entry[0] += count
-        current = list(nxt.values())
-        counts, witnesses, states = zip(*current)
-        levels.append(CensusLevel(level, tuple(kept[key][0] for key in states), counts, witnesses))
-        # the root is present at level 0 and its row built at level 1
-        frontier = [key for key in fresh if key != root]
-    return levels
-
-
-def _state_levels(
-    sys: IfsSystem, pt: Param, open_set: OpenSetApprox, max_level: int
-) -> list[CensusLevel]:
-    """The census levels, stepping every convex state (``census_states``) and
-    merging the states of each class into one row."""
-    oracle = OverlapOracle(open_set, pt)
-    # automaton state -> (kept displacements, their value ids), one tuple
-    # per state, so the report formats each distinct type once
-    kept: dict[int, tuple] = {}
-    levels = []
-    for level, automaton, states in census_states(sys, pt, max_level):
+    for level, _, states in separation.census_states(automaton, max_level):
         merged: dict[tuple, list] = {}
         # states come in witness order (see ``census_states``), so each
         # merged row keeps its smallest witness and ``merged`` keeps that order
-        for key, (count, witness) in states.items():
-            if key not in kept:
-                kept[key] = _kept(oracle, automaton, key, level)
-            filtered, fkey = kept[key]
+        for count, witness, key in states.values():
+            fkey = class_of(key, level)
             row = merged.get(fkey)
             if row is None:
-                merged[fkey] = [filtered, count, witness]
+                merged[fkey] = [kept[key][0], count, witness]
             else:
                 row[1] += count
         levels.append(CensusLevel(level, *zip(*merged.values())))

@@ -704,39 +704,74 @@ class CensusResult:
         }
 
 
-def census_states(sys: IfsSystem, pt: Param, max_level: int):
-    """Per-level automaton census with word counts and lex-first witnesses.
+class ClassSplit(Exception):
+    """A census state's successors fall in other classes than its class's do."""
 
-    Yields (level, automaton, {state key: (count, witness)}), each
-    witness the word's symbol bytes.  Each dict is in strictly
-    increasing witness order: the parents are walked in that order and
-    each appends its symbols in ascending order, so a state is first
-    reached through its smallest witness, and a dict keeps insertion
-    order.  A state's successors are looked up once, as a row of
-    (child, appended symbol byte); a sign query that stays undecided
-    raises ``Undecided`` naming the level.
+
+def census_states(automaton: TypeAutomaton, max_level: int, class_of=None):
+    """Per-level census of the automaton's words: word counts and smallest witnesses.
+
+    Yields (level, automaton, entries), where ``entries`` maps each class
+    present at the level to [word count, smallest witness, the witness's
+    state], the witness as symbol bytes.  ``class_of(state, level)``
+    names a state's class; it is asked once per state, at the first
+    level from 1 that holds the state.  Without it, each state is its
+    own class.
+
+    Each dict is in strictly increasing witness order: the entries are
+    stepped in that order and each appends its symbols in ascending
+    order, so a class is first reached through its smallest witness.
+    Only the frontier, the states first present at the level before,
+    has its row built, since a state's successors are all present one
+    level after it is; stepping the frontier in witness order meets the
+    new states in witness order too, so every row and every class is
+    asked at the same level and in the same order as if every state
+    were stepped.  A state's row mapped to classes must be its class's
+    row: while it is, the words of a class go to one class under each
+    symbol, so a class steps as one entry, along with the state of its
+    smallest witness.  A state whose row differs raises ``ClassSplit``;
+    a sign query that stays undecided raises ``Undecided`` naming the
+    level.
     """
-    automaton = TypeAutomaton(sys, pt)
-    tails = [(i, bytes((i,))) for i in sys.symbols]
-    rows: dict[int, list[tuple[int, bytes]]] = {}
-    current: dict[int, tuple[int, bytes]] = {automaton.root_key: (1, b"")}
+    symbols, root = automaton.sys.symbols, automaton.root_key
+    tails = [bytes((i,)) for i in symbols]
+    classes: dict[int, object] = {}  # state -> its class
+    class_rows: dict = {}  # class -> the classes its words go to
+    rows: dict[int, tuple] = {}  # state -> (child's class, child, appended byte) per symbol
+    frontier = [root]
+    current = {root: [1, b"", root]}
     for level in range(1, max_level + 1):
-        nxt: dict[int, tuple[int, bytes]] = {}
-        for key, (count, witness) in current.items():
-            row = rows.get(key)
-            if row is None:
-                try:
-                    row = [(automaton.successor(key, i), tail) for i, tail in tails]
-                except Undecided as exc:
-                    exc.level = level
-                    raise
-                rows[key] = row
-            for child, tail in row:
-                entry = nxt.get(child)
+        if frontier:
+            try:
+                built = [(key, [automaton.successor(key, i) for i in symbols]) for key in frontier]
+            except Undecided as exc:
+                exc.level = level
+                raise
+            reached = dict.fromkeys(child for _, children in built for child in children)
+            fresh = [key for key in reached if key not in classes]
+            for key in fresh:
+                classes[key] = key if class_of is None else class_of(key, level)
+            for key, children in built:
+                rows[key] = tuple(zip(map(classes.__getitem__, children), children, tails))
+            # a state is checked once its row and its class are known (the
+            # root's class is asked at the first level from 1 that holds it);
+            # with each state its own class, every check passes
+            if class_of is not None:
+                for key in (*frontier, *fresh):
+                    if key in rows and key in classes:
+                        stepped = tuple(cls for cls, _, _ in rows[key])
+                        if class_rows.setdefault(classes[key], stepped) != stepped:
+                            raise ClassSplit(f"state {key} leaves its class's row at level {level}")
+            # the root is present at level 0 and its row built at level 1
+            frontier = [key for key in fresh if key != root]
+        nxt: dict = {}
+        for count, witness, key in current.values():
+            for cls, child, tail in rows[key]:
+                entry = nxt.get(cls)
                 if entry is None:
-                    nxt[child] = (count, witness + tail)
+                    nxt[cls] = [count, witness + tail, child]
                 else:
-                    nxt[child] = (entry[0] + count, entry[1])
+                    entry[0] += count
         current = nxt
         yield level, automaton, current
 
@@ -751,11 +786,9 @@ def convex_type_census(sys: IfsSystem, pt: Param, max_level: int) -> CensusResul
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
     levels = []
-    for level, automaton, states in census_states(sys, pt, max_level):
-        counts, witnesses = zip(*states.values())
-        levels.append(
-            CensusLevel(level, tuple(map(automaton.type_of, states)), counts, witnesses)
-        )
+    for level, automaton, states in census_states(TypeAutomaton(sys, pt), max_level):
+        counts, witnesses, keys = zip(*states.values())
+        levels.append(CensusLevel(level, tuple(map(automaton.type_of, keys)), counts, witnesses))
     return CensusResult("convex (0,1)", tuple(levels))
 
 

@@ -17,12 +17,15 @@ displacements written out in full, the reference that
 ``expand_census_report`` rebuilds from the compact report.
 The interval, image and automaton helpers are what only the tests ask
 of those types, and ``StaticRefiner`` gives a point a fixed, finite
-window chain.
+window chain.  ``small_systems`` draws the small random systems the
+property tests share.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
+
+from hypothesis import strategies as st
 
 from sepkit import (
     AffineExpr,
@@ -509,3 +512,23 @@ def expand_census_report(report: dict) -> dict:
         ],
         "caveats": report["caveats"],
     }
+
+
+@st.composite
+def small_systems(draw):
+    """Rational or affine systems (n <= 4, m <= 5) whose offsets often coincide.
+
+    Offsets are drawn from a pool of up to three values, each possibly
+    nudged by 1/m^2, so identical maps and exact overlaps are common.
+    """
+    m = draw(st.integers(2, 5))
+    affine = draw(st.booleans())
+    base = st.builds(
+        AffineExpr,
+        st.integers(0, m - 1).map(lambda k: Fraction(k, m)),
+        st.integers(-1, 1).map(Fraction) if affine else st.just(Fraction(0)),
+    )
+    pool = draw(st.lists(base, min_size=1, max_size=3))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 1)),
+                          min_size=1, max_size=4))
+    return IfsSystem(m, tuple(d.shift(Fraction(k, m * m)) for d, k in picks))

@@ -725,6 +725,24 @@ def test_fewer_than_one_level_is_usage_error(capsys, monkeypatch, tmp_path, argv
     assert not (tmp_path / "figs").exists()
 
 
+@pytest.mark.parametrize(
+    "extra,flag",
+    [
+        (["--seed", "garbage"], "--seed"),
+        (["--seed", "1/4:3/4"], "--seed"),
+        (["--truncation", "7"], "--truncation"),
+        (["--open-set", "convex", "--truncation", "0"], "--truncation"),
+        (["--seed", "3/7:4/7", "--truncation", "7"], "--seed"),
+    ],
+    ids=["seed-garbage", "seed", "truncation", "truncation-explicit-convex", "both"],
+)
+def test_constructed_only_option_on_convex_census_is_usage_error(capsys, extra, flag):
+    # the convex census uses no seed and no truncation; it refuses them rather
+    # than run without them and record them in its report's config
+    code, out, err = run_cli(capsys, "types", "--example", "1", "--levels", "1", *extra)
+    assert (code, out, err) == (2, "", f"sepkit: {flag} needs --open-set constructed\n")
+
+
 @pytest.mark.parametrize("verifier", ["overlaps", "endpoints"])
 def test_overlap_listing_builds_no_object_per_pair(capsys, monkeypatch, verifier):
     # example 2's pairs stay symbol bytes from the scan to the report: the

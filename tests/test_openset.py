@@ -34,7 +34,7 @@ from sepkit.ifs import EMPTY_WORD
 from sepkit.openset import MATERIALIZE_LIMIT, containment_identity_holds
 from sepkit.separation import DisplacementLattice, displacement_levels
 
-from bruteforce import RecursiveOverlapOracle, StaticRefiner
+from bruteforce import RecursiveOverlapOracle, StaticRefiner, small_systems
 
 SEED1 = RationalInterval.make(F(3, 7), F(4, 7))
 SEED2 = RationalInterval.make(F(7, 16), F(8, 16))
@@ -209,18 +209,31 @@ def test_constructed_census_example1_level1_separated(ex1_sys, ex1_pt):
     assert [str(v) for v in census.levels[0].type_column[0]] == ["0"]
 
 
+def _assert_full_seed_matches_convex_census(sys, pt, levels):
+    # the seed (0, 1) at truncation 0 keeps every member of every convex
+    # state, so each class is one state and each row is the convex census's:
+    # the same types, word counts and witnesses, in the same order
+    oset = OpenSetApprox(sys, RationalInterval.make(0, 1), 0)
+    constructed = constructed_v_type_census(sys, pt, oset, levels)
+    convex = convex_type_census(sys, pt, levels)
+    assert constructed.counts == convex.counts
+    assert constructed.levels == convex.levels
+
+
 @pytest.mark.parametrize("which", [1, 2])
 def test_full_seed_depth0_matches_convex_census(which, ex1_pt, ex2_pt):
-    tmpl = example_template(which)
     pt = ex1_pt if which == 1 else ex2_pt
-    oset = OpenSetApprox(tmpl.system, RationalInterval.make(0, 1), 0)
-    constructed = constructed_v_type_census(tmpl.system, pt, oset, 3)
-    convex = convex_type_census(tmpl.system, pt, 3)
-    assert constructed.counts == convex.counts
-    for lv_a, lv_b in zip(constructed.levels, convex.levels):
-        types_a = {tuple(pt.canonical_key(v) for v in t) for t in lv_a.type_column}
-        types_b = {tuple(pt.canonical_key(v) for v in t) for t in lv_b.type_column}
-        assert types_a == types_b
+    _assert_full_seed_matches_convex_census(example_template(which).system, pt, 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    small_systems(),
+    st.fractions(min_value=0, max_value=1, max_denominator=16).map(RationalParam),
+    st.integers(1, 6),
+)
+def test_full_seed_depth0_matches_convex_census_random_systems(sys, pt, levels):
+    _assert_full_seed_matches_convex_census(sys, pt, levels)
 
 
 def test_seed_validation():

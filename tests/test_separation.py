@@ -56,6 +56,7 @@ from bruteforce import (
     endpoint_separation_bruteforce,
     ReferenceTypeAutomaton,
     reference_search,
+    small_systems,
     sorting_wsp_min_displacement,
     StaticRefiner,
     word_type,
@@ -184,26 +185,60 @@ def test_wsp_sign_queries_grow_with_the_levels(which, value, levels):
     assert 0 < calls[1] <= 2.2 * calls[0]
 
 
-def test_census_looks_up_each_state_once(ex1_sys, eighth_pt):
+def _constructed_census(sys, pt, levels):
+    """The census over the grown open set of the seed 3/7:4/7."""
+    open_set = OpenSetApprox(sys, RationalInterval.make(F(3, 7), F(4, 7)), levels + 2)
+    return constructed_v_type_census(sys, pt, open_set, levels)
+
+
+@pytest.mark.parametrize(
+    "census", [convex_type_census, _constructed_census], ids=["convex", "constructed"]
+)
+def test_census_looks_up_each_state_once(census, ex1_sys, eighth_pt):
     def lookups(levels):
-        """The census's successor calls per (state, symbol), and the states it met."""
-        calls, keys = Counter(), set()
-        original = TypeAutomaton.successor
+        """The census's successor calls per (state, symbol), the states they
+        reach, the root, its filters per state, the members each filter sent
+        to the oracle next to the state's members, and all oracle calls."""
+        calls, reached, roots, filtered, members, asked = Counter(), set(), set(), Counter(), {}, []
+        successor, kept, overlaps = TypeAutomaton.successor, openset._kept, OverlapOracle.overlaps
 
         def counted(self, key, symbol):
             calls[key, symbol] += 1
-            return original(self, key, symbol)
+            child = successor(self, key, symbol)
+            reached.add(child)
+            roots.add(self.root_key)
+            return child
 
-        with mock.patch.object(TypeAutomaton, "successor", counted):
-            for _, automaton, states in separation.census_states(ex1_sys, eighth_pt, levels):
-                keys.update(states, (automaton.root_key,))
-        return calls, keys
+        def filter_counted(oracle, automaton, key, level):
+            filtered[key] += 1
+            start = len(asked)
+            result = kept(oracle, automaton, key, level)
+            members[key] = (tuple(asked[start:]), automaton.type_of(key))
+            return result
 
-    calls, keys = lookups(600)
+        def asked_counted(oracle, v):
+            asked.append(v)
+            return overlaps(oracle, v)
+
+        with mock.patch.object(TypeAutomaton, "successor", counted), mock.patch.object(
+            openset, "_kept", filter_counted
+        ), mock.patch.object(OverlapOracle, "overlaps", asked_counted):
+            census(ex1_sys, eighth_pt, levels)
+        return calls, reached, roots, filtered, members, len(asked)
+
+    calls, reached, roots, filtered, members, asked = lookups(600)
     assert max(calls.values()) == 1
-    assert len(calls) <= len(keys) * ex1_sys.alphabet_size
+    assert len(calls) <= len(reached | roots) * ex1_sys.alphabet_size
+    if census is _constructed_census:
+        # each state a word of length 1 or more has is filtered once, and
+        # sends each of its members to the oracle once
+        assert filtered == Counter(reached)
+        assert all(sent == held for sent, held in members.values())
+        assert asked == sum(len(held) for _, held in members.values())
+    else:
+        assert filtered == Counter() and asked == 0
     # the seven states at a = 1/8 are all met by level 60
-    assert lookups(60)[0] == calls
+    assert lookups(60) == (calls, reached, roots, filtered, members, asked)
 
 
 def test_automaton_sorts_each_state_once(ex1_sys, eighth_pt):
@@ -385,26 +420,6 @@ def test_overlap_scan_matches_bruteforce(which, max_level):
     sys = example_template(which).system
     for level in range(1, max_level + 1):
         assert exact_overlap_scan(sys, level) == _brute_force_overlap_scan(sys, level)
-
-
-@st.composite
-def small_systems(draw):
-    """Rational or affine systems (n <= 4, m <= 5) whose offsets often coincide.
-
-    Offsets are drawn from a pool of up to three values, each possibly
-    nudged by 1/m^2, so identical maps and exact overlaps are common.
-    """
-    m = draw(st.integers(2, 5))
-    affine = draw(st.booleans())
-    base = st.builds(
-        AffineExpr,
-        st.integers(0, m - 1).map(lambda k: F(k, m)),
-        st.integers(-1, 1).map(F) if affine else st.just(F(0)),
-    )
-    pool = draw(st.lists(base, min_size=1, max_size=3))
-    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 1)),
-                          min_size=1, max_size=4))
-    return IfsSystem(m, tuple(d.shift(F(k, m * m)) for d, k in picks))
 
 
 @settings(max_examples=60, deadline=None)
@@ -641,8 +656,10 @@ def _oracle_census(sys, pt, max_level):
 def _states_in_order(sys, pt, max_level):
     """Every level's (type, count, witness) in ``census_states`` order."""
     return [
-        [(automaton.type_of(key), count, witness) for key, (count, witness) in states.items()]
-        for _, automaton, states in separation.census_states(sys, pt, max_level)
+        [(automaton.type_of(key), count, witness) for count, witness, key in states.values()]
+        for _, automaton, states in separation.census_states(
+            separation.TypeAutomaton(sys, pt), max_level
+        )
     ]
 
 
@@ -652,8 +669,8 @@ def _in_order(levels):
 
 def _assert_witness_order(sys, pt, max_level, census):
     """``census_states`` dicts and census entries come in strictly increasing witness order."""
-    for _, _, states in separation.census_states(sys, pt, max_level):
-        witnesses = [witness for _, witness in states.values()]
+    for _, _, states in separation.census_states(TypeAutomaton(sys, pt), max_level):
+        witnesses = [witness for _, witness, _ in states.values()]
         assert all(a < b for a, b in zip(witnesses, witnesses[1:]))
     for level in census.levels:
         witnesses = level.witnesses
@@ -1097,7 +1114,14 @@ def test_class_stepping_matches_the_state_loop(sys, levels, kind, depth, ends, t
     # states step apart; its report, or its Undecided, is the state loop's
     open_set = OpenSetApprox(sys, RationalInterval.make(*ends), truncation)
     got = _stamped(constructed_v_type_census, sys, _screen_point(kind, depth), open_set, levels)
-    with mock.patch.object(openset, "_class_levels", lambda *args: None):
+    census_states = separation.census_states
+
+    def split_at_once(automaton, max_level, class_of=None):
+        if class_of is not None:
+            raise separation.ClassSplit
+        return census_states(automaton, max_level)
+
+    with mock.patch.object(separation, "census_states", split_at_once):
         expected = _stamped(
             constructed_v_type_census, sys, _screen_point(kind, depth), open_set, levels
         )

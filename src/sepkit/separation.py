@@ -34,6 +34,7 @@ undecided.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -127,6 +128,8 @@ class DisplacementLattice:
 
 #: The zero displacement as a lattice point.
 _ZERO_STATE = (0, 0)
+#: The overlap scan's walk state of the shared prefixes, sigma = tau.
+_SHARED = "shared"
 #: Each symbol as the one-byte string a word appends.
 _SYMBOL = [bytes((s,)) for s in range(256)]
 
@@ -516,15 +519,15 @@ class TypeAutomaton:
     the value ids, lattice points and exact forms of the members it was
     first built from, in that order.
 
-    The first ``successor`` call for a state builds its whole row, its
-    successor under every symbol, symbol by symbol: a member's children
-    of symbol i are one contiguous run of its (i, j)-ordered list,
-    scanned through symbol i's steps, so bound tests and new states
-    come in the order of one call per symbol in turn.  Later calls read
-    the row.  The automaton builds its own child cache, or shares the
-    one it is given (``memo``, with the bound 1, strict), whose nodes
-    may hold what another search keeps and get their value id and form
-    only when the automaton first reads them.
+    The automaton keeps no transitions: ``successor`` reads one symbol's
+    children off the child cache on every call, and the census keeps the
+    rows (``census_states``, which asks each state and symbol once).  A
+    member's children are scanned only through the asked symbol's steps,
+    so bound tests and new states come in the order of the calls.  The
+    automaton builds its own child cache, or shares the one it is given
+    (``memo``, with the bound 1, strict), whose nodes may hold what
+    another search keeps and get their value id and form only when the
+    automaton first reads them.
     """
 
     def __init__(self, sys: IfsSystem, pt: Param, memo: _PointMemo | None = None):
@@ -538,7 +541,6 @@ class TypeAutomaton:
         self._value_ids: list[tuple[int, ...]] = []
         self._members: list[tuple[tuple[int, int], ...]] = []
         self._types: list[tuple[AffineExpr, ...]] = []
-        self._rows: list[tuple[int, ...] | None] = []
         zero = memo.value_id(AFFINE_ZERO)
         self.root_key = self._intern({zero: (_ZERO_STATE, AFFINE_ZERO)})
 
@@ -563,7 +565,6 @@ class TypeAutomaton:
             self._value_ids.append(tuple(ident for ident, _ in ordered))
             self._members.append(tuple(point for _, (point, _) in ordered))
             self._types.append(tuple(form for _, (_, form) in ordered))
-            self._rows.append(None)
         return state
 
     def type_of(self, key: int) -> tuple[AffineExpr, ...]:
@@ -574,42 +575,27 @@ class TypeAutomaton:
         return self._value_ids[key]
 
     def successor(self, key: int, symbol: int) -> int:
-        """The state after ``symbol``; the first call for a state builds its row."""
-        index = self.sys.symbols.index(symbol)
-        row = self._rows[key]
-        if row is None:
-            row = self._rows[key] = self._row(key)
-        return row[index]
+        """The state after ``symbol``, found afresh on each call.
 
-    def _row(self, key: int) -> tuple[int, ...]:
-        """The successors of a state under every symbol, in symbol order.
-
-        An ``Undecided`` leaves no row: asked again, the scan resumes at
-        the step that raised, and the states built before it are found
-        again.
+        A member's children of ``symbol`` are one contiguous run of its
+        (i, j)-ordered list, scanned through that symbol's steps.  An
+        ``Undecided`` leaves the scan at the step that raised, so asked
+        again, it resumes there.
         """
-        memo, n = self._memo, self.sys.alphabet_size
-        points = self._members[key]
-        members = [memo[point] for point in points]
-        read = [0] * len(members)  # each member's children read so far
-        row = []
-        for symbol in self.sys.symbols:
-            # symbol i's steps are the i-th run of n in (i, j) order
-            upto, found = symbol * n, {}
-            for k, member in enumerate(members):
-                if member.scanned < upto:
-                    memo.children(points[k], upto)
-                for i, _, child, node in member.children[read[k]:]:
-                    if i != symbol:
-                        break
-                    read[k] += 1
-                    ident = node.ident
-                    if ident is None:
-                        ident = memo.value(child, node)
-                    if ident not in found:
-                        found[ident] = (child, node.form)
-            row.append(self._intern(found))
-        return tuple(row)
+        memo = self._memo
+        upto, found = (self.sys.symbols.index(symbol) + 1) * self.sys.alphabet_size, {}
+        for point in self._members[key]:
+            children = memo.children(point, upto)
+            start = bisect_left(children, (symbol,))  # (symbol,) sorts before its run
+            for i, _, child, node in children[start:]:
+                if i != symbol:
+                    break
+                ident = node.ident
+                if ident is None:
+                    ident = memo.value(child, node)
+                if ident not in found:
+                    found[ident] = (child, node.form)
+        return self._intern(found)
 
 
 @dataclass(frozen=True)
@@ -722,16 +708,17 @@ def census_states(automaton: TypeAutomaton, max_level: int, class_of=None):
     stepped in that order and each appends its symbols in ascending
     order, so a class is first reached through its smallest witness.
     Only the frontier, the states first present at the level before,
-    has its row built, since a state's successors are all present one
-    level after it is; stepping the frontier in witness order meets the
-    new states in witness order too, so every row and every class is
-    asked at the same level and in the same order as if every state
-    were stepped.  A state's row mapped to classes must be its class's
-    row: while it is, the words of a class go to one class under each
-    symbol, so a class steps as one entry, along with the state of its
-    smallest witness.  A state whose row differs raises ``ClassSplit``;
-    a sign query that stays undecided raises ``Undecided`` naming the
-    level.
+    has its row built, one ``TypeAutomaton.successor`` call per symbol,
+    since a state's successors are all present one level after it is;
+    the rows kept here are the census's one row cache.  Stepping the
+    frontier in witness order meets the new states in witness order
+    too, so every row and every class is asked at the same level and in
+    the same order as if every state were stepped.  A state's row mapped
+    to classes must be its class's row: while it is, the words of a
+    class go to one class under each symbol, so a class steps as one
+    entry, along with the state of its smallest witness.  A state whose
+    row differs raises ``ClassSplit``; a sign query that stays undecided
+    raises ``Undecided`` naming the level.
     """
     symbols, root = automaton.sys.symbols, automaton.root_key
     tails = [bytes((i,)) for i in symbols]
@@ -932,17 +919,17 @@ def exact_overlap_scan(sys: IfsSystem, max_level: int) -> OverlapScanResult:
     with sigma < tau (i < j at the first difference).  The walks are
     stepped a level at a time, as symbol-byte columns grouped by their
     state, so that each step of a group is one pass over its columns.
-    While sigma = tau the pair is a shared prefix: it diverges by an
-    (i, j) step with i < j, and it is extended by an (s, s) step only
-    while the shortest diverging return still fits in the level budget.
-    Once the words differ, a walk is extended only while it can still
-    return within the budget.  Since v_k = m^(k-s) * v_s + v(tail), a
-    pair factors through a shorter overlap (same map on a prefix pair
-    and on the suffix pair) exactly when its walk is at 0 at an interior
-    position; such pairs, shared prefixes included, are reported
-    separately as derived.  Within a level, pairs are grouped by their
-    common map, groups in order of their smallest word, pairs in
-    (sigma, tau) order.
+    While sigma = tau the pair is a shared prefix, one more walk state
+    beside the lattice points: an (s, s) step keeps it there and an
+    (i, j) step with i < j makes it diverge, and its distance to 0 is
+    that of its shortest diverging return.  Every walk, shared or not,
+    is extended only while it can still return within the level budget.
+    Since v_k = m^(k-s) * v_s + v(tail), a pair factors through a
+    shorter overlap (same map on a prefix pair and on the suffix pair)
+    exactly when its walk is at 0 at an interior position; such pairs,
+    shared prefixes included, are reported separately as derived.
+    Within a level, pairs are grouped by their common map, groups in
+    order of their smallest word, pairs in (sigma, tau) order.
 
     The result holds the pairs as symbol-byte columns and builds its
     ``OverlapPair`` tuples only when they are read (``_HeldPairs``), so
@@ -951,34 +938,30 @@ def exact_overlap_scan(sys: IfsSystem, max_level: int) -> OverlapScanResult:
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
     edges, distance = _return_walks(sys)
-    symbol = _SYMBOL
-    shortest = min(
-        (1 + distance[nxt] for i, j, nxt in edges[_ZERO_STATE] if i < j), default=max_level
+    # the shared prefixes (sigma = tau, at 0) are one more walk state: a
+    # repeated symbol keeps them there, and a step i < j makes them diverge
+    edges[_SHARED] = [
+        (i, j, _SHARED if i == j else nxt) for i, j, nxt in edges[_ZERO_STATE] if i <= j
+    ]
+    distance[_SHARED] = min(
+        (1 + distance[nxt] for i, j, nxt in edges[_SHARED] if i < j), default=max_level
     )
-    repeats = [symbol[i] for i, j, _ in edges[_ZERO_STATE] if i == j]
     columns = {False: _PairColumns([], [], []), True: _PairColumns([], [], [])}
-    shared = [b""]  # the shared prefixes, at state 0
-
-    def step(groups: dict, key, sigmas: list, taus: list, i: int, j: int) -> None:
-        held, step_i, step_j = groups.setdefault(key, ([], [])), symbol[i], symbol[j]
-        held[0].extend([sigma + step_i for sigma in sigmas])
-        held[1].extend([tau + step_j for tau in taus])
-
     # (state, whether the walk was at 0 at an interior position) -> (sigmas, taus)
-    walks: dict = {}
+    walks: dict = {(_SHARED, False): ([b""], [b""])}
     for level in range(1, max_level + 1):
-        if not shared and not any(sigmas for sigmas, _ in walks.values()):
+        if not any(sigmas for sigmas, _ in walks.values()):
             break  # no walk left to return to 0
         budget = max_level - level
         stepped: dict = {}
         for (state, seen), (sigmas, taus) in walks.items():
             for i, j, nxt in edges[state]:
                 if distance[nxt] <= budget:
-                    step(stepped, (nxt, seen), sigmas, taus, i, j)
-        for i, j, nxt in edges[_ZERO_STATE]:
-            if i < j and distance[nxt] <= budget:
-                step(stepped, (nxt, level > 1), shared, shared, i, j)
-        shared = [p + s for p in shared for s in repeats] if shortest <= budget else []
+                    # a repeated symbol makes the shared prefix non-empty
+                    held = stepped.setdefault((nxt, seen or nxt is _SHARED), ([], []))
+                    step_i, step_j = _SYMBOL[i], _SYMBOL[j]
+                    held[0].extend([sigma + step_i for sigma in sigmas])
+                    held[1].extend([tau + step_j for tau in taus])
         # the pairs of this level are the walks back at 0; they go on as derived
         back = {seen: stepped.pop((_ZERO_STATE, seen), ([], [])) for seen in (False, True)}
         stepped[_ZERO_STATE, True] = (back[False][0] + back[True][0], back[False][1] + back[True][1])

@@ -6,7 +6,9 @@ order and embed the resolved run configuration; identical invocations
 produce byte-identical output (opt in to timestamps with --timestamps).
 
 Exit codes: 0 success/pass, 1 property violation reported, 2 usage or
-input error, 3 undecided within the refinement budget.
+input error, 3 undecided within the refinement budget (or out of
+memory), 4 internal error.  ``verify distinctness`` exits 1 only for a
+collision it found; pairs it could not tell apart exit 3.
 
 ``main(argv)`` may be called any number of times in one process.  It
 reuses one parser, built on first use: ``build_parser()`` returns that
@@ -60,6 +62,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -71,9 +74,10 @@ def parse_sequence(spec: str) -> DrivingSequence:
         return DrivingSequence.thue_morse()
     if spec == "fibonacci":
         return DrivingSequence.fibonacci()
+    make = DrivingSequence.from_bits
     if spec.startswith("periodic:"):
-        return DrivingSequence.periodic(spec[len("periodic:"):])
-    if spec.startswith("bits:"):
+        make, bits = DrivingSequence.periodic, spec[len("periodic:"):]
+    elif spec.startswith("bits:"):
         bits = spec[len("bits:"):]
     elif spec.startswith("file:"):
         path = spec[len("file:"):]
@@ -84,10 +88,13 @@ def parse_sequence(spec: str) -> DrivingSequence:
             raise UsageError(f"cannot read sequence file: {exc}") from exc
     else:
         raise UsageError(f"unknown sequence spec {spec!r}")
-    # an empty prefix cannot refine past the initial window
+    # an empty prefix cannot refine past the initial window, and an empty
+    # pattern has nothing to repeat
     if not bits:
         raise UsageError(f"sequence {spec!r} has no bits; expected a non-empty 0/1 string")
-    return DrivingSequence.from_bits(bits)
+    if not set(bits) <= {"0", "1"}:
+        raise UsageError(f"bad sequence {spec!r}: driving bits must be 0 or 1")
+    return make(bits)
 
 
 def parse_seed(spec: str) -> RationalInterval:
@@ -159,9 +166,9 @@ def resolve_template(args) -> ConstructionTemplate:
 
 
 def oracle_budget(args) -> int:
-    value = args.oracle_budget
+    value, source = args.oracle_budget, "--oracle-budget"
     if value is None:
-        env = os.environ.get("SEPKIT_ORACLE_BUDGET")
+        env, source = os.environ.get("SEPKIT_ORACLE_BUDGET"), "SEPKIT_ORACLE_BUDGET"
         if env:
             try:
                 value = int(env)
@@ -170,7 +177,7 @@ def oracle_budget(args) -> int:
     if value is None:
         return DEFAULT_SIGN_BUDGET
     if value < 1:
-        raise UsageError("oracle budget must be >= 1")
+        raise UsageError(f"{source} must be >= 1")
     return value
 
 
@@ -395,7 +402,12 @@ def cmd_verify_distinctness(args) -> int:
     pt = build_point(args, tmpl)
     result = distinctness_check(pt.refiner.run(args.levels), pt)
     emit_results(args, "verify-distinctness", "scaled-gap-distinctness", result.to_json(pt))
-    return EXIT_OK if result.all_distinct else EXIT_VIOLATION
+    if result.collisions:
+        return EXIT_VIOLATION
+    if result.undecided:  # no collision was found, but some pairs stay undecided
+        pairs, (a, b) = len(result.undecided), result.undecided[0]
+        return _undecided(args, f"{pairs} gap pairs undecided, the first at levels {a} and {b}")
+    return EXIT_OK
 
 
 def cmd_verify_endpoints(args) -> int:
@@ -566,14 +578,26 @@ def main(argv=None) -> int:
         # violation; it is reported once the handler has let go of the
         # traceback, and with it of the frames that hold that memory
         pass
+    except Exception as exc:
+        # a fault of sepkit's own is no violation either; ``traceback`` is
+        # imported only here, so start-up does not pay for it
+        import traceback
+
+        traceback.print_exc()
+        failure = f"{type(exc).__name__}: {exc}"
+        sys.stderr.write(f"sepkit: internal error ({_command(args)}): {failure}\n")
+        return EXIT_INTERNAL
     return _undecided(args, "out of memory")
+
+
+def _command(args) -> str:
+    return " ".join(filter(None, (args.subcommand, getattr(args, "verifier", None))))
 
 
 def _undecided(args, reason: str) -> int:
     """Report an undecided run on one stderr line naming the command and the budget."""
-    command = " ".join(filter(None, (args.subcommand, getattr(args, "verifier", None))))
     budget = oracle_budget(args)
-    sys.stderr.write(f"sepkit: undecided ({command}, oracle budget {budget}): {reason}\n")
+    sys.stderr.write(f"sepkit: undecided ({_command(args)}, oracle budget {budget}): {reason}\n")
     return EXIT_UNDECIDED
 
 

@@ -641,7 +641,8 @@ class CensusResult:
         A census builds one type tuple per automaton state, so a type
         is looked up by the id of its tuple, and only a type met for
         the first time has its forms looked up (and a new form its
-        decimal evaluated).
+        decimal evaluated; one that stays undecided names the level
+        where the form first appears).
         """
         values: list[dict] = []
         value_index: dict[AffineExpr, int] = {}
@@ -649,7 +650,7 @@ class CensusResult:
         type_index: dict[tuple[int, ...], int] = {}
         by_id: dict[int, int] = {}
 
-        def type_of(displacements: NeighborhoodType) -> int:
+        def type_of(displacements: NeighborhoodType, level: int) -> int:
             index = by_id.get(id(displacements))
             if index is not None:
                 return index
@@ -658,9 +659,7 @@ class CensusResult:
                 i = value_index.get(v)
                 if i is None:
                     i = value_index[v] = len(values)
-                    values.append(
-                        {"value": v.to_json(), "decimal": pt.eval_decimal(v, DISPLAY_DIGITS)}
-                    )
+                    values.append({"value": v.to_json(), "decimal": _decimal_at(pt, v, level)})
                 indices.append(i)
             key = tuple(indices)
             index = type_index.get(key)
@@ -674,7 +673,7 @@ class CensusResult:
             {
                 "level": lv.level,
                 "distinct_types": len(lv.type_column),
-                "types": list(map(type_of, lv.type_column)),
+                "types": [type_of(displacements, lv.level) for displacements in lv.type_column],
                 "word_counts": list(lv.word_counts),
                 "witnesses": word_texts(lv.witnesses),
             }

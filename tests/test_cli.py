@@ -1,8 +1,10 @@
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from fractions import Fraction
@@ -11,7 +13,7 @@ import pytest
 
 from sepkit import RationalParam, convex_type_census, example_system, wsp_min_displacement
 from sepkit.cli import build_parser, main
-from sepkit.construction import PERIODIC_WARNING, RefinementEngine
+from sepkit.construction import PERIODIC_WARNING, RefinementEngine, thue_morse_bit
 from sepkit.ifs import Word
 from sepkit.separation import OverlapPair
 
@@ -766,3 +768,117 @@ def test_overlap_listing_builds_no_object_per_pair(capsys, monkeypatch, verifier
     assert more > 40 * fewer > 0
     assert at_4 == at_6
     assert sum(at_6.values()) <= 10
+
+
+def test_census_decimal_names_the_level_where_it_first_appears(capsys, monkeypatch):
+    # the value 7a first appears at level 1; its decimal alone stays undecided
+    monkeypatch.delenv("SEPKIT_ORACLE_BUDGET", raising=False)
+    code, out, err = run_cli(
+        capsys, "types", "--example", "1", "--levels", "12", "--oracle-budget", "14"
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "sepkit: undecided (types, oracle budget 14): decimal value of 7*a undecided "
+        "within budget (refined to depth 14) at level 1\n"
+    )
+
+
+@pytest.mark.parametrize("example,count,first", [("1", 30, (1, 3)), ("2", 25, (2, 4))])
+def test_distinctness_with_only_undecided_pairs_is_undecided(capsys, monkeypatch, example, count,
+                                                              first):
+    # an unflagged bits: prefix compares its gaps pairwise with the sign oracle
+    monkeypatch.delenv("SEPKIT_ORACLE_BUDGET", raising=False)
+    argv = ("verify", "distinctness", "--example", example, "--levels", "12", "--sequence")
+    code, out, err = run_cli(capsys, *argv, "bits:" + "01" * 14)
+    results = json.loads(out)["results"]
+    assert (code, results["collisions"], len(results["undecided"])) == (3, [], count)
+    assert err == (
+        f"sepkit: undecided (verify distinctness, oracle budget 200): {count} gap pairs "
+        f"undecided, the first at levels {first[0]} and {first[1]}\n"
+    )
+    # the pairs left undecided are exactly those equal at the periodic limit
+    code, out, _ = run_cli(capsys, *argv, "periodic:01")
+    assert code == 1
+    assert json.loads(out)["results"]["collisions"] == results["undecided"]
+    # a Thue-Morse prefix tells every pair apart
+    bits = "".join(str(thue_morse_bit(k)) for k in range(1, 81))
+    code, out, err = run_cli(capsys, *argv, "bits:" + bits)
+    results = json.loads(out)["results"]
+    assert (code, err, results["collisions"], results["undecided"]) == (0, "", [], [])
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(sys, max_level):
+        raise RuntimeError("scan broke")
+
+    monkeypatch.setattr("sepkit.cli.exact_overlap_scan", broken)
+    code, out, err = run_cli(capsys, "verify", "overlaps", "--example", "2")
+    assert (code, out) == (4, "")
+    lines = err.splitlines()
+    assert lines[0] == "Traceback (most recent call last):"
+    assert lines[-2:] == [
+        "RuntimeError: scan broke",
+        "sepkit: internal error (verify overlaps): RuntimeError: scan broke",
+    ]
+    assert sum(line.startswith("sepkit:") for line in lines) == 1
+
+
+def test_timestamps_append_only_generated_at(capsys):
+    argv = ("types", "--example", "1", "--levels", "3")
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, stamped, _ = run_cli(capsys, *argv, "--timestamps")
+    assert code == 0
+    report = json.loads(stamped)
+    assert list(report)[-1] == "generated_at"
+    stamp = report["generated_at"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", stamp)
+    time.strptime(stamp, "%Y-%m-%dT%H:%M:%SZ")
+    assert stamped == plain[:-len("\n}\n")] + f',\n  "generated_at": "{stamp}"\n}}\n'
+
+
+#: (argv after ``construct --depth 3``, SEPKIT_ORACLE_BUDGET, the refusal); a
+#: refusal that ends in a newline is the whole of stderr, any other its start
+REFUSALS = {
+    "unknown sequence": (["--example", "1", "--sequence", "nope"], None,
+                         "sepkit: unknown sequence spec 'nope'\n"),
+    "unreadable file": (["--example", "1", "--sequence", "file:{tmp}/missing.txt"], None,
+                        "sepkit: cannot read sequence file: "),
+    "unreadable template": (["--template", "{tmp}/missing.json"], None,
+                            "sepkit: cannot load template: "),
+    "invalid template": (["--template", "{tmp}/invalid.json"], None,
+                         "sepkit: system fails validation: "),
+    "bad env budget": (["--example", "1"], "x", "sepkit: bad SEPKIT_ORACLE_BUDGET 'x'\n"),
+    "env budget 0": (["--example", "1"], "0", "sepkit: SEPKIT_ORACLE_BUDGET must be >= 1\n"),
+    "budget 0": (["--example", "1", "--oracle-budget", "0"], "5",
+                 "sepkit: --oracle-budget must be >= 1\n"),
+    "bad bits": (["--example", "1", "--sequence", "bits:01x"], None,
+                 "sepkit: bad sequence 'bits:01x': driving bits must be 0 or 1\n"),
+    "empty pattern": (["--example", "1", "--sequence", "periodic:"], None,
+                      "sepkit: sequence 'periodic:' has no bits; expected a non-empty 0/1 "
+                      "string\n"),
+    "bad pattern": (["--example", "1", "--sequence", "periodic:012"], None,
+                    "sepkit: bad sequence 'periodic:012': driving bits must be 0 or 1\n"),
+    "bad file bits": (["--example", "1", "--sequence", "file:{tmp}/bits.txt"], None,
+                      "sepkit: bad sequence 'file:{tmp}/bits.txt': driving bits must be 0 or 1\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refused_input_exits_2_with_one_line(capsys, monkeypatch, tmp_path, case):
+    argv, budget, refusal = REFUSALS[case]
+    # a template whose last offset is 5/7, not 6/7, builds its point and fails validation
+    invalid = json.loads(json.dumps(SEVENTHS))
+    invalid["system"]["offsets"][2]["p"] = "5/7"
+    (tmp_path / "invalid.json").write_text(json.dumps(invalid))
+    (tmp_path / "bits.txt").write_text("01x\n")
+    if budget is None:
+        monkeypatch.delenv("SEPKIT_ORACLE_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("SEPKIT_ORACLE_BUDGET", budget)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    code, out, err = run_cli(capsys, "construct", "--depth", "3", *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    refusal = refusal.replace("{tmp}", str(tmp_path))
+    assert err == refusal if refusal.endswith("\n") else err.startswith(refusal)

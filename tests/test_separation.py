@@ -1564,3 +1564,31 @@ def test_dimension_degenerate_cases():
     assert osc_dimension(full, 4) == "1.0000"
     single = IfsSystem(5, (AffineExpr.constant(0),))
     assert osc_dimension(single, 4) == "0.0000"
+
+
+@pytest.mark.parametrize("open_set", [None, ((F(1, 4), F(3, 4)), 1)], ids=["convex", "constructed"])
+def test_census_decimal_names_the_level_where_its_value_first_appears(open_set, ex1_sys, ex1_pt):
+    # seed 1/4:3/4 at truncation 1 splits a class, so its census merges stepped states
+    if open_set is None:
+        result = convex_type_census(ex1_sys, ex1_pt, 6)
+    else:
+        seed, truncation = open_set
+        approx = OpenSetApprox(ex1_sys, RationalInterval.make(*seed), truncation)
+        result = constructed_v_type_census(ex1_sys, ex1_pt, approx, 6)
+    first: dict = {}
+    for lv in result.levels:
+        for displacements in lv.type_column:
+            for v in displacements:
+                first.setdefault(v, lv.level)
+    assert len(set(first.values())) > 3
+    decimal = ParamPoint.eval_decimal
+    for stubborn, level in first.items():
+        def eval_decimal(pt, value, digits):
+            if value == stubborn:
+                raise Undecided("decimal value undecided within budget", digits)
+            return decimal(pt, value, digits)
+
+        with mock.patch.object(ParamPoint, "eval_decimal", eval_decimal):
+            with pytest.raises(Undecided) as raised:
+                result.to_json(ex1_pt)
+        assert raised.value.level == level

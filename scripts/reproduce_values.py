@@ -16,6 +16,7 @@ from sepkit import (
     osc_dimension,
     wsp_min_displacement,
 )
+from sepkit.ifs import word_texts
 
 
 def main() -> None:
@@ -37,8 +38,9 @@ def main() -> None:
               pt.eval_decimal(wsp.minimum.abs_value, 12),
               f"witness ({witness[0]}, {witness[1]}) at level {wsp.minimum.level}")
         scan = exact_overlap_scan(sys_, 2)
+        overlaps = scan.overlaps
         print("  exact overlaps to level 2:",
-              [(str(o.left), str(o.right)) for o in scan.overlaps] or "none")
+              list(zip(word_texts(overlaps.sigma), word_texts(overlaps.tau))) or "none")
     print("== dimension ==")
     print("  system 1: log(3)/log(7) =", osc_dimension(example_system(1), 12))
 

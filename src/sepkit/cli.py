@@ -7,7 +7,8 @@ produce byte-identical output (opt in to timestamps with --timestamps).
 
 Exit codes: 0 success/pass, 1 property violation reported, 2 usage or
 input error, 3 undecided within the refinement budget (or out of
-memory), 4 internal error.  ``verify distinctness`` exits 1 only for a
+memory), 4 internal error, 141 stdout closed by its reader (the code of a
+process killed by SIGPIPE).  ``verify distinctness`` exits 1 only for a
 collision it found; pairs it could not tell apart exit 3.
 
 ``main(argv)`` may be called any number of times in one process.  It
@@ -63,6 +64,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as the shell reports a process that signal killed
 
 
 class UsageError(Exception):
@@ -557,7 +559,17 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         check_counts(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that went away is caught below, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away, which is no fault of sepkit: nothing is
+        # written to stderr, and fd 1 goes to the null device so that the
+        # interpreter's flush at exit finds no closed pipe either
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.close(null)
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         sys.stderr.write(f"sepkit: {exc}\n")
         return EXIT_USAGE

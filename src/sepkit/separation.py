@@ -38,9 +38,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import starmap
 from math import lcm
-from typing import NamedTuple
 
 from .exact import AFFINE_ZERO, AffineExpr, Param, RationalParam, Undecided, rational_to_str
 from .ifs import IfsSystem, Word, word_texts
@@ -778,21 +776,22 @@ def convex_type_census(sys: IfsSystem, pt: Param, max_level: int) -> CensusResul
     return CensusResult("convex (0,1)", tuple(levels))
 
 
-@dataclass(frozen=True)
-class OverlapPair:
-    left: Word
-    right: Word
-    level: int
-
-
-class _PairColumns(NamedTuple):
+@dataclass
+class PairColumns:
     """Word pairs in report order as three columns: the symbol bytes of
     each pair's sigma and tau, and one int each (a level or an endpoint
-    delta)."""
+    delta).  Its length is the number of pairs, and it iterates over
+    (sigma bytes, tau bytes, int) rows."""
 
     sigma: list
     tau: list
     value: list
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __iter__(self):
+        return zip(self.sigma, self.tau, self.value)
 
     def records(self, key: str) -> list[dict]:
         """The report records {"sigma", "tau", key}, one ``word_texts`` per word column."""
@@ -802,60 +801,21 @@ class _PairColumns(NamedTuple):
         ]
 
 
-class _HeldPairs:
-    """A frozen dataclass whose word-pair fields may be held as columns.
-
-    ``_held`` makes an instance that holds named fields as
-    ``_PairColumns`` instead of tuples, kept in ``_columns``; such a
-    field is built (by ``_row``) on its first read and kept, so a report
-    written from ``_columns`` builds no object per pair.  Values, types
-    and equality are those of an instance built with the tuples.
-    """
-
-    #: the type of a pair field's items, called with (Word, Word, int); None keeps the tuple
-    _row = None
-
-    def __getattr__(self, name: str):
-        held = vars(self).get("_columns", {})
-        if name not in held:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        sigma, tau, value = held[name]
-        rows = zip(map(Word, sigma), map(Word, tau), value)
-        rows = tuple(rows if self._row is None else starmap(self._row, rows))
-        object.__setattr__(self, name, rows)
-        return rows
-
-    @classmethod
-    def _held(cls, columns: dict[str, _PairColumns], **fields):
-        self = object.__new__(cls)
-        for name, value in {**fields, "_columns": columns}.items():
-            object.__setattr__(self, name, value)
-        return self
-
-
 @dataclass(frozen=True)
-class OverlapScanResult(_HeldPairs):
-    """The pairs of ``exact_overlap_scan``, primitive and derived, in report order.
-
-    The scan's own result holds both fields as symbol-byte columns
-    (``_HeldPairs``): ``to_json`` writes them with one ``word_texts``
-    call per word column, and the ``OverlapPair`` tuples are built on
-    first read.  A result built with tuples is equal to one built from
-    the same pairs as columns; ``to_json`` reads the columns, so it
-    writes only the scan's own result.
-    """
+class OverlapScanResult:
+    """The pairs of ``exact_overlap_scan``, primitive and derived, in
+    report order, each with its level; ``to_json`` writes them with one
+    ``word_texts`` call per word column."""
 
     max_level: int
-    overlaps: tuple[OverlapPair, ...]
-    derived: tuple[OverlapPair, ...]
-
-    _row = OverlapPair
+    overlaps: PairColumns
+    derived: PairColumns
 
     def to_json(self) -> dict:
         return {
             "max_level": self.max_level,
-            "overlaps": self._columns["overlaps"].records("level"),
-            "derived": self._columns["derived"].records("level"),
+            "overlaps": self.overlaps.records("level"),
+            "derived": self.derived.records("level"),
         }
 
 
@@ -930,9 +890,8 @@ def exact_overlap_scan(sys: IfsSystem, max_level: int) -> OverlapScanResult:
     Within a level, pairs are grouped by their common map, groups in
     order of their smallest word, pairs in (sigma, tau) order.
 
-    The result holds the pairs as symbol-byte columns and builds its
-    ``OverlapPair`` tuples only when they are read (``_HeldPairs``), so
-    a report written from it builds no object per pair.
+    The result holds the pairs as symbol-byte columns (``PairColumns``),
+    so a report written from it builds no object per pair.
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
@@ -945,7 +904,7 @@ def exact_overlap_scan(sys: IfsSystem, max_level: int) -> OverlapScanResult:
     distance[_SHARED] = min(
         (1 + distance[nxt] for i, j, nxt in edges[_SHARED] if i < j), default=max_level
     )
-    columns = {False: _PairColumns([], [], []), True: _PairColumns([], [], [])}
+    columns = {False: PairColumns([], [], []), True: PairColumns([], [], [])}
     # (state, whether the walk was at 0 at an interior position) -> (sigmas, taus)
     walks: dict = {(_SHARED, False): ([b""], [b""])}
     for level in range(1, max_level + 1):
@@ -978,9 +937,7 @@ def exact_overlap_scan(sys: IfsSystem, max_level: int) -> OverlapScanResult:
             out.sigma.extend([key[level:2 * level] for key in keys])
             out.tau.extend([key[2 * level:] for key in keys])
             out.value.extend([level] * len(keys))
-    return OverlapScanResult._held(
-        {"overlaps": columns[False], "derived": columns[True]}, max_level=max_level
-    )
+    return OverlapScanResult(max_level, columns[False], columns[True])
 
 
 @dataclass(frozen=True)
@@ -1071,22 +1028,19 @@ class EndpointBucket:
 
 
 @dataclass(frozen=True)
-class EndpointReport(_HeldPairs):
+class EndpointReport:
     """The verdict of ``endpoint_separation``.
 
     ``equal_pairs`` lists (sigma, tau, endpoint delta) for every pick of
-    value exactly 0: the overlap scan's pairs with delta 0, then the
-    touching mixed picks level by level.  ``endpoint_separation`` hands
-    them over as symbol-byte columns (``_HeldPairs``), which ``to_json``
-    writes directly (so it writes only a report that function made); the
-    tuple of ``Word`` pairs is built on first read.
+    value exactly 0, as symbol-byte columns: the overlap scan's pairs
+    with delta 0, then the touching mixed picks level by level.
     """
 
     max_level: int
     threshold: Fraction
     corresponding: EndpointBucket
     mixed: EndpointBucket
-    equal_pairs: tuple[tuple[Word, Word, int], ...]
+    equal_pairs: PairColumns
     include_mixed_in_verdict: bool
 
     @property
@@ -1103,7 +1057,7 @@ class EndpointReport(_HeldPairs):
             "corresponding_endpoints": self.corresponding.to_json(pt),
             "mixed_endpoints": self.mixed.to_json(pt),
             "mixed_in_verdict": self.include_mixed_in_verdict,
-            "equal_pairs": self._columns["equal_pairs"].records("endpoint_delta"),
+            "equal_pairs": self.equal_pairs.records("endpoint_delta"),
             "notes": [
                 "differences are scaled by m^level before comparison with the threshold",
                 "mixed-endpoint gaps measure cylinder overlap widths and are reported "
@@ -1157,9 +1111,9 @@ def endpoint_separation(
     # identical endpoints come from identical maps (zero displacement) or
     # from cylinders touching end to end (a mixed pick of value exactly 0)
     scan = exact_overlap_scan(sys, max_level)
-    found, extended = scan._columns["overlaps"], scan._columns["derived"]
-    equal = _PairColumns(found.sigma + extended.sigma, found.tau + extended.tau,
-                         [0] * (len(found.value) + len(extended.value)))
+    found, extended = scan.overlaps, scan.derived
+    equal = PairColumns(found.sigma + extended.sigma, found.tau + extended.tau,
+                        [0] * (len(found) + len(extended)))
     # (|value| as a lattice point, sigma, tau, delta) for corresponding
     # and for mixed picks, each value's at its first level; the value of
     # (sigma, tau) shifted by delta
@@ -1211,13 +1165,8 @@ def endpoint_separation(
         witness = (Word(tau), Word(sigma), delta)
         return EndpointBucket(violations == 0, lattice.form(point), witness, violations)
 
-    return EndpointReport._held(
-        {"equal_pairs": equal},
-        max_level=max_level,
-        threshold=threshold,
-        corresponding=bucket(same),
-        mixed=bucket(mixed),
-        include_mixed_in_verdict=include_mixed_in_verdict,
+    return EndpointReport(
+        max_level, threshold, bucket(same), bucket(mixed), equal, include_mixed_in_verdict
     )
 
 

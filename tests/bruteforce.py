@@ -17,10 +17,14 @@ displacements written out in full, the reference that
 ``expand_census_report`` rebuilds from the compact report.
 The interval, image and automaton helpers are what only the tests ask
 of those types, and ``StaticRefiner`` gives a point a fixed, finite
-window chain.  ``small_systems`` draws the small random systems the
-property tests share.
+window chain.  ``pair_rows`` and ``pair_columns`` turn the symbol-byte
+columns of listed word pairs into ``Word`` rows and back, and
+``overlap_transfer_counts`` counts the pairs with equal maps per level
+without building one.  ``small_systems`` draws the small random systems
+the property tests share.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
@@ -43,10 +47,12 @@ from sepkit.separation import (
     DISPLAY_DIGITS,
     Displacement,
     DisplacementLattice,
+    PairColumns,
     TypeAutomaton,
     WspLevelMinimum,
     WspResult,
     _PointMemo,
+    _return_walks,
 )
 
 
@@ -357,6 +363,43 @@ def endpoint_separation_bruteforce(
             if pt.sign(abs_value - AffineExpr.constant(threshold)) <= 0:
                 passed = False
     return passed, equal
+
+
+def pair_rows(columns: PairColumns) -> list[tuple[Word, Word, int]]:
+    """The (sigma, tau, int) rows of listed word pairs, with ``Word`` words."""
+    return [(Word(sigma), Word(tau), value) for sigma, tau, value in columns]
+
+
+def pair_columns(rows: list) -> PairColumns:
+    """The symbol-byte columns of (Word, Word, int) rows, the inverse of ``pair_rows``."""
+    return PairColumns([sigma.symbols for sigma, _, _ in rows],
+                       [tau.symbols for _, tau, _ in rows], [value for _, _, value in rows])
+
+
+def overlap_transfer_counts(sys: IfsSystem, max_level: int) -> list[tuple[int, int]]:
+    """(primitive, derived) counts of word pairs with equal maps, per level 1..max_level.
+
+    A transfer count over the walks of ``_return_walks``: a pair's state
+    is its walk state, whether its words have diverged (with sigma < tau
+    at the first difference) and whether its walk has been at 0 at an
+    interior position, as every shared prefix is.  Each level steps the
+    number of pairs in each state, so no pair is built; the pairs at 0
+    that have diverged are the level's, derived when they passed 0.
+    """
+    edges, _ = _return_walks(sys)
+    zero = (0, 0)
+    counts = Counter({(zero, False, False): 1})
+    per_level = []
+    for level in range(1, max_level + 1):
+        stepped = Counter()
+        for (state, diverged, passed), n in counts.items():
+            passed = passed or (level > 1 and state == zero)
+            for i, j, after in edges[state]:
+                if diverged or i <= j:
+                    stepped[after, diverged or i < j, passed] += n
+        counts = stepped
+        per_level.append((counts[zero, True, False], counts[zero, True, True]))
+    return per_level
 
 
 def _memoized(method):

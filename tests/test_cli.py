@@ -15,7 +15,6 @@ from sepkit import RationalParam, convex_type_census, example_system, wsp_min_di
 from sepkit.cli import build_parser, main
 from sepkit.construction import PERIODIC_WARNING, RefinementEngine, thue_morse_bit
 from sepkit.ifs import Word
-from sepkit.separation import OverlapPair
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -748,8 +747,8 @@ def test_constructed_only_option_on_convex_census_is_usage_error(capsys, extra, 
 @pytest.mark.parametrize("verifier", ["overlaps", "endpoints"])
 def test_overlap_listing_builds_no_object_per_pair(capsys, monkeypatch, verifier):
     # example 2's pairs stay symbol bytes from the scan to the report: the
-    # words and pairs a request builds do not grow with the pairs it lists
-    built = {Word: 0, OverlapPair: 0}
+    # words a request builds do not grow with the pairs it lists
+    built = {Word: 0}
     for cls in built:
         def counted(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
             built[_cls] += 1
@@ -821,6 +820,21 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
         "sepkit: internal error (verify overlaps): RuntimeError: scan broke",
     ]
     assert sum(line.startswith("sepkit:") for line in lines) == 1
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the reader of stdout is gone before the report is written: the request
+    # exits with the shell's code for a SIGPIPE death and writes no traceback
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "sepkit.cli", "types", "--example", "1", "--levels", "60"],
+            env=src_env(), stdout=write, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_timestamps_append_only_generated_at(capsys):

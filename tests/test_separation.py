@@ -42,7 +42,6 @@ from sepkit.separation import (
     DisplacementLattice,
     EndpointBucket,
     EndpointReport,
-    OverlapPair,
     OverlapScanResult,
     TypeAutomaton,
     WspLevelMinimum,
@@ -54,6 +53,8 @@ from bruteforce import (
     brute_force_displacements,
     compare,
     endpoint_separation_bruteforce,
+    pair_columns,
+    pair_rows,
     ReferenceTypeAutomaton,
     reference_search,
     small_systems,
@@ -298,7 +299,7 @@ def test_displacement_sets_grow_by_the_scaled_gap(which):
 
 def test_example2_zero_displacement_witness(ex2_sys):
     scan = exact_overlap_scan(ex2_sys, 2)
-    assert [(str(o.left), str(o.right)) for o in scan.overlaps] == [("15", "23")]
+    assert [(str(s), str(t)) for s, t, _ in pair_rows(scan.overlaps)] == [("15", "23")]
 
 
 # --- convex neighbourhood-type census ------------------------------------------
@@ -411,8 +412,8 @@ def _brute_force_overlap_scan(sys, max_level):
                         and origin_of[Word(sigma.symbols[s:])] == origin_of[Word(tau.symbols[s:])]
                         for s in range(1, level)
                     )
-                    (derived if factors else primitive).append(OverlapPair(sigma, tau, level))
-    return OverlapScanResult(max_level, tuple(primitive), tuple(derived))
+                    (derived if factors else primitive).append((sigma, tau, level))
+    return OverlapScanResult(max_level, pair_columns(primitive), pair_columns(derived))
 
 
 @pytest.mark.parametrize("which,max_level", [(1, 6), (2, 5)])
@@ -440,23 +441,24 @@ def test_overlap_scan_symbols_above_nine(last, first_pair):
                     + (AffineExpr.constant(last),))
     for level in (1, 2):
         assert exact_overlap_scan(sys, level) == _brute_force_overlap_scan(sys, level)
-    first = exact_overlap_scan(sys, 2).overlaps[0]
-    assert (str(first.left), str(first.right)) == first_pair
+    sigma, tau, _ = pair_rows(exact_overlap_scan(sys, 2).overlaps)[0]
+    assert (str(sigma), str(tau)) == first_pair
 
 
 def test_overlap_scan_example2(ex2_sys):
     scan1 = exact_overlap_scan(ex2_sys, 1)
-    assert scan1.overlaps == ()
+    assert pair_rows(scan1.overlaps) == []
     scan2 = exact_overlap_scan(ex2_sys, 2)
-    assert [(str(o.left), str(o.right), o.level) for o in scan2.overlaps] == [
+    assert [(str(s), str(t), level) for s, t, level in pair_rows(scan2.overlaps)] == [
         ("15", "23", 2)
     ]
 
 
-def test_held_pair_columns_match_built_tuples(ex1_sys, ex2_sys, ex2_pt):
-    # the scan and the endpoint check hand their pairs over as columns; the
-    # report, the fields, equality and hash are those of a result built with
-    # tuples (at a = 1/8 example 1 has touching picks, listed with delta +-1)
+def test_pair_records_match_bruteforce_rows(ex1_sys, ex2_sys, ex2_pt):
+    # the scan and the endpoint check hold their pairs as symbol-byte columns;
+    # the report writes one record per brute-force row, and the result equals
+    # the brute-force one (at a = 1/8 example 1 has touching picks, listed
+    # with delta +-1); columns are lists, so neither result is hashable
     eighth = RationalParam(F(1, 8))
     cases = [
         (exact_overlap_scan(ex2_sys, 4), _brute_force_overlap_scan(ex2_sys, 4), (),
@@ -472,23 +474,21 @@ def test_held_pair_columns_match_built_tuples(ex1_sys, ex2_sys, ex2_pt):
         # each pair written as one record of its words' texts and its int
         report = held.to_json(*json_args)
         for name, key in names.items():
-            rows = [(p.left, p.right, p.level) if isinstance(p, OverlapPair) else p
-                    for p in getattr(built, name)]
+            rows = pair_rows(getattr(built, name))
             assert rows and report[name] == [
                 {"sigma": str(sigma), "tau": str(tau), key: value} for sigma, tau, value in rows
             ]
-        assert held == built and hash(held) == hash(built) and repr(held) == repr(built)
-        for name in names:
-            rows = getattr(held, name)
-            assert type(rows) is tuple and rows == getattr(built, name)
-            assert getattr(held, name) is rows
+            assert len(getattr(held, name)) == len(rows)
+        assert held == built and repr(held) == repr(built)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(held)
     with pytest.raises(AttributeError):
         exact_overlap_scan(ex2_sys, 2).pairs
 
 
 def test_overlap_scan_example1_empty(ex1_sys):
     scan = exact_overlap_scan(ex1_sys, 4)
-    assert scan.overlaps == () and scan.derived == ()
+    assert pair_rows(scan.overlaps) == [] and pair_rows(scan.derived) == []
 
 
 def test_overlap_scan_duplicate_map():
@@ -497,15 +497,15 @@ def test_overlap_scan_duplicate_map():
         (AffineExpr.constant(0), AffineExpr.constant(0), AffineExpr.constant(F(6, 7))),
     )
     scan = exact_overlap_scan(dup, 1)
-    assert [(str(o.left), str(o.right)) for o in scan.overlaps] == [("1", "2")]
+    assert [(str(s), str(t)) for s, t, _ in pair_rows(scan.overlaps)] == [("1", "2")]
     for level in range(1, 4):
         assert exact_overlap_scan(dup, level) == _brute_force_overlap_scan(dup, level)
 
 
 def test_overlap_extensions_are_derived(ex2_sys):
     scan = exact_overlap_scan(ex2_sys, 3)
-    assert [(str(o.left), str(o.right)) for o in scan.overlaps] == [("15", "23")]
-    derived = {(str(o.left), str(o.right)) for o in scan.derived}
+    assert [(str(s), str(t)) for s, t, _ in pair_rows(scan.overlaps)] == [("15", "23")]
+    derived = {(str(s), str(t)) for s, t, _ in pair_rows(scan.derived)}
     # same-suffix and same-prefix extensions of the level-2 overlap
     assert ("151", "231") in derived
     assert ("115", "123") in derived
@@ -579,7 +579,7 @@ def _oracle_endpoint_separation(sys, pt, max_level, threshold, include_mixed_in_
     threshold = F(threshold)
     levels = _oracle_displacement_levels(sys, pt, max_level, bound=1 + threshold, strict=False)
     scan = exact_overlap_scan(sys, max_level)
-    equal_pairs = [(o.left, o.right, 0) for o in scan.overlaps + scan.derived]
+    equal_pairs = [(s, t, 0) for s, t, _ in pair_rows(scan.overlaps) + pair_rows(scan.derived)]
     same, mixed = [], []
     for level_map in levels:
         for disp in level_map.values():
@@ -602,7 +602,7 @@ def _oracle_endpoint_separation(sys, pt, max_level, threshold, include_mixed_in_
         return EndpointBucket(violations == 0, least, witness, violations)
 
     return EndpointReport(
-        max_level, threshold, bucket(same), bucket(mixed), tuple(equal_pairs),
+        max_level, threshold, bucket(same), bucket(mixed), pair_columns(equal_pairs),
         include_mixed_in_verdict,
     )
 
@@ -1483,9 +1483,9 @@ def test_endpoint_separation_large_constant_fails(ex1_sys, ex1_pt):
 def test_endpoint_separation_example2(ex2_sys, ex2_pt):
     report = endpoint_separation(ex2_sys, ex2_pt, 6, F(1, 10))
     assert report.passed
-    equal = {(str(a), str(b)) for a, b, d in report.equal_pairs if d == 0}
+    equal = {(str(a), str(b)) for a, b, d in pair_rows(report.equal_pairs) if d == 0}
     scan = _brute_force_overlap_scan(ex2_sys, 6)
-    expected = {(str(o.left), str(o.right)) for o in scan.overlaps + scan.derived}
+    expected = {(str(s), str(t)) for s, t, _ in pair_rows(scan.overlaps) + pair_rows(scan.derived)}
     assert equal == expected
 
 
@@ -1507,7 +1507,7 @@ def test_endpoint_pick_of_value_zero_is_an_equal_pair(ex1_sys):
     assert tuple(map(str, report.mixed.min_witness[:2])) == ("2", "1")
     assert report.mixed.min_witness[2] == -1
     assert report.mixed.violations == 4
-    assert [(str(s), str(t), d) for s, t, d in report.equal_pairs] == [
+    assert [(str(s), str(t), d) for s, t, d in pair_rows(report.equal_pairs)] == [
         ("22", "13", -1), ("13", "22", 1)
     ]
 

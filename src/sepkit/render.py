@@ -151,7 +151,7 @@ def render_levels(
     if scale < 1:
         raise ValueError("scale must be >= 1")
     if decimals < 1:
-        raise ValueError("digits must be >= 1")
+        raise ValueError("decimals must be >= 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []

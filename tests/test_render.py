@@ -65,6 +65,14 @@ def test_render_levels_below_one_writes_nothing(ex1_sys, ex1_pt, ex1_run, tmp_pa
     assert not (tmp_path / "figs").exists()
 
 
+@pytest.mark.parametrize("option", ["scale", "decimals"])
+def test_render_bad_option_names_itself(ex1_sys, ex1_pt, ex1_run, tmp_path, option):
+    # each refusal names the argument it refuses, before the directory is made
+    with pytest.raises(ValueError, match=f"^{option} must be >= 1$"):
+        render_levels(ex1_sys, ex1_pt, ex1_run, 2, tmp_path / "figs", "example1", **{option: 0})
+    assert not (tmp_path / "figs").exists()
+
+
 def _counts(path):
     text = path.read_text()
     return text.count("<rect"), text.count("<line")

@@ -1,7 +1,9 @@
+import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
+from itertools import groupby
 from unittest import mock
 
 import pytest
@@ -26,7 +28,6 @@ from sepkit import (
     exact_overlap_scan,
     example_point,
     example_template,
-    map_at_zero,
     osc_dimension,
     param_point,
     run_construction,
@@ -278,12 +279,18 @@ def test_census_witness_column_is_each_word_text(symbols):
                                   for w in level["witnesses"])
 
 
-@pytest.mark.parametrize("which", [1, 2])
-def test_displacement_sets_grow_by_the_scaled_gap(which):
-    # D_k = D_(k-1) + {u_k, -u_k}, so |D_k| = 2k + 1 (ROADMAP fact B)
+@pytest.mark.parametrize("which,seq", [
+    pytest.param(1, DrivingSequence.thue_morse(), id="1"),
+    pytest.param(2, DrivingSequence.thue_morse(), id="2"),
+    pytest.param(1, DrivingSequence.fibonacci(), id="fibonacci-1"),
+    pytest.param(2, DrivingSequence.fibonacci(), id="fibonacci-2"),
+])
+def test_displacement_sets_grow_by_the_scaled_gap(which, seq):
+    # D_k = D_(k-1) + {u_k, -u_k}, so |D_k| = 2k + 1 (ROADMAP fact B), on
+    # either sequence (fact G)
     tmpl = example_template(which)
-    pt = example_point(which)
-    run = run_construction(tmpl, DrivingSequence.thue_morse(), 100)
+    pt = example_point(which, seq)
+    run = run_construction(tmpl, seq, 100)
     memo = separation._PointMemo(separation.DisplacementLattice(tmpl.system), pt, F(1), True)
     zero = pt.canonical_key(AffineExpr.constant(0))
     previous = {zero}
@@ -388,28 +395,50 @@ def test_displacements_closed_under_negation(ex1_sys, ex1_pt):
 # --- exact overlap scan --------------------------------------------------------
 
 
+@cache
 def _brute_force_overlap_scan(sys, max_level):
     """Word-enumerating oracle: group every word of each level by its map.
 
+    A word w of length k maps 0 to sum_i d_(w_i) / m^(i-1); times m^(k-1)
+    and the offsets' common denominator that form has integer
+    coefficients, and appending a symbol s gives m * form(w) + form(s).
     A pair is derived when some split gives equal maps on both the
     prefix pair and the suffix pair; groups come in order of their
-    smallest word, pairs in (sigma, tau) order.
+    smallest word, pairs in (sigma, tau) order.  Cached, so callers only
+    read the result.
     """
-    origin_of = {Word(): AffineExpr.constant(0)}
+    m, n = sys.ratio_denominator, sys.alphabet_size
+    scale = math.lcm(*(c.denominator for d in sys.offsets for c in (d.p, d.q)))
+    steps = [(int(d.p * scale), int(d.q * scale)) for d in sys.offsets]
+
+    def form(symbols):
+        p = q = 0
+        for s in symbols:
+            dp, dq = steps[s - 1]
+            p, q = m * p + dp, m * q + dq
+        return p, q
+
+    def word(level, index):
+        # the index-th word of the level, in order: its base-n digits, plus one
+        return Word(bytes(index // n ** (level - 1 - i) % n + 1 for i in range(level)))
+
     primitive, derived = [], []
+    ps, qs = [0], [0]
     for level in range(1, max_level + 1):
-        groups = {}
-        for word in sys.words(level):
-            origin = map_at_zero(sys, word)
-            origin_of[word] = origin
-            groups.setdefault((origin.p, origin.q), []).append(word)
-        for words in groups.values():
-            words.sort()
+        ps = [m * p + dp for p in ps for dp, _ in steps]
+        qs = [m * q + dq for q in qs for _, dq in steps]
+        # every |q| < span / 2, so p * span + q is one int per form
+        span = 2 * max(map(abs, qs)) + 1
+        keys = [p * span + q for p, q in zip(ps, qs)]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        groups = [list(g) for _, g in groupby(order, key=keys.__getitem__)]
+        for group in sorted(g for g in groups if len(g) > 1):
+            words = [word(level, index) for index in group]
             for a, sigma in enumerate(words):
                 for tau in words[a + 1:]:
                     factors = any(
-                        origin_of[Word(sigma.symbols[:s])] == origin_of[Word(tau.symbols[:s])]
-                        and origin_of[Word(sigma.symbols[s:])] == origin_of[Word(tau.symbols[s:])]
+                        form(sigma.symbols[:s]) == form(tau.symbols[:s])
+                        and form(sigma.symbols[s:]) == form(tau.symbols[s:])
                         for s in range(1, level)
                     )
                     (derived if factors else primitive).append((sigma, tau, level))
@@ -575,10 +604,11 @@ def _oracle_wsp_min_displacement(sys, pt, max_level):
 
 
 def _oracle_endpoint_separation(sys, pt, max_level, threshold, include_mixed_in_verdict=False):
-    """The Fraction-valued endpoint check: shifted values, |v| and tests as forms."""
+    """The Fraction-valued endpoint check: shifted values, |v| and tests as forms;
+    its delta-0 equal pairs are the word-enumerating scan's."""
     threshold = F(threshold)
     levels = _oracle_displacement_levels(sys, pt, max_level, bound=1 + threshold, strict=False)
-    scan = exact_overlap_scan(sys, max_level)
+    scan = _brute_force_overlap_scan(sys, max_level)
     equal_pairs = [(s, t, 0) for s, t, _ in pair_rows(scan.overlaps) + pair_rows(scan.derived)]
     same, mixed = [], []
     for level_map in levels:

@@ -8,10 +8,11 @@ first) and shrinks the window to the exact solution set of the next
 overlap inequality.  A state holds the gap only as the scaled gap
 ``m^n * gap``, a point of the system's integer displacement lattice
 (:class:`~sepkit.separation.DisplacementLattice`): it follows the
-displacement recursion from level to level, and the window ends, kept
-as integer numerators and denominators, are compared with the band
-``0 < m^n * gap < 1`` by cross-multiplication, at the first level and
-at every step alike.
+displacement recursion from level to level.  The window ends are kept
+as integer numerators and denominators; an end cut by an earlier
+level's band also keeps a 2x2 determinant against the current point,
+carried from level to level, which decides each new cut with integers
+of the size of the point (see ``refine_step``).
 Driving the binary choice of step with an aperiodic sequence pins the
 window chain down to a single parameter value, which is exposed as a
 :class:`~sepkit.exact.ParamPoint`; a periodic sequence pins down a
@@ -154,16 +155,31 @@ class ConstructionState:
     reduced denominators, and its words as its parent and the ``option``
     taken from it; ``window``, ``left`` and ``right`` are built on first
     read, once.  ``==`` compares all but the lattice.
+
+    Each window end is either given (the initial window's) or a band end
+    of an earlier point p_j = (P_j, Q_j): with p = (P, Q) standing for
+    ``u(a) = P/Lp + (Q/Lq)*a``, the roots of u = t are
+    ``r_t(p) = Lq*(t*Lp - P)/(Lp*Q)`` for t in {0, 1}, and the lower
+    band end is r_0 when Q > 0, else r_1.  For a root end the state
+    keeps its owner, p_j's own ``point`` tuple, and the determinant
+    ``D = det(p_j, p) = P_j*Q - Q_j*P`` against its own point; a given
+    end has no owner.  ``refine_step`` decides the next cuts with them
+    in O(k) integer work per level, for k-digit points.
     """
 
     __slots__ = ("level", "point", "ends", "lattice", "choice",
-                 "_parent", "_option", "_words", "_window")
+                 "_parent", "_option", "_words", "_window",
+                 "_lo_owner", "_lo_det", "_hi_owner", "_hi_det")
 
     def __init__(self, level: int, point: tuple[int, int], ends: tuple[int, int, int, int],
                  lattice: DisplacementLattice, choice: str | None = None,
-                 parent: ConstructionState | None = None, option: RefinementOption | None = None):
+                 parent: ConstructionState | None = None, option: RefinementOption | None = None,
+                 lo_owner: tuple[int, int] | None = None, lo_det: int = 0,
+                 hi_owner: tuple[int, int] | None = None, hi_det: int = 0):
         self.level, self.point, self.ends, self.lattice = level, point, ends, lattice
         self.choice, self._parent, self._option = choice, parent, option
+        self._lo_owner, self._lo_det, self._hi_owner, self._hi_det = (
+            lo_owner, lo_det, hi_owner, hi_det)
         self._words = self._window = None
 
     @property
@@ -222,27 +238,17 @@ class ConstructionState:
         }
 
 
-def _clip_to_band(
-    lattice: DisplacementLattice, point: tuple[int, int], ends: tuple[int, int, int, int]
-) -> tuple[int, int, int, int]:
-    """The window ``ends`` cut down to where the point lies in (0, 1); maybe empty.
+def _band(lattice: DisplacementLattice, P: int, Q: int) -> tuple[int, int, int]:
+    """``(lo_num, hi_num, den)``, den > 0: where ``0 < P/Lp + (Q/Lq)*a < 1``, for Q != 0.
 
-    For Q != 0, ``0 < P/Lp + (Q/Lq)*a < 1`` holds exactly for a strictly
-    between b0/den and b1/den.  Each window end is compared with its
-    bound by integer cross-multiplication, so the window lies in the
-    band exactly when the ends come back unchanged.
+    The ends are the roots r_0 and r_1 of the form (see
+    ``ConstructionState``), lower first, over one common denominator.
     """
-    P, Q = point
     lp, lq = lattice.lp, lattice.lq
     b0, b1, den = -P * lq, (lp - P) * lq, lp * Q
     if den < 0:
         b0, b1, den = -b1, -b0, -den
-    lo_num, lo_den, hi_num, hi_den = ends
-    if b0 * lo_den > lo_num * den:
-        lo_num, lo_den = b0, den
-    if b1 * hi_den < hi_num * den:
-        hi_num, hi_den = b1, den
-    return lo_num, lo_den, hi_num, hi_den
+    return b0, b1, den
 
 
 @dataclass(frozen=True)
@@ -274,7 +280,8 @@ class ConstructionTemplate:
             raise ValueError("initial gap must depend on the parameter")
         ends = (window.lo.numerator, window.lo.denominator,
                 window.hi.numerator, window.hi.denominator)
-        if _clip_to_band(lattice, point, ends) != ends:
+        lo, hi, den = _band(lattice, *point)
+        if lo * ends[1] > ends[0] * den or hi * ends[3] < ends[2] * den:
             raise ValueError("initial window is not contained in the overlap band")
         state = ConstructionState(len(left), point, ends, lattice)
         state._words = (left, right)  # the first state's words are given, not replayed
@@ -287,30 +294,80 @@ def refine_step(
     """One refinement step: extend both words, solve the next inequality.
 
     The scaled gap u = m^level * gap steps on the state's displacement
-    lattice, u' = m*(+-u) + m*(d_right - d_left) with the sign flipped
-    on a swap, and the new window is the old one cut down to the exact
-    solution set of ``0 < u' < 1``, that is ``0 < gap' < m^-(level+1)``:
-    integer arithmetic only, on the point and the window ends.  The
-    words are not built here (see ``ConstructionState``).  Emptiness,
-    found by cross-multiplying the new ends, means the template does not
-    support the step and raises :class:`EmptyRefinement`.  ``choice``
-    labels the new state.
+    lattice, p' = mu*p + (dP, dQ) with mu = m, or -m on a swap, and the
+    new window is the old one cut down to the exact solution set of
+    ``0 < u' < 1``, that is ``0 < gap' < m^-(level+1)``: integer
+    arithmetic only, on the point and the window ends.  The words are
+    not built here (see ``ConstructionState``).
+
+    A window end that is a root r_s(p_j) of an earlier point carries
+    ``D = det(p_j, p)``, which steps as ``D' = mu*D + P_j*dQ - Q_j*dP``;
+    then ``sign(r_t(p') - r_s(p_j)) = sign(Lp*(t*Q_j - s*Q') + D') *
+    sign(Q'*Q_j)`` says whether the new band end is tighter and, where
+    one end is new and the other kept, whether the window is empty.  A
+    given end is cross-multiplied with the band end, its ints being
+    small.  Every product has a factor of bounded size, so a level costs
+    O(k) integer work for k-digit points.  A new end is stored as the
+    band's ints and a kept end keeps its ints, so the ends are those
+    that cutting the window by cross-multiplication gives.  Emptiness
+    means the template does not support the step and raises
+    :class:`EmptyRefinement`.  ``choice`` labels the new state.
     """
     lattice = state.lattice
-    P, Q = state.point
-    if opt.swap:
-        P, Q = -P, -Q
+    mu = -lattice.m if opt.swap else lattice.m
     dP, dQ = lattice.step(opt.append_left, opt.append_right)
-    m = lattice.m
-    point = (m * P + dP, m * Q + dQ)
-    if point[1] == 0:
+    P, Q = state.point
+    P, Q = mu * P + dP, mu * Q + dQ
+    if Q == 0:
         raise EmptyRefinement("gap became constant; cannot solve for the parameter")
-    lo_num, lo_den, hi_num, hi_den = ends = _clip_to_band(lattice, point, state.ends)
-    if lo_num * hi_den >= hi_num * lo_den:
+    point = (P, Q)
+    b_lo, b_hi, den = _band(lattice, P, Q)
+    lo_num, lo_den, hi_num, hi_den = state.ends
+    lo_owner, lo_det = state._lo_owner, state._lo_det
+    hi_owner, hi_det = state._hi_owner, state._hi_det
+    # p's lower band end is r_t(p) with t = lo_t, its upper one has t = not lo_t, and
+    # r_t(p) - r_s(p_j) has the sign of f = Lp*(t*Q_j - s*Q) + D times that of Q*Q_j
+    lp, lo_t = lattice.lp, Q < 0
+    if lo_owner is None:
+        cut_lo = b_lo * lo_den > lo_num * den
+    else:
+        lo_P, lo_Q = lo_owner
+        lo_det = mu * lo_det + lo_P * dQ - lo_Q * dP
+        lo_flip = (lo_Q < 0) != lo_t  # Q*Q_j < 0
+        f = lp * ((lo_Q if lo_t else 0) - (Q if lo_Q < 0 else 0)) + lo_det
+        cut_lo = f < 0 if lo_flip else f > 0
+    if hi_owner is None:
+        cut_hi = b_hi * hi_den < hi_num * den
+    else:
+        hi_P, hi_Q = hi_owner
+        hi_det = mu * hi_det + hi_P * dQ - hi_Q * dP
+        hi_flip = (hi_Q < 0) != lo_t
+        f = lp * ((0 if lo_t else hi_Q) - (Q if hi_Q > 0 else 0)) + hi_det
+        cut_hi = f > 0 if hi_flip else f < 0
+    # two new ends are the band and two kept ends the last window, neither empty
+    if cut_lo == cut_hi:
+        empty = False
+    elif cut_lo:
+        if hi_owner is None:
+            empty = b_lo * hi_den >= hi_num * den
+        else:
+            f = lp * ((hi_Q if lo_t else 0) - (Q if hi_Q > 0 else 0)) + hi_det
+            empty = f <= 0 if hi_flip else f >= 0
+    elif lo_owner is None:
+        empty = lo_num * den >= b_hi * lo_den
+    else:
+        f = lp * ((0 if lo_t else lo_Q) - (Q if lo_Q < 0 else 0)) + lo_det
+        empty = f >= 0 if lo_flip else f <= 0
+    if empty:
         raise EmptyRefinement(
             f"step from level {state.level} leaves no parameter window (option {opt})"
         )
-    return ConstructionState(state.level + 1, point, ends, lattice, choice, state, opt)
+    if cut_lo:
+        lo_num, lo_den, lo_owner, lo_det = b_lo, den, point, 0
+    if cut_hi:
+        hi_num, hi_den, hi_owner, hi_det = b_hi, den, point, 0
+    return ConstructionState(state.level + 1, point, (lo_num, lo_den, hi_num, hi_den), lattice,
+                             choice, state, opt, lo_owner, lo_det, hi_owner, hi_det)
 
 
 @dataclass(frozen=True)

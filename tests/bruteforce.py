@@ -4,7 +4,10 @@ The oracles for the displacement search and the endpoint check
 enumerate every word pair of one level, so they cost n^(2k) and serve
 only as independent cross-checks at small levels.
 ``refine_step_fractions`` is the ``Fraction`` reference for the
-refinement step, built on the band solver and interval helpers here.
+refinement step, built on the band solver and interval helpers here,
+and ``cross_multiplying_step`` the integer one, which cuts each window
+end by cross-multiplying it with the band's, the reference for the
+determinants ``refine_step`` carries from level to level.
 ``RecursiveOverlapOracle`` is the recursive, per-budget memoized form
 of the overlap oracle, the reference for its explicit stacks.
 ``reference_search`` and ``ReferenceTypeAutomaton`` step every parent
@@ -122,6 +125,39 @@ def refine_step_fractions(
             f"step from level {n} leaves no parameter window (option {opt})"
         )
     return (n + 1, left.append(opt.append_left), right.append(opt.append_right), window, gap)
+
+
+def cross_multiplying_step(
+    lattice: DisplacementLattice, level: int, point: tuple[int, int],
+    ends: tuple[int, int, int, int], opt: RefinementOption,
+) -> tuple[tuple[int, int], tuple[int, int, int, int]]:
+    """The step from ``(point, ends)`` at ``level`` on the displacement lattice.
+
+    Each window end is compared with its band end by integer
+    cross-multiplication, as is the new window's emptiness, so a step
+    costs products of two point-sized integers.  Returns the new point
+    and the new ends, a moved end stored as the band's ints; raises
+    ``EmptyRefinement`` with ``refine_step``'s messages.
+    """
+    P, Q = point
+    if opt.swap:
+        P, Q = -P, -Q
+    dP, dQ = lattice.step(opt.append_left, opt.append_right)
+    m, lp, lq = lattice.m, lattice.lp, lattice.lq
+    P, Q = m * P + dP, m * Q + dQ
+    if Q == 0:
+        raise EmptyRefinement("gap became constant; cannot solve for the parameter")
+    b0, b1, den = -P * lq, (lp - P) * lq, lp * Q
+    if den < 0:
+        b0, b1, den = -b1, -b0, -den
+    lo_num, lo_den, hi_num, hi_den = ends
+    if b0 * lo_den > lo_num * den:
+        lo_num, lo_den = b0, den
+    if b1 * hi_den < hi_num * den:
+        hi_num, hi_den = b1, den
+    if lo_num * hi_den >= hi_num * lo_den:
+        raise EmptyRefinement(f"step from level {level} leaves no parameter window (option {opt})")
+    return (P, Q), (lo_num, lo_den, hi_num, hi_den)
 
 
 @dataclass(frozen=True, order=True)

@@ -37,6 +37,7 @@ from sepkit.construction import (
 
 from bruteforce import (
     contains_interval,
+    cross_multiplying_step,
     refine_step_fractions,
     solve_affine_band,
     strictly_inside,
@@ -513,3 +514,70 @@ def test_lattice_step_matches_fraction_step(lattice_step_templates, which, lengt
     assert [(s.level, s.left, s.right, s.window, s.gap) for s in states] == expected
     for state in states:
         assert state.scaled_gap == translation_amount(tmpl.system, state.left, state.right)
+
+
+def _cross_multiplied_chain(tmpl: ConstructionTemplate, seq: DrivingSequence, depth: int):
+    """The (point, ends) of every level to ``depth`` by ``cross_multiplying_step``, and the
+    message of the step that failed, if any."""
+    first = tmpl.initial_state()
+    chain, level = [(first.point, first.ends)], first.level
+    opts = iter(tmpl.fixed_prefix)
+    try:
+        for k in range(1, depth - level + 1):
+            opt = next(opts, None) or (tmpl.option2 if seq.bit(k - len(tmpl.fixed_prefix))
+                                       else tmpl.option1)
+            chain.append(cross_multiplying_step(first.lattice, level, *chain[-1], opt))
+            level += 1
+    except EmptyRefinement as exc:
+        return chain, str(exc)
+    return chain, None
+
+
+def _longest_unclipped_run(states) -> int:
+    """The most levels in a row over which one window end keeps its ints."""
+    longest = 0
+    for side in (slice(0, 2), slice(2, 4)):
+        run = 0
+        for before, after in zip(states, states[1:]):
+            run = run + 1 if after.ends[side] == before.ends[side] else 0
+            longest = max(longest, run)
+    return longest
+
+
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize("seq, longest", [
+    (DrivingSequence.thue_morse(), 2),
+    (DrivingSequence.fibonacci(), 2),
+    (DrivingSequence.periodic("01"), 1),
+    (DrivingSequence.periodic("0110"), 2),
+], ids=["thue-morse", "fibonacci", "periodic-01", "periodic-0110"])
+def test_carried_determinants_match_cross_multiplication(which, seq, longest):
+    """The engine's points and raw window ends equal the cross-multiplying step's at
+    every level to 2,400; an end held for two levels in a row carries its
+    determinant on from a nonzero value."""
+    tmpl = example_template(which)
+    expected, expected_error = _cross_multiplied_chain(tmpl, seq, 2400)
+    states = RefinementEngine(tmpl, seq).states_up_to(2400)
+    assert expected_error is None
+    assert [(s.point, s.ends) for s in states] == expected
+    assert _longest_unclipped_run(states) == longest
+
+
+@pytest.mark.parametrize("which, seq", [
+    (4, DrivingSequence.thue_morse()),
+    (4, DrivingSequence.fibonacci()),
+    (5, DrivingSequence.thue_morse()),
+    (5, DrivingSequence.fibonacci()),
+    (6, DrivingSequence.periodic("1")),
+], ids=["no-window-thue-morse", "no-window-fibonacci", "fractional-thue-morse",
+        "fractional-fibonacci", "constant-gap"])
+def test_carried_determinants_fail_where_cross_multiplication_fails(
+        lattice_step_templates, which, seq):
+    """Both steps leave no window, or a constant gap, at the same level, with one message."""
+    tmpl = lattice_step_templates[which]
+    expected, expected_error = _cross_multiplied_chain(tmpl, seq, 200)
+    engine = RefinementEngine(tmpl, seq)
+    with pytest.raises(EmptyRefinement) as caught:
+        engine.state(200)
+    assert str(caught.value) == expected_error
+    assert [(s.point, s.ends) for s in engine.states_up_to(engine.depth)] == expected

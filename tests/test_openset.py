@@ -27,6 +27,7 @@ from sepkit import (
 )
 from sepkit import ifs as ifs_module
 from sepkit import openset as openset_module
+from sepkit.cli import main
 from sepkit.exact import AFFINE_ZERO
 from sepkit.ifs import EMPTY_WORD
 from sepkit.openset import MATERIALIZE_LIMIT, containment_identity_holds
@@ -663,6 +664,43 @@ def test_oracle_work_grows_linearly_with_the_levels(which, seed, levels):
 
 def test_oracle_decisions_in_a_deep_constructed_census():
     assert _constructed_census_decisions(1, SEED1, 200) <= 2500
+
+
+#: The walk's sign queries on the constructed census of example 1 to 100 levels,
+#: when each of its four tests on a new interval was a sign query of its own:
+#: 597 at the default budget, where the request stops undecided at level 98
+#: (exit 3), and 603 at budget 5000.
+WALK_SIGN_QUERIES_ASKED_ONE_BY_ONE = {None: (3, 597), "5000": (0, 603)}
+
+
+@pytest.mark.parametrize("budget", [None, "5000"], ids=["default-budget", "budget-5000"])
+def test_walk_reads_the_held_window_before_asking_a_sign(budget):
+    # a new interval's two ends are read off the held window once, and only a
+    # test that window leaves open is a sign query
+    argv = ["types", "--example", "1", "--open-set", "constructed", "--seed", "3/7:4/7",
+            "--levels", "100", "--truncation", "102"]
+    argv += ["--oracle-budget", budget] if budget else []
+    exit_code, before = WALK_SIGN_QUERIES_ASKED_ONE_BY_ONE[budget]
+    asked, walking = 0, False
+    walk, sign = OverlapOracle._known_walk, ParamPoint.sign_lattice
+
+    def counted_walk(self, *args):
+        nonlocal walking
+        outer, walking = walking, True
+        try:
+            return walk(self, *args)
+        finally:
+            walking = outer
+
+    def counted_sign(self, *form):
+        nonlocal asked
+        asked += walking
+        return sign(self, *form)
+
+    with mock.patch.object(OverlapOracle, "_known_walk", counted_walk), \
+            mock.patch.object(ParamPoint, "sign_lattice", counted_sign):
+        assert main(argv) == exit_code
+    assert asked < before, asked
 
 
 def _lines_run(fn, *args) -> int:

@@ -5,6 +5,13 @@ endpoints}, render, dimension.  Reports are JSON with deterministic key
 order and embed the resolved run configuration; identical invocations
 produce byte-identical output (opt in to timestamps with --timestamps).
 
+A report is decided in full before its first byte: every value that can
+stay undecided (a census decimal, an endpoint minimum) is evaluated when
+the command builds it, so an undecided run prints nothing on stdout.  It
+is then streamed to stdout piece by piece (``write_report``), its large
+lists written straight from the typed columns of the result (census
+levels, word pairs), so the text is never held whole.
+
 Exit codes: 0 success/pass, 1 property violation reported, 2 usage or
 input error, 3 undecided within the refinement budget (or out of
 memory), 4 internal error, 141 stdout closed by its reader (the code of a
@@ -47,10 +54,13 @@ from .exact import (
     Undecided,
     rational_from_str,
 )
-from .ifs import IfsSystem, Word, validate_system
+from .ifs import DIGITS, IfsSystem, Word, digit_texts, validate_system
 from .openset import OpenSetApprox, constructed_v_type_census, verify_osc_open_set
 from .render import render_levels
 from .separation import (
+    IntColumn,
+    PairRecords,
+    WordColumn,
     convex_type_census,
     distinctness_check,
     endpoint_separation,
@@ -218,46 +228,50 @@ def run_config(args, command: str, **extra) -> dict:
     return config
 
 
-def encode_report(obj) -> str:
-    """Exactly ``json.dumps(obj, indent=2)``, built as one list of pieces.
+#: records per piece of a ``PairRecords`` list
+PAIR_BATCH = 1024
+
+
+def write_report(obj, write) -> None:
+    """Write exactly ``json.dumps(obj, indent=2)`` through ``write``, a piece at a time.
 
     No report shares a container between two places (a census report
     writes each displacement and each type once, as a table that the
-    levels index), so each container is encoded where it appears.  A
-    list whose items are all ``str``, or all exact ``int`` (not
-    ``bool``), such as a census level's columns, is written with one
-    ``join``.  So is a list of flat records, such as the word pairs of
-    an overlap or endpoint report: dicts with one key order, each key's
-    values all ``str`` or all exact ``int``, each dict written by one
-    format string (``_flat_records``).
+    levels index), so each container is written where it appears.
+    Scalars, dicts, lists and tuples take the general path; a report's
+    typed columns are written without looking at their items:
+    - an ``IntColumn`` with one join;
+    - a ``WordColumn`` with one join, translation and decode
+      (``digit_texts``);
+    - ``PairRecords`` record by record, one format string per record,
+      ``PAIR_BATCH`` records per piece.
+    So the text is never held whole: its largest piece is one column or
+    one batch of records.
     """
-    pieces: list[str] = []
-    append = pieces.append
 
-    def write(obj, depth: int) -> None:
+    def write_value(obj, depth: int) -> None:
         if isinstance(obj, str):
-            append(encode_basestring_ascii(obj))
+            write(encode_basestring_ascii(obj))
         elif obj is None:
-            append("null")
+            write("null")
         elif obj is True:
-            append("true")
+            write("true")
         elif obj is False:
-            append("false")
+            write("false")
         elif isinstance(obj, int):
-            append(int.__repr__(obj))
-        elif not isinstance(obj, (dict, list, tuple)):
-            append(json.dumps(obj))
+            write(int.__repr__(obj))
+        elif not isinstance(obj, (dict, list, tuple, PairRecords)):
+            write(json.dumps(obj))
         elif not obj:
-            append("{}" if isinstance(obj, dict) else "[]")
+            write("{}" if isinstance(obj, dict) else "[]")
         else:
             write_container(obj, depth)
 
     def write_container(obj, depth: int) -> None:
-        inner = "\n" + "  " * (depth + 1)
-        between = "," + inner
-        sep = inner
+        sep = "\n" + "  " * (depth + 1)
+        between = "," + sep
         if isinstance(obj, dict):
-            append("{")
+            write("{")
             for k, v in obj.items():
                 if not isinstance(k, str):
                     if not (k is None or isinstance(k, (int, float))):
@@ -265,63 +279,68 @@ def encode_report(obj) -> str:
                             f"keys must be str, int, float, bool or None, not {type(k).__name__}"
                         )
                     k = json.dumps(k)
-                append(sep + encode_basestring_ascii(k) + ": ")
-                write(v, depth + 1)
+                write(sep + encode_basestring_ascii(k) + ": ")
+                write_value(v, depth + 1)
                 sep = between
-            append("\n" + "  " * depth + "}")
+            write("\n" + "  " * depth + "}")
+            return
+        write("[")
+        column = _COLUMNS.get(type(obj))
+        if column is not None:
+            write(sep)
+            for piece in column(obj, sep):
+                write(piece)
         else:
-            close = "\n" + "  " * depth + "]"
-            kinds = set(map(type, obj))
-            if kinds == {str}:
-                append("[" + inner + between.join(map(encode_basestring_ascii, obj)) + close)
-            elif kinds == {int}:
-                append("[" + inner + between.join(map(int.__repr__, obj)) + close)
-            elif kinds == {dict} and (records := _flat_records(obj, depth + 1)) is not None:
-                append("[" + inner + between.join(records) + close)
-            else:
-                append("[")
-                for v in obj:
-                    append(sep)
-                    write(v, depth + 1)
-                    sep = between
-                append(close)
+            for v in obj:
+                write(sep)
+                write_value(v, depth + 1)
+                sep = between
+        write("\n" + "  " * depth + "]")
 
-    write(obj, 0)
+    write_value(obj, 0)
+
+
+def _ints(column: IntColumn, sep: str):
+    yield ("," + sep).join(map(int.__repr__, column))
+
+
+def _words(column: WordColumn, sep: str):
+    between = ('",' + sep + '"').encode()
+    yield '"' + between.join(digit_texts(column)).translate(DIGITS).decode() + '"'
+
+
+def _pairs(records: PairRecords, sep: str):
+    """Each record filled into one bytes format, its words as ``digit_texts``,
+    so that each batch of records is translated and decoded once."""
+    pairs, field = records.pairs, sep + "  "
+    key = encode_basestring_ascii(records.key).replace("%", "%%")
+    form = ("{" + field + '"sigma": "%s",' + field + '"tau": "%s",' + field + key + ": %d"
+            + sep + "}").encode()
+    between = ("," + sep).encode()
+    for start in range(0, len(pairs), PAIR_BATCH):
+        stop = start + PAIR_BATCH
+        rows = zip(digit_texts(pairs.sigma[start:stop]), digit_texts(pairs.tau[start:stop]),
+                   pairs.value[start:stop])
+        text = between.join(map(form.__mod__, rows)).translate(DIGITS).decode()
+        yield text if start == 0 else "," + sep + text
+
+
+#: each column's items, as the pieces that go between its brackets
+_COLUMNS = {IntColumn: _ints, WordColumn: _words, PairRecords: _pairs}
+
+
+def encode_report(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2)``: ``write_report``'s pieces, joined."""
+    pieces: list[str] = []
+    write_report(obj, pieces.append)
     return "".join(pieces)
 
 
-def _flat_records(records, depth: int):
-    """The JSON texts of dicts at ``depth`` that share one key order, or None.
-
-    Each dict must be non-empty, with ``str`` keys, and each key's
-    values must be all ``str`` or all exact ``int``; the texts are then
-    one format string filled with each record's values, written column
-    by column.
-    """
-    keys = tuple(records[0])
-    if not keys or not all(type(k) is str for k in keys):
-        return None
-    if not all(map(keys.__eq__, map(tuple, records))):
-        return None
-    columns = []
-    for key in keys:
-        values = [record[key] for record in records]
-        kinds = set(map(type, values))
-        if kinds == {str}:
-            columns.append(map(encode_basestring_ascii, values))
-        elif kinds == {int}:
-            columns.append(map(int.__repr__, values))
-        else:
-            return None
-    inner = "\n" + "  " * (depth + 1)
-    fields = [inner + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
-    return map(("{" + ",".join(fields) + "\n" + "  " * depth + "}").__mod__, zip(*columns))
-
-
 def emit(args, report: dict) -> None:
+    """Stream the report to stdout; every value in it is decided before the first byte."""
     if args.timestamps:
         report["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    sys.stdout.write(encode_report(report))
+    write_report(report, sys.stdout.write)
     sys.stdout.write("\n")
 
 

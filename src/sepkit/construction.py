@@ -102,15 +102,25 @@ class DrivingSequence:
     def bit(self, k: int) -> int:
         if k < 1:
             raise ValueError("driving steps are 1-based")
+        return self.reader()(k)
+
+    def reader(self):
+        """The function k -> bit k, for k >= 1, of this sequence's kind: chosen
+        once by a caller that reads one bit per level."""
         if self.kind == "thue-morse":
-            return thue_morse_bit(k)
+            return thue_morse_bit
         if self.kind == "fibonacci":
-            return fibonacci_bit(k)
+            return fibonacci_bit
+        bits = self.prefix
         if self.kind == "periodic":
-            return self.prefix[(k - 1) % len(self.prefix)]
-        if k > len(self.prefix):
-            raise RefinementExhausted(len(self.prefix))
-        return self.prefix[k - 1]
+            return lambda k: bits[(k - 1) % len(bits)]
+
+        def explicit(k: int) -> int:
+            if k > len(bits):
+                raise RefinementExhausted(len(bits))
+            return bits[k - 1]
+
+        return explicit
 
     @staticmethod
     def thue_morse() -> "DrivingSequence":
@@ -289,7 +299,8 @@ class ConstructionTemplate:
 
 
 def refine_step(
-    state: ConstructionState, opt: RefinementOption, *, choice: str | None = None
+    state: ConstructionState, opt: RefinementOption, *, choice: str | None = None,
+    step: tuple[int, int] | None = None,
 ) -> ConstructionState:
     """One refinement step: extend both words, solve the next inequality.
 
@@ -311,11 +322,13 @@ def refine_step(
     band's ints and a kept end keeps its ints, so the ends are those
     that cutting the window by cross-multiplication gives.  Emptiness
     means the template does not support the step and raises
-    :class:`EmptyRefinement`.  ``choice`` labels the new state.
+    :class:`EmptyRefinement`.  ``choice`` labels the new state, and
+    ``step``, when given, is the option's lattice step (dP, dQ), which a
+    caller taking one option many times resolves once.
     """
     lattice = state.lattice
     mu = -lattice.m if opt.swap else lattice.m
-    dP, dQ = lattice.step(opt.append_left, opt.append_right)
+    dP, dQ = lattice.step(opt.append_left, opt.append_right) if step is None else step
     P, Q = state.point
     P, Q = mu * P + dP, mu * Q + dQ
     if Q == 0:
@@ -410,6 +423,9 @@ class RefinementEngine:
         self.sequence = sequence
         self._lock = threading.Lock()
         self._states: list[ConstructionState] = [template.initial_state()]
+        self._bit = sequence.reader()
+        #: per driving bit, (option, label, lattice step), resolved when first taken
+        self._options: list[tuple | None] = [None, None]
 
     @property
     def depth(self) -> int:
@@ -446,17 +462,20 @@ class RefinementEngine:
         if self._states[-1].level >= level:
             return
         with self._lock:
-            while self._states[-1].level < level:
-                taken = len(self._states) - 1  # refinement steps so far
-                if taken < len(self.template.fixed_prefix):
-                    opt = self.template.fixed_prefix[taken]
-                    choice = "prefix"
-                else:
-                    k = taken - len(self.template.fixed_prefix) + 1
-                    bit = self.sequence.bit(k)  # may raise RefinementExhausted
+            states, prefix = self._states, self.template.fixed_prefix
+            while states[-1].level < level:
+                taken = len(states) - 1  # refinement steps so far
+                if taken < len(prefix):
+                    states.append(refine_step(states[-1], prefix[taken], choice="prefix"))
+                    continue
+                bit = self._bit(taken - len(prefix) + 1)  # may raise RefinementExhausted
+                resolved = self._options[bit]
+                if resolved is None:
                     opt = self.template.option2 if bit else self.template.option1
-                    choice = f"option{bit + 1}"
-                self._states.append(refine_step(self._states[-1], opt, choice=choice))
+                    step = states[-1].lattice.step(opt.append_left, opt.append_right)
+                    resolved = self._options[bit] = (opt, f"option{bit + 1}", step)
+                opt, choice, step = resolved
+                states.append(refine_step(states[-1], opt, choice=choice, step=step))
 
 
 class PeriodicLimit(RationalParam):

@@ -14,8 +14,9 @@ from fractions import Fraction
 from .exact import AFFINE_ZERO, AffineExpr, Param, rational_to_str
 
 
-#: Byte-to-digit table for words whose symbols are all at most 9.
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+#: Byte-to-digit table for words whose symbols are all at most 9; it leaves
+#: every byte from 10 on as it is.
+DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 #: The symbols a word can write as one digit each.
 _ONE_DIGIT = bytes(range(10))
 
@@ -84,20 +85,24 @@ def word_text(symbols: bytes) -> str:
     """
     if symbols.translate(None, _ONE_DIGIT):
         return ",".join(map(str, symbols)) + ("," if len(symbols) == 1 else "")
-    return symbols.translate(_DIGITS).decode()
+    return symbols.translate(DIGITS).decode()
 
 
 def word_texts(words) -> list[str]:
-    """``word_text`` of each of a sequence of symbol byte strings.
-
-    When every symbol is at most 9 the words are joined, translated,
-    decoded and split in one pass each: the comma between two words is
-    then the only byte the digit test leaves.
-    """
-    joined = b",".join(words)
-    if len(joined.translate(None, _ONE_DIGIT)) == len(words) - 1:
-        return joined.translate(_DIGITS).decode().split(",")
+    """``word_text`` of each of a sequence of symbol byte strings."""
     return list(map(word_text, words))
+
+
+def digit_texts(words) -> list[bytes]:
+    """Each word as bytes that ``translate(DIGITS)`` turns into its ``word_text``.
+
+    The symbol bytes themselves when every symbol is at most 9, so that a
+    text built around them is translated in one pass; otherwise each
+    word's text, which the translation leaves as it is.
+    """
+    if b"".join(words).translate(None, _ONE_DIGIT):
+        return [word_text(w).encode() for w in words]
+    return words
 
 
 def _symbol_bytes(symbols) -> bytes:

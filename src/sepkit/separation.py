@@ -41,9 +41,36 @@ from functools import cmp_to_key
 from math import lcm
 
 from .exact import AFFINE_ZERO, AffineExpr, Param, RationalParam, Undecided, rational_to_str
-from .ifs import IfsSystem, Word, word_texts
+from .ifs import IfsSystem, Word
 
 DISPLAY_DIGITS = 12
+
+
+class IntColumn(tuple):
+    """A report list of exact ints (not bools), which the writer joins in one pass."""
+
+    __slots__ = ()
+
+
+class WordColumn(tuple):
+    """A report list of words as symbol bytes, one byte per symbol, which the
+    writer writes as their ``word_text`` strings."""
+
+    __slots__ = ()
+
+
+class PairRecords:
+    """The report list of word pairs as records {"sigma", "tau", key}: the
+    pairs' columns and the key of their ints (neither "sigma" nor "tau"),
+    which the writer formats record by record."""
+
+    __slots__ = ("pairs", "key")
+
+    def __init__(self, pairs: PairColumns, key: str):
+        self.pairs, self.key = pairs, key
+
+    def __len__(self) -> int:
+        return len(self.pairs)
 
 
 class DisplacementLattice:
@@ -637,21 +664,22 @@ class CensusResult:
         how many words have it, and its lex-first witness.
 
         A census builds one type tuple per automaton state, so a type
-        is looked up by the id of its tuple, and only a type met for
-        the first time has its forms looked up (and a new form its
-        decimal evaluated; one that stays undecided names the level
-        where the form first appears).
+        is looked up by the id of its tuple.  A level's column of type
+        indices is mapped from its tuples' ids in C, and only the rows
+        left unmapped, the tuples new to the report, are visited one by
+        one: their forms are looked up, and a new form has its decimal
+        evaluated (one that stays undecided names the level where the
+        form first appears).  Every decimal is evaluated here, before
+        the report is written; the levels' columns are handed to the
+        writer as they are.
         """
         values: list[dict] = []
         value_index: dict[AffineExpr, int] = {}
-        types: list[list[int]] = []
-        type_index: dict[tuple[int, ...], int] = {}
+        types: list[IntColumn] = []
+        type_index: dict[IntColumn, int] = {}
         by_id: dict[int, int] = {}
 
         def type_of(displacements: NeighborhoodType, level: int) -> int:
-            index = by_id.get(id(displacements))
-            if index is not None:
-                return index
             indices = []
             for v in displacements:
                 i = value_index.get(v)
@@ -659,27 +687,31 @@ class CensusResult:
                     i = value_index[v] = len(values)
                     values.append({"value": v.to_json(), "decimal": _decimal_at(pt, v, level)})
                 indices.append(i)
-            key = tuple(indices)
+            key = IntColumn(indices)
             index = type_index.get(key)
             if index is None:
                 index = type_index[key] = len(types)
-                types.append(indices)
-            by_id[id(displacements)] = index
+                types.append(key)
             return index
 
-        levels = [
-            {
+        levels = []
+        for lv in self.levels:
+            column = lv.type_column
+            indices = list(map(by_id.get, map(id, column)))
+            row = -1
+            for _ in range(indices.count(None)):
+                row = indices.index(None, row + 1)
+                indices[row] = by_id[id(column[row])] = type_of(column[row], lv.level)
+            levels.append({
                 "level": lv.level,
-                "distinct_types": len(lv.type_column),
-                "types": [type_of(displacements, lv.level) for displacements in lv.type_column],
-                "word_counts": list(lv.word_counts),
-                "witnesses": word_texts(lv.witnesses),
-            }
-            for lv in self.levels
-        ]
+                "distinct_types": len(column),
+                "types": IntColumn(indices),
+                "word_counts": IntColumn(lv.word_counts),
+                "witnesses": WordColumn(lv.witnesses),
+            })
         return {
             "open_set": self.open_set,
-            "counts": list(self.counts),
+            "counts": IntColumn(self.counts),
             "values": values,
             "types": types,
             "levels": levels,
@@ -793,19 +825,12 @@ class PairColumns:
     def __iter__(self):
         return zip(self.sigma, self.tau, self.value)
 
-    def records(self, key: str) -> list[dict]:
-        """The report records {"sigma", "tau", key}, one ``word_texts`` per word column."""
-        return [
-            {"sigma": s, "tau": t, key: v}
-            for s, t, v in zip(word_texts(self.sigma), word_texts(self.tau), self.value)
-        ]
-
 
 @dataclass(frozen=True)
 class OverlapScanResult:
     """The pairs of ``exact_overlap_scan``, primitive and derived, in
-    report order, each with its level; ``to_json`` writes them with one
-    ``word_texts`` call per word column."""
+    report order, each with its level; ``to_json`` hands their columns to
+    the writer as they are."""
 
     max_level: int
     overlaps: PairColumns
@@ -814,8 +839,8 @@ class OverlapScanResult:
     def to_json(self) -> dict:
         return {
             "max_level": self.max_level,
-            "overlaps": self.overlaps.records("level"),
-            "derived": self.derived.records("level"),
+            "overlaps": PairRecords(self.overlaps, "level"),
+            "derived": PairRecords(self.derived, "level"),
         }
 
 
@@ -954,7 +979,7 @@ class DistinctnessReport:
 
     def to_json(self, pt: Param) -> dict:
         return {
-            "levels": list(self.levels),
+            "levels": IntColumn(self.levels),
             "scaled_gaps": [
                 {"level": n, "value": u.to_json(), "decimal": _decimal_at(pt, u, n)}
                 for n, u in zip(self.levels, self.scaled_gaps)
@@ -1057,7 +1082,7 @@ class EndpointReport:
             "corresponding_endpoints": self.corresponding.to_json(pt),
             "mixed_endpoints": self.mixed.to_json(pt),
             "mixed_in_verdict": self.include_mixed_in_verdict,
-            "equal_pairs": self.equal_pairs.records("endpoint_delta"),
+            "equal_pairs": PairRecords(self.equal_pairs, "endpoint_delta"),
             "notes": [
                 "differences are scaled by m^level before comparison with the threshold",
                 "mixed-endpoint gaps measure cylinder overlap widths and are reported "

@@ -17,7 +17,9 @@ child cache that expands each lattice point once.
 every level, the reference for the running minimum over new values.
 ``census_report_per_entry`` is the census report with every entry's
 displacements written out in full, the reference that
-``expand_census_report`` rebuilds from the compact report.
+``expand_census_report`` rebuilds from the compact report; ``plain``
+expands a report's typed columns, word by word, to the lists the
+writer writes from them in one pass.
 The interval, image and automaton helpers are what only the tests ask
 of those types, and ``StaticRefiner`` gives a point a fixed, finite
 window chain.  ``pair_rows`` and ``pair_columns`` turn the symbol-byte
@@ -50,7 +52,10 @@ from sepkit.separation import (
     DISPLAY_DIGITS,
     Displacement,
     DisplacementLattice,
+    IntColumn,
     PairColumns,
+    PairRecords,
+    WordColumn,
     TypeAutomaton,
     WspLevelMinimum,
     WspResult,
@@ -535,6 +540,24 @@ class RecursiveOverlapOracle:
                 best = Word.of(j) + sub
                 budget = len(sub)
         return best
+
+
+def plain(report):
+    """A report with its typed columns expanded to the plain lists they
+    stand for, each word written by ``Word``: what ``json.dumps`` writes
+    as the report's text."""
+    if isinstance(report, IntColumn):
+        return list(report)
+    if isinstance(report, WordColumn):
+        return [str(Word(w)) for w in report]
+    if isinstance(report, PairRecords):
+        return [{"sigma": str(Word(sigma)), "tau": str(Word(tau)), report.key: value}
+                for sigma, tau, value in report.pairs]
+    if isinstance(report, dict):
+        return {key: plain(value) for key, value in report.items()}
+    if isinstance(report, (list, tuple)):
+        return [plain(value) for value in report]
+    return report
 
 
 def census_report_per_entry(census, pt: Param) -> dict:

@@ -837,6 +837,47 @@ def test_closed_stdout_exits_141_quietly():
     assert (done.returncode, done.stderr) == (141, b"")
 
 
+class _Head:
+    """A stdout that keeps the first ``size`` characters written to it."""
+
+    def __init__(self, size: int):
+        self.size, self.pieces, self.kept, self.writes = size, [], 0, 0
+
+    def write(self, text: str) -> None:
+        self.writes += 1
+        if self.kept < self.size:
+            self.pieces.append(text[:self.size - self.kept])
+            self.kept += len(self.pieces[-1])
+
+    def flush(self) -> None:
+        pass
+
+
+def test_stdout_closed_mid_report_exits_141_quietly(monkeypatch):
+    # the reader takes the first 64 KiB of a 26.5 MB census report and goes
+    # away: the request stops writing, exits with the shell's code for a
+    # SIGPIPE death and writes no traceback, and what was read is the
+    # report's start
+    argv = ["types", "--example", "1", "--levels", "300", "--oracle-budget", "5000"]
+    size = 64 * 1024
+    with subprocess.Popen([sys.executable, "-m", "sepkit.cli", *argv], env=src_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            head = proc.stdout.read(size)
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+    assert (code, stderr, len(head)) == (141, b"", size)
+    # the report is written in pieces, not as one string
+    report = _Head(size)
+    monkeypatch.setattr(sys, "stdout", report)
+    assert main(argv) == 0
+    assert head == "".join(report.pieces).encode("ascii")
+    assert report.writes > 1000
+
+
 def test_timestamps_append_only_generated_at(capsys):
     argv = ("types", "--example", "1", "--levels", "3")
     code, plain, _ = run_cli(capsys, *argv)

@@ -12,7 +12,7 @@ from sepkit import (
     translation_amount,
     validate_system,
 )
-from sepkit.ifs import word_text, word_texts
+from sepkit.ifs import DIGITS, digit_texts, word_text, word_texts
 
 from bruteforce import TupleWord
 
@@ -69,6 +69,27 @@ def test_word_texts_is_each_word_text(words):
                                    (b"\x01,", b"\x02"), (b"\x01", b"\x0a\x01")])
 def test_word_texts_edge_cases(words):
     assert word_texts(words) == list(map(word_text, words))
+
+
+def _joined_digit_texts(words, sep: str) -> str:
+    """A column's texts as the report writer builds them: one join with bytes
+    from 10 up, one translation and one decode."""
+    return sep.encode().join(digit_texts(words)).translate(DIGITS).decode()
+
+
+@given(st.lists(st.one_of(digit_words, st.binary(max_size=4)), max_size=6),
+       st.sampled_from(["", ",", '",\n    "', "\n"]))
+def test_digit_texts_translate_to_each_word_text(words, sep):
+    # the symbol bytes themselves when every symbol is at most 9, else each
+    # word's text, which the translation leaves as it is
+    assert _joined_digit_texts(words, sep) == sep.join(map(word_text, words))
+
+
+@pytest.mark.parametrize("words", [(), (b"",), (b"\x00\x01", b"\x09"), (b"\x01,", b"\x02"),
+                                   (b"\x01", b"\x0a\x01"), (b"\x0a",)])
+def test_digit_texts_edge_cases(words):
+    for sep in (",", '", "'):
+        assert _joined_digit_texts(words, sep) == sep.join(map(word_text, words))
 
 
 @given(st.lists(st.integers(1, 3), max_size=5), st.lists(st.integers(1, 3), max_size=5),

@@ -1,5 +1,6 @@
 """The report writer against its oracle, ``json.dumps(obj, indent=2)``,
-and the compact census report against its per-entry expansion."""
+on plain data and on every typed column expanded to plain lists, and the
+compact census report against its per-entry expansion."""
 
 import json
 from enum import IntEnum
@@ -16,9 +17,10 @@ from sepkit import (
     convex_type_census,
     param_point,
 )
-from sepkit.cli import _flat_records, encode_report
+from sepkit.cli import PAIR_BATCH, encode_report, write_report
+from sepkit.separation import IntColumn, PairColumns, PairRecords, WordColumn
 
-from bruteforce import census_report_per_entry, expand_census_report
+from bruteforce import census_report_per_entry, expand_census_report, plain
 
 # every code point, surrogates and control characters included
 ANY_TEXT = st.text(st.characters(blacklist_categories=()))
@@ -74,7 +76,8 @@ class _Symbol(str):
     st.lists(st.one_of(st.integers(), TEXT), min_size=1, max_size=6).map(tuple),
 ))
 def test_flat_lists_match_json_dumps(items):
-    # all-str and all-int lists take the one-join path; bools and mixed lists do not
+    # plain lists take the general path whatever their items: only typed
+    # columns are joined in one pass
     for value in (items, {"level": 3, "column": items}, [[items]]):
         assert encode_report(value) == json.dumps(value, indent=2)
 
@@ -86,10 +89,9 @@ RECORD_KEYS = st.one_of(TEXT, st.sampled_from(["%", "%s", "%(sigma)s", "sigma", 
 @st.composite
 def flat_records(draw):
     """A list of dicts that share one key order and hold, under each key,
-    only str or only int values, and the flaw, if any, that must keep it off
-    the one-format path: a bool, None or float value, a key whose values mix
-    str and int, a key missing or added, or the keys of one record
-    reordered."""
+    only str or only int values, but for a flaw, if drawn, that sets one
+    record apart: a bool, None or float value, a key whose values mix str
+    and int, a key missing or added, or the keys of one record reordered."""
     keys = draw(st.lists(RECORD_KEYS, min_size=1, max_size=4, unique=True))
     kinds = {key: draw(st.sampled_from([INT_VALUES, TEXT])) for key in keys}
     records = [
@@ -113,18 +115,56 @@ def flat_records(draw):
         items = list(record.items())
         record.clear()
         record.update(items[1:] + items[:1])
-    else:
-        flaw = None
-    return records, flaw
+    return records
 
 
 @given(flat_records())
-def test_flat_records_match_json_dumps(case):
-    # same-key flat records take the one-format path; any flaw leaves it
-    records, flaw = case
+def test_flat_records_match_json_dumps(records):
+    # plain records take the general path, flawed or not; the pair records
+    # of a report are a typed column (below)
     for value in (records, {"pairs": records}, [[records, records]]):
         assert encode_report(value) == json.dumps(value, indent=2)
-    assert (_flat_records(records, 1) is None) == (flaw is not None)
+
+
+#: words of any symbol bytes, so 0 and symbols above 9 (comma lists) too,
+#: and words of symbols 0..9, written as digits
+ANY_WORD = st.binary(max_size=5)
+DIGIT_WORD = ANY_WORD.map(lambda word: bytes(symbol % 10 for symbol in word))
+WORDS = st.lists(st.one_of(DIGIT_WORD, ANY_WORD), max_size=6)
+COLUMNS = st.one_of(
+    st.lists(INT_VALUES, max_size=6).map(IntColumn),
+    WORDS.map(WordColumn),
+    st.builds(
+        lambda rows, key: PairRecords(PairColumns(*map(list, zip(*rows))) if rows
+                                      else PairColumns([], [], []), key),
+        st.lists(st.tuples(st.one_of(DIGIT_WORD, ANY_WORD), st.one_of(DIGIT_WORD, ANY_WORD),
+                           INT_VALUES), max_size=5),
+        RECORD_KEYS.filter(lambda key: key not in ("sigma", "tau")),
+    ),
+)
+
+
+@given(COLUMNS)
+def test_columns_match_json_dumps(column):
+    # every column kind, empty or not, at several depths and beside its twin
+    for value in (column, {"level": 3, "column": column}, [[column, column]],
+                  {"a": [column], "b": (column,)}):
+        assert encode_report(value) == json.dumps(plain(value), indent=2)
+
+
+def test_pair_records_are_written_in_batches():
+    # three batches, the middle one holding a symbol above 9: each batch picks
+    # its own path, records join across batch ends, and no piece holds more
+    # than one batch
+    n = 2 * PAIR_BATCH + 5
+    sigma = [bytes((1 + k % 9, 2)) for k in range(n)]
+    tau = [bytes((3, 1 + k % 7)) for k in range(n)]
+    tau[PAIR_BATCH + 7] = bytes((12, 3))
+    value = {"pairs": PairRecords(PairColumns(sigma, tau, list(range(n))), "level")}
+    pieces = []
+    write_report(value, pieces.append)
+    assert "".join(pieces) == json.dumps(plain(value), indent=2)
+    assert max(piece.count('"sigma"') for piece in pieces) == PAIR_BATCH
 
 
 @pytest.mark.parametrize("value", [
@@ -164,16 +204,17 @@ def censuses(ex1_template, ex1_sys, ex1_pt, ex2_sys, ex2_pt, eighth_pt):
 
 
 def test_census_report_expands_to_per_entry_report(censuses):
+    # the levels' columns, expanded word by word, rebuild the per-entry report
     for census, pt in censuses.values():
         report = census.to_json(pt)
-        assert expand_census_report(report) == census_report_per_entry(census, pt)
-        assert encode_report(report) == json.dumps(report, indent=2)
+        assert expand_census_report(plain(report)) == census_report_per_entry(census, pt)
+        assert encode_report(report) == json.dumps(plain(report), indent=2)
 
 
 def test_census_report_writes_each_value_and_type_once(censuses, ex1_sys, ex2_sys):
     alphabet = {"convex-ex1": ex1_sys.alphabet_size, "convex-ex2": ex2_sys.alphabet_size}
     for name, (census, pt) in censuses.items():
-        report = census.to_json(pt)
+        report = plain(census.to_json(pt))
         values, types = report["values"], report["types"]
         assert len({json.dumps(v, sort_keys=True) for v in values}) == len(values)
         assert len({tuple(t) for t in types}) == len(types)

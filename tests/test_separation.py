@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from collections import Counter
@@ -35,6 +36,7 @@ from sepkit import (
     wsp_min_displacement,
 )
 from sepkit import openset, separation
+from sepkit.cli import encode_report
 from sepkit.construction import PERIODIC_WARNING
 from sepkit.ifs import word_text
 from sepkit.openset import OverlapOracle, _FamilyMemo
@@ -272,36 +274,40 @@ def test_census_witness_column_is_each_word_text(symbols):
     sys = IfsSystem(m, tuple(AffineExpr.constant(F(k, m)) for k in range(symbols - 1))
                     + (AffineExpr(F(symbols - 2, m), F(1, m)),))
     result = convex_type_census(sys, RationalParam(F(1, 3)), 3)
-    report = result.to_json(RationalParam(F(1, 3)))
+    report = json.loads(encode_report(result.to_json(RationalParam(F(1, 3)))))
     for level, lv in zip(report["levels"], result.levels):
         assert level["witnesses"] == list(map(word_text, lv.witnesses))
     assert (symbols >= 10) == any("," in w for level in report["levels"]
                                   for w in level["witnesses"])
 
 
-@pytest.mark.parametrize("which,seq", [
-    pytest.param(1, DrivingSequence.thue_morse(), id="1"),
-    pytest.param(2, DrivingSequence.thue_morse(), id="2"),
-    pytest.param(1, DrivingSequence.fibonacci(), id="fibonacci-1"),
-    pytest.param(2, DrivingSequence.fibonacci(), id="fibonacci-2"),
+@pytest.mark.parametrize("which,seq,depth,most", [
+    pytest.param(1, DrivingSequence.thue_morse(), 100, math.inf, id="1"),
+    pytest.param(2, DrivingSequence.thue_morse(), 100, math.inf, id="2"),
+    pytest.param(1, DrivingSequence.fibonacci(), 100, math.inf, id="fibonacci-1"),
+    pytest.param(2, DrivingSequence.fibonacci(), 100, math.inf, id="fibonacci-2"),
+    pytest.param(1, DrivingSequence.periodic("01"), 60, 5, id="periodic01-1"),
+    pytest.param(2, DrivingSequence.periodic("01"), 60, 7, id="periodic01-2"),
 ])
-def test_displacement_sets_grow_by_the_scaled_gap(which, seq):
-    # D_k = D_(k-1) + {u_k, -u_k}, so |D_k| = 2k + 1 (ROADMAP fact B), on
-    # either sequence (fact G)
+def test_displacement_sets_grow_by_the_scaled_gap(which, seq, depth, most):
+    # D_k = D_(k-1) + {u_k, -u_k} (ROADMAP fact B) on every sequence (fact
+    # G); so |D_k| = 2k + 1 where the u_k are distinct, and at the periodic
+    # limit, where they repeat with the period, |D_k| stops at ``most``
     tmpl = example_template(which)
     pt = example_point(which, seq)
-    run = run_construction(tmpl, seq, 100)
+    run = run_construction(tmpl, seq, depth)
     memo = separation._PointMemo(separation.DisplacementLattice(tmpl.system), pt, F(1), True)
     zero = pt.canonical_key(AffineExpr.constant(0))
     previous = {zero}
-    levels = separation._search(memo, 100)
+    levels = separation._search(memo, depth)
     for k, ((level, _), state) in enumerate(zip(levels, run.states), start=1):
         assert state.level == k
         values = {memo.keys[ident] for ident in level}
         u = state.scaled_gap
         assert values == previous | {pt.canonical_key(u), pt.canonical_key(-u)}
-        assert len(values) == 2 * k + 1
+        assert len(values) == min(2 * k + 1, most)
         previous = values
+    assert k == depth
 
 
 def test_example2_zero_displacement_witness(ex2_sys):
@@ -501,7 +507,7 @@ def test_pair_records_match_bruteforce_rows(ex1_sys, ex2_sys, ex2_pt):
     ]
     for held, built, json_args, names in cases:
         # each pair written as one record of its words' texts and its int
-        report = held.to_json(*json_args)
+        report = json.loads(encode_report(held.to_json(*json_args)))
         for name, key in names.items():
             rows = pair_rows(getattr(built, name))
             assert rows and report[name] == [

@@ -9,10 +9,11 @@ overlap inequality.  A state holds the gap only as the scaled gap
 ``m^n * gap``, a point of the system's integer displacement lattice
 (:class:`~sepkit.separation.DisplacementLattice`): it follows the
 displacement recursion from level to level.  The window ends are kept
-as integer numerators and denominators; an end cut by an earlier
-level's band also keeps a 2x2 determinant against the current point,
-carried from level to level, which decides each new cut with integers
-of the size of the point (see ``refine_step``).
+as integer numerators and denominators.  Every end is a band end of
+some lattice point, the initial window's ends included, and keeps a 2x2
+determinant against the current point, carried from level to level,
+which decides each new cut with integers of the size of the point (see
+``refine_step``).
 Driving the binary choice of step with an aperiodic sequence pins the
 window chain down to a single parameter value, which is exposed as a
 :class:`~sepkit.exact.ParamPoint`; a periodic sequence pins down a
@@ -166,15 +167,16 @@ class ConstructionState:
     taken from it; ``window``, ``left`` and ``right`` are built on first
     read, once.  ``==`` compares all but the lattice.
 
-    Each window end is either given (the initial window's) or a band end
-    of an earlier point p_j = (P_j, Q_j): with p = (P, Q) standing for
-    ``u(a) = P/Lp + (Q/Lq)*a``, the roots of u = t are
-    ``r_t(p) = Lq*(t*Lp - P)/(Lp*Q)`` for t in {0, 1}, and the lower
-    band end is r_0 when Q > 0, else r_1.  For a root end the state
-    keeps its owner, p_j's own ``point`` tuple, and the determinant
-    ``D = det(p_j, p) = P_j*Q - Q_j*P`` against its own point; a given
-    end has no owner.  ``refine_step`` decides the next cuts with them
-    in O(k) integer work per level, for k-digit points.
+    Each window end is a band end of a lattice point p_j = (P_j, Q_j),
+    its owner: with p = (P, Q) standing for ``u(a) = P/Lp + (Q/Lq)*a``,
+    the roots of u = t are ``r_t(p) = Lq*(t*Lp - P)/(Lp*Q)`` for t in
+    {0, 1}, and the lower band end is r_0 when Q > 0, else r_1.  An end
+    cut by a level's band is owned by that level's point; an initial
+    end n/d by a point of its own (see ``ConstructionTemplate.initial_state``).
+    The state keeps each end's owner and the determinant
+    ``D = det(p_j, p) = P_j*Q - Q_j*P`` against its own point, from
+    which ``refine_step`` decides the next cuts in O(k) integer work
+    per level, for k-digit points.
     """
 
     __slots__ = ("level", "point", "ends", "lattice", "choice",
@@ -182,10 +184,9 @@ class ConstructionState:
                  "_lo_owner", "_lo_det", "_hi_owner", "_hi_det")
 
     def __init__(self, level: int, point: tuple[int, int], ends: tuple[int, int, int, int],
-                 lattice: DisplacementLattice, choice: str | None = None,
-                 parent: ConstructionState | None = None, option: RefinementOption | None = None,
-                 lo_owner: tuple[int, int] | None = None, lo_det: int = 0,
-                 hi_owner: tuple[int, int] | None = None, hi_det: int = 0):
+                 lattice: DisplacementLattice, choice: str | None,
+                 parent: ConstructionState | None, option: RefinementOption | None,
+                 lo_owner: tuple[int, int], lo_det: int, hi_owner: tuple[int, int], hi_det: int):
         self.level, self.point, self.ends, self.lattice = level, point, ends, lattice
         self.choice, self._parent, self._option = choice, parent, option
         self._lo_owner, self._lo_det, self._hi_owner, self._hi_det = (
@@ -279,6 +280,9 @@ class ConstructionTemplate:
     name: str = "template"
 
     def initial_state(self) -> ConstructionState:
+        """The first state.  Its lower end n/d is r_0 of the point
+        (-n*Lp, d*Lq), and its upper end r_0 of (n*Lp, -d*Lq), the band
+        ends that own them."""
         left, right, window = self.initial_left, self.initial_right, self.initial_window
         if len(left) != len(right) or len(left) == 0:
             raise ValueError("initial words must be non-empty and of equal length")
@@ -293,7 +297,11 @@ class ConstructionTemplate:
         lo, hi, den = _band(lattice, *point)
         if lo * ends[1] > ends[0] * den or hi * ends[3] < ends[2] * den:
             raise ValueError("initial window is not contained in the overlap band")
-        state = ConstructionState(len(left), point, ends, lattice)
+        (P, Q), lp, lq = point, lattice.lp, lattice.lq
+        lo_owner, hi_owner = (-ends[0] * lp, ends[1] * lq), (ends[2] * lp, -ends[3] * lq)
+        lo_det, hi_det = (P_j * Q - Q_j * P for P_j, Q_j in (lo_owner, hi_owner))
+        state = ConstructionState(len(left), point, ends, lattice, None, None, None,
+                                  lo_owner, lo_det, hi_owner, hi_det)
         state._words = (left, right)  # the first state's words are given, not replayed
         return state
 
@@ -311,17 +319,16 @@ def refine_step(
     arithmetic only, on the point and the window ends.  The words are
     not built here (see ``ConstructionState``).
 
-    A window end that is a root r_s(p_j) of an earlier point carries
+    Each window end is a root r_s(p_j) of its owner p_j and carries
     ``D = det(p_j, p)``, which steps as ``D' = mu*D + P_j*dQ - Q_j*dP``;
     then ``sign(r_t(p') - r_s(p_j)) = sign(Lp*(t*Q_j - s*Q') + D') *
     sign(Q'*Q_j)`` says whether the new band end is tighter and, where
-    one end is new and the other kept, whether the window is empty.  A
-    given end is cross-multiplied with the band end, its ints being
-    small.  Every product has a factor of bounded size, so a level costs
-    O(k) integer work for k-digit points.  A new end is stored as the
-    band's ints and a kept end keeps its ints, so the ends are those
-    that cutting the window by cross-multiplication gives.  Emptiness
-    means the template does not support the step and raises
+    one end is new and the other kept, whether the window is empty.
+    Every product has a factor of bounded size, so a level costs O(k)
+    integer work for k-digit points.  A new end is stored as the band's
+    ints and a kept end keeps its ints, so the ends are those that
+    cutting the window by cross-multiplication gives.  Emptiness means
+    the template does not support the step and raises
     :class:`EmptyRefinement`.  ``choice`` labels the new state, and
     ``step``, when given, is the option's lattice step (dP, dQ), which a
     caller taking one option many times resolves once.
@@ -336,38 +343,24 @@ def refine_step(
     point = (P, Q)
     b_lo, b_hi, den = _band(lattice, P, Q)
     lo_num, lo_den, hi_num, hi_den = state.ends
-    lo_owner, lo_det = state._lo_owner, state._lo_det
-    hi_owner, hi_det = state._hi_owner, state._hi_det
+    lo_owner, hi_owner = state._lo_owner, state._hi_owner
+    (lo_P, lo_Q), (hi_P, hi_Q) = lo_owner, hi_owner
+    lo_det = mu * state._lo_det + lo_P * dQ - lo_Q * dP
+    hi_det = mu * state._hi_det + hi_P * dQ - hi_Q * dP
     # p's lower band end is r_t(p) with t = lo_t, its upper one has t = not lo_t, and
     # r_t(p) - r_s(p_j) has the sign of f = Lp*(t*Q_j - s*Q) + D times that of Q*Q_j
     lp, lo_t = lattice.lp, Q < 0
-    if lo_owner is None:
-        cut_lo = b_lo * lo_den > lo_num * den
-    else:
-        lo_P, lo_Q = lo_owner
-        lo_det = mu * lo_det + lo_P * dQ - lo_Q * dP
-        lo_flip = (lo_Q < 0) != lo_t  # Q*Q_j < 0
-        f = lp * ((lo_Q if lo_t else 0) - (Q if lo_Q < 0 else 0)) + lo_det
-        cut_lo = f < 0 if lo_flip else f > 0
-    if hi_owner is None:
-        cut_hi = b_hi * hi_den < hi_num * den
-    else:
-        hi_P, hi_Q = hi_owner
-        hi_det = mu * hi_det + hi_P * dQ - hi_Q * dP
-        hi_flip = (hi_Q < 0) != lo_t
-        f = lp * ((0 if lo_t else hi_Q) - (Q if hi_Q > 0 else 0)) + hi_det
-        cut_hi = f > 0 if hi_flip else f < 0
+    lo_flip, hi_flip = (lo_Q < 0) != lo_t, (hi_Q < 0) != lo_t  # Q*Q_j < 0
+    f = lp * ((lo_Q if lo_t else 0) - (Q if lo_Q < 0 else 0)) + lo_det
+    cut_lo = f < 0 if lo_flip else f > 0
+    f = lp * ((0 if lo_t else hi_Q) - (Q if hi_Q > 0 else 0)) + hi_det
+    cut_hi = f > 0 if hi_flip else f < 0
     # two new ends are the band and two kept ends the last window, neither empty
     if cut_lo == cut_hi:
         empty = False
     elif cut_lo:
-        if hi_owner is None:
-            empty = b_lo * hi_den >= hi_num * den
-        else:
-            f = lp * ((hi_Q if lo_t else 0) - (Q if hi_Q > 0 else 0)) + hi_det
-            empty = f <= 0 if hi_flip else f >= 0
-    elif lo_owner is None:
-        empty = lo_num * den >= b_hi * lo_den
+        f = lp * ((hi_Q if lo_t else 0) - (Q if hi_Q > 0 else 0)) + hi_det
+        empty = f <= 0 if hi_flip else f >= 0
     else:
         f = lp * ((0 if lo_t else lo_Q) - (Q if lo_Q < 0 else 0)) + lo_det
         empty = f >= 0 if lo_flip else f <= 0

@@ -28,9 +28,9 @@ and a sign query tries it before the loop: most are decided there,
 without a chain read.  It keeps no answers, only that window and the
 chain: a sign asked again is decided on the held window, and a decimal
 on its first window read, unless the budget has since been lowered.
-The lattice searches read the held window too (``held_ends``), to
-decide most bound tests on its ends without a sign query.  No floating
-point is used anywhere.
+The child cache of the lattice searches reads the held window too
+(``held_ends``), to decide most bound tests on its ends without a sign
+query.  No floating point is used anywhere.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import inf
 
 from . import separation
-from .exact import AFFINE_ZERO, AffineExpr, Param, RationalInterval, Undecided, _sign_at_ends
+from .exact import AFFINE_ZERO, AffineExpr, Param, RationalInterval, Undecided
 from .ifs import EMPTY_WORD, IfsSystem, Word, apply_map, map_at_zero
 from .separation import (
     CensusLevel,
@@ -377,31 +377,15 @@ class OverlapOracle:
         interval misses (0,1), where every component sits, the empty word when
         it meets the seed itself, else 0.
 
-        Four tests decide it, in order: the interval's low end below 1 and
-        its high end above 0, then its low end below the seed's high end and
-        its high end above the seed's low end.  The parameter part of the
-        ends, Q*Lp*n at each end n/d of the window the point holds, is
-        computed once, and each test is read off that window as
-        ``sign_lattice`` reads it there (``_sign_at_ends``); only a test the
-        window leaves open, or every one when no window is held, is a sign
-        query.
+        Four sign queries decide it, in order: the interval's low end below 1
+        and its high end above 0, then its low end below the seed's high end
+        and its high end above the seed's low end.
         """
         lp, lq = self.lattice.lp, self.lattice.lq
         lo, hi, Q = interval
         seed_lo, seed_hi = self._seed
-        window = self.pt.held_ends()
-        if window is not None:
-            # at a window end n/d, P/Lp + (s*Q/Lq)*a is (P*Lq*d + s*Q*Lp*n) / (Lp*Lq*d)
-            _, lo_num, lo_den, hi_num, hi_den = window
-            d_lo, d_hi = lq * lo_den, lq * hi_den
-            q_lo, q_hi = Q * lp * lo_num, Q * lp * hi_num
         for k, (P, s) in enumerate(((lp - lo, -1), (hi, 1), (seed_hi - lo, -1), (hi - seed_lo, 1))):
-            sign = None
-            if window is not None:
-                sign = _sign_at_ends(P * d_lo + s * q_lo, d_lo, P * d_hi + s * q_hi, d_hi)
-            if sign is None:
-                sign = self.pt.sign_lattice(P, lp, s * Q, lq)
-            if sign <= 0:
+            if self.pt.sign_lattice(P, lp, s * Q, lq) <= 0:
                 return inf if k < 2 else 0
         return EMPTY_WORD
 

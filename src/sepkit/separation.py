@@ -124,26 +124,12 @@ class DisplacementLattice:
     ) -> bool:
         """|v| < bound at the point for the lattice point v, or |v| <= bound when not strict.
 
-        The two tests are v + bound > 0 and bound - v > 0.  Both are
-        first decided on the integer ends of the window the point holds,
-        read once (``_inside_at_ends``), as the child cache's screen
-        decides them; the window decides both or neither, since a test
-        at most 0 at both ends leaves the other above 0 there.  Only
-        where the window straddles, or none is held, are they integer
-        sign queries over the denominator Lp times that of the bound, in
-        that order.
+        The two tests are v + bound > 0 and bound - v > 0, integer sign
+        queries over the denominator Lp times that of the bound, in that
+        order.
         """
         (P, Q), n, d = point, bound.numerator, bound.denominator
         lp, lq = self.lp, self.lq
-        window = pt.held_ends()
-        if window is not None:
-            _, lo_num, lo_den, hi_num, hi_den = window
-            inside = _inside_at_ends(
-                d * (P * lq * lo_den + Q * lp * lo_num), d * (P * lq * hi_den + Q * lp * hi_num),
-                n * lp * lq * lo_den, n * lp * lq * hi_den, strict,
-            )
-            if inside is not None:
-                return inside
         least = 1 if strict else 0
         return (
             pt.sign_lattice(P * d + n * lp, lp * d, Q, lq) >= least
@@ -212,8 +198,8 @@ class _PointMemo(dict):
     bound on the window is not stored, since meeting it again costs the
     same few comparisons.  A point that holds no window within its
     budget (None) sends every child to the exact test.  The windows nest
-    and the exact test tries the held window first, so both give one
-    verdict, and the screen reads no window that the exact test would
+    and the exact test's sign queries try the held window first, so both
+    give one verdict, and the screen reads no window that they would
     not read.
     """
 

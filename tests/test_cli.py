@@ -14,6 +14,7 @@ import pytest
 from sepkit import RationalParam, convex_type_census, example_system, wsp_min_displacement
 from sepkit.cli import build_parser, main
 from sepkit.construction import PERIODIC_WARNING, RefinementEngine, thue_morse_bit
+from sepkit.exact import ParamPoint
 from sepkit.ifs import Word
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -334,6 +335,29 @@ def test_one_window_chain_per_request(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, *argv)
     assert (code, len(built)) == (0, 1), err
+
+
+@pytest.mark.parametrize("argv, reads", [
+    ("types --example 1 --levels 80", 241),
+    ("types --example 1 --open-set constructed --seed 3/7:4/7 --levels 30 --truncation 32", 63),
+    ("wsp --example 2 --max-level 50", 52),
+    ("verify endpoints --example 2 --max-level 5 --c 4/7", 9),
+], ids=["types-ex1-80", "constructed-ex1-30", "wsp-ex2-50", "endpoints-ex2-5"])
+def test_chain_reads_per_request(capsys, monkeypatch, argv, reads):
+    # a work counter, not a timer: the window-chain reads (ParamPoint._refine)
+    # of four benchmark requests at the default budget; a query decided on the
+    # window the point holds reads no chain
+    monkeypatch.delenv("SEPKIT_ORACLE_BUDGET", raising=False)
+    read, refine = 0, ParamPoint._refine
+
+    def counted(self, *args, **kwargs):
+        nonlocal read
+        read += 1
+        return refine(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParamPoint, "_refine", counted)
+    code, _, err = run_cli(capsys, *argv.split())
+    assert (code, read) == (0, reads), err
 
 
 def test_oracle_budget_env_undecided(capsys, monkeypatch):

@@ -481,12 +481,11 @@ def lattice_step_templates(tmp_path_factory):
     ]
 
 
-def _fraction_chain(tmpl: ConstructionTemplate, bits: str):
-    """The reference chain of a bit prefix and the message of the step that failed, if any.
+def _fraction_chain(tmpl: ConstructionTemplate, opts: list[RefinementOption]):
+    """The reference chain of a list of steps and the message of the step that failed, if any.
 
     Each reference state is a ``(level, left, right, window, gap)`` tuple.
     """
-    opts = [*tmpl.fixed_prefix, *(tmpl.option2 if b == "1" else tmpl.option1 for b in bits)]
     first = tmpl.initial_state()
     states = [(first.level, first.left, first.right, first.window, first.gap)]
     try:
@@ -502,7 +501,8 @@ def _fraction_chain(tmpl: ConstructionTemplate, bits: str):
 def test_lattice_step_matches_fraction_step(lattice_step_templates, which, length, value):
     tmpl = lattice_step_templates[which]
     bits = format(value, "0200b")[:length]
-    expected, expected_error = _fraction_chain(tmpl, bits)
+    opts = [*tmpl.fixed_prefix, *(tmpl.option2 if b == "1" else tmpl.option1 for b in bits)]
+    expected, expected_error = _fraction_chain(tmpl, opts)
     engine = RefinementEngine(tmpl, DrivingSequence.from_bits(bits))
     error = None
     try:
@@ -512,8 +512,19 @@ def test_lattice_step_matches_fraction_step(lattice_step_templates, which, lengt
     states = engine.states_up_to(engine.depth)
     assert error == expected_error
     assert [(s.level, s.left, s.right, s.window, s.gap) for s in states] == expected
-    for state in states:
-        assert state.scaled_gap == translation_amount(tmpl.system, state.left, state.right)
+    # S_w(0) of both words, carried in Fractions: S_ws(0) = S_w(0) + d_s * m^-|w|
+    sys, m = tmpl.system, tmpl.system.ratio_denominator
+    s_left, s_right = map_at_zero(sys, states[0].left), map_at_zero(sys, states[0].right)
+    for state, opt in zip(states, [None, *opts]):
+        if opt is not None:
+            if opt.swap:
+                s_left, s_right = s_right, s_left
+            scale = F(1, m ** (state.level - 1))
+            s_left = s_left + sys.offset(opt.append_left).scale(scale)
+            s_right = s_right + sys.offset(opt.append_right).scale(scale)
+        assert state.scaled_gap == (s_right - s_left).scale(m**state.level)
+    last = states[-1]
+    assert last.scaled_gap == translation_amount(sys, last.left, last.right)
 
 
 def _cross_multiplied_chain(tmpl: ConstructionTemplate, seq: DrivingSequence, depth: int):

@@ -7,6 +7,11 @@ pairs of each level over the walks of ``_return_walks`` without building
 a pair; the overlap scan lists them, and ``perfbench/reference.py``
 counts example 2's pairs from the tiling of ``15`` and ``23`` alone,
 without sepkit.  That module is loaded from its file and only read.
+
+Fact C: each option of a template is an injective affine map of the
+scaled gap u, u -> mu*u + (dP, dQ) on the displacement lattice, with
+mu = -m on a swap, and the value u_n alone decides option n + 1: the
+option the construction takes maps u_n into (0, 1), the other does not.
 """
 
 import importlib.util
@@ -16,7 +21,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sepkit import exact_overlap_scan, example_template
+from sepkit import DrivingSequence, exact_overlap_scan, example_template, param_point
+from sepkit.separation import DisplacementLattice
 
 from bruteforce import overlap_transfer_counts, small_systems
 
@@ -51,3 +57,32 @@ def test_example2_pairs_all_derive_from_one_primitive_overlap():
     assert [primitive + derived for primitive, derived in counts] == (
         reference.overlap_pair_counts(12)
     )
+
+
+@pytest.mark.parametrize("sequence", [DrivingSequence.thue_morse(), DrivingSequence.fibonacci()],
+                         ids=["thue-morse", "fibonacci"])
+@pytest.mark.parametrize("which", [1, 2])
+def test_the_scaled_gap_alone_decides_the_next_option(which, sequence):
+    # levels 1-300; example 2's first step is its fixed prefix, not an option
+    tmpl = example_template(which)
+    pt = param_point(tmpl, sequence, budget=5000)
+    lattice = DisplacementLattice(tmpl.system)
+    lp, lq, m = lattice.lp, lattice.lq, lattice.m
+    maps = {
+        label: (-m if opt.swap else m, *lattice.step(opt.append_left, opt.append_right))
+        for label, opt in (("option1", tmpl.option1), ("option2", tmpl.option2))
+    }
+
+    def in_unit_interval(P, Q):
+        return pt.sign_lattice(P, lp, Q, lq) > 0 and pt.sign_lattice(lp - P, lp, -Q, lq) > 0
+
+    states, checked = pt.refiner.states_up_to(301), 0
+    for state, taken in zip(states, states[1:]):
+        if taken.choice == "prefix":
+            continue
+        P, Q = state.point
+        for label, (mu, dP, dQ) in maps.items():
+            inside = in_unit_interval(mu * P + dP, mu * Q + dQ)
+            assert inside == (label == taken.choice), (state.level, label)
+        checked += 1
+    assert checked == (300 if which == 1 else 299)

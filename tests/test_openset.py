@@ -666,23 +666,23 @@ def test_oracle_decisions_in_a_deep_constructed_census():
     assert _constructed_census_decisions(1, SEED1, 200) <= 2500
 
 
-#: The walk's sign queries on the constructed census of example 1 to 100 levels,
-#: when each of its four tests on a new interval was a sign query of its own:
-#: 597 at the default budget, where the request stops undecided at level 98
-#: (exit 3), and 603 at budget 5000.
-WALK_SIGN_QUERIES_ASKED_ONE_BY_ONE = {None: (3, 597), "5000": (0, 603)}
+#: The chain reads of the constructed census of example 1 to 100 levels, none
+#: of them in the walk: 201 at the default budget, where the request stops
+#: undecided at level 98 (exit 3), and 203 at budget 5000.
+CHAIN_READS = {None: (3, 201), "5000": (0, 203)}
 
 
 @pytest.mark.parametrize("budget", [None, "5000"], ids=["default-budget", "budget-5000"])
 def test_walk_reads_the_held_window_before_asking_a_sign(budget):
-    # a new interval's two ends are read off the held window once, and only a
-    # test that window leaves open is a sign query
+    # a new interval's tests are sign queries, each tried on the held window
+    # before the chain; the walk's tests never read the chain
     argv = ["types", "--example", "1", "--open-set", "constructed", "--seed", "3/7:4/7",
             "--levels", "100", "--truncation", "102"]
     argv += ["--oracle-budget", budget] if budget else []
-    exit_code, before = WALK_SIGN_QUERIES_ASKED_ONE_BY_ONE[budget]
-    asked, walking = 0, False
-    walk, sign = OverlapOracle._known_walk, ParamPoint.sign_lattice
+    exit_code, reads = CHAIN_READS[budget]
+    read = read_walking = 0
+    walking = False
+    walk, refine = OverlapOracle._known_walk, ParamPoint._refine
 
     def counted_walk(self, *args):
         nonlocal walking
@@ -692,15 +692,16 @@ def test_walk_reads_the_held_window_before_asking_a_sign(budget):
         finally:
             walking = outer
 
-    def counted_sign(self, *form):
-        nonlocal asked
-        asked += walking
-        return sign(self, *form)
+    def counted_refine(self, *args, **kwargs):
+        nonlocal read, read_walking
+        read += 1
+        read_walking += walking
+        return refine(self, *args, **kwargs)
 
     with mock.patch.object(OverlapOracle, "_known_walk", counted_walk), \
-            mock.patch.object(ParamPoint, "sign_lattice", counted_sign):
+            mock.patch.object(ParamPoint, "_refine", counted_refine):
         assert main(argv) == exit_code
-    assert asked < before, asked
+    assert (read_walking, read) == (0, reads)
 
 
 def _lines_run(fn, *args) -> int:

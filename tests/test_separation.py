@@ -138,12 +138,13 @@ def test_wsp_running_minimum_matches_sorting_every_level(which, value):
     assert wsp_min_displacement(sys, pt, 600) == sorting_wsp_min_displacement(sys, pt, 600)
 
 
-@pytest.mark.parametrize("which,value,calls", [(1, F(1, 8), 7), (2, F(1, 32), 3)])
+@pytest.mark.parametrize("which,value,calls", [(1, F(1, 8), 9), (2, F(1, 32), 5)])
 def test_wsp_asks_no_sign_once_the_levels_saturate(which, value, calls):
     # at a rational point the displacement set stops growing after a few
     # levels; a level that adds no value asks no sign, since each tied value
-    # keeps the sign asked when it first appeared; every bound test, the
-    # root's too, is read off the point's degenerate window
+    # keeps the sign asked when it first appeared; a child's bound test is
+    # read off the point's degenerate window, and the root's two bound tests
+    # are sign queries, which a rational point answers by direct evaluation
     sys = example_template(which).system
     sign_lattice = RationalParam.sign_lattice
     counts = []
